@@ -86,22 +86,15 @@ def test_s4_runtime_churn_never_hurts_admitted(run_once, benchmark):
                 decision = controller.request(cand)
                 if decision.accepted:
                     events["accepted"] += 1
-                    sim.sources = sim.sources + (
-                        ConnectionSource(cand, active_from=slot + 1),
+                    sim.attach_source(
+                        ConnectionSource(cand, active_from=slot + 1)
                     )
                     live.append(cand)
             if slot % 1700 == 0 and live:
                 # Occasional departure.
                 victim = live.pop(int(rng.integers(len(live))))
                 controller.remove(victim.connection_id)
-                sim.sources = tuple(
-                    s
-                    for s in sim.sources
-                    if not (
-                        isinstance(s, ConnectionSource)
-                        and s.connection.connection_id == victim.connection_id
-                    )
-                )
+                sim.detach_connection_source(victim.connection_id)
                 events["departures"] += 1
         rt = sim.report.class_stats(TrafficClass.RT_CONNECTION)
         return events, rt, controller

@@ -56,6 +56,8 @@ class AdmissionController:
         self.timing = timing
         self._accepted: dict[int, LogicalRealTimeConnection] = {}
         self._suspended: dict[int, LogicalRealTimeConnection] = {}
+        # Cached total utilisation of Ma; None after any change to it.
+        self._utilisation: float | None = None
         #: Optional :class:`~repro.obs.events.EventDispatcher`; set by the
         #: simulator when observability is on.
         self.observer = None
@@ -90,8 +92,18 @@ class AdmissionController:
 
     @property
     def utilisation(self) -> float:
-        """Total utilisation of Ma."""
-        return sum(c.utilisation for c in self._accepted.values())
+        """Total utilisation of Ma.
+
+        Cached between changes to Ma and always recomputed as the same
+        in-order sum over the accepted set -- never adjusted by ``+=`` /
+        ``-=`` -- because event replay compares this float with ``==``.
+        """
+        total = self._utilisation
+        if total is None:
+            total = self._utilisation = sum(
+                c.utilisation for c in self._accepted.values()
+            )
+        return total
 
     @property
     def u_max(self) -> float:
@@ -112,6 +124,7 @@ class AdmissionController:
         accepted = with_new <= self.u_max
         if accepted:
             self._accepted[connection.connection_id] = connection
+            self._utilisation = None
         decision = AdmissionDecision(
             accepted=accepted,
             connection=connection,
@@ -129,6 +142,7 @@ class AdmissionController:
         connection must not come back on node rejoin.
         """
         if connection_id in self._accepted:
+            self._utilisation = None
             return self._accepted.pop(connection_id)
         if connection_id in self._suspended:
             return self._suspended.pop(connection_id)
@@ -161,6 +175,7 @@ class AdmissionController:
             raise KeyError(
                 f"connection {connection_id} is not in the accepted set"
             ) from None
+        self._utilisation = None
         self._suspended[connection_id] = conn
         return conn
 
@@ -183,6 +198,7 @@ class AdmissionController:
         if accepted:
             del self._suspended[connection_id]
             self._accepted[connection_id] = conn
+            self._utilisation = None
         decision = AdmissionDecision(
             accepted=accepted,
             connection=conn,

@@ -8,6 +8,14 @@ the variable quantity Equation (1) describes -- zero when the master keeps
 the clock, up to ``(N-1)`` link delays when it moves to the upstream
 neighbour.
 
+Traffic release runs off one *release calendar*: a min-heap of
+``(due_slot, attach_seq, source)`` for every source whose class names its
+next release (:meth:`~repro.traffic.base.TrafficSource.next_release_slot`
+overridden), plus a short always-poll list for the rest.  A slot polls
+only what is due, in attachment order; the idle fast-forward reads the
+heap top.  An entry is a lower bound -- it may be early, never late --
+so ``messages_for_slot`` stays the authority on what is released.
+
 Fault semantics (experiments S9/S12): a failed node is fail-stop with
 passive optical pass-through -- it stops releasing, requesting,
 transmitting and clocking, but light still traverses its links, so the
@@ -35,6 +43,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections.abc import Mapping, Sequence
+from heapq import heapify, heappop, heappush, heapreplace
+from operator import itemgetter
 
 from repro.core.admission import AdmissionController
 from repro.core.messages import MessageStatus
@@ -57,6 +67,14 @@ from repro.sim.faults import FaultInjector
 from repro.sim.metrics import MetricsCollector, SimulationReport
 from repro.sim.trace import SlotTrace
 from repro.traffic.base import TrafficSource
+
+
+#: Release-calendar heap entry: ``(due_slot, attach_seq, source)``.
+_Due = tuple[int, int, TrafficSource]
+#: Always-poll entry: the same shape with no due slot.
+_Polled = tuple[None, int, TrafficSource]
+
+_BY_ATTACH_SEQ = itemgetter(1)
 
 
 class RecoveryState(enum.Enum):
@@ -155,7 +173,13 @@ class Simulation:
                 raise ValueError(
                     f"source attached to node {src.node}, outside the ring"
                 )
-        self.sources = tuple(sources)
+        # Release calendar (see _build_calendar): built lazily, at the
+        # first step or fast-forward probe, so engines that never poll
+        # (the compiled vector tier) never pay for it.
+        self._sources: tuple[TrafficSource, ...] = tuple(sources)
+        self._calendar: list[_Due] | None = None
+        self._always_poll: tuple[_Polled, ...] = ()
+        self._attach_seq = 0
         self.drop_late = drop_late
         self.trace = trace
         self.faults = coerce_fault_model(faults)
@@ -273,6 +297,18 @@ class Simulation:
     # Dynamic source management (runtime connection set-up/tear-down).
     # ------------------------------------------------------------------
 
+    @property
+    def sources(self) -> tuple[TrafficSource, ...]:
+        """The attached traffic sources, in attachment order (read-only)."""
+        return self._sources
+
+    @sources.setter
+    def sources(self, value: object) -> None:
+        raise AttributeError(
+            "Simulation.sources is read-only (the release calendar indexes "
+            "it); use attach_source() / detach_connection_source()"
+        )
+
     def attach_source(self, source: TrafficSource) -> TrafficSource:
         """Attach a traffic source to a *running* simulation.
 
@@ -287,7 +323,9 @@ class Simulation:
             raise ValueError(
                 f"source attached to node {source.node}, outside the ring"
             )
-        self.sources = self.sources + (source,)
+        self._sources = self._sources + (source,)
+        if self._calendar is not None:
+            self._schedule(source)
         return source
 
     def detach_connection_source(self, connection_id: int) -> int:
@@ -299,18 +337,63 @@ class Simulation:
         """
         from repro.traffic.periodic import ConnectionSource
 
-        kept = tuple(
-            s
-            for s in self.sources
-            if not (
-                isinstance(s, ConnectionSource)
-                and s.connection.connection_id == connection_id
+        def torn_down(source: TrafficSource) -> bool:
+            return (
+                isinstance(source, ConnectionSource)
+                and source.connection.connection_id == connection_id
             )
-        )
-        removed = len(self.sources) - len(kept)
+
+        kept = tuple(s for s in self._sources if not torn_down(s))
+        removed = len(self._sources) - len(kept)
         if removed:
-            self.sources = kept
+            self._sources = kept
+            if self._calendar is not None:
+                self._calendar = [
+                    e for e in self._calendar if not torn_down(e[2])
+                ]
+                heapify(self._calendar)
+                self._always_poll = tuple(
+                    e for e in self._always_poll if not torn_down(e[2])
+                )
         return removed
+
+    # ------------------------------------------------------------------
+    # Release calendar: who has to be polled in which slot.
+    # ------------------------------------------------------------------
+
+    def _schedule(self, source: TrafficSource) -> None:
+        """File ``source`` in the calendar, as of :attr:`current_slot`.
+
+        A source whose class overrides
+        :meth:`TrafficSource.next_release_slot` goes on the heap at the
+        slot it names (or nowhere, if it will never release again).
+        Every other source -- the conservative default, which answers
+        ``after`` because its release decision is a per-slot RNG draw or
+        an external submission, and duck-typed sources with no such
+        method -- is polled in every executed slot.  The decision is by
+        *class*; the calls go through the instance, so a wrapper set on
+        ``source.next_release_slot`` later is what the engine calls.
+        """
+        calendar = self._calendar
+        assert calendar is not None
+        seq = self._attach_seq
+        self._attach_seq = seq + 1
+        probe = getattr(type(source), "next_release_slot", None)
+        if probe is None or probe is TrafficSource.next_release_slot:
+            self._always_poll += ((None, seq, source),)
+            return
+        due = source.next_release_slot(self.current_slot)
+        if due is not None:
+            heappush(calendar, (due, seq, source))
+
+    def _build_calendar(self) -> list[_Due]:
+        """Index every attached source; returns the (new) heap."""
+        calendar: list[_Due] = []
+        self._calendar = calendar
+        self._always_poll = ()
+        for source in self._sources:
+            self._schedule(source)
+        return calendar
 
     def _alive(self, node: int, slot: int) -> bool:
         return self.faults is None or self.faults.is_alive(node, slot)
@@ -458,20 +541,45 @@ class Simulation:
             )
 
         # --- traffic release -------------------------------------------
-        for src in self.sources:
-            if faults is not None and not self._node_alive[src.node]:
-                continue
-            for msg in src.messages_for_slot(slot):
-                if msg.source != src.node or msg.created_slot != slot:
-                    raise ValueError(
-                        f"source at node {src.node} produced an inconsistent "
-                        f"message (source={msg.source}, "
-                        f"created_slot={msg.created_slot}, slot={slot})"
-                    )
-                self.queues[msg.source].enqueue(msg)
-                self.metrics.on_release(msg)
-                if ev is not None:
-                    ev[0] += 1
+        # Poll what the calendar says is due plus the always-poll list,
+        # in attachment order.  An entry is a lower bound: a source
+        # popped early just answers "nothing", so messages_for_slot stays
+        # the authority on what is released.
+        calendar = self._calendar
+        if calendar is None:
+            calendar = self._build_calendar()
+        batch: Sequence[_Due | _Polled] = self._always_poll
+        n_due = n_polls = 0
+        if calendar and calendar[0][0] <= slot:
+            due_now: list[_Due | _Polled] = [heappop(calendar)]
+            while calendar and calendar[0][0] <= slot:
+                due_now.append(heappop(calendar))
+            n_due = len(due_now)
+            due_now += batch
+            if len(due_now) > 1:
+                due_now.sort(key=_BY_ATTACH_SEQ)
+            batch = due_now
+        for due, seq, src in batch:
+            if faults is None or self._node_alive[src.node]:
+                n_polls += 1
+                for msg in src.messages_for_slot(slot):
+                    if msg.source != src.node or msg.created_slot != slot:
+                        raise ValueError(
+                            f"source at node {src.node} produced an inconsistent "
+                            f"message (source={msg.source}, "
+                            f"created_slot={msg.created_slot}, slot={slot})"
+                        )
+                    self.queues[msg.source].enqueue(msg)
+                    self.metrics.on_release(msg)
+                    if ev is not None:
+                        ev[0] += 1
+            if due is not None:
+                again = src.next_release_slot(slot + 1)
+                if again is not None:
+                    heappush(calendar, (again, seq, src))
+        if profiler is not None and batch:
+            profiler.count("source_polls", n_polls)
+            profiler.count("calendar_due", n_due)
 
         # --- late-drop policy -------------------------------------------
         if self.drop_late:
@@ -596,14 +704,36 @@ class Simulation:
             return 0
         slot = self.current_slot
         target = end
-        for src in self.sources:
-            nxt = src.next_release_slot(slot)
+        calendar = self._calendar
+        if calendar is None:
+            calendar = self._build_calendar()
+        # Always-polled sources answer for themselves (the default says
+        # "now", which vetoes the skip; no method at all means the same).
+        for entry in self._always_poll:
+            probe = getattr(entry[2], "next_release_slot", None)
+            nxt = slot if probe is None else probe(slot)
             if nxt is None:
                 continue
             if nxt <= slot:
                 return 0
             if nxt < target:
                 target = nxt
+        # For the rest the heap top is the earliest release.  Entries a
+        # vector-kernel run left behind current_slot are brought up to
+        # date first, so a stale entry costs a question, not a skip.
+        while calendar and calendar[0][0] <= slot:
+            due, seq, src = calendar[0]
+            if due == slot:
+                return 0
+            nxt = src.next_release_slot(slot)
+            if nxt is None:
+                heappop(calendar)
+            elif nxt <= slot:
+                return 0
+            else:
+                heapreplace(calendar, (nxt, seq, src))
+        if calendar and calendar[0][0] < target:
+            target = calendar[0][0]
         k = target - slot
         if k <= 0:
             return 0

@@ -2,10 +2,15 @@
 
 A :class:`PhaseProfiler` accumulates wall-clock seconds and call counts
 for each named phase of the engine's hot loop (traffic release, plan
-execution, arbitration, metrics), plus free-form event counters such as
-the number of fast-forwarded slots.  The engine only touches it when one
-is attached, so profiling costs nothing when off; when on, the overhead
-is one ``perf_counter()`` call per phase boundary.
+execution, arbitration, metrics), plus free-form event counters:
+``fast_forwarded_slots``, and from the oracle's release calendar
+``source_polls`` (``messages_for_slot`` calls) and ``calendar_due`` (how
+many of the polled sources the calendar named, the rest being the
+always-poll list).  The ``release`` lap count is the number of executed
+slots, so polls per slot can be read off the table.  The engine only
+touches the profiler when one is attached, so profiling costs nothing
+when off; when on, the overhead is one ``perf_counter()`` call per phase
+boundary.
 
 The accumulators live in a :class:`~repro.obs.registry.MetricRegistry`:
 each phase is a histogram named ``phase:<name>`` (count = laps, total =

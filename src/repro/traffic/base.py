@@ -1,7 +1,9 @@
 """The traffic-source interface.
 
-A :class:`TrafficSource` is attached to one node and asked, once per slot,
-which new messages it releases into that node's transmit queues.  Sources
+A :class:`TrafficSource` is attached to one node and asked which new
+messages it releases into that node's transmit queues -- in every
+executed slot, or, if it names its release slots through
+:meth:`TrafficSource.next_release_slot`, only in those.  Sources
 must be deterministic functions of their construction parameters (all
 randomness comes from an explicitly seeded generator) so that simulations
 are reproducible bit-for-bit.
@@ -30,17 +32,27 @@ class TrafficSource(ABC):
         """
 
     def next_release_slot(self, after: int) -> int | None:
-        """Earliest slot ``>= after`` at which this source *may* release.
+        """A lower bound on the next slot ``>= after`` with a release.
 
-        Used by the engine's idle-slot fast-forward: slots strictly
-        before the returned value are guaranteed release-free and can be
-        skipped.  ``None`` means the source will never release again.
+        The engine's release calendar files the source at the returned
+        slot and does not call :meth:`messages_for_slot` before it; the
+        idle fast-forward skips up to it.  So the answer may be *early*
+        (the source is polled, releases nothing, and is asked again) but
+        never *late*: a release in a slot before the returned one would
+        be lost.  ``None`` means the source will never release again and
+        takes it off the calendar for good.  After each poll at slot
+        ``t`` the engine asks again with ``after = t + 1``.
 
-        The default is the conservative ``after`` itself (no skip) --
-        correct for any source, and required for stochastic sources
-        whose release decision is an RNG draw *per slot* (skipping those
-        slots would skip the draws and change the sample path).
-        Deterministic sources override this with an exact answer.
+        Overriding this method is the opt-in: a class that does not is
+        polled in every executed slot and vetoes fast-forward, which is
+        what this default (``after`` itself) spells out.  That is
+        required of any source whose release decision is an RNG draw
+        *per slot* (skipping a slot would skip its draw and change the
+        sample path) or depends on calls from outside the slot loop
+        (:class:`~repro.services.api.MessageInjector`).  Sources whose
+        releases are a function of the slot number override it with the
+        exact answer, and must then not rely on being polled in slots
+        they did not name.
         """
         return after
 

@@ -206,3 +206,55 @@ class TestInvariant:
             size = min(size, period)
             ctrl.request(conn(period, size))
         assert ctrl.utilisation <= ctrl.u_max + 1e-12
+
+
+class TestUtilisationCache:
+    """The cached ``utilisation`` must be the float a fresh re-sum gives."""
+
+    @staticmethod
+    def resum(ctrl):
+        return sum(c.utilisation for c in ctrl.accepted_connections)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["open", "close", "suspend", "resume"]),
+                st.integers(min_value=0, max_value=2**16),
+                st.integers(min_value=3, max_value=97),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_storm_is_bit_equal_to_a_fresh_resum(self, ops):
+        """Replay compares the float with ``==``: no drift, ever.
+
+        Periods like 3, 7, 97 make the per-connection shares inexact in
+        binary, so an incremental ``+=`` / ``-=`` cache would drift from
+        the in-order sum within a few operations.
+        """
+        ctrl = controller()
+        opened = []
+        for op, pick, period in ops:
+            if op == "open":
+                c = conn(period, 1 + pick % 2, source=pick % 8, dst=(pick + 1) % 8)
+                if ctrl.request(c).accepted:
+                    opened.append(c.connection_id)
+            elif op == "close" and opened:
+                ctrl.remove(opened.pop(pick % len(opened)))
+            elif op == "suspend":
+                ctrl.suspend_node(pick % 8)
+            elif op == "resume":
+                ctrl.resume_node(pick % 8)
+            read = ctrl.utilisation
+            fresh = self.resum(ctrl)
+            assert read == fresh and type(read) is type(fresh)
+            # A second read is served from the cache.
+            assert ctrl.utilisation == fresh
+
+    def test_rejected_request_leaves_the_value_alone(self):
+        ctrl = controller()
+        ctrl.request(conn(3, 2))
+        before = ctrl.utilisation
+        assert not ctrl.request(conn(7, 5, source=1, dst=2)).accepted
+        assert ctrl.utilisation == before == self.resum(ctrl)

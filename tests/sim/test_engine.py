@@ -204,3 +204,39 @@ class TestSourceValidation:
         sim = build(sources=[BrokenSource()])
         with pytest.raises(ValueError, match="inconsistent"):
             sim.step()
+
+    def test_duck_typed_source_without_next_release_slot(self):
+        """Anything with ``node`` and ``messages_for_slot`` is a source:
+        it is polled every slot, under ``step()`` and under ``run()``
+        (where it simply vetoes fast-forward)."""
+
+        class Beacon:
+            node = 1
+
+            def __init__(self):
+                self.polled = []
+
+            def messages_for_slot(self, slot):
+                from repro.core.messages import Message
+
+                self.polled.append(slot)
+                if slot % 4:
+                    return []
+                return [
+                    Message(
+                        source=1,
+                        destinations=frozenset([3]),
+                        traffic_class=TrafficClass.NON_REAL_TIME,
+                        size_slots=1,
+                        created_slot=slot,
+                    )
+                ]
+
+        beacon = Beacon()
+        sim = build(sources=[beacon, ConnectionSource(conn(period=50))])
+        for _ in range(5):
+            sim.step()
+        sim.run(15)
+        assert beacon.polled == list(range(20))
+        nrt = sim.report.class_stats(TrafficClass.NON_REAL_TIME)
+        assert nrt.released == 5
