@@ -52,7 +52,9 @@ from repro.sim.runner import (
     PROTOCOLS,
     RunOptions,
     ScenarioConfig,
+    build_simulation,
     make_timing,
+    resolve_engine,
     run_scenario,
 )
 from repro.traffic.periodic import random_connection_set
@@ -314,6 +316,30 @@ def _print_report(protocol: str, report) -> None:
               f"{rt.deadline_missed_in_fault_window} of {rt.deadline_missed}")
 
 
+def _engine_outcome(sim, requested: str | None) -> dict:
+    """Which engine tier executed ``sim``'s last run (manifest form).
+
+    ``backend`` is ``"compiled"`` (the C micro-kernel), ``"numpy"`` (the
+    SoA kernel) or ``"oracle"`` (the pure-Python slot loop -- requested,
+    or fallen back to for ``fallback_reason``).
+    """
+    tiers = {"compiled": "compiled", "python": "numpy"}
+    return {
+        "requested": resolve_engine(requested),
+        "backend": tiers.get(getattr(sim, "vector_backend", None), "oracle"),
+        "fallback_reason": getattr(sim, "vector_fallback_reason", None),
+    }
+
+
+def _engine_label(outcome: dict) -> str:
+    """One-line console form of :func:`_engine_outcome`."""
+    if outcome["requested"] == "python":
+        return "python"
+    if outcome["backend"] == "oracle":
+        return f"vector -> oracle: {outcome['fallback_reason']}"
+    return f"vector ({outcome['backend']})"
+
+
 def _build_replication(
     args: argparse.Namespace, rng: np.random.Generator
 ):
@@ -324,8 +350,6 @@ def _build_replication(
     generator redraws the whole workload, so replications differ in
     workload *and* arrival noise.
     """
-    from repro.sim.runner import build_simulation
-
     conns = _draw_connections(args, rng)
     config = ScenarioConfig(
         n_nodes=args.nodes,
@@ -445,20 +469,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         trace = SlotTrace(max_records=args.trace_max)
     t0 = _time.perf_counter()
-    report = run_scenario(
+    sim = build_simulation(
         config,
-        n_slots=args.slots,
-        options=RunOptions(
+        RunOptions(
             profiler=profiler,
             trace=trace,
             observer=observer,
             engine=args.engine,
         ),
     )
+    report = sim.run(args.slots)
     elapsed = _time.perf_counter() - t0
     if observer is not None:
         observer.close()
     _print_report(args.protocol, report)
+    engine = _engine_outcome(sim, args.engine)
+    print(f"engine              : {_engine_label(engine)}")
     if event_log is not None:
         print(f"event log           : {args.events} "
               f"({event_log.events_written} events)")
@@ -481,7 +507,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             report=report,
             profiler=profiler,
             elapsed_s=elapsed,
-            extra={"argv": list(sys.argv), "events": args.events or None},
+            extra={
+                "argv": list(sys.argv),
+                "events": args.events or None,
+                "engine": engine,
+            },
         )
         manifest.write(manifest_path)
         print(f"manifest written    : {manifest_path}")

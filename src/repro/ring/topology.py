@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from repro.phy.constants import DEFAULT_LINK_LENGTH_M
 from repro.phy.fiber import FibreSegment
@@ -134,6 +134,17 @@ class RingTopology:
         return self.propagation_delay_s(old_master, new_master)
 
     @cached_property
+    def handover_gap_table(self) -> tuple[float, ...]:
+        """Every hand-over gap of the ring, flat: ``[old * n_nodes + new]``.
+
+        Each entry is the float :meth:`handover_delay_s` returns for that
+        ordered pair, so slot loops may index the table in place of the
+        call.  Equal topologies share one table (a scenario builds a new
+        ``RingTopology`` per run).
+        """
+        return _handover_gap_table(self)
+
+    @cached_property
     def max_handover_delay_s(self) -> float:
         """Worst-case hand-over gap, ``t_handover_max`` (``D = N - 1``).
 
@@ -157,3 +168,9 @@ class RingTopology:
     def links(self) -> range:
         """Iterate over link ids."""
         return range(self.n_nodes)
+
+
+@lru_cache(maxsize=16)
+def _handover_gap_table(topology: RingTopology) -> tuple[float, ...]:
+    nodes = topology.nodes()
+    return tuple(topology.handover_delay_s(a, b) for a in nodes for b in nodes)

@@ -7,7 +7,10 @@ execution, arbitration, metrics), plus free-form event counters:
 ``source_polls`` (``messages_for_slot`` calls) and ``calendar_due`` (how
 many of the polled sources the calendar named, the rest being the
 always-poll list).  The ``release`` lap count is the number of executed
-slots, so polls per slot can be read off the table.  The engine only
+slots, so polls per slot can be read off the table.  The vector engine
+keeps the tier an unprofiled run would use and laps per ``run()`` call:
+``ingest`` / ``kernel`` / ``fold`` on the compiled tier, one ``kernel``
+on the numpy tier.  The engine only
 touches the profiler when one is attached, so profiling costs nothing
 when off; when on, the overhead is one ``perf_counter()`` call per phase
 boundary.

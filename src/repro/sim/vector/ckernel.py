@@ -18,17 +18,21 @@ semantics the C loop replicates *bit-identically*:
 * the laxity mapping is exactly ``LogarithmicMapping`` or
   ``LinearMapping`` (closed-form priorities, same libm ``log2`` the
   interpreter calls);
-* no observer, no profiler, no drop-late policy, no active fault
-  window (the engine has already excluded faults, loss and tracing);
+* no observer, no drop-late policy, no active fault window (the engine
+  has already excluded faults, loss and tracing);
 * the ring fits the kernel's 64-bit link masks.
 
 Bit-identity is preserved by construction: wall/slot/gap times advance
 by the oracle's exact double additions in the oracle's order, message
 ids are reserved from the global counter before the call (one per
 scheduled release) so later Python-side allocations continue the same
-sequence, deliveries are replayed into the metrics in delivery order,
-and ``per_connection`` insertion order follows the kernel's recorded
-first-touch sequence.
+sequence, the kernel's delivery log is folded into the metrics column
+by column in delivery order (see "The compiled tier's exit fold" in
+``DESIGN.md``), and ``per_connection`` insertion order follows the
+kernel's recorded first-touch sequence.
+
+An attached profiler does not change the tier: each call records one
+``ingest``, one ``kernel`` and one ``fold`` lap.
 """
 
 from __future__ import annotations
@@ -65,9 +69,10 @@ _MAX_RELEASES = 4_000_000
 #: Ring width limit: link masks are 64-bit in the C kernel.
 _MAX_NODES = 62
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_U64 = ctypes.POINTER(ctypes.c_uint64)
-_F64 = ctypes.POINTER(ctypes.c_double)
+#: Array arguments travel as bare addresses (``ndarray.ctypes.data``):
+#: every array is built in :func:`try_run` with the dtype the C
+#: signature names (``int64``, ``uint64`` for link masks, ``float64``).
+_ADDR = ctypes.c_void_p
 
 _UNSET = object()
 _fn: object = _UNSET
@@ -127,48 +132,48 @@ def _build_library() -> object | None:
         ctypes.c_int64,  # log_map
         ctypes.c_int64,  # levels
         ctypes.c_int64,  # horizon
-        _F64,  # gap_matrix
+        _ADDR,  # gap_matrix (float64)
         ctypes.c_int64,  # n_pre
         ctypes.c_int64,  # n_rel
-        _I64,  # m_node
-        _I64,  # m_size
-        _I64,  # m_sent
-        _I64,  # m_deadline
-        _I64,  # m_created
-        _I64,  # m_id
-        _I64,  # m_cid
-        _U64,  # m_links
-        _I64,  # m_status
-        _I64,  # m_completed
-        _I64,  # rel_slot
-        _I64,  # rel_conn
+        _ADDR,  # m_node
+        _ADDR,  # m_size
+        _ADDR,  # m_sent
+        _ADDR,  # m_deadline
+        _ADDR,  # m_created
+        _ADDR,  # m_id
+        _ADDR,  # m_cid
+        _ADDR,  # m_links (uint64)
+        _ADDR,  # m_status
+        _ADDR,  # m_completed
+        _ADDR,  # rel_slot
+        _ADDR,  # rel_conn
         ctypes.c_int64,  # n_conns
-        _I64,  # conn_node
-        _I64,  # conn_size
-        _I64,  # conn_deadline
-        _I64,  # conn_cid
-        _U64,  # conn_links
+        _ADDR,  # conn_node
+        _ADDR,  # conn_size
+        _ADDR,  # conn_deadline
+        _ADDR,  # conn_cid
+        _ADDR,  # conn_links (uint64)
         ctypes.c_int64,  # id0
         ctypes.c_int64,  # n_cids
-        _I64,  # touched
+        _ADDR,  # touched
         ctypes.c_int64,  # p_master
         ctypes.c_double,  # p_gap
         ctypes.c_int64,  # p_nreq
         ctypes.c_int64,  # p_ntx
-        _I64,  # p_tx_rows
+        _ADDR,  # p_tx_rows
         ctypes.c_int64,  # p_nden
-        _I64,  # p_den_rows
+        _ADDR,  # p_den_rows
         ctypes.c_int64,  # prev_master
-        _I64,  # heap_cap
-        _F64,  # facc
-        _I64,  # iacc
-        _I64,  # master_count
-        _I64,  # hop_count
-        _I64,  # del_rows
-        _I64,  # touch_out
-        _I64,  # out_tx_rows
-        _I64,  # out_den_rows
-        _F64,  # out_gap
+        _ADDR,  # heap_cap
+        _ADDR,  # facc (float64)
+        _ADDR,  # iacc
+        _ADDR,  # master_count
+        _ADDR,  # hop_count
+        _ADDR,  # del_rows
+        _ADDR,  # touch_out
+        _ADDR,  # out_tx_rows
+        _ADDR,  # out_den_rows
+        _ADDR,  # out_gap (float64)
     ]
     return fn
 
@@ -191,14 +196,6 @@ def _arr(values: list[int]) -> np.ndarray:
     return a
 
 
-def _p(a: np.ndarray) -> object:
-    if a.dtype == np.uint64:
-        return a.ctypes.data_as(_U64)
-    if a.dtype == np.float64:
-        return a.ctypes.data_as(_F64)
-    return a.ctypes.data_as(_I64)
-
-
 def try_run(sim: Simulation, n_slots: int) -> bool:
     """Run ``n_slots`` on the compiled kernel if eligible; else ``False``.
 
@@ -210,10 +207,11 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
     fn = _kernel_fn()
     if fn is None or n_slots <= 0:
         return False
-    if sim.observer is not None or sim.profiler is not None:
+    if sim.observer is not None or sim.drop_late:
         return False
-    if sim.drop_late:
-        return False
+    profiler = sim.profiler
+    if profiler is not None:
+        t_phase = profiler.clock()
     metrics = sim.metrics
     if metrics.fault_window_active:
         return False
@@ -239,6 +237,7 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
 
     # --- ingest the live queue state (no BE/NRT backlog allowed) -------
     pre_objs: list[Message] = []
+    pre_cids: list[int] = []
     row_of: dict[int, int] = {}
     for i in range(n):
         q = queues[i]
@@ -252,10 +251,16 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
             st = msg.status
             if st is DELIVERED or st is DROPPED:
                 continue
-            if msg.traffic_class is not RT or msg.deadline_slot is None:
+            cid = msg.connection_id
+            if (
+                msg.traffic_class is not RT
+                or msg.deadline_slot is None
+                or cid is None
+            ):
                 return False
             row_of[id(msg)] = len(pre_objs)
             pre_objs.append(msg)
+            pre_cids.append(cid)
 
     plan = sim._plan
     plan_tx_rows: list[int] = []
@@ -316,15 +321,8 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
     limit = 1 if not arbiter.spatial_reuse else (arbiter.max_grants or 1 << 30)
     slot_length = sim.timing.slot_length_s
 
-    gap_matrix = getattr(sim, "_ck_gap_matrix", None)
-    if gap_matrix is None:
-        handover = protocol.handover
-        topology = sim.topology
-        gap_matrix = np.empty(n * n, dtype=np.float64)
-        for a in range(n):
-            for b in range(n):
-                gap_matrix[a * n + b] = handover.gap_s(topology, a, b)
-        sim._ck_gap_matrix = gap_matrix  # type: ignore[attr-defined]
+    # The engine admits only the plain EdfHandover, whose gap is Eq. 1.
+    gap_matrix = np.array(sim.topology.handover_gap_table, dtype=np.float64)
 
     # Dense connection-id space: connections first, then any live
     # message whose connection is no longer sourced (admission churn).
@@ -363,8 +361,7 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         m_deadline[row] = msg.deadline_slot
         m_created[row] = msg.created_slot
         m_id[row] = msg.msg_id
-        cid = msg.connection_id
-        m_cid[row] = _dense(cid) if cid is not None else -1
+        m_cid[row] = _dense(pre_cids[row])
         m_links[row] = route_masks(msg.source, msg.destinations)[0]
         m_status[row] = 0 if msg.status is PENDING else 1
         m_completed[row] = -1
@@ -410,6 +407,8 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
     conn_links_a = np.array(conn_links or [0], dtype=np.uint64)
     plan_tx_a = _arr(plan_tx_rows)
     plan_den_a = _arr(plan_den_rows)
+    if profiler is not None:
+        t_phase = profiler.lap("ingest", t_phase)
     ret = fn(
         n,
         s,
@@ -421,61 +420,62 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         1 if log_map else 0,
         levels,
         horizon,
-        _p(gap_matrix),
+        gap_matrix.ctypes.data,
         n_pre,
         n_rel,
-        _p(m_node),
-        _p(m_size),
-        _p(m_sent),
-        _p(m_deadline),
-        _p(m_created),
-        _p(m_id),
-        _p(m_cid),
-        _p(m_links),
-        _p(m_status),
-        _p(m_completed),
-        _p(rel_slot),
-        _p(rel_conn),
+        m_node.ctypes.data,
+        m_size.ctypes.data,
+        m_sent.ctypes.data,
+        m_deadline.ctypes.data,
+        m_created.ctypes.data,
+        m_id.ctypes.data,
+        m_cid.ctypes.data,
+        m_links.ctypes.data,
+        m_status.ctypes.data,
+        m_completed.ctypes.data,
+        rel_slot.ctypes.data,
+        rel_conn.ctypes.data,
         len(conns),
-        _p(conn_node_a),
-        _p(conn_size_a),
-        _p(conn_deadline_a),
-        _p(conn_cid_a),
-        _p(conn_links_a),
+        conn_node_a.ctypes.data,
+        conn_size_a.ctypes.data,
+        conn_deadline_a.ctypes.data,
+        conn_cid_a.ctypes.data,
+        conn_links_a.ctypes.data,
         id0,
         n_cids,
-        _p(touched),
+        touched.ctypes.data,
         plan.master,
         plan.gap_s,
         plan.n_requests,
         len(plan_tx_rows),
-        _p(plan_tx_a),
+        plan_tx_a.ctypes.data,
         len(plan_den_rows),
-        _p(plan_den_a),
+        plan_den_a.ctypes.data,
         sim._prev_master,
-        _p(heap_cap),
-        _p(facc),
-        _p(iacc),
-        _p(master_count),
-        _p(hop_count),
-        _p(del_rows),
-        _p(touch_out),
-        _p(out_tx_rows),
-        _p(out_den_rows),
-        _p(out_gap),
+        heap_cap.ctypes.data,
+        facc.ctypes.data,
+        iacc.ctypes.data,
+        master_count.ctypes.data,
+        hop_count.ctypes.data,
+        del_rows.ctypes.data,
+        touch_out.ctypes.data,
+        out_tx_rows.ctypes.data,
+        out_den_rows.ctypes.data,
+        out_gap.ctypes.data,
     )
     if ret != 0:
         raise RuntimeError(f"compiled slot kernel failed (code {ret})")
+    if profiler is not None:
+        t_phase = profiler.lap("kernel", t_phase)
 
     # --- fold the outputs back into the Python object graph ------------
+    # Column-wise: the kernel's delivery log ``del_rows[:n_del]`` is in
+    # oracle delivery order, so the per-message updates of
+    # ``MetricsCollector.on_delivery`` are replayed as array expressions;
+    # Python loops run over connections, histogram buckets, nodes and
+    # still-live messages only.
     n_del = int(iacc[7])
     n_touch = int(iacc[8])
-    statuses = m_status.tolist()
-    sents = m_sent.tolist()
-    completeds = m_completed.tolist()
-    createds = m_created.tolist()
-    deadlines = m_deadline.tolist()
-    cids_of_row = m_cid.tolist()
 
     # Connection-stats entries, created in the kernel's first-touch order
     # (release or delivery, whichever came first) == dict insertion order.
@@ -496,49 +496,63 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         if registry is not None:
             registry.counters["sim:released"] += n_rel
 
-    missed_total = 0
     if n_del:
-        delivered_rows = del_rows[:n_del].tolist()
-        lat_append = rt_stats.latencies_slots.append
-        cstat_cache: dict[int, ConnectionStats] = {}
-        hist = None
+        rows = del_rows[:n_del]
+        completed = m_completed[rows]
+        latency = completed - m_created[rows] + 1
+        missed = completed > m_deadline[rows]
+        missed_total = int(np.count_nonzero(missed))
+        rt_stats.delivered += n_del
+        rt_stats.deadline_missed += missed_total
+        rt_stats.deadline_met += n_del - missed_total
+        rt_stats.latencies_slots.extend(latency.tolist())
+
+        # Per connection: a *stable* grouping by dense connection id keeps
+        # each connection's latencies in delivery order (report content);
+        # the narrowest key dtype lets the stable sort run as a radix sort.
+        group = m_cid[rows].astype(np.min_scalar_type(n_cids))
+        grouped = latency[np.argsort(group, kind="stable")]
+        sizes = np.bincount(group, minlength=n_cids).tolist()
+        misses = np.bincount(group[missed], minlength=n_cids).tolist()
+        lo = 0
+        for cid, k, k_missed in zip(cid_list, sizes, misses):
+            if k:
+                cstat = per_connection[cid]
+                cstat.delivered += k
+                cstat.deadline_missed += k_missed
+                cstat.deadline_met += k - k_missed
+                cstat.latencies_slots.extend(grouped[lo : lo + k].tolist())
+                lo += k
+
         if registry is not None:
             registry.counters["sim:delivered"] += n_del
+            if missed_total:
+                registry.counters["sim:deadline_missed"] += missed_total
             hist = registry.histograms.get("sim:latency_slots")
             if hist is None:
                 hist = registry.histograms["sim:latency_slots"] = Histogram()
-        rt_stats.delivered += n_del
-        for row in delivered_rows:
-            latency = completeds[row] - createds[row] + 1
-            lat_append(latency)
-            missed = completeds[row] > deadlines[row]
-            if missed:
-                missed_total += 1
-                rt_stats.deadline_missed += 1
-            else:
-                rt_stats.deadline_met += 1
-            di = cids_of_row[row]
-            if di >= 0:
-                cstat = cstat_cache.get(di)
-                if cstat is None:
-                    cstat = cstat_cache[di] = per_connection[cid_list[di]]
-                cstat.delivered += 1
-                cstat.latencies_slots.append(latency)
-                if missed:
-                    cstat.deadline_missed += 1
-                else:
-                    cstat.deadline_met += 1
-            if hist is not None:
-                hist.count += 1
-                hist.total += latency
-                if latency < hist.min:
-                    hist.min = latency
-                if latency > hist.max:
-                    hist.max = latency
-                # latency >= 1: the log2 bucket is the bit length
-                hist.buckets[latency.bit_length()] += 1
-        if registry is not None and missed_total:
-            registry.counters["sim:deadline_missed"] += missed_total
+            hist.count += n_del
+            # The exact integer sum equals the oracle's one-by-one float
+            # additions: every partial sum is an integer below 2**53.
+            hist.total += int(latency.sum())
+            lat_min = int(latency.min())
+            if lat_min < hist.min:
+                hist.min = lat_min
+            lat_max = int(latency.max())
+            if lat_max > hist.max:
+                hist.max = lat_max
+            # latency >= 1: the log2 bucket is the bit length, i.e. the
+            # frexp exponent.  Buckets are created in first-occurrence
+            # order, as one observe() per delivery would.
+            bits = np.frexp(latency.astype(np.float64))[1].astype(np.uint8)
+            buckets, first, per_bucket = np.unique(
+                bits, return_index=True, return_counts=True
+            )
+            order = np.argsort(first)
+            for bucket, k in zip(
+                buckets[order].tolist(), per_bucket[order].tolist()
+            ):
+                hist.buckets[bucket] += k
 
     report.wall_time_s = float(facc[0])
     report.slot_time_s = float(facc[1])
@@ -562,43 +576,49 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
     # while still live (delivered releases never escaped the kernel and
     # are unobservable, exactly like the oracle's garbage).
     _STATUS = (PENDING, IN_TRANSIT, DELIVERED)
-    for row, msg in enumerate(pre_objs):
-        msg.sent_slots = sents[row]
-        st = statuses[row]
+    live_by_node: list[list[tuple[int, int, Message]]] = [[] for _ in range(n)]
+    for msg, sent, st, done, deadline in zip(
+        pre_objs,
+        m_sent[:n_pre].tolist(),
+        m_status[:n_pre].tolist(),
+        m_completed[:n_pre].tolist(),
+        m_deadline[:n_pre].tolist(),
+    ):
+        msg.sent_slots = sent
         msg.status = _STATUS[st]
         if st == 2:
-            msg.completed_slot = completeds[row]
-    live_by_node: list[list[tuple[int, int, Message]]] = [[] for _ in range(n)]
-    for row, msg in enumerate(pre_objs):
-        if statuses[row] != 2:
-            live_by_node[msg.source].append(
-                (deadlines[row], msg.msg_id, msg)
-            )
+            msg.completed_slot = done
+        else:
+            live_by_node[msg.source].append((deadline, msg.msg_id, msg))
+    live = np.flatnonzero(m_status[n_pre:n_rows] != 2)
+    live_rows = live + n_pre
     new_objs: dict[int, Message] = {}
-    if n_rel:
-        ids = m_id.tolist()
-        nodes = m_node.tolist()
-        sizes = m_size.tolist()
-        for row in range(n_pre, n_rows):
-            st = statuses[row]
-            if st == 2:
-                continue
-            c = int(rel_conn[row - n_pre])
-            msg = Message(
-                nodes[row],
-                conns[c].destinations,
-                RT,
-                sizes[row],
-                createds[row],
-                deadlines[row],
-                conns[c].connection_id,
-                ids[row],
-                sents[row],
-                _STATUS[st],
-                period_slots=conns[c].period_slots,
-            )
-            new_objs[row] = msg
-            live_by_node[nodes[row]].append((deadlines[row], ids[row], msg))
+    for row, c, node, size, created, deadline, mid, sent, st in zip(
+        live_rows.tolist(),
+        rel_conn[live].tolist(),
+        m_node[live_rows].tolist(),
+        m_size[live_rows].tolist(),
+        m_created[live_rows].tolist(),
+        m_deadline[live_rows].tolist(),
+        m_id[live_rows].tolist(),
+        m_sent[live_rows].tolist(),
+        m_status[live_rows].tolist(),
+    ):
+        conn = conns[c]
+        msg = new_objs[row] = Message(
+            node,
+            conn.destinations,
+            RT,
+            size,
+            created,
+            deadline,
+            conn.connection_id,
+            mid,
+            sent,
+            _STATUS[st],
+            period_slots=conn.period_slots,
+        )
+        live_by_node[node].append((deadline, mid, msg))
     for i in range(n):
         q = queues[i]
         entries = live_by_node[i]
@@ -606,41 +626,32 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         q._rt[:] = entries
         q._head_valid = False
 
-    def _obj(row: int) -> Message:
-        return pre_objs[row] if row < n_pre else new_objs[row]
+    def _planned(rows: np.ndarray) -> tuple[PlannedTransmission, ...]:
+        planned = []
+        for row, node, links in zip(
+            rows.tolist(), m_node[rows].tolist(), m_links[rows].tolist()
+        ):
+            msg = pre_objs[row] if row < n_pre else new_objs[row]
+            planned.append(
+                PlannedTransmission(
+                    node=node,
+                    message=msg,
+                    links=links,
+                    destinations=msg.destinations,
+                )
+            )
+        return tuple(planned)
 
-    links_list = m_links.tolist()
-    nodes_list = m_node.tolist()
-    transmissions = []
-    for row in out_tx_rows[: int(iacc[9])].tolist():
-        msg = _obj(row)
-        transmissions.append(
-            PlannedTransmission(
-                node=nodes_list[row],
-                message=msg,
-                links=links_list[row],
-                destinations=msg.destinations,
-            )
-        )
-    denied = []
-    for row in out_den_rows[: int(iacc[10])].tolist():
-        msg = _obj(row)
-        denied.append(
-            PlannedTransmission(
-                node=nodes_list[row],
-                message=msg,
-                links=links_list[row],
-                destinations=msg.destinations,
-            )
-        )
     sim.current_slot = end
     sim._prev_master = int(iacc[4])
     sim._plan = SlotPlan(
         transmit_slot=end,
         master=int(iacc[5]),
         gap_s=float(out_gap[0]),
-        transmissions=tuple(transmissions),
-        denied_by_break=tuple(denied),
+        transmissions=_planned(out_tx_rows[: int(iacc[9])]),
+        denied_by_break=_planned(out_den_rows[: int(iacc[10])]),
         n_requests=int(iacc[6]),
     )
+    if profiler is not None:
+        profiler.lap("fold", t_phase)
     return True

@@ -26,6 +26,9 @@ ran.  Configurations that force the oracle today:
 
 Everything else -- any laxity mapping, admission control, drop-late,
 event sinks, profilers, arbitrary traffic sources -- runs in-kernel.
+A profiler does not change the tier: the compiled kernel records one
+``ingest`` / ``kernel`` / ``fold`` lap per call, the SoA kernel one
+``kernel`` lap.
 """
 
 from __future__ import annotations
@@ -84,24 +87,27 @@ class VectorSimulation(Simulation):
         """Execute ``n_slots`` slots; kernel when eligible, oracle otherwise."""
         if n_slots < 0:
             raise ValueError(f"slot count must be non-negative, got {n_slots}")
+        if n_slots == 0:
+            # Nothing ran: keep the tier of the last real run on record.
+            return self.report
         reason = self._fallback_reason()
         self.vector_fallback_reason = reason
         if reason is not None:
             self.vector_backend = None
             return super().run(n_slots)
-        profiler = self.profiler
-        if profiler is not None:
-            t_phase = profiler.clock()
-            run_kernel(self, n_slots)
-            profiler.lap("kernel", t_phase)
-            self.vector_backend = "python"
-        elif _try_compiled(self, n_slots):
+        if _try_compiled(self, n_slots):
             # Closed-world configurations run on the compiled micro-
-            # kernel; anything it cannot replicate bit-for-bit lands on
-            # the pure-Python SoA kernel below.
+            # kernel (which times its own ingest / kernel / fold laps);
+            # anything it cannot replicate bit-for-bit lands on the
+            # pure-Python SoA kernel below.
             self.vector_backend = "compiled"
         else:
+            profiler = self.profiler
+            if profiler is not None:
+                t_phase = profiler.clock()
             run_kernel(self, n_slots)
+            if profiler is not None:
+                profiler.lap("kernel", t_phase)
             self.vector_backend = "python"
         self.vector_slots += n_slots
         return self.report

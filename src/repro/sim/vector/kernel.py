@@ -120,7 +120,6 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     ff_enabled = sim.fast_forward
     slot_length = sim.timing.slot_length_s
     sources = sim.sources
-    handover = protocol.handover
     route_masks = protocol.route_masks
     prio_cache = protocol._prio_cache
     on_release = metrics.on_release
@@ -162,9 +161,10 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     # else max_grants (a huge stand-in == "every requester" -- at most
     # one grant per active node is possible anyway).
     limit = 1 if not spatial_reuse else (max_grants or 1 << 30)
-    # Hand-over gaps as a flat (master, next) lazy matrix: cheaper than
-    # the oracle's tuple-keyed dict on the replan path, same values.
-    gap_flat: list[float | None] = [None] * (n * n)
+    # Hand-over gaps as the topology's flat (master, next) table: cheaper
+    # than the oracle's tuple-keyed dict on the replan path, same values
+    # (the engine admits only the plain EdfHandover, whose gap is Eq. 1).
+    gap_flat = topology.handover_gap_table
     # Route link-mask per RT connection (routes are per-connection
     # constants; non-connection heads fall back to the shared cache).
     route_by_cid: dict[int, int] = {}
@@ -890,12 +890,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                         if u < mu:
                             mu = u
                 q_master = hp
-                gi = p_master * n + hp
-                gap = gap_flat[gi]
-                if gap is None:
-                    gap = handover.gap_s(topology, p_master, hp)
-                    gap_flat[gi] = gap
-                q_gap = gap
+                q_gap = gap_flat[p_master * n + hp]
             else:
                 q_master = p_master
                 q_gap = 0.0

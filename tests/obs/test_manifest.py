@@ -80,7 +80,7 @@ class TestRunManifest:
         assert manifest.report["missed"] == report.total_missed
         assert manifest.report["dropped"] == report.total_dropped
         # Phase names depend on the engine (oracle: release/execute/...,
-        # vector: a single kernel batch); the manifest embeds whichever ran.
+        # vector: ingest/kernel/fold); the manifest embeds whichever ran.
         assert manifest.profile
         assert all(
             {"seconds", "calls", "share"} <= set(phase)

@@ -127,6 +127,21 @@ class TestDelays:
         shortest = min(s.propagation_delay_s for s in segs)
         assert ring.max_handover_delay_s == pytest.approx(total - shortest)
 
+    def test_handover_gap_table_holds_the_handover_delays(self):
+        """The table the vector kernels index carries the very floats
+        ``handover_delay_s`` returns (``==``, not approx), laid out
+        ``[old * n + new]``, and equal topologies share one table."""
+        segs = tuple(FibreSegment(l) for l in (5.0, 12.5, 40.0, 7.25, 0.3))
+        ring = RingTopology(n_nodes=5, segments=segs)
+        table = ring.handover_gap_table
+        assert table == tuple(
+            ring.handover_delay_s(a, b) for a in range(5) for b in range(5)
+        )
+        assert table[3 * 5 + 1] == ring.handover_delay_s(3, 1)
+        assert RingTopology(n_nodes=5, segments=segs).handover_gap_table is table
+        other = RingTopology(n_nodes=5, segments=segs[::-1])
+        assert other.handover_gap_table != table
+
     @given(
         st.integers(min_value=2, max_value=16),
         st.integers(min_value=0, max_value=15),

@@ -19,6 +19,7 @@ the recorded reason.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 from contextlib import contextmanager
@@ -29,8 +30,10 @@ import pytest
 import repro.core.messages as _messages
 from repro.core.connection import LogicalRealTimeConnection
 from repro.core.mapping import LinearMapping
+from repro.core.priorities import TrafficClass
 from repro.obs.registry import MetricRegistry
 from repro.sim.fault_models import FaultConfig
+from repro.sim.profiling import PhaseProfiler
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 from repro.sim.vector import ckernel
 from repro.traffic.industrial import industrial_workload
@@ -66,14 +69,29 @@ def _loaded_config(n_nodes, utilisation, seed=1, **kwargs):
 
 
 def registry_state(registry):
+    """Registry content, order- and type-sensitive.
+
+    Keys are listed in insertion order and ``total`` / ``min`` / ``max``
+    carry their types, so a fast path that creates a counter or a log2
+    bucket in another order than the oracle's one-observation-at-a-time
+    sequence, or turns an ``int`` into a ``float``, fails the comparison
+    (plain ``dict`` equality would let both through).
+    """
     if registry is None:
         return None
     return (
-        dict(registry.counters),
-        {
-            name: (h.count, h.total, h.min, h.max, dict(h.buckets))
+        list(registry.counters.items()),
+        [
+            (
+                name,
+                h.count,
+                (type(h.total), h.total),
+                (type(h.min), h.min),
+                (type(h.max), h.max),
+                list(h.buckets.items()),
+            )
             for name, h in registry.histograms.items()
-        },
+        ],
     )
 
 
@@ -118,14 +136,21 @@ def snapshot(sim):
 
 
 def run_engine(engine, make_sim, *, warm=0, chunks=(2000,), extra_steps=60):
-    """One engine's leg of a comparison; returns (snapshot, sim)."""
+    """One engine's leg of a comparison; returns (snapshot, sim).
+
+    ``chunks`` holds slot counts, each one ``run()`` call, and may
+    interleave callables taking the simulation (probes, detaches).
+    """
     with fresh_message_ids():
         sim = make_sim(engine)
         sim.metrics.registry = MetricRegistry()
         for _ in range(warm):
             sim.step()
-        for n in chunks:
-            sim.run(n)
+        for chunk in chunks:
+            if callable(chunk):
+                chunk(sim)
+            else:
+                sim.run(chunk)
         for _ in range(extra_steps):
             sim.step()
         return snapshot(sim), sim
@@ -291,6 +316,198 @@ def test_soa_kernel_matches_oracle(name, monkeypatch):
     make_sim, kwargs = SCENARIOS[name]()
     vec_sim = assert_engines_match(make_sim, **kwargs)
     assert vec_sim.vector_backend == "python"
+
+
+# ----------------------------------------------------------------------
+# The compiled tier's exit fold.  It replays the kernel's delivery log
+# column by column, so each test below pins one thing a per-message loop
+# gets right for free: the deadline comparison at its boundary, each
+# connection's latencies in delivery order, log2 buckets in first-
+# occurrence order, and the chunk edges (nothing delivered, a message
+# carried in, a connection no longer sourced).  Each runs on the
+# compiled tier and again with the SoA kernel forced.
+# ----------------------------------------------------------------------
+
+RT = TrafficClass.RT_CONNECTION
+
+
+@pytest.fixture(params=["compiled", "python"])
+def backend(request, monkeypatch):
+    """The vector backend a fold test must land on."""
+    if request.param == "python":
+        monkeypatch.setattr(ckernel, "_fn", None)
+    elif ckernel._kernel_fn() is None:
+        pytest.skip("no C toolchain; compiled tier unavailable")
+    return request.param
+
+
+def _conn(cid, source, destination, period, size, phase=0):
+    return LogicalRealTimeConnection(
+        source=source,
+        destinations=frozenset({destination}),
+        period_slots=period,
+        size_slots=size,
+        phase_slots=phase,
+        connection_id=cid,
+    )
+
+
+def test_fold_overloaded_ring(backend):
+    """U > 1 without spatial reuse: most deadlines are missed, some are
+    met exactly on the deadline slot (``completed == deadline``)."""
+    config = _loaded_config(8, 1.05, spatial_reuse=False)
+    sim = assert_engines_match(_simple(config))
+    assert sim.vector_backend == backend
+    rt = sim.report.class_stats(RT)
+    assert rt.deadline_missed > 0 and rt.deadline_met > 0
+    per_connection = sim.report.per_connection
+    assert all(c.deadline_missed for c in per_connection.values())
+    # latency == D + 1  <=>  delivered in the deadline slot itself
+    assert any(
+        c.relative_deadline_slots + 1
+        in per_connection[c.connection_id].latencies_slots
+        for c in config.connections
+    )
+
+
+def test_fold_interleaved_connections_on_one_node(backend):
+    """Two connections share node 0 and their deliveries interleave; each
+    one's ``latencies_slots`` must stay in delivery order."""
+    config = ScenarioConfig(
+        n_nodes=8,
+        connections=(
+            _conn(300, 0, 3, 7, 1),
+            _conn(301, 0, 5, 11, 2),
+            _conn(302, 2, 6, 9, 3),
+            _conn(303, 4, 1, 13, 4),
+        ),
+    )
+    sim = assert_engines_match(_simple(config))
+    assert sim.vector_backend == backend
+    for cid in (300, 301):
+        latencies = sim.report.per_connection[cid].latencies_slots
+        assert len(latencies) > 100
+        # not sorted either way, so a reordering cannot go unnoticed
+        assert latencies != sorted(latencies)
+        assert latencies != sorted(latencies, reverse=True)
+
+
+def test_fold_histogram_bucket_order(backend):
+    """Latencies span four log2 buckets that first occur as 3, 5, 2, 4;
+    ``registry_state`` compares bucket order and ``min``/``max``/``total``
+    types, so numerically sorted insertion fails."""
+    config = ScenarioConfig(
+        n_nodes=8,
+        connections=(
+            _conn(400, 0, 2, 200, 20),
+            _conn(401, 4, 6, 50, 6),
+            _conn(402, 6, 7, 9, 1, phase=30),
+        ),
+    )
+    sim = assert_engines_match(_simple(config), chunks=(700, 1300))
+    assert sim.vector_backend == backend
+    hist = sim.metrics.registry.histograms["sim:latency_slots"]
+    assert list(hist.buckets) == [3, 5, 2, 4]
+    assert type(hist.min) is int and type(hist.max) is int
+    assert type(hist.total) is float
+
+
+def test_fold_chunk_edges(backend):
+    """Chunk boundaries the fold special-cases: a chunk that delivers
+    nothing, one that finishes a multi-slot message carried in in
+    transit, and one whose only live message belongs to a connection
+    detached just before (its dense id lies beyond the sourced ones)."""
+    config = ScenarioConfig(
+        n_nodes=8,
+        connections=(_conn(500, 0, 4, 40, 6), _conn(501, 5, 7, 25, 2, phase=12)),
+    )
+    log = []
+
+    def probe(sim):
+        log.append(copy.deepcopy(snapshot(sim)))
+
+    def detach(sim):
+        assert sim.detach_connection_source(501) == 1
+
+    sim = assert_engines_match(
+        _simple(config),
+        chunks=(3, probe, 2, probe, 4, probe, 5, probe, detach, 10, probe, 100),
+    )
+    assert sim.vector_backend == backend
+    oracle, vector = log[:5], log[5:]
+    assert vector == oracle
+    delivered = [snap[0].class_stats(RT).delivered for snap in oracle]
+    assert delivered == [0, 0, 1, 1, 2]
+    in_transit = [
+        [m for node in snap[5] for m in node if m[3] == "in_transit"]
+        for snap in oracle
+    ]
+    # (msg_id, deadline, sent, status): 500's first message is carried
+    # across two chunk edges, 501's only one across the detach.
+    assert in_transit == [
+        [(0, 40, 2, "in_transit")],
+        [(0, 40, 4, "in_transit")],
+        [],
+        [(1, 37, 1, "in_transit")],
+        [],
+    ]
+    stats = sim.report.per_connection[501]
+    assert (stats.released, stats.delivered) == (1, 1)
+
+
+def test_profiler_does_not_change_the_tier():
+    """A profiled closed-world run stays on the compiled tier, produces
+    the unprofiled run's report and metrics registry, and records one
+    ``ingest`` / ``kernel`` / ``fold`` lap per ``run()`` call."""
+    if ckernel._kernel_fn() is None:
+        pytest.skip("no C toolchain; compiled tier unavailable")
+    config = _loaded_config(8, 0.75)
+    kwargs = {"chunks": (700, 1300, 0, 50), "extra_steps": 0}
+    profiler = PhaseProfiler()
+    plain, _ = run_engine("vector", _simple(config), **kwargs)
+    profiled, sim = run_engine(
+        "vector", _simple(config, profiler=profiler), **kwargs
+    )
+    assert sim.vector_backend == "compiled"
+    assert profiled == plain
+    assert profiler.calls == {"ingest": 3, "kernel": 3, "fold": 3}
+    assert not any(
+        name.startswith("phase:") for name in sim.metrics.registry.histograms
+    )
+
+
+def test_profiled_soa_kernel_records_one_kernel_lap(monkeypatch):
+    monkeypatch.setattr(ckernel, "_fn", None)
+    profiler = PhaseProfiler()
+    _, sim = run_engine(
+        "vector",
+        _simple(_loaded_config(8, 0.75), profiler=profiler),
+        chunks=(700, 1300),
+        extra_steps=0,
+    )
+    assert sim.vector_backend == "python"
+    assert profiler.calls["kernel"] == 2
+    assert not {"ingest", "fold"} & set(profiler.calls)
+
+
+def test_zero_slot_run_keeps_the_tier_on_record():
+    """``run(0)`` executes nothing, so it must not relabel the backend
+    (it used to fall through to the SoA kernel and report "python")."""
+    make_sim, _ = SCENARIOS["loaded_n8"]()
+    with fresh_message_ids():
+        sim = make_sim("vector")
+        sim.run(0)
+        assert (sim.vector_backend, sim.vector_slots) == (None, 0)
+        sim.run(500)
+        before = (
+            sim.vector_backend, sim.vector_fallback_reason, sim.vector_slots
+        )
+        report = sim.run(0)
+    assert report is sim.report and report.slots_simulated == 500
+    assert (
+        sim.vector_backend, sim.vector_fallback_reason, sim.vector_slots
+    ) == before
+    assert before[0] in ("compiled", "python") and before[2] == 500
 
 
 def test_fault_injection_falls_back_to_oracle():

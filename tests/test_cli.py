@@ -99,6 +99,76 @@ class TestCommands:
         assert "reuse factor      : 1.00" in out
 
 
+class TestEngineLine:
+    """``simulate`` says which engine tier ran, on the console and in
+    the manifest's ``extra["engine"]``."""
+
+    ARGV = ["simulate", "--nodes", "8", "--slots", "2000", "--seed", "1"]
+
+    def _run(self, tmp_path, capsys, *flags):
+        import json
+
+        manifest = tmp_path / "run.manifest.json"
+        assert main([*self.ARGV, "--manifest", str(manifest), *flags]) == 0
+        (line,) = [
+            text.split(":", 1)[1].strip()
+            for text in capsys.readouterr().out.splitlines()
+            if text.startswith("engine ")
+        ]
+        return line, json.loads(manifest.read_text())["extra"]["engine"]
+
+    def test_closed_world_runs_compiled(self, tmp_path, capsys):
+        from repro.sim.vector import ckernel
+
+        if ckernel._kernel_fn() is None:
+            pytest.skip("no C toolchain; compiled tier unavailable")
+        line, engine = self._run(tmp_path, capsys, "--engine", "vector")
+        assert line == "vector (compiled)"
+        assert engine == {
+            "requested": "vector",
+            "backend": "compiled",
+            "fallback_reason": None,
+        }
+
+    def test_profile_keeps_the_compiled_tier(self, tmp_path, capsys):
+        from repro.sim.vector import ckernel
+
+        if ckernel._kernel_fn() is None:
+            pytest.skip("no C toolchain; compiled tier unavailable")
+        line, engine = self._run(
+            tmp_path, capsys, "--engine", "vector", "--profile"
+        )
+        assert line == "vector (compiled)"
+        assert engine["backend"] == "compiled"
+
+    def test_drop_late_runs_numpy(self, tmp_path, capsys):
+        line, engine = self._run(
+            tmp_path, capsys, "--engine", "vector", "--drop-late"
+        )
+        assert line == "vector (numpy)"
+        assert engine["backend"] == "numpy"
+
+    def test_policy_falls_back_to_oracle(self, tmp_path, capsys):
+        line, engine = self._run(
+            tmp_path, capsys, "--engine", "vector", "--policy", "rm"
+        )
+        assert line == "vector -> oracle: policy"
+        assert engine == {
+            "requested": "vector",
+            "backend": "oracle",
+            "fallback_reason": "policy",
+        }
+
+    def test_python_engine(self, tmp_path, capsys):
+        line, engine = self._run(tmp_path, capsys, "--engine", "python")
+        assert line == "python"
+        assert engine == {
+            "requested": "python",
+            "backend": "oracle",
+            "fallback_reason": None,
+        }
+
+
 class TestCampaign:
     def _spec_file(self, tmp_path):
         import json
