@@ -16,17 +16,9 @@ simulation study its Section 8 promises).  Conventions:
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
-from pathlib import Path
 
 import pytest
-
-#: Where the perf-bench recorder writes its scenario table; the committed
-#: copy at the repo root is the regression baseline CI compares against.
-BENCH_PERF_JSON = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-
-_perf_results: dict[str, dict[str, float]] = {}
 
 
 def pytest_addoption(parser):
@@ -43,38 +35,6 @@ def pytest_addoption(parser):
 def bench_jobs(request) -> int:
     """Job count for benches that replicate across seeds."""
     return request.config.getoption("--bench-jobs")
-
-
-@pytest.fixture(scope="session")
-def perf_record():
-    """Collect slots/sec per perf scenario; writes BENCH_perf.json.
-
-    The file is only (re)written when at least one perf scenario ran, so
-    experiment-only bench invocations never clobber the baseline.
-    """
-
-    def record(
-        name: str,
-        slots: int,
-        mean_seconds: float,
-        min_seconds: float | None = None,
-    ) -> None:
-        _perf_results[name] = {
-            "slots": slots,
-            "seconds_per_round": mean_seconds,
-            "slots_per_s": slots / mean_seconds,
-        }
-        if min_seconds is not None:
-            # Best-round rate: the noise-robust estimator used for
-            # *within-run* comparisons (check_events_overhead.py), where
-            # one slow outlier round would otherwise dominate the ratio.
-            _perf_results[name]["slots_per_s_best"] = slots / min_seconds
-
-    yield record
-    if _perf_results:
-        BENCH_PERF_JSON.write_text(
-            json.dumps(_perf_results, indent=2, sort_keys=True) + "\n"
-        )
 
 
 def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence]) -> None:

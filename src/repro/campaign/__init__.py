@@ -3,7 +3,7 @@
 The campaign engine turns a declarative spec -- base scenario, axes of
 overrides, replication count -- into a deterministic grid of runs,
 executes them across processes with the bit-identical worker machinery
-of :mod:`repro.sim.parallel`, caches every finished run in a
+of :mod:`repro.sim.batch`, caches every finished run in a
 content-addressed :class:`ResultStore` (interrupt a campaign anywhere;
 rerunning skips what is done), and aggregates the store into a
 :class:`CampaignReport` whose artifacts do not depend on execution

@@ -4,8 +4,8 @@
 key is already in the store (re-verifying cached documents, so a corrupt
 entry forces a re-run), and executes the rest -- serially or sharded
 across a supervised ``ProcessPoolExecutor``.  Each run goes through
-:func:`repro.sim.parallel.run_one`, the same bit-identical worker unit
-``replicate_parallel`` uses, so a run's result depends only on its
+:func:`repro.sim.batch.run_one`, the same bit-identical worker unit
+``replicate`` uses, so a run's result depends only on its
 :class:`~repro.campaign.grid.RunSpec` -- never on scheduling, job
 count, retries, or which earlier runs were served from cache.
 
@@ -81,7 +81,7 @@ from repro.obs.events import (
 from repro.obs.registry import MetricRegistry
 from repro.report import report_row
 from repro.sim.engine import Simulation
-from repro.sim.parallel import resolve_jobs, run_one
+from repro.sim.batch import resolve_jobs, run_one
 from repro.sim.runner import RunOptions
 from repro.traffic.sweeps import random_workload
 

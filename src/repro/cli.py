@@ -566,7 +566,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
 
-        from repro.sim.parallel import resolve_jobs
+        from repro.sim.batch import resolve_jobs
 
         jobs = min(resolve_jobs(args.jobs), len(PROTOCOLS))
         with ProcessPoolExecutor(max_workers=jobs) as pool:

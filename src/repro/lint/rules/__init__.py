@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     async_safety,
-    deprecated,
     frozen,
     parity,
     priority_domain,

@@ -8,7 +8,7 @@ recovery/latency observations when given a registry.  Registries are
 plain picklable values with a deterministic, order-independent
 :meth:`~MetricRegistry.merge`, so parallel replication folds per-worker
 observability together in seed order exactly as it merges metric values
-(:func:`repro.sim.parallel.replicate_parallel`).
+(:func:`repro.sim.batch.replicate`).
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from repro.service.messages import (
     OPS,
     ServiceBackpressure,
     ServiceClosed,
+    ServiceFailed,
     ServiceReply,
     ServiceRequest,
     ServiceStatus,
@@ -42,6 +43,7 @@ __all__ = [
     "ChurnStats",
     "ServiceBackpressure",
     "ServiceClosed",
+    "ServiceFailed",
     "ServiceReply",
     "ServiceRequest",
     "ServiceStatus",

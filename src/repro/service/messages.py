@@ -116,3 +116,12 @@ class ServiceBackpressure(Exception):
 
 class ServiceClosed(Exception):
     """The service has stopped (or never started); submissions fail fast."""
+
+
+class ServiceFailed(Exception):
+    """The admission worker crashed; an accepted request will never be served.
+
+    Set on the request being served and on every queued one when an
+    exception the service does not map to an ``"error"`` reply escapes;
+    ``__cause__`` is that exception.  The service is left not running.
+    """

@@ -48,6 +48,7 @@ from repro.obs.registry import MetricRegistry
 from repro.service.messages import (
     ServiceBackpressure,
     ServiceClosed,
+    ServiceFailed,
     ServiceReply,
     ServiceRequest,
     ServiceStatus,
@@ -195,7 +196,8 @@ class AdmissionService:
         Raises :class:`ServiceBackpressure` *immediately* when the
         bounded queue is full and :class:`ServiceClosed` when the
         service is not running -- an admitted submission is always
-        served (see :meth:`stop`).
+        served (see :meth:`stop`), unless the worker itself crashes, in
+        which case it raises :class:`ServiceFailed`.
         """
         if not self.running:
             raise ServiceClosed("admission service is not running")
@@ -251,12 +253,41 @@ class AdmissionService:
                 break
             request, future, submitted_at = item
             depth = queue.qsize()
-            reply = self._serve(request, submitted_at, depth)
+            try:
+                reply = self._serve(request, submitted_at, depth)
+            except Exception as exc:
+                # Not one of the errors _serve answers with a reply: the
+                # hosted ring can no longer be trusted, so serve nothing
+                # further and leave no caller awaiting.
+                self._abandon(queue, future, exc)
+                return
             if not future.done():
                 future.set_result(reply)
             # Yield so replies interleave with new submissions even when
             # the queue never empties under sustained load.
             await asyncio.sleep(0)
+
+    def _abandon(
+        self,
+        queue: "asyncio.Queue[_QueueItem | None]",
+        current: "asyncio.Future[ServiceReply]",
+        cause: Exception,
+    ) -> None:
+        """Fail ``current`` and the whole backlog with :class:`ServiceFailed`
+        and refuse later submissions (:attr:`running` turns false)."""
+        self._closing = True
+        waiting = [current]
+        while not queue.empty():
+            item = queue.get_nowait()
+            if item is not None:  # stop()'s sentinel
+                waiting.append(item[1])
+        for future in waiting:
+            if not future.done():
+                failure = ServiceFailed(
+                    f"admission worker crashed: {type(cause).__name__}: {cause}"
+                )
+                failure.__cause__ = cause
+                future.set_exception(failure)
 
     def _serve(
         self, request: ServiceRequest, submitted_at: float, depth: int

@@ -17,15 +17,11 @@ connection's traffic may start flowing.
 
 The canonical signalling surface is :meth:`ConnectionClient.open_lrtc` /
 :meth:`ConnectionClient.close_lrtc`, matching the async
-:class:`repro.service.AdmissionClient` verb for verb; the 1.1-era
-``open_connection``/``close_connection`` spellings delegate to them with
-a :class:`DeprecationWarning`, and the pre-1.1 ``open``/``close`` tuple
-forms are gone.
+:class:`repro.service.AdmissionClient` verb for verb.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -162,11 +158,7 @@ class ConnectionClient:
     Drives the supplied simulation while waiting, so the signalling cost
     is measured in real network slots.  :meth:`open_lrtc` and
     :meth:`close_lrtc` are the canonical pair and return a symmetric
-    :class:`SignallingResult`; the 1.1-era
-    :meth:`open_connection`/:meth:`close_connection` spellings delegate
-    to them with a :class:`DeprecationWarning`.  The pre-1.1
-    ``open``/``close`` shims (historic tuple/int returns) were removed
-    in 2.0.
+    :class:`SignallingResult`.
     """
 
     #: Relative deadline for signalling messages (best-effort class).
@@ -273,33 +265,3 @@ class ConnectionClient:
         return SignallingResult(
             decision=None, slots_used=used, round_trips=round_trips
         )
-
-    # -- deprecated 1.1-era spellings ----------------------------------
-
-    def open_connection(
-        self,
-        connection: LogicalRealTimeConnection,
-        max_wait_slots: int = 10_000,
-    ) -> SignallingResult:
-        """Deprecated spelling of :meth:`open_lrtc` (same result)."""
-        warnings.warn(
-            "ConnectionClient.open_connection() is deprecated; use "
-            "open_lrtc(), the canonical spelling shared with the async "
-            "AdmissionClient (same SignallingResult)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.open_lrtc(connection, max_wait_slots)
-
-    def close_connection(
-        self, connection_id: int, max_wait_slots: int = 10_000
-    ) -> SignallingResult:
-        """Deprecated spelling of :meth:`close_lrtc` (same result)."""
-        warnings.warn(
-            "ConnectionClient.close_connection() is deprecated; use "
-            "close_lrtc(), the canonical spelling shared with the async "
-            "AdmissionClient (same SignallingResult)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.close_lrtc(connection_id, max_wait_slots)

@@ -43,9 +43,14 @@ from repro.sim.fault_models import (
     TransientNodeFaults,
 )
 from repro.sim.trace import SlotTrace, TraceRecord
-from repro.sim.batch import AVAILABILITY_METRICS, BatchResult, MetricSummary, replicate
+from repro.sim.batch import (
+    AVAILABILITY_METRICS,
+    BatchResult,
+    MetricSummary,
+    replicate,
+    resolve_jobs,
+)
 from repro.sim.control_channel import ControlChannelTimeline, compute_timeline, verify_all_masters
-from repro.sim.parallel import replicate_parallel, resolve_jobs
 from repro.sim.profiling import PhaseProfiler
 from repro.sim.runner import RunOptions, ScenarioConfig, run_scenario
 
@@ -74,7 +79,6 @@ __all__ = [
     "BatchResult",
     "MetricSummary",
     "replicate",
-    "replicate_parallel",
     "resolve_jobs",
     "PhaseProfiler",
     "ControlChannelTimeline",

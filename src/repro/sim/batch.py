@@ -8,16 +8,35 @@ reports.
 
 The scenario builder receives a :class:`numpy.random.Generator` seeded
 from the replication's seed sequence, so replications are independent
-*and* the whole batch is reproducible from the master seed.
+*and* the whole batch is reproducible from the master seed.  Each
+replication is :func:`run_one`, a pure function of its
+:class:`numpy.random.SeedSequence` child; ``n_jobs`` only changes *where*
+that function is evaluated, and the finished runs are merged **in seed
+order**, so every report, :class:`MetricSummary` value and merged
+registry is byte-for-byte the same for any job count.
+
+Two picklability rules follow from using processes when ``n_jobs != 1``:
+
+* ``build`` must be a module-level function or a ``functools.partial``
+  of one -- a closure defined inside a test or benchmark body cannot
+  cross the process boundary.
+* Metric extractors are often lambdas, so they are **not** shipped to
+  the workers: workers return the whole pickled
+  :class:`~repro.sim.metrics.SimulationReport` and the parent applies
+  the extractors locally.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Mapping
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from repro.obs.registry import MetricRegistry
 from repro.sim.engine import Simulation
 from repro.sim.metrics import SimulationReport
 
@@ -105,10 +124,67 @@ class BatchResult:
     metrics: dict[str, MetricSummary]
     #: Merged per-worker observability (seed order), populated only when
     #: the batch ran with ``collect_registry=True``.
-    registry: "MetricRegistry | None" = None
+    registry: MetricRegistry | None = None
 
     def __getitem__(self, name: str) -> MetricSummary:
         return self.metrics[name]
+
+
+def available_cpus() -> int:
+    """CPUs this *process* may run on (affinity-aware), at least 1.
+
+    ``os.cpu_count()`` reports the machine, not the process: under CI
+    runners, containers and ``taskset`` the scheduling affinity is often
+    a small subset, and sizing a pool to the machine oversubscribes it.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return len(getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - platform quirk
+            pass
+    count_fn = getattr(os, "process_cpu_count", os.cpu_count)
+    return count_fn() or 1
+
+
+def resolve_jobs(n_jobs: int) -> int:
+    """Normalise a job count: ``<= 0`` means one per *available* CPU
+    (scheduling affinity, not machine size -- see :func:`available_cpus`)."""
+    if n_jobs > 0:
+        return n_jobs
+    return available_cpus()
+
+
+def run_one(
+    build: Callable[[np.random.Generator], Simulation],
+    seed: np.random.SeedSequence,
+    n_slots: int,
+    collect_registry: bool = False,
+    engine: str | None = None,
+) -> tuple[SimulationReport, MetricRegistry | None]:
+    """Worker body: one seeded run, returning its report (and, when
+    requested, the observability registry its collector mirrored into).
+
+    This is the bit-identical unit both shard-parallel paths share:
+    :func:`replicate` below and the campaign executor
+    (:mod:`repro.campaign.executor`) call exactly this function, so a
+    run's result is a pure function of ``(build, seed, n_slots)`` no
+    matter which machinery scheduled it.  The engines being
+    bit-identical by contract, ``engine`` changes *how fast* that
+    function is evaluated, never its value: when given, it is forwarded
+    to ``build`` as an ``engine`` keyword (builders that support
+    selection route it into :class:`~repro.sim.runner.RunOptions`).
+    """
+    rng = np.random.default_rng(seed)
+    sim = build(rng) if engine is None else build(rng, engine=engine)
+    registry = None
+    if collect_registry:
+        registry = MetricRegistry()
+        sim.metrics.registry = registry
+    report = sim.run(n_slots)
+    if registry is not None and sim.profiler is not None:
+        registry.merge(sim.profiler.registry)
+    return report, registry
 
 
 def replicate(
@@ -139,30 +215,15 @@ def replicate(
         Seeds the :class:`numpy.random.SeedSequence` that spawns one
         child seed per replication.
     n_jobs:
-        Worker processes.  ``1`` (default) runs serially in-process;
-        any other value delegates to
-        :func:`repro.sim.parallel.replicate_parallel` (``<= 0`` = one
-        per available CPU), whose results are bit-identical to the
-        serial path.
+        Worker processes (``<= 0`` = one per available CPU), capped at
+        ``n_replications``.  One job runs in-process; the result is
+        bit-identical for every value.
     collect_registry:
         When True, each replication's collector mirrors its observations
-        into a :class:`~repro.obs.registry.MetricRegistry` and the
-        seed-order merge lands in :attr:`BatchResult.registry`.
+        into its own fresh :class:`~repro.obs.registry.MetricRegistry`
+        and the seed-order merge lands in :attr:`BatchResult.registry`
+        (the same grouping for any ``n_jobs``, so float totals match).
     """
-    if n_jobs != 1:
-        # Imported lazily: parallel imports this module for the result
-        # dataclasses.
-        from repro.sim.parallel import replicate_parallel
-
-        return replicate_parallel(
-            build,
-            n_slots,
-            metrics,
-            n_replications=n_replications,
-            master_seed=master_seed,
-            n_jobs=n_jobs,
-            collect_registry=collect_registry,
-        )
     if n_replications < 1:
         raise ValueError(
             f"need at least one replication, got {n_replications}"
@@ -172,37 +233,30 @@ def replicate(
     if not metrics:
         raise ValueError("no metrics requested")
 
+    children = np.random.SeedSequence(master_seed).spawn(n_replications)
+    jobs = min(resolve_jobs(n_jobs), n_replications)
+    runs = (repeat(build), children, repeat(n_slots), repeat(collect_registry))
+    if jobs == 1:
+        results = list(map(run_one, *runs))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # map() preserves input order: results come back in seed
+            # order regardless of which worker finished first.
+            results = list(pool.map(run_one, *runs))
+
     merged_registry = None
     if collect_registry:
-        from repro.obs.registry import MetricRegistry
-
         merged_registry = MetricRegistry()
-    seed_seq = np.random.SeedSequence(master_seed)
-    children = seed_seq.spawn(n_replications)
-    reports: list[SimulationReport] = []
-    values: dict[str, list[float]] = {name: [] for name in metrics}
-    for child in children:
-        rng = np.random.default_rng(child)
-        sim = build(rng)
-        if merged_registry is not None:
-            # Each replication mirrors into its own fresh registry which
-            # is then merged in seed order -- the same grouping the
-            # parallel path uses, so float totals come out bit-identical
-            # regardless of n_jobs.
-            sim.metrics.registry = MetricRegistry()
-        report = sim.run(n_slots)
-        if merged_registry is not None:
-            if sim.profiler is not None:
-                sim.metrics.registry.merge(sim.profiler.registry)
-            merged_registry.merge(sim.metrics.registry)
-        reports.append(report)
-        for name, extract in metrics.items():
-            values[name].append(float(extract(report)))
+        for _, registry in results:
+            merged_registry.merge(registry)
+    reports = tuple(report for report, _ in results)
     return BatchResult(
-        reports=tuple(reports),
+        reports=reports,
         metrics={
-            name: MetricSummary(name=name, values=tuple(vals))
-            for name, vals in values.items()
+            name: MetricSummary(
+                name=name, values=tuple(float(extract(r)) for r in reports)
+            )
+            for name, extract in metrics.items()
         },
         registry=merged_registry,
     )

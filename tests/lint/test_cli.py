@@ -61,7 +61,6 @@ class TestListRules:
             "no-unseeded-rng",
             "rng-not-defaulted",
             "frozen-dataclass-mutation",
-            "no-deprecated-api",
             "sorted-iteration-before-serialization",
             "priority-domain",
             "event-metric-parity",

@@ -70,20 +70,6 @@ class TestFrozenDataclassMutation:
         )
 
 
-class TestNoDeprecatedApi:
-    def test_fires_on_every_shim_form(self, lint_tree):
-        findings = lint_tree("deprecated_bad.py", rules=("no-deprecated-api",))
-        assert len(findings) == 6
-        messages = " ".join(f.message for f in findings)
-        assert "options=RunOptions" in messages
-        assert "removed in 2.0" in messages
-        assert "open_lrtc()" in messages
-        assert "close_lrtc()" in messages
-
-    def test_quiet_on_modern_surface_and_lookalikes(self, lint_tree):
-        assert lint_tree("deprecated_good.py", rules=("no-deprecated-api",)) == []
-
-
 class TestSortedIterationBeforeSerialization:
     RULE = "sorted-iteration-before-serialization"
 
@@ -242,7 +228,6 @@ def test_every_rule_has_a_fixture():
         "no-unseeded-rng": "rng",
         "rng-not-defaulted": "rng_default",
         "frozen-dataclass-mutation": "frozen",
-        "no-deprecated-api": "deprecated",
         "sorted-iteration-before-serialization": "serialization",
         "priority-domain": "priority",
         "event-metric-parity": "parity",

@@ -14,6 +14,7 @@ from repro.service import (
     AdmissionService,
     ServiceBackpressure,
     ServiceClosed,
+    ServiceFailed,
 )
 from repro.sim.runner import ScenarioConfig
 
@@ -299,5 +300,32 @@ class TestCleanShutdown:
                 summary = service.summary()
                 assert summary["requests_served"] == 10
                 assert summary["backpressure"] == 0
+
+        asyncio.run(scenario())
+
+
+class TestWorkerCrash:
+    def test_crash_fails_pending_and_closes_service(self, monkeypatch):
+        def crash(self, request, submitted_at, depth):
+            raise RuntimeError("ring state corrupted")
+
+        monkeypatch.setattr(AdmissionService, "_serve", crash)
+
+        async def scenario():
+            service = AdmissionService(config())
+            await service.start()
+            results = await asyncio.wait_for(
+                asyncio.gather(
+                    *(service.submit("status") for _ in range(3)),
+                    return_exceptions=True,
+                ),
+                1,
+            )
+            assert [type(r) for r in results] == [ServiceFailed] * 3
+            assert all(isinstance(r.__cause__, RuntimeError) for r in results)
+            assert not service.running
+            with pytest.raises(ServiceClosed):
+                await service.submit("status")
+            await asyncio.wait_for(service.stop(), 1)
 
         asyncio.run(scenario())

@@ -214,35 +214,15 @@ class TestSignallingSymmetry:
 
 
 class TestDeprecatedClientShims:
-    def make_client(self):
-        sim, injectors, timing = build()
-        controller = AdmissionController(timing)
-        return sim, ConnectionClient(sim, controller, 0, injectors)
-
-    def conn(self):
-        return LogicalRealTimeConnection(
-            source=1,
-            destinations=frozenset([3]),
-            period_slots=10,
-            size_slots=1,
-        )
-
-    def test_open_connection_warns_and_delegates(self):
-        _, client = self.make_client()
-        with pytest.deprecated_call():
-            result = client.open_connection(self.conn())  # repro-lint: disable=no-deprecated-api
-        assert result.accepted
-        assert result.slots_used > 0
-
-    def test_close_connection_warns_and_delegates(self):
-        _, client = self.make_client()
-        c = self.conn()
-        client.open_lrtc(c)
-        with pytest.deprecated_call():
-            result = client.close_connection(c.connection_id)  # repro-lint: disable=no-deprecated-api
-        assert result.decision is None and result.slots_used > 0
+    """Every deprecated spelling is gone; ``open_lrtc``/``close_lrtc``
+    is the whole signalling surface."""
 
     def test_pre11_tuple_shims_removed(self):
-        _, client = self.make_client()
+        sim, injectors, timing = build()
+        client = ConnectionClient(sim, AdmissionController(timing), 0, injectors)
         assert not hasattr(client, "open")
         assert not hasattr(client, "close")
+
+    def test_no_legacy_spelling_on_the_class(self):
+        for name in ("open", "close", "open_connection", "close_connection"):
+            assert not hasattr(ConnectionClient, name), name

@@ -1,11 +1,12 @@
 """Parallel replication must be bit-identical to the serial path.
 
-The contract of :mod:`repro.sim.parallel` is strong: same master seed =>
-byte-for-byte the same :class:`MetricSummary` values, regardless of how
-many worker processes evaluated the replications.  The scenario used here
-is deliberately stochastic end to end -- random connection set, Poisson
-best-effort cross-traffic, and a stochastic fault model -- so any
-divergence in seeding, merge order, or float accumulation would show.
+The contract of :func:`repro.sim.batch.replicate` is strong: same master
+seed => byte-for-byte the same :class:`MetricSummary` values, regardless
+of how many worker processes (``n_jobs``) evaluated the replications.
+The scenario used here is deliberately stochastic end to end -- random
+connection set, Poisson best-effort cross-traffic, and a stochastic
+fault model -- so any divergence in seeding, merge order, or float
+accumulation would show.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ import numpy as np
 import pytest
 
 from repro.core.priorities import TrafficClass
-from repro.sim.batch import AVAILABILITY_METRICS, replicate
+from repro.sim.batch import (
+    AVAILABILITY_METRICS,
+    available_cpus,
+    replicate,
+    resolve_jobs,
+)
 from repro.sim.fault_models import FaultConfig
-from repro.sim.parallel import replicate_parallel, resolve_jobs
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 from repro.traffic.periodic import random_connection_set
 from repro.traffic.poisson import PoissonSource
@@ -92,7 +97,7 @@ class TestParallelBitIdentity:
             n_replications=4,
             master_seed=7,
         )
-        parallel = replicate_parallel(
+        parallel = replicate(
             _build_faulty_scenario,
             n_slots=N_SLOTS,
             metrics=METRICS,
@@ -119,14 +124,14 @@ class TestParallelBitIdentity:
 class TestParallelValidation:
     def test_rejects_zero_replications(self):
         with pytest.raises(ValueError, match="at least one replication"):
-            replicate_parallel(
-                _build_faulty_scenario, 10, METRICS, n_replications=0
+            replicate(
+                _build_faulty_scenario, 10, METRICS, n_replications=0, n_jobs=2
             )
 
     def test_rejects_empty_metrics(self):
         with pytest.raises(ValueError, match="no metrics"):
-            replicate_parallel(
-                _build_faulty_scenario, 10, {}, n_replications=2
+            replicate(
+                _build_faulty_scenario, 10, {}, n_replications=2, n_jobs=2
             )
 
     def test_resolve_jobs(self):
@@ -146,8 +151,6 @@ class TestParallelValidation:
             assert resolve_jobs(0) >= 1
 
     def test_available_cpus_never_below_one(self):
-        from repro.sim.parallel import available_cpus
-
         assert available_cpus() >= 1
 
 
@@ -162,7 +165,7 @@ class TestRegistryMerge:
             n_jobs=1,
             collect_registry=True,
         )
-        parallel = replicate_parallel(
+        parallel = replicate(
             _build_faulty_scenario,
             N_SLOTS,
             METRICS,

@@ -144,21 +144,24 @@ class TestRemovedShims:
     def test_build_simulation_kwargs_rejected(self):
         config = ScenarioConfig(n_nodes=4)
         with pytest.raises(TypeError, match="unexpected keyword"):
-            build_simulation(config, fast_forward=False)  # repro-lint: disable=no-deprecated-api
+            build_simulation(config, fast_forward=False)
 
     def test_run_scenario_kwargs_rejected(self):
         config = ScenarioConfig(n_nodes=4, connections=(conn(dst=1),))
         with pytest.raises(TypeError, match="unexpected keyword"):
-            run_scenario(config, n_slots=100, with_admission=True)  # repro-lint: disable=no-deprecated-api
+            run_scenario(config, n_slots=100, with_admission=True)
 
     def test_positional_extra_sources_rejected(self):
         from repro.services.api import MessageInjector
 
         config = ScenarioConfig(n_nodes=4)
-        with pytest.raises(TypeError, match="removed in 2.0"):
+        replacement = r"removed in 2\.0.*options=RunOptions\(extra_sources="
+        with pytest.raises(TypeError, match=replacement):
             build_simulation(config, [MessageInjector(0)])
+        with pytest.raises(TypeError, match=replacement):
+            run_scenario(config, 10, [MessageInjector(0)])
 
     def test_unknown_kwarg_rejected(self):
         config = ScenarioConfig(n_nodes=4)
         with pytest.raises(TypeError, match="unexpected keyword"):
-            build_simulation(config, warp_drive=True)  # repro-lint: disable=no-deprecated-api
+            build_simulation(config, warp_drive=True)
