@@ -9,9 +9,9 @@ across a supervised ``ProcessPoolExecutor``.  Each run goes through
 :class:`~repro.campaign.grid.RunSpec` -- never on scheduling, job
 count, retries, or which earlier runs were served from cache.
 
-Every completed run is persisted *as it finishes* (atomic write), so an
-interrupt at any point loses at most the in-flight runs; the next
-invocation resumes from the store.
+Every completed run is persisted *as it finishes* (one appended
+record), so an interrupt at any point loses at most the in-flight runs;
+the next invocation resumes from the store.
 
 Fault tolerance (the supervision layer)
 ---------------------------------------
@@ -278,7 +278,7 @@ class _DrainGuard:
     The first SIGINT/SIGTERM sets :attr:`draining`: the executor stops
     submitting new runs, finishes and persists the in-flight ones, and
     returns a resumable summary.  A second signal raises
-    ``KeyboardInterrupt`` for an immediate abort (atomic store writes
+    ``KeyboardInterrupt`` for an immediate abort (single-write records
     keep even that resumable).  Outside the main thread -- where signal
     handlers cannot be installed -- the guard degrades to a no-op.
     """
@@ -695,18 +695,19 @@ def run_campaign(
     for spec in expand_runs(campaign):
         total += 1
         key = run_key(spec)
+        # One verified read decides cached / missing / corrupt.
+        if store.is_valid(key):
+            skipped += 1
+            continue
         if key in store:
-            if store.is_valid(key):
-                skipped += 1
-                continue
-            # Damaged cache entry: schedule a re-run that atomically
-            # replaces it, instead of letting it poison the report.
+            # Damaged record: schedule a re-run whose appended record
+            # supersedes it, instead of letting it poison the report.
             corrupt_replaced += 1
             registry.inc("campaign:store_corrupt")
             if observer is not None:
                 observer.emit(
                     StoreCorruptionDetected(
-                        path=str(store.path_for(key)), run_key=key
+                        path=str(store.segment_path), run_key=key
                     )
                 )
         pending.append((key, spec))

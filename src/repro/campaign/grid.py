@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.campaign.spec import (
@@ -19,7 +20,18 @@ from repro.campaign.spec import (
     Campaign,
     WorkloadSpec,
 )
+from repro.obs.manifest import (
+    canonical_json,
+    fingerprint_canonical,
+    package_version,
+    scenario_to_dict,
+)
 from repro.sim.runner import ScenarioConfig
+
+#: Stands where the seed goes while a grid point's share of the key
+#: payload is encoded (a string no config or workload value can hold:
+#: JSON escapes the NUL bytes).
+_SEED_SLOT = "\x00seed\x00"
 
 
 @dataclass(frozen=True)
@@ -38,6 +50,31 @@ class GridPoint:
     config: ScenarioConfig
     workload: WorkloadSpec | None
     n_slots: int
+
+    @cached_property
+    def key_frame(self) -> tuple[str, str]:
+        """The canonical run-key payload of this point, split where the
+        seed goes.
+
+        Everything in the key except the seed -- ``config``,
+        ``workload``, ``n_slots``, ``code_version`` -- is the same for
+        every replication of a grid point, so it is encoded once here
+        and :attr:`RunSpec.key` only splices its seed in.
+        """
+        payload = {
+            "config": scenario_to_dict(self.config),
+            "workload": (
+                dataclasses.asdict(self.workload)
+                if self.workload is not None
+                else None
+            ),
+            "n_slots": self.n_slots,
+            "seed": _SEED_SLOT,
+            "code_version": package_version(),
+        }
+        # Unpacking into two names insists the slot occurs exactly once.
+        head, tail = canonical_json(payload).split(canonical_json(_SEED_SLOT))
+        return head, tail
 
 
 @dataclass(frozen=True)
@@ -64,6 +101,17 @@ class RunSpec:
     def seed_entropy(self) -> tuple[int, int, int]:
         """Entropy tuple for this run's :class:`numpy.random.SeedSequence`."""
         return (self.master_seed, self.point.index, self.replication)
+
+    @cached_property
+    def key(self) -> str:
+        """The run's content-addressed store key (see
+        :func:`repro.campaign.store.run_key`, the public spelling),
+        computed once per spec: a fingerprint of the point's
+        :attr:`~GridPoint.key_frame` with this run's seed spliced in."""
+        head, tail = self.point.key_frame
+        return fingerprint_canonical(
+            head + canonical_json(list(self.seed_entropy)) + tail
+        )
 
 
 def expand_grid(campaign: Campaign) -> list[GridPoint]:

@@ -1,62 +1,67 @@
 """On-disk result store with content-addressed caching and integrity.
 
-Each finished run is persisted as ``runs/<key>.json`` where ``key`` is
-a :func:`repro.obs.manifest.fingerprint` over everything that determines
+Each finished run is persisted as one record of the append-only segment
+``runs.jsonl``, under a ``key`` that is a
+:func:`repro.obs.manifest.fingerprint` over everything that determines
 the result: the resolved scenario, the workload spec, the slot budget,
 the run's seed entropy, and the package version.  Identity by content
 means:
 
-* an interrupted campaign resumes by skipping every key already on
-  disk -- no journal, no partial-state file to reconcile;
+* an interrupted campaign resumes by skipping every key already in the
+  segment -- no journal, no partial-state file to reconcile;
 * two campaigns sharing grid points share cached runs;
 * any change to the config, the seed derivation, or the code version
   changes the key and forces a re-run instead of serving stale rows.
 
-Writes are atomic (tmp file + ``os.replace``) so a run killed mid-write
-never leaves a truncated JSON behind to poison a resume.
+Record contract
+---------------
 
-Integrity
----------
+One line per finished run, fields in this order::
 
-Atomic writes protect against *our* crashes, but not against a damaged
-filesystem, a half-copied store directory, or a hand-edited file.  Every
-document is therefore written as an envelope carrying a SHA-256 checksum
-of its canonical payload::
+    {"key":"<key>","payload":<canonical JSON>,"sha256":"<hex digest>"}
 
-    {"payload": {...}, "sha256": "<hex digest>"}
+``payload`` is the document in :func:`repro.obs.manifest.canonical_json`
+form and ``sha256`` is taken over exactly those payload bytes.  A record
+is built from one canonical encode and appended with one ``write`` to an
+``O_APPEND`` descriptor.  The *last* record of a key wins, so a re-run
+replaces a damaged record by appending.  A writer killed mid-record
+leaves a torn last line: it is never indexed (the run reads as "not
+cached"), and the next append starts with a newline that fences it off.
 
-:meth:`ResultStore.load` verifies the checksum and raises
-:class:`StoreIntegrityError` (naming the offending path and suggesting
-``repro campaign fsck``) on any mismatch, truncation, or undecodable
-JSON; :meth:`ResultStore.is_valid` is the non-raising form the executor
-uses on resume, so a corrupt entry forces a re-run instead of poisoning
-the report.  :meth:`ResultStore.fsck` scans the whole store and (with
-``repair=True``) evicts the damaged entries.
+The store keeps only ``key -> (offset, length)`` in memory, from one scan
+when it is opened plus its own appends.  Every :meth:`ResultStore.load`
+and :meth:`ResultStore.is_valid` reads the record's bytes back from disk
+and verifies line shape, key and checksum at that moment, raising
+:class:`StoreIntegrityError` (or answering ``False``) on any mismatch --
+so a corrupt record forces a re-run instead of poisoning the report.
+:meth:`ResultStore.fsck` verifies every line of the segment and (with
+``repair=True``) rewrites it atomically, keeping the latest verified
+record of each key.
 
 Quarantine documents -- the structured failure records the executor
-writes for runs that exhausted their attempt budget -- live under
-``failed/<key>.json`` in the same envelope format, strictly separate
-from results so a failure can never be served as a row.
+writes for runs that exhausted their attempt budget -- live one file
+each under ``failed/<key>.json`` (a rare path), as checksummed
+``{"payload": ..., "sha256": ...}`` envelopes written tmp-then-rename,
+strictly separate from results so a failure can never be served as a
+row.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
+import re
+import shutil
+import weakref
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.campaign.grid import RunSpec
 from repro.campaign.spec import Campaign
-from repro.obs.manifest import (
-    _json_default,
-    fingerprint,
-    package_version,
-    scenario_to_dict,
-)
+from repro.obs.manifest import _json_default, canonical_json
 
 
 class StoreError(RuntimeError):
@@ -64,10 +69,11 @@ class StoreError(RuntimeError):
 
 
 class StoreIntegrityError(StoreError):
-    """A store file is corrupt, truncated, or fails its checksum.
+    """A store record or file is corrupt, truncated, or fails its
+    checksum.
 
-    Carries the offending :attr:`path` so tooling (and the error
-    message) can point straight at the damaged file.
+    Carries the offending :attr:`path` (the segment, for a run record)
+    so tooling and the error message can point straight at the damage.
     """
 
     def __init__(self, path: Path, reason: str) -> None:
@@ -91,45 +97,93 @@ def run_key(spec: RunSpec) -> str:
     result -- the python and vector engines are bit-identical by
     contract, so either may serve a cached entry).
     """
-    payload = {
-        "config": scenario_to_dict(spec.point.config),
-        "workload": (
-            dataclasses.asdict(spec.point.workload)
-            if spec.point.workload is not None
-            else None
-        ),
-        "n_slots": spec.point.n_slots,
-        "seed": list(spec.seed_entropy),
-        "code_version": package_version(),
-    }
-    return fingerprint(payload)
+    return spec.key
 
 
 def _payload_digest(payload: dict[str, Any]) -> str:
     """SHA-256 over the canonical JSON encoding of a document payload."""
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=_json_default
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+# -- segment records ---------------------------------------------------
+
+_KEY_RE = re.compile(rb'\{"key":("(?:[^"\\]|\\.)*"),')
+_RECORD_RE = re.compile(
+    _KEY_RE.pattern + rb'"payload":(.*),"sha256":"([0-9a-f]{64})"\}\n'
+)
+
+
+def _encode_record(key: str, payload: dict[str, Any]) -> bytes:
+    """One segment line for a finished run (see *Record contract*)."""
+    body = canonical_json(payload)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return (
+        f'{{"key":{json.dumps(key)},"payload":{body},"sha256":"{digest}"}}\n'
+    ).encode()
+
+
+def _decode_record(line: bytes) -> tuple[str, bytes]:
+    """``(key, payload bytes)`` of one segment line, shape and checksum
+    verified; ``ValueError`` with the reason otherwise."""
+    match = _RECORD_RE.fullmatch(line)
+    if match is None:
+        raise ValueError("truncated or invalid record")
+    key_json, body, stored = match.groups()
+    digest = hashlib.sha256(body).hexdigest()
+    if digest != stored.decode():
+        raise ValueError(
+            f"checksum mismatch (stored {stored[:12].decode()}..., "
+            f"computed {digest[:12]}...)"
+        )
+    return json.loads(key_json), body
+
+
+def _record_key(line: bytes) -> str | None:
+    """The key a line claims (its first field), readable even when the
+    rest of the record is damaged; ``None`` if not even that survives."""
+    match = _KEY_RE.match(line)
+    if match is None:
+        return None
+    try:
+        key: str = json.loads(match.group(1))
+    except ValueError:  # a bad escape or non-UTF-8 byte inside the quotes
+        return None
+    return key
+
+
+def _lines(data: bytes) -> Iterator[tuple[int, bytes]]:
+    """``(offset, line)`` for every line of a segment, newline included;
+    a torn tail comes last, without one."""
+    offset = 0
+    while offset < len(data):
+        end = data.find(b"\n", offset) + 1 or len(data)
+        yield offset, data[offset:end]
+        offset = end
 
 
 @dataclass(frozen=True)
 class FsckReport:
     """What one :meth:`ResultStore.fsck` scan found (and removed)."""
 
-    #: Files examined (runs, failures, and the spec snapshot if present).
+    #: Records examined: segment lines, quarantine files, and the spec
+    #: snapshot if present.
     scanned: int
-    #: Documents that parsed and passed their checksum.
+    #: Records that parsed and passed their checksum.
     ok: int
-    #: Pre-checksum documents accepted as-is (no digest to verify).
+    #: Pre-checksum quarantine documents accepted as-is (no digest to
+    #: verify).
     legacy: int
-    #: ``(path, reason)`` for every damaged file found.
+    #: ``(location, reason)`` for every damaged record found; a segment
+    #: line is located as ``<segment path>@<byte offset>``.
     corrupt: tuple[tuple[str, str], ...] = ()
-    #: Damaged files deleted (only with ``repair=True``).
+    #: Damaged records removed (only with ``repair=True``).
     repaired: tuple[str, ...] = ()
     #: Leftover ``*.tmp`` files from interrupted writes (always safe to
     #: remove; deleted with ``repair=True``).
     stray_tmp: tuple[str, ...] = ()
+    #: Verified segment records shadowed by a later record of the same
+    #: key (harmless; dropped with ``repair=True``).
+    superseded: int = 0
 
     @property
     def clean(self) -> bool:
@@ -144,15 +198,24 @@ class ResultStore:
 
         <root>/
           campaign.json        # spec snapshot of the last campaign run here
-          runs/<key>.json      # one checksummed document per completed run
+          runs.jsonl           # one checksummed record per completed run
           failed/<key>.json    # quarantine record per poisoned run
+
+    One process appends to a store at a time (the executor's workers
+    hand results back to the supervisor, which is the only writer), and
+    ``fsck --repair`` must not run against a store a campaign is writing.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.runs_dir = self.root / "runs"
-        self.runs_dir.mkdir(parents=True, exist_ok=True)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.segment_path = self.root / "runs.jsonl"
         self.failed_dir = self.root / "failed"
+        #: Whether a quarantine record can exist (``failed/`` was there
+        #: when the store was opened, or this instance wrote one).
+        self._failures_seen = self.failed_dir.is_dir()
+        self._open_segment()
+        self._import_legacy_runs()
 
     # -- campaign snapshot ---------------------------------------------
 
@@ -190,54 +253,59 @@ class ResultStore:
 
     # -- run rows -------------------------------------------------------
 
-    def path_for(self, key: str) -> Path:
-        """The file one run's document lives at."""
-        return self.runs_dir / f"{key}.json"
-
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
+        return key in self._index
 
-    def save(self, key: str, row: dict[str, Any]) -> Path:
-        """Persist one finished run atomically (checksummed envelope).
+    def save(self, key: str, row: dict[str, Any]) -> None:
+        """Append one finished run's record (a single ``write``).
 
         A successful save also clears any quarantine record left by
         earlier failed attempts of the same run.
         """
-        path = self._write_document(self.path_for(key), row)
+        record = _encode_record(key, row)
+        # A torn tail from a killed writer is fenced off by a leading
+        # newline, inside the same write.
+        data = b"\n" + record if self._torn else record
+        if os.write(self._fd, data) != len(data):
+            self._torn = True
+            raise StoreError(
+                f"short write to {self.segment_path} (disk full?)"
+            )
+        self._torn = False
+        end = os.lseek(self._fd, 0, os.SEEK_CUR)
+        self._index[key] = (end - len(record), len(record))
         self.clear_failure(key)
-        return path
 
     def load(self, key: str) -> dict[str, Any]:
         """Load one cached run's document back, verifying its checksum.
 
-        Raises :class:`StoreIntegrityError` for truncated/corrupt JSON
-        or a digest mismatch; accepts pre-checksum (legacy) documents
-        as-is.
+        Raises ``KeyError`` for a key the store does not hold and
+        :class:`StoreIntegrityError` for a record that is torn,
+        overwritten, filed under another key, or fails its digest.
         """
-        return self._read_document(self.path_for(key))
+        payload: dict[str, Any] = json.loads(self._read_verified(key))
+        return payload
 
     def is_valid(self, key: str) -> bool:
-        """Whether a cached document exists *and* passes verification.
+        """Whether a cached record exists *and* passes verification.
 
-        The executor's resume scan uses this: a damaged entry reads as
-        "not cached" and is recomputed (the atomic re-write replaces
+        The executor's resume scan uses this: a damaged record reads as
+        "not cached" and is recomputed (the appended re-run supersedes
         it), instead of surfacing as a corrupt report row.
         """
-        if key not in self:
-            return False
         try:
-            self._read_document(self.path_for(key))
-        except StoreError:
+            self._read_verified(key)
+        except (KeyError, StoreError):
             return False
         return True
 
     def keys(self) -> list[str]:
         """Keys of every cached run, sorted (content order, not grid
         order -- the report re-orders via the grid)."""
-        return sorted(p.stem for p in self.runs_dir.glob("*.json"))
+        return sorted(self._index)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.runs_dir.glob("*.json"))
+        return len(self._index)
 
     # -- quarantine records ---------------------------------------------
 
@@ -248,6 +316,7 @@ class ResultStore:
     def save_failure(self, key: str, doc: dict[str, Any]) -> Path:
         """Persist a structured quarantine record for a poisoned run."""
         self.failed_dir.mkdir(parents=True, exist_ok=True)
+        self._failures_seen = True
         return self._write_document(self.failure_path_for(key), doc)
 
     def load_failure(self, key: str) -> dict[str, Any]:
@@ -261,27 +330,34 @@ class ResultStore:
         return sorted(p.stem for p in self.failed_dir.glob("*.json"))
 
     def clear_failure(self, key: str) -> None:
-        """Drop a run's quarantine record (no-op when absent)."""
-        try:
-            self.failure_path_for(key).unlink()
-        except FileNotFoundError:
-            pass
+        """Drop a run's quarantine record (no-op when absent -- and no
+        filesystem call at all while no ``failed/`` has been seen)."""
+        if self._failures_seen:
+            self.failure_path_for(key).unlink(missing_ok=True)
 
     # -- integrity ------------------------------------------------------
 
     def fsck(self, repair: bool = False) -> FsckReport:
-        """Scan every store file; with ``repair`` evict damaged ones.
+        """Verify every record; with ``repair`` drop the damaged ones.
 
         Checks the spec snapshot (valid JSON + a loadable campaign),
-        every run document and every quarantine record (valid JSON +
-        checksum), and reports stray ``*.tmp`` files from interrupted
-        writes.  ``repair=True`` deletes damaged documents and stray tmp
-        files -- eviction, never rewriting: a missing entry is simply
-        recomputed by the next ``campaign run``.
+        every line of the segment (shape + checksum), every quarantine
+        record (valid JSON + checksum), and reports stray ``*.tmp``
+        files from interrupted writes.  ``repair=True`` rewrites the
+        segment atomically (tmp + rename) with only the latest verified
+        record of each key -- damaged and superseded lines go -- and
+        deletes damaged quarantine files and stray tmp files.  Nothing
+        is ever patched: a dropped run is simply recomputed by the next
+        ``campaign run``.
         """
         scanned = ok = legacy = 0
         corrupt: list[tuple[str, str]] = []
         repaired: list[str] = []
+        damaged_files: list[Path] = []
+
+        def _damaged(path: Path, reason: str) -> None:
+            corrupt.append((str(path), reason))
+            damaged_files.append(path)
 
         def _check(path: Path) -> None:
             nonlocal scanned, ok, legacy
@@ -289,21 +365,21 @@ class ResultStore:
             try:
                 raw = json.loads(path.read_text())
             except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-                corrupt.append((str(path), f"invalid JSON ({exc})"))
+                _damaged(path, f"invalid JSON ({exc})")
                 return
             if not (isinstance(raw, dict) and "sha256" in raw):
                 legacy += 1
                 return
             payload = raw.get("payload")
             if not isinstance(payload, dict):
-                corrupt.append((str(path), "envelope has no payload object"))
+                _damaged(path, "envelope has no payload object")
                 return
             digest = _payload_digest(payload)
             if digest != raw["sha256"]:
-                corrupt.append(
-                    (str(path),
-                     f"checksum mismatch (stored {raw['sha256'][:12]}..., "
-                     f"computed {digest[:12]}...)")
+                _damaged(
+                    path,
+                    f"checksum mismatch (stored {raw['sha256'][:12]}..., "
+                    f"computed {digest[:12]}...)",
                 )
                 return
             ok += 1
@@ -319,10 +395,36 @@ class ResultStore:
                 corrupt.append(
                     (str(self.spec_path), f"not a valid campaign spec ({exc})")
                 )
-        for directory in (self.runs_dir, self.failed_dir):
-            if not directory.is_dir():
+
+        #: Latest verified record per key as ``(offset, length)``, in the
+        #: order the survivors appear in the segment.
+        live: dict[str, tuple[int, int]] = {}
+        damaged: list[tuple[int, str, str | None]] = []
+        superseded = 0
+        data = self._read_segment()
+        for offset, line in _lines(data):
+            scanned += 1
+            try:
+                key, _body = _decode_record(line)
+            except ValueError as exc:
+                damaged.append((offset, str(exc), _record_key(line)))
                 continue
-            for path in sorted(directory.glob("*.json")):
+            ok += 1
+            if live.pop(key, None) is not None:
+                superseded += 1
+            live[key] = (offset, len(line))
+        damaged_lines: list[str] = []
+        for offset, reason, claimed in damaged:
+            where = f"{self.segment_path}@{offset}"
+            if claimed is not None:
+                healed = claimed in live and live[claimed][0] > offset
+                reason += f" (key {claimed}" + (
+                    ", superseded by a later record)" if healed else ")"
+                )
+            damaged_lines.append(where)
+            corrupt.append((where, reason))
+        if self.failed_dir.is_dir():
+            for path in sorted(self.failed_dir.glob("*.json")):
                 _check(path)
 
         stray = [
@@ -330,14 +432,18 @@ class ResultStore:
             for p in sorted(self.root.rglob("*.tmp"))
         ]
         if repair:
-            for path_str, _reason in corrupt:
-                # The snapshot is the campaign's identity; evict data
-                # files only, and let the user replace a broken snapshot
-                # by re-running with --spec.
-                if path_str == str(self.spec_path):
-                    continue
-                Path(path_str).unlink(missing_ok=True)
-                repaired.append(path_str)
+            # The snapshot is the campaign's identity; evict data only,
+            # and let the user replace a broken snapshot by re-running
+            # with --spec.
+            if damaged_lines or superseded:
+                self._rewrite_segment(
+                    data[offset:offset + length]
+                    for offset, length in live.values()
+                )
+                repaired.extend(damaged_lines)
+            for path in damaged_files:
+                path.unlink(missing_ok=True)
+                repaired.append(str(path))
             for path_str in stray:
                 Path(path_str).unlink(missing_ok=True)
         return FsckReport(
@@ -347,9 +453,73 @@ class ResultStore:
             corrupt=tuple(corrupt),
             repaired=tuple(repaired),
             stray_tmp=tuple(stray),
+            superseded=superseded,
         )
 
     # -- internals ------------------------------------------------------
+
+    def _open_segment(self) -> None:
+        """Open the segment for appending and index it with one scan.
+
+        The index maps each key to the ``(offset, length)`` of its last
+        complete line; it carries no verdict -- reads verify.
+        """
+        self._fd = os.open(
+            self.segment_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644
+        )
+        self._close_segment = weakref.finalize(self, os.close, self._fd)
+        self._index: dict[str, tuple[int, int]] = {}
+        self._torn = False
+        for offset, line in _lines(self._read_segment()):
+            if not line.endswith(b"\n"):
+                self._torn = True  # fenced off by the next save
+                break
+            key = _record_key(line)
+            if key is not None:
+                self._index[key] = (offset, len(line))
+
+    def _read_segment(self) -> bytes:
+        with open(self._fd, "rb", closefd=False) as segment:
+            segment.seek(0)
+            return segment.read()
+
+    def _read_verified(self, key: str) -> bytes:
+        """The payload bytes of a key's record, re-read from disk and
+        verified now; ``KeyError`` if the store has no such record."""
+        offset, length = self._index[key]
+        try:
+            found, body = _decode_record(os.pread(self._fd, length, offset))
+            if found != key:
+                raise ValueError(f"record is filed under key {found!r}")
+        except ValueError as exc:
+            raise StoreIntegrityError(
+                self.segment_path, f"record {key!r} at byte {offset}: {exc}"
+            ) from exc
+        return body
+
+    def _rewrite_segment(self, lines: Iterable[bytes]) -> None:
+        """Atomically replace the segment with just ``lines``."""
+        tmp = self.segment_path.with_name(self.segment_path.name + ".tmp")
+        tmp.write_bytes(b"".join(lines))
+        os.replace(tmp, self.segment_path)
+        self._close_segment()
+        self._open_segment()
+
+    def _import_legacy_runs(self) -> None:
+        """One-shot import of a file-per-run ``runs/`` directory (the
+        layout before the segment): every document that passes the
+        envelope check becomes a record, then the directory goes.
+        Damaged documents are dropped -- their runs are recomputed."""
+        legacy_dir = self.root / "runs"
+        if not legacy_dir.is_dir():
+            return
+        for path in sorted(legacy_dir.glob("*.json")):
+            try:
+                payload = self._read_document(path)
+            except (StoreError, FileNotFoundError):
+                continue
+            self.save(path.stem, payload)
+        shutil.rmtree(legacy_dir)
 
     def _write_document(self, path: Path, payload: dict[str, Any]) -> Path:
         """Atomic write of a checksummed document envelope."""

@@ -690,25 +690,26 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_fsck(args: argparse.Namespace) -> int:
-    """``campaign fsck``: verify store integrity, optionally evicting
-    damaged entries (exit 0 = clean / repaired, 1 = damage remains)."""
+    """``campaign fsck``: verify store integrity, optionally dropping
+    damaged records (exit 0 = clean / repaired, 1 = damage remains)."""
     from repro.campaign import ResultStore
 
     store = ResultStore(args.store)
     report = store.fsck(repair=args.repair)
-    print(f"store {store.root}: {report.scanned} files scanned, "
-          f"{report.ok} verified, {report.legacy} legacy (no checksum)")
-    for path, reason in report.corrupt:
-        print(f"  CORRUPT {path}: {reason}")
+    print(f"store {store.root}: {report.scanned} records scanned, "
+          f"{report.ok} verified, {report.legacy} legacy (no checksum), "
+          f"{report.superseded} superseded")
+    for where, reason in report.corrupt:
+        print(f"  CORRUPT {where}: {reason}")
     for path in report.stray_tmp:
         print(f"  stray tmp file: {path}")
     if report.repaired or (args.repair and report.stray_tmp):
         removed = len(report.repaired) + len(report.stray_tmp)
-        print(f"  evicted {removed} damaged/stray files; re-run the "
-              "campaign to recompute them")
+        print(f"  dropped {removed} damaged records / stray files; re-run "
+              "the campaign to recompute them")
     elif report.corrupt or report.stray_tmp:
-        print("  run with --repair to evict them (a rerun recomputes "
-              "evicted entries)")
+        print("  run with --repair to drop them (a rerun recomputes "
+              "dropped records)")
     return 0 if report.clean else 1
 
 
@@ -729,7 +730,7 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
           f"({' x '.join(campaign.axis_names) or 'no axes'})")
     print(f"  runs     : {done}/{total} cached "
           f"({total - done} pending)")
-    print(f"  store    : {len(store)} result files")
+    print(f"  store    : {len(store)} records")
     if quarantined:
         print(f"  FAILED   : {quarantined} quarantined runs in "
               f"{store.failed_dir}/ (`campaign run` retries them)")
@@ -1273,8 +1274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfsck.add_argument(
         "--repair",
         action="store_true",
-        help="evict corrupt/truncated entries and stray tmp files so "
-        "the next `campaign run` recomputes them",
+        help="rewrite the run segment without corrupt, torn or "
+        "superseded records and delete stray tmp files, so the next "
+        "`campaign run` recomputes what was dropped",
     )
     p_cfsck.set_defaults(func=cmd_campaign_fsck)
 

@@ -334,8 +334,9 @@ class WorkerPoolRebuilt(_Event):
 
 @dataclass(frozen=True, slots=True)
 class StoreCorruptionDetected(_Event):
-    """A cached run document failed verification during the resume scan
-    and was treated as uncached (the re-run atomically replaces it)."""
+    """A cached run record failed verification during the resume scan
+    and was treated as uncached (the re-run's appended record supersedes
+    it).  ``path`` names the store's segment file."""
 
     path: str
     run_key: str

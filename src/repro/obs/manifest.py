@@ -78,6 +78,25 @@ def scenario_to_dict(config) -> dict:
     return json.loads(json.dumps(raw, default=_json_default))
 
 
+_canonical_encoder = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_json_default
+)
+
+
+def canonical_json(payload: Any) -> str:
+    """The one canonical JSON spelling of a payload: sorted keys, compact
+    separators, :func:`_json_default` for dataclasses/frozensets.  Every
+    content hash in the repo (:func:`fingerprint`, the campaign store's
+    record checksums) is taken over this text."""
+    return _canonical_encoder.encode(payload)
+
+
+def fingerprint_canonical(canonical: str, *, length: int = 20) -> str:
+    """:func:`fingerprint` of a payload already in :func:`canonical_json`
+    form (callers that assemble the canonical text from cached parts)."""
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:length]
+
+
 def fingerprint(payload: Any, *, length: int = 20) -> str:
     """A stable content hash of any JSON-serialisable payload.
 
@@ -90,10 +109,7 @@ def fingerprint(payload: Any, *, length: int = 20) -> str:
     yields a new key and forces a re-run instead of serving stale
     results.
     """
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=_json_default
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:length]
+    return fingerprint_canonical(canonical_json(payload), length=length)
 
 
 @dataclasses.dataclass

@@ -112,9 +112,10 @@ def random_connection_set(
         raise ValueError(f"invalid period range {period_range}")
 
     shares = uunifast(rng, n_connections, total_utilisation)
+    log_lo, log_hi = np.log(lo), np.log(hi)
     connections = []
     for u in shares:
-        period = int(round(np.exp(rng.uniform(np.log(lo), np.log(hi)))))
+        period = int(round(np.exp(rng.uniform(log_lo, log_hi))))
         period = max(lo, min(hi, period))
         size = max(1, round(u * period))
         if size > period:

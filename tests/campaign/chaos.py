@@ -135,27 +135,59 @@ def _misbehave(root: Path, ident: str, entry: dict[str, Any]) -> None:
         raise ValueError(f"unknown chaos mode {mode!r} for run {ident}")
 
 
-def corrupt_store_file(path: str | Path, how: str = "truncate") -> None:
-    """Damage one store document the way real-world corruption does.
+def _segment(store_root: str | Path) -> Path:
+    return Path(store_root) / "runs.jsonl"
 
-    ``truncate`` cuts the file mid-JSON (half-written copy); ``flip``
-    keeps it valid JSON but alters the payload under the checksum
-    (bit-rot / hand edit); ``garbage`` replaces it wholesale.
+
+def record_spans(store_root: str | Path) -> list[tuple[int, int]]:
+    """``(offset, length)`` of every complete line of a store's segment."""
+    spans = []
+    offset = 0
+    # The piece after the last newline is a torn tail (or empty).
+    for line in _segment(store_root).read_bytes().split(b"\n")[:-1]:
+        spans.append((offset, len(line) + 1))
+        offset += len(line) + 1
+    return spans
+
+
+def damage_record(
+    store_root: str | Path, n: int, how: str = "truncate"
+) -> None:
+    """Damage record ``n`` of a store's segment the way real-world
+    corruption does.
+
+    ``truncate`` cuts the line mid-JSON but keeps its newline (a torn
+    write that a later append fenced off) -- every later record moves;
+    ``flip`` alters a payload digit in place, under the checksum
+    (bit-rot / hand edit); ``garbage`` overwrites the line in place.
+    Open a fresh ``ResultStore`` afterwards, as a resuming process would.
     """
-    path = Path(path)
+    path = _segment(store_root)
     data = path.read_bytes()
+    offset, length = record_spans(store_root)[n]
+    line = data[offset:offset + length]
     if how == "truncate":
-        path.write_bytes(data[: max(1, len(data) // 2)])
+        line = line[: length // 2] + b"\n"
     elif how == "flip":
-        text = path.read_text()
-        # Corrupt a digit inside the payload, keeping the JSON parseable.
-        for i, ch in enumerate(text):
-            if ch.isdigit() and text[i + 1].isdigit():
-                flipped = "1" if ch != "1" else "2"
-                path.write_text(text[:i] + flipped + text[i + 1:])
-                return
-        raise AssertionError(f"no digit to flip in {path}")
+        # A digit inside the payload, so the line still parses as JSON;
+        # an already mangled line just gets another byte changed.
+        start = max(line.find(b'"payload":'), 0)
+        at = next(
+            (i for i in range(start, length - 1) if line[i:i + 2].isdigit()),
+            0,
+        )
+        flipped = b"1" if line[at:at + 1] != b"1" else b"2"
+        line = line[:at] + flipped + line[at + 1:]
     elif how == "garbage":
-        path.write_bytes(b"\x00\xffnot json at all")
+        line = b"\x00\xff" + b"#" * (length - 3) + b"\n"
     else:
         raise ValueError(f"unknown corruption {how!r}")
+    path.write_bytes(data[:offset] + line + data[offset + length:])
+
+
+def truncate_tail(store_root: str | Path, n_bytes: int) -> None:
+    """Cut the last ``n_bytes`` off a store's segment (a writer killed
+    mid-record, or a half-copied store)."""
+    path = _segment(store_root)
+    data = path.read_bytes()
+    path.write_bytes(data[: max(0, len(data) - n_bytes)])

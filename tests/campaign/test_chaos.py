@@ -230,15 +230,23 @@ class TestWorkerDeath:
 class TestCorruption:
     def test_corrupt_cache_entries_self_heal_on_resume(self, tmp_path):
         c = _campaign()
+        run_campaign(c, ResultStore(tmp_path / "store"))
+        chaos.damage_record(tmp_path / "store", 1, "flip")
+        chaos.damage_record(tmp_path / "store", 0, "truncate")
+        # The resuming process opens the store afresh.
         store = ResultStore(tmp_path / "store")
-        run_campaign(c, store)
-        paths = sorted(store.runs_dir.glob("*.json"))
-        chaos.corrupt_store_file(paths[0], "truncate")
-        chaos.corrupt_store_file(paths[1], "flip")
         summary = run_campaign(c, store)
         assert summary.corrupt_replaced == 2
         assert summary.executed == 2
         assert summary.complete
+        # Last record wins: the re-runs were appended, the damaged lines
+        # stay behind until `fsck --repair` compacts them away.
+        assert len(chaos.record_spans(store.root)) == c.total_runs + 2
+        reasons = [reason for _where, reason in store.fsck().corrupt]
+        assert len(reasons) == 2
+        assert all("superseded by a later record" in r for r in reasons)
+        assert store.fsck(repair=True).clean and store.fsck().clean
+        assert len(chaos.record_spans(store.root)) == c.total_runs
         clean = ResultStore(tmp_path / "clean")
         run_campaign(c, clean)
         assert _report_bytes(c, store, tmp_path / "a.csv") == _report_bytes(
@@ -266,12 +274,15 @@ class TestObservability:
         # Corrupt-cache detection is part of the same event stream: heal
         # the plan, damage a cached document, and resume.
         chaos.write_plan(chaos_dir, {})
-        chaos.corrupt_store_file(sorted(store.runs_dir.glob("*.json"))[0])
+        chaos.damage_record(store.root, 0)
+        store = ResultStore(store.root)
         second = run_campaign(
             c, store, observer=observer, run_fn=chaos.chaos_execute_run
         )
         kinds = {e.kind for e in sink.events}
         assert kinds == {"run_retry", "run_quarantine", "store_corrupt"}
+        corrupt = [e for e in sink.events if e.kind == "store_corrupt"]
+        assert [e.path for e in corrupt] == [str(store.segment_path)]
         # Every supervision counter is registered in the obs taxonomy
         # (what the event-metric-parity lint enforces statically).
         for summary in (first, second):
