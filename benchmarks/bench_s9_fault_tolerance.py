@@ -12,7 +12,7 @@ from conftest import print_table
 
 from repro.core.connection import LogicalRealTimeConnection
 from repro.core.priorities import TrafficClass
-from repro.sim.faults import FaultInjector
+from repro.sim.fault_models import RecoveryPolicy, ScriptedFaultModel
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 
 
@@ -40,8 +40,9 @@ def test_s9_control_loss_recovery_cost(run_once, benchmark):
                 int(x) for x in rng.choice(range(100, 19_900), loss_count, replace=False)
             )
             faults = (
-                FaultInjector(
-                    control_loss_slots=losses, recovery_timeout_s=2e-6
+                ScriptedFaultModel(
+                    control_loss_slots=losses,
+                    recovery=RecoveryPolicy(timeout_s=2e-6),
                 )
                 if loss_count
                 else None
@@ -83,8 +84,9 @@ def test_s9_node_failure_isolation(run_once, benchmark):
 
     def measure():
         fail_slot = 10_000
-        faults = FaultInjector(
-            node_failures={3: fail_slot}, recovery_timeout_s=2e-6
+        faults = ScriptedFaultModel(
+            node_failures={3: fail_slot},
+            recovery=RecoveryPolicy(timeout_s=2e-6),
         )
         config = ScenarioConfig(n_nodes=n, connections=workload(n))
         sim = build_simulation(config, RunOptions(faults=faults))

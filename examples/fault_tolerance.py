@@ -18,7 +18,7 @@ Run:  python examples/fault_tolerance.py
 
 from repro import ScenarioConfig, TrafficClass
 from repro.core.connection import LogicalRealTimeConnection
-from repro.sim.faults import FaultInjector
+from repro.sim.fault_models import RecoveryPolicy, ScriptedFaultModel
 from repro.sim.runner import RunOptions, build_simulation, make_timing
 
 N_NODES = 8
@@ -67,8 +67,9 @@ def main() -> None:
     # Scenario 1: the clock token is lost 25 times.
     # ------------------------------------------------------------------
     losses = frozenset(range(1000, HORIZON, 1600))
-    faults = FaultInjector(
-        control_loss_slots=losses, recovery_timeout_s=timeout
+    faults = ScriptedFaultModel(
+        control_loss_slots=losses,
+        recovery=RecoveryPolicy(timeout_s=timeout),
     )
     lossy = run(faults)
     rt = lossy.report.class_stats(TrafficClass.RT_CONNECTION)
@@ -84,8 +85,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Scenario 2: node 3 fail-stops mid-run.
     # ------------------------------------------------------------------
-    faults = FaultInjector(
-        node_failures={3: FAIL_SLOT}, recovery_timeout_s=timeout
+    faults = ScriptedFaultModel(
+        node_failures={3: FAIL_SLOT},
+        recovery=RecoveryPolicy(timeout_s=timeout),
     )
     failed = run(faults)
     report = failed.report

@@ -209,7 +209,7 @@ def backoff_delay(policy: RetryPolicy, spec: RunSpec, attempt: int) -> float:
     a jitter fraction drawn from a :class:`numpy.random.SeedSequence`
     derived from the run's entropy and the attempt index -- two hosts
     retrying the same spec back off identically, and the draw is
-    lint-clean under ``no-unseeded-rng``.
+    lint-clean under ``seed-provenance``.
     """
     base = min(
         policy.backoff_max_s, policy.backoff_base_s * (2.0 ** (attempt - 1))

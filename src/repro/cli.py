@@ -33,7 +33,7 @@ Examples::
     python -m repro campaign report --store results/ --csv sweep.csv
     python -m repro serve --nodes 8 --probes 3
     python -m repro churn --nodes 8 --ops 10000 --clients 4 --verify-replay
-    python -m repro lint src/repro --baseline .repro-lint-baseline.json
+    python -m repro lint src/repro examples benchmarks
 """
 
 from __future__ import annotations
@@ -253,8 +253,10 @@ def _draw_connections(args: argparse.Namespace, rng: np.random.Generator):
     )
 
 
-def _build_config(args: argparse.Namespace, protocol: str) -> ScenarioConfig:
-    rng = np.random.default_rng(args.seed)
+def _build_config(
+    args: argparse.Namespace, protocol: str, rng: np.random.Generator
+) -> ScenarioConfig:
+    """The scenario of one run: ``rng`` draws its connection set."""
     conns = _draw_connections(args, rng)
     return ScenarioConfig(
         n_nodes=args.nodes,
@@ -350,18 +352,7 @@ def _build_replication(
     generator redraws the whole workload, so replications differ in
     workload *and* arrival noise.
     """
-    conns = _draw_connections(args, rng)
-    config = ScenarioConfig(
-        n_nodes=args.nodes,
-        protocol=args.protocol,
-        policy=getattr(args, "policy", "edf"),
-        link_length_m=args.link_length,
-        slot_payload_bytes=args.payload,
-        spatial_reuse=not args.no_spatial_reuse,
-        drop_late=args.drop_late,
-        connections=tuple(conns),
-        fault_config=_fault_config(args),
-    )
+    config = _build_config(args, args.protocol, rng)
     return build_simulation(config, RunOptions(engine=args.engine))
 
 
@@ -409,10 +400,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         from functools import partial
 
         from repro.obs.manifest import RunManifest
-        from repro.sim.batch import replicate
+        from repro.sim.batch import replicate, resolve_jobs
 
+        jobs = min(resolve_jobs(args.jobs), args.replications)
         print(f"replicating: {args.replications} seeds from master seed "
-              f"{args.seed}, {args.jobs if args.jobs != 1 else 1} job(s)")
+              f"{args.seed}, {jobs} job(s)")
         t0 = _time.perf_counter()
         result = replicate(
             partial(_build_replication, args),
@@ -447,7 +439,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"manifest written    : {manifest_path}")
         return 0
 
-    config = _build_config(args, args.protocol)
+    config = _build_config(
+        args, args.protocol, np.random.default_rng(args.seed)
+    )
     achieved = sum(c.utilisation for c in config.connections)
     print(f"workload: {args.connections} connections, "
           f"U={achieved:.3f} (target {args.utilisation}), seed {args.seed}")
@@ -544,7 +538,7 @@ def _compare_one(args: argparse.Namespace, protocol: str):
     parallel worker processes; each worker rebuilds the identical
     workload from the shared seed.
     """
-    config = _build_config(args, protocol)
+    config = _build_config(args, protocol, np.random.default_rng(args.seed))
     report = run_scenario(
         config, n_slots=args.slots, options=RunOptions(engine=args.engine)
     )
@@ -573,7 +567,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             rows = list(pool.map(partial(_compare_one, args), PROTOCOLS))
     else:
         rows = [_compare_one(args, protocol) for protocol in PROTOCOLS]
-    achieved = sum(c.utilisation for c in _build_config(args, "ccr-edf").connections)
+    achieved = sum(c.utilisation for c in _build_config(
+        args, "ccr-edf", np.random.default_rng(args.seed)
+    ).connections)
     print(f"workload: U={achieved:.3f}, {args.connections} connections, "
           f"seed {args.seed}, {args.slots} slots\n")
     header = (f"{'protocol':10s} {'miss':>8s} {'latency':>8s} {'util':>7s} "

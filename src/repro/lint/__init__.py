@@ -14,9 +14,7 @@ machine-check those invariants on every commit:
 * run it as ``repro lint`` or ``python -m repro.lint``;
 * suppress one finding with ``# repro-lint: disable=<rule>`` on the
   offending line (a pragma on a line of its own disables the rule for
-  the whole file);
-* grandfather existing findings into a baseline file
-  (``--baseline .repro-lint-baseline.json`` / ``--update-baseline``).
+  the whole file) — the one suppression mechanism.
 
 See ``docs/LINTING.md`` for the rule catalogue and the invariant each
 rule guards.
@@ -24,7 +22,7 @@ rule guards.
 
 from __future__ import annotations
 
-from repro.lint.engine import LintEngine, lint_paths
+from repro.lint.engine import LintEngine
 from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, all_rules, get_rule, register
 
@@ -34,6 +32,5 @@ __all__ = [
     "LintRule",
     "all_rules",
     "get_rule",
-    "lint_paths",
     "register",
 ]

@@ -19,21 +19,16 @@ from the already-parsed :class:`~repro.lint.context.Project`:
   (dynamic) calls are dropped rather than guessed: downstream rules stay
   false-positive-free at the cost of under-approximating edges.
 
-The graph is deliberately AST-free so it serialises: ``load_or_build``
-caches it as JSON keyed on :func:`source_tree_hash` (the CI lint job
-keys an ``actions/cache`` entry the same way), and rules that *do* need
-the AST of a function go through ``Project.def_index()`` which maps the
-same qualified names back onto live nodes.
+The graph lives only in memory, rebuilt on every invocation (0.45 s on
+the 140-file tree), so a :class:`FunctionInfo` carries its def node and
+module: rules that need the AST of a function read it off the graph.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.lint.asthelpers import ImportMap, dotted_name
@@ -41,19 +36,15 @@ from repro.lint.asthelpers import ImportMap, dotted_name
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.lint.context import ModuleInfo, Project
 
-GRAPH_VERSION = 1
-
 #: Pseudo-function name for a module's top-level statements.
 MODULE_BODY = "<module>"
 
 
 @dataclass(frozen=True)
 class FunctionInfo:
-    """One function/method definition, AST-free (serialisable)."""
+    """One function/method definition."""
 
     qname: str
-    module: str
-    rel: str
     name: str
     #: Qualified name of the enclosing class for methods, else ``None``.
     cls: str | None
@@ -65,6 +56,21 @@ class FunctionInfo:
     #: Resolved dotted annotation types, aligned with :attr:`params`.
     annotations: tuple[str | None, ...]
     returns: str | None
+    #: The def node (the ``ast.Module`` for a module body) and its module.
+    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module = field(
+        repr=False, compare=False
+    )
+    source: "ModuleInfo" = field(repr=False, compare=False)
+
+    @property
+    def module(self) -> str:
+        """Dotted name of the defining module."""
+        return self.source.module
+
+    @property
+    def rel(self) -> str:
+        """Path of the defining file, relative to the linted root."""
+        return self.source.rel
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +223,6 @@ def _signature(
 class CallGraph:
     """The whole-program call graph of one lint invocation."""
 
-    tree_hash: str
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     #: ``module.bound_name`` -> imported target (re-export chasing).
@@ -308,7 +313,7 @@ class CallGraph:
                 out.extend(sorted(self.classes[qname].methods.values()))
         return tuple(out)
 
-    # -- presentation / persistence ------------------------------------
+    # -- presentation --------------------------------------------------
 
     def render(self) -> str:
         """Deterministic human-readable dump (``repro lint --graph``)."""
@@ -327,7 +332,7 @@ class CallGraph:
         lines = [
             f"# call graph: {len(self.functions)} functions, "
             f"{len(self.classes)} classes, {n_edges} project edges, "
-            f"{n_external} external targets (tree {self.tree_hash[:12]})"
+            f"{n_external} external targets"
         ]
         for qname in sorted(self.functions):
             info = self.functions[qname]
@@ -338,114 +343,13 @@ class CallGraph:
                 lines.append(f"  {arrow} {site.target}  :{site.line}")
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (sorted everywhere: byte-stable cache)."""
-        return {
-            "version": GRAPH_VERSION,
-            "tree_hash": self.tree_hash,
-            "functions": [
-                {
-                    "qname": f.qname,
-                    "module": f.module,
-                    "rel": f.rel,
-                    "name": f.name,
-                    "cls": f.cls,
-                    "lineno": f.lineno,
-                    "col": f.col,
-                    "is_async": f.is_async,
-                    "params": list(f.params),
-                    "annotations": list(f.annotations),
-                    "returns": f.returns,
-                }
-                for _, f in sorted(self.functions.items())
-            ],
-            "classes": [
-                {
-                    "qname": c.qname,
-                    "module": c.module,
-                    "name": c.name,
-                    "lineno": c.lineno,
-                    "bases": list(c.bases),
-                    "methods": sorted(c.methods.items()),
-                    "attrs": sorted(c.attrs.items()),
-                }
-                for _, c in sorted(self.classes.items())
-            ],
-            "exports": sorted(self.exports.items()),
-            "calls": [
-                [
-                    qname,
-                    [[s.target, s.kind, s.line, s.col] for s in sites],
-                ]
-                for qname, sites in sorted(self.calls.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CallGraph":
-        """Rebuild a graph from its :meth:`to_dict` cache document."""
-        graph = cls(tree_hash=doc["tree_hash"])
-        for f in doc["functions"]:
-            graph.functions[f["qname"]] = FunctionInfo(
-                qname=f["qname"],
-                module=f["module"],
-                rel=f["rel"],
-                name=f["name"],
-                cls=f["cls"],
-                lineno=f["lineno"],
-                col=f["col"],
-                is_async=f["is_async"],
-                params=tuple(f["params"]),
-                annotations=tuple(f["annotations"]),
-                returns=f["returns"],
-            )
-        for c in doc["classes"]:
-            graph.classes[c["qname"]] = ClassInfo(
-                qname=c["qname"],
-                module=c["module"],
-                name=c["name"],
-                lineno=c["lineno"],
-                bases=tuple(c["bases"]),
-                methods=dict(
-                    (name, target) for name, target in c["methods"]
-                ),
-                attrs=dict((name, t) for name, t in c["attrs"]),
-            )
-        graph.exports = dict(
-            (key, value) for key, value in doc["exports"]
-        )
-        for qname, sites in doc["calls"]:
-            graph.calls[qname] = tuple(
-                CallSite(target=t, kind=k, line=ln, col=col)
-                for t, k, ln, col in sites
-            )
-        return graph
-
-
-def source_tree_hash(modules: Iterable["ModuleInfo"]) -> str:
-    """Content hash of the linted tree (cache key for the graph)."""
-    digest = hashlib.sha256()
-    for module in sorted(modules, key=lambda m: m.rel):
-        digest.update(module.rel.encode("utf-8"))
-        digest.update(b"\0")
-        source = "\n".join(module.lines).encode("utf-8")
-        digest.update(hashlib.sha256(source).digest())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
 
 # -- builder -----------------------------------------------------------
 
 
-def build_call_graph(
-    project: "Project", tree_hash: str | None = None
-) -> CallGraph:
+def build_call_graph(project: "Project") -> CallGraph:
     """Two-pass construction over every parsed module of the project."""
-    graph = CallGraph(
-        tree_hash=tree_hash
-        if tree_hash is not None
-        else source_tree_hash(project.modules)
-    )
+    graph = CallGraph()
     imports_by_module: dict[str, ImportMap] = {}
 
     # Pass 1: definitions, classes, exports.
@@ -460,8 +364,6 @@ def build_call_graph(
             params, annotations = _signature(node, imports, is_method)
             graph.functions[qname] = FunctionInfo(
                 qname=qname,
-                module=module.module,
-                rel=module.rel,
                 name=node.name,
                 cls=cls,
                 lineno=node.lineno,
@@ -470,6 +372,8 @@ def build_call_graph(
                 params=params,
                 annotations=annotations,
                 returns=resolve_annotation(node.returns, imports),
+                node=node,
+                source=module,
             )
         for qname, node in _iter_classes(module):
             bases = tuple(
@@ -575,8 +479,6 @@ class _Resolver:
         module_qname = f"{self.module.module}.{MODULE_BODY}"
         self.graph.functions[module_qname] = FunctionInfo(
             qname=module_qname,
-            module=self.module.module,
-            rel=self.module.rel,
             name=MODULE_BODY,
             cls=None,
             lineno=1,
@@ -585,6 +487,8 @@ class _Resolver:
             params=(),
             annotations=(),
             returns=None,
+            node=self.module.tree,
+            source=self.module,
         )
         self._walk_body(
             module_qname,
@@ -839,38 +743,3 @@ class _Resolver:
             if method is not None:
                 return (_FUNC, method)
         return ("external", resolved)
-
-
-# -- persistence -------------------------------------------------------
-
-
-def load_or_build(
-    project: "Project", cache_path: str | Path | None = None
-) -> CallGraph:
-    """Build the graph, or load it from a cache file when fresh.
-
-    The cache is valid iff its ``tree_hash`` matches the current
-    :func:`source_tree_hash`; a stale, corrupt or unreadable cache is
-    silently rebuilt (and rewritten when a path was given).
-    """
-    tree_hash = source_tree_hash(project.modules)
-    path = Path(cache_path) if cache_path is not None else None
-    if path is not None and path.exists():
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            if (
-                isinstance(doc, dict)
-                and doc.get("version") == GRAPH_VERSION
-                and doc.get("tree_hash") == tree_hash
-            ):
-                return CallGraph.from_dict(doc)
-        except (ValueError, KeyError, TypeError):
-            pass  # corrupt cache: rebuild below
-    graph = build_call_graph(project, tree_hash=tree_hash)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(graph.to_dict(), sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return graph

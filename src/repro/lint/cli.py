@@ -7,13 +7,6 @@ import os
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    merge_baseline,
-)
-from repro.lint.context import INVALID_PRAGMA
 from repro.lint.engine import LintEngine, load_project
 from repro.lint.registry import all_rules, rule_names
 from repro.lint.reporters import render_json, render_text
@@ -47,20 +40,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format (default text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "baseline file of grandfathered findings "
-            f"(e.g. {DEFAULT_BASELINE_NAME}); missing file = empty baseline"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the --baseline file from the current findings",
-    )
-    parser.add_argument(
         "--select",
         metavar="RULES",
         default=None,
@@ -77,15 +56,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "print the whole-program call graph instead of linting "
             "(debug aid for the project-scoped rules)"
-        ),
-    )
-    parser.add_argument(
-        "--graph-cache",
-        metavar="FILE",
-        default=None,
-        help=(
-            "persist the call graph to FILE between runs "
-            "(revalidated against the source tree hash)"
         ),
     )
 
@@ -128,7 +98,7 @@ def run(args: argparse.Namespace) -> int:
     paths = args.paths or default_paths()
     if args.graph:
         try:
-            project, _ = load_project(paths, graph_cache=args.graph_cache)
+            project, _ = load_project(paths)
         except (FileNotFoundError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -136,38 +106,13 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        findings, n_files = LintEngine(rules).run(
-            paths, graph_cache=args.graph_cache
-        )
+        findings, n_files = LintEngine(rules).run(paths)
     except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        if not args.baseline:
-            print("--update-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        # Engine-level pseudo-rules always run, so their entries are
-        # always replaceable; selected rules replace only their own.
-        active = frozenset(r.name for r in rules) | {
-            "syntax-error",
-            INVALID_PRAGMA,
-        }
-        path, total = merge_baseline(args.baseline, findings, active)
-        print(
-            f"baseline updated: {len(findings)} current finding(s), "
-            f"{total} total entr{'y' if total == 1 else 'ies'} -> {path}"
-        )
-        return 0
-
-    n_baselined = 0
-    if args.baseline and Path(args.baseline).exists():
-        findings, n_baselined = apply_baseline(
-            findings, load_baseline(args.baseline)
-        )
-
     render = render_json if args.format == "json" else render_text
-    _print_report(render(findings, n_files=n_files, n_baselined=n_baselined))
+    _print_report(render(findings, n_files=n_files))
     return 1 if findings else 0
 
 

@@ -152,44 +152,17 @@ class Project:
 
     root: Path
     modules: tuple[ModuleInfo, ...]
-    #: Where to persist/load the call-graph artifact (``--graph-cache``);
-    #: ``None`` builds in memory only.
-    graph_cache: Path | None = None
     _graph: "CallGraph | None" = field(
         default=None, repr=False, compare=False
     )
-    _defs: (
-        dict[str, tuple[ModuleInfo, ast.FunctionDef | ast.AsyncFunctionDef]]
-        | None
-    ) = field(default=None, repr=False, compare=False)
 
     def call_graph(self) -> "CallGraph":
-        """The project call graph, built lazily once per invocation
-        (loaded from :attr:`graph_cache` when fresh)."""
+        """The project call graph, built lazily once per invocation."""
         if self._graph is None:
-            from repro.lint.callgraph import load_or_build
+            from repro.lint.callgraph import build_call_graph
 
-            self._graph = load_or_build(self, self.graph_cache)
+            self._graph = build_call_graph(self)
         return self._graph
-
-    def def_index(
-        self,
-    ) -> dict[str, tuple[ModuleInfo, ast.FunctionDef | ast.AsyncFunctionDef]]:
-        """Qualified function name -> ``(module, def node)``.
-
-        The AST-side companion of the (serialisable, AST-free) call
-        graph: both derive qnames from the same walk, so a graph loaded
-        from cache still maps back onto live nodes.
-        """
-        if self._defs is None:
-            from repro.lint.callgraph import iter_definitions
-
-            self._defs = {
-                qname: (module, node)
-                for module in self.modules
-                for qname, _cls, node in iter_definitions(module)
-            }
-        return self._defs
 
     def find(self, suffix: str) -> ModuleInfo | None:
         """The unique module whose dotted name ends with ``suffix``.

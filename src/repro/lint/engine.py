@@ -1,11 +1,10 @@
-"""The lint driver: walk files, run rules, apply pragmas and baseline."""
+"""The lint driver: walk files, run rules, apply pragmas."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.context import ModuleInfo, Project, load_module
 from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, all_rules, rule_names
@@ -64,21 +63,16 @@ class LintEngine:
         paths: Sequence[str | Path],
         *,
         root: Path | None = None,
-        graph_cache: str | Path | None = None,
     ) -> tuple[list[Finding], int]:
         """Lint the given paths.
 
         Returns ``(findings, n_files)``; findings are sorted and already
         filtered through ``# repro-lint: disable`` pragmas.  Unparseable
         files yield a ``syntax-error`` finding instead of aborting the
-        whole run.  ``graph_cache`` persists the whole-program call
-        graph across invocations (keyed on the source tree hash).
+        whole run.
         """
         project, findings = load_project(
-            paths,
-            known_rules=self.known_rules,
-            root=root,
-            graph_cache=graph_cache,
+            paths, known_rules=self.known_rules, root=root
         )
         modules = project.modules
 
@@ -111,7 +105,6 @@ def load_project(
     *,
     known_rules: frozenset[str] | None = None,
     root: Path | None = None,
-    graph_cache: str | Path | None = None,
 ) -> tuple[Project, list[Finding]]:
     """Discover and parse a tree into a :class:`Project`.
 
@@ -139,12 +132,7 @@ def load_project(
                     message=f"cannot parse: {exc.msg}",
                 )
             )
-    project = Project(
-        root=resolved_root,
-        modules=tuple(modules),
-        graph_cache=Path(graph_cache) if graph_cache is not None else None,
-    )
-    return project, findings
+    return Project(root=resolved_root, modules=tuple(modules)), findings
 
 
 def _relative(path: Path, root: Path) -> str:
@@ -152,24 +140,3 @@ def _relative(path: Path, root: Path) -> str:
         return path.resolve().relative_to(root).as_posix()
     except ValueError:
         return path.as_posix()
-
-
-def lint_paths(
-    paths: Sequence[str | Path],
-    *,
-    baseline_path: str | Path | None = None,
-    rules: Iterable[LintRule] | None = None,
-    root: Path | None = None,
-    graph_cache: str | Path | None = None,
-) -> tuple[list[Finding], int, int]:
-    """Convenience wrapper: lint, subtract the baseline if given.
-
-    Returns ``(findings, n_files, n_baselined)``.
-    """
-    engine = LintEngine(rules)
-    findings, n_files = engine.run(paths, root=root, graph_cache=graph_cache)
-    n_baselined = 0
-    if baseline_path is not None and Path(baseline_path).exists():
-        baseline = load_baseline(baseline_path)
-        findings, n_baselined = apply_baseline(findings, baseline)
-    return findings, n_files, n_baselined

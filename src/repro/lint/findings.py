@@ -10,7 +10,7 @@ class Finding:
     """One rule violation.
 
     ``path`` is relative to the linted root (POSIX separators) so
-    findings — and therefore baselines — are machine-independent.
+    findings are machine-independent.
     ``line``/``col`` are 1-based / 0-based as in ``ast`` nodes.
     """
 
@@ -24,15 +24,6 @@ class Finding:
     def sort_key(self) -> tuple[str, int, int, str, str]:
         """Stable report order: by location, then rule, then message."""
         return (self.path, self.line, self.col, self.rule, self.message)
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used for baseline matching.
-
-        Deliberately excludes the line number: grandfathered findings
-        must survive unrelated edits above them in the file.
-        """
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready form (the ``--format json`` reporter's rows)."""

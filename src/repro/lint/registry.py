@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class LintRule:
     """Base class for lint rules; subclass and :func:`register`."""
 
-    #: Unique kebab-case rule identifier (used in pragmas and baselines).
+    #: Unique kebab-case rule identifier (used in pragmas).
     name: str = ""
     #: One-line description for ``--list-rules``.
     summary: str = ""

@@ -12,7 +12,6 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     frozen,
     parity,
     priority_domain,
-    rng,
     seed_provenance,
     serialization,
     vector_packed,

@@ -33,7 +33,6 @@ import ast
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.lint.callgraph import MODULE_BODY, CallGraph
 from repro.lint.context import ModuleInfo, Project
 from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, register
@@ -444,22 +443,22 @@ class AwaitSharedState(LintRule):
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         graph = project.call_graph()
-        defs = project.def_index()
         global_names: dict[str, frozenset[str]] = {}
-        for qname in sorted(defs):
-            info = graph.functions.get(qname)
-            if info is None or not info.is_async:
+        for qname in sorted(graph.functions):
+            info = graph.functions[qname]
+            if not info.is_async:
                 continue
             if not _in_repro(info.module):
                 continue
             if _matches_suffix(qname, SERIALISATION_POINTS):
                 continue
-            module, node = defs[qname]
-            assert isinstance(node, ast.AsyncFunctionDef)
-            if module.module not in global_names:
-                global_names[module.module] = _module_global_names(module)
+            assert isinstance(info.node, ast.AsyncFunctionDef)
+            if info.module not in global_names:
+                global_names[info.module] = _module_global_names(
+                    info.source
+                )
             analysis = _SharedStateAnalysis(
-                node, global_names[module.module]
+                info.node, global_names[info.module]
             )
             for location, line, col in analysis.run():
                 yield Finding(
@@ -501,33 +500,15 @@ class UnawaitedCoroutine(LintRule):
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         graph = project.call_graph()
-        defs = project.def_index()
         for qname in sorted(graph.functions):
             info = graph.functions[qname]
             if not _in_repro(info.module):
                 continue
-            if info.name == MODULE_BODY:
-                module = next(
-                    (
-                        m
-                        for m in project.modules
-                        if m.module == info.module
-                    ),
-                    None,
-                )
-                if module is None:
-                    continue
-                body: Sequence[ast.stmt] = module.tree.body
-            else:
-                entry = defs.get(qname)
-                if entry is None:
-                    continue
-                body = entry[1].body
             sites = {
                 (site.line, site.col): site
                 for site in graph.calls.get(qname, ())
             }
-            for call in _bare_calls(body):
+            for call in _bare_calls(info.node.body):
                 # A ``f(...).g()`` statement shares (line, col) with its
                 # inner call; only pure-dotted calls match graph sites.
                 func: ast.expr = call.func

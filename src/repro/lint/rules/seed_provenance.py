@@ -2,20 +2,38 @@
 
 The paper's replication study stands on one discipline: *all* randomness
 derives from a single ``numpy.random.SeedSequence`` rooted in
-``RunOptions``/campaign entropy, forked with ``spawn()``.  The
-file-scoped ``no-unseeded-rng`` rule (PR 5) catches the obvious local
-violation; this whole-program rule walks the call graph so the three
+``RunOptions``/campaign entropy, forked with ``spawn()``.  This is the
+one RNG rule; it audits the constructors of :data:`RNG_CONSTRUCTORS` at
+two scopes.
+
+**Every linted module** (``examples/`` and ``benchmarks/`` included):
+
+* an **entropy-less constructor** — ``default_rng()`` /
+  ``SeedSequence()`` / ``RandomState()`` / ``random.Random()`` with no
+  argument, ``None`` or ``seed=None`` pulls fresh OS entropy, so two
+  invocations of the same run differ.  Only ``repro.cli`` may mint
+  entropy (from ``--seed``); everything else takes an
+  ``rng: np.random.Generator`` and passes it down.
+* a **generator in a parameter default** —
+  ``def f(rng=np.random.default_rng(0))`` evaluates the default once at
+  def time, so every call without an explicit generator *shares one
+  stream*: run isolation is gone even though the seed looks fixed.
+  Default to ``None`` and construct per run instead.
+
+**The deterministic packages** (``repro.sim``/``core``/``campaign``/
+``traffic``/``service``), by walking the call graph, so the
 *inter-procedural* ways of breaking provenance are caught too:
 
-1. **Unseeded constructors** anywhere in the deterministic packages
-   (``repro.sim``/``core``/``campaign``/``traffic``/``service``) —
-   a ``default_rng()`` with no entropy, even one hidden in a helper.
+1. **Unseeded constructors** whose entropy only *resolves* to nothing
+   (``seed = None; default_rng(seed)``), even hidden in a helper.
 2. **Literal forks mid-path** — ``default_rng(1234)`` directly, or a
    literal passed into a callee parameter that (transitively) becomes
    RNG entropy: ``make_rng(99)`` where ``make_rng`` forwards its
    argument into ``default_rng``.  A literal seed mid-path silently
    decouples that stream from the master seed, so two runs with
-   different master seeds share draws.
+   different master seeds share draws.  (Scripts outside the five
+   packages *are* the head of their path: ``default_rng(7)`` in an
+   example is legal.)
 3. **Laundering through untyped parameters** — a function that *draws*
    from a parameter (``rng.integers(...)``) without annotating it as a
    generator type.  The annotation is what lets both mypy and this rule
@@ -34,13 +52,15 @@ import ast
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from repro.lint.callgraph import CallGraph, CallSite, FunctionInfo
-from repro.lint.context import Project
+from repro.lint.asthelpers import ImportMap, resolve_call_target
+from repro.lint.callgraph import MODULE_BODY, CallGraph, CallSite, FunctionInfo
+from repro.lint.context import ModuleInfo, Project
 from repro.lint.dataflow import fixpoint
 from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, register
 
-#: Dotted-name prefixes of the deterministic packages under the rule.
+#: Dotted-name prefixes of the deterministic packages whose literal
+#: seeds and untyped generator parameters are audited.
 SCOPED_PREFIXES = (
     "repro.sim",
     "repro.core",
@@ -48,6 +68,9 @@ SCOPED_PREFIXES = (
     "repro.traffic",
     "repro.service",
 )
+
+#: The one module allowed to mint fresh entropy (the CLI entry point).
+ENTROPY_MINTING_MODULE = "repro.cli"
 
 #: Fully-qualified RNG constructors whose entropy argument is audited.
 RNG_CONSTRUCTORS = frozenset(
@@ -131,15 +154,9 @@ class _Summary:
 class _FunctionContext:
     """Per-function classification environment."""
 
-    def __init__(
-        self,
-        graph: CallGraph,
-        info: FunctionInfo,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> None:
+    def __init__(self, graph: CallGraph, info: FunctionInfo) -> None:
         self.graph = graph
         self.info = info
-        self.node = node
         self.param_index = {name: i for i, name in enumerate(info.params)}
         self.sites: dict[tuple[int, int], CallSite] = {
             (site.line, site.col): site
@@ -173,7 +190,7 @@ class _FunctionContext:
                 yield child
                 yield from rec(child)
 
-        yield from rec(self.node)
+        yield from rec(self.info.node)
 
     def site_for(self, call: ast.Call) -> CallSite | None:
         # A nested ``ctor(...).method()`` shares (line, col) with its
@@ -215,6 +232,14 @@ def _entropy_argument(call: ast.Call) -> ast.expr | None:
         if keyword.arg in ENTROPY_KEYWORDS:
             return keyword.value
     return None
+
+
+def _is_entropyless(call: ast.Call) -> bool:
+    """No entropy argument at all, or a literal ``None``."""
+    entropy = _entropy_argument(call)
+    return entropy is None or (
+        isinstance(entropy, ast.Constant) and entropy.value is None
+    )
 
 
 def _classify(
@@ -389,42 +414,101 @@ class SeedProvenance(LintRule):
 
     name = "seed-provenance"
     summary = (
-        "RNGs in the deterministic packages must trace to master entropy "
-        "through the call graph"
+        "no entropy-less or def-time-default RNG anywhere outside the CLI; "
+        "RNGs in the deterministic packages trace to master entropy"
     )
     invariant = (
         "every random draw in repro.{sim,core,campaign,traffic,service} "
         "derives from the RunOptions/campaign SeedSequence chain; no "
         "unseeded or literal-seeded generator mid-path, no provenance "
-        "laundering through untyped parameters"
+        "laundering through untyped parameters; identical runs are "
+        "bit-identical and no two runs share a def-time stream"
     )
     scope = "project"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         graph = project.call_graph()
-        defs = project.def_index()
-        contexts: dict[str, _FunctionContext] = {}
-        for qname in sorted(defs):
-            info = graph.functions.get(qname)
-            if info is not None and in_scope(info.module):
-                module, node = defs[qname]
-                contexts[qname] = _FunctionContext(graph, info, node)
+        contexts = {
+            qname: _FunctionContext(graph, info)
+            for qname, info in sorted(graph.functions.items())
+            if info.name != MODULE_BODY and in_scope(info.module)
+        }
         summaries = fixpoint(
             sorted(contexts),
             deps=lambda q: graph.project_callees(q),
             compute=lambda q, s: _compute_summary(contexts[q], s),
         )
-        for qname in sorted(contexts):
-            yield from self._check_function(
-                contexts[qname], summaries, defs[qname][0].rel
-            )
+        scoped = [
+            finding
+            for qname in sorted(contexts)
+            for finding in self._check_function(contexts[qname], summaries)
+        ]
+        yield from scoped
+        # The graph-backed pass names the enclosing function; the
+        # syntactic pass reports a constructor only where it did not.
+        reported = {(f.path, f.line, f.col) for f in scoped}
+        for module in project.modules:
+            yield from self._check_module(module, reported)
+
+    def _check_module(
+        self, module: ModuleInfo, reported: set[tuple[str, int, int]]
+    ) -> Iterable[Finding]:
+        """Entropy-less constructors and def-time defaults, any module."""
+        may_mint = module.module == ENTROPY_MINTING_MODULE or (
+            module.module.endswith("." + ENTROPY_MINTING_MODULE)
+        )
+        imports = ImportMap(module.tree)
+        for node in ast.walk(module.tree):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                for default in node.args.defaults + node.args.kw_defaults:
+                    if not isinstance(default, ast.Call):
+                        continue
+                    target = resolve_call_target(default.func, imports)
+                    if (
+                        target in RNG_CONSTRUCTORS
+                        or target == "numpy.random.Generator"
+                    ):
+                        yield Finding(
+                            rule=self.name,
+                            path=module.rel,
+                            line=default.lineno,
+                            col=default.col_offset,
+                            message=(
+                                "RNG constructed in a parameter default is "
+                                "evaluated once at def time and shared by "
+                                "all calls; default to None and construct "
+                                "per run"
+                            ),
+                        )
+            elif isinstance(node, ast.Call) and not may_mint:
+                target = resolve_call_target(node.func, imports)
+                if (
+                    target in RNG_CONSTRUCTORS
+                    and _is_entropyless(node)
+                    and (module.rel, node.lineno, node.col_offset)
+                    not in reported
+                ):
+                    short = target.rsplit(".", 1)[-1]
+                    yield Finding(
+                        rule=self.name,
+                        path=module.rel,
+                        line=node.lineno,
+                        col=node.col_offset,
+                        message=(
+                            f"{short}() with no entropy draws fresh OS "
+                            "randomness; thread an rng: np.random.Generator "
+                            "(or a seed) down from the caller"
+                        ),
+                    )
 
     def _check_function(
         self,
         ctx: _FunctionContext,
         summaries: Mapping[str, _Summary | None],
-        rel: str,
     ) -> Iterable[Finding]:
+        rel = ctx.info.rel
         constructor = None  # keep the last ctor name for messages
         for call, site in ctx.rng_constructor_sites():
             constructor = site.target
@@ -488,11 +572,9 @@ class SeedProvenance(LintRule):
                             "from the upstream SeedSequence"
                         ),
                     )
-        yield from self._check_laundering(ctx, rel)
+        yield from self._check_laundering(ctx)
 
-    def _check_laundering(
-        self, ctx: _FunctionContext, rel: str
-    ) -> Iterable[Finding]:
+    def _check_laundering(self, ctx: _FunctionContext) -> Iterable[Finding]:
         untyped = {
             name
             for name, annotation in zip(
@@ -515,9 +597,9 @@ class SeedProvenance(LintRule):
         for name in sorted(drawn_from):
             yield Finding(
                 rule=self.name,
-                path=rel,
-                line=ctx.node.lineno,
-                col=ctx.node.col_offset,
+                path=ctx.info.rel,
+                line=ctx.info.lineno,
+                col=ctx.info.col,
                 message=(
                     f"parameter {name!r} of {ctx.info.qname} is drawn "
                     "from like a random generator but has no generator "

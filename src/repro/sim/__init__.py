@@ -8,13 +8,12 @@ quantity that makes utilisation strictly less than 1 (Equation 6).
 * :mod:`repro.sim.engine` -- the :class:`Simulation` slot loop;
 * :mod:`repro.sim.metrics` -- per-message and per-slot accounting and the
   :class:`SimulationReport` aggregate;
-* :mod:`repro.sim.faults` -- scripted node-failure and control-loss
-  injection with the timeout/designated-node recovery sketched in the
-  paper's future work;
-* :mod:`repro.sim.fault_models` -- composable stochastic fault sources
-  (Bernoulli and Gilbert-Elliott control-channel loss, transient node
-  faults with rejoin, clock glitches) plus the bounded-backoff
-  :class:`~repro.sim.fault_models.RecoveryPolicy`;
+* :mod:`repro.sim.fault_models` -- composable fault sources (scripted
+  node-failure and control-loss injection as sketched in the paper's
+  future work, Bernoulli and Gilbert-Elliott control-channel loss,
+  transient node faults with rejoin, clock glitches) plus the
+  bounded-backoff :class:`~repro.sim.fault_models.RecoveryPolicy` of the
+  timeout/designated-node recovery;
 * :mod:`repro.sim.trace` -- optional per-slot event trace and wire-format
   verification;
 * :mod:`repro.sim.runner` -- one-call scenario helpers used by examples
@@ -29,7 +28,6 @@ from repro.sim.metrics import (
     MetricsCollector,
     SimulationReport,
 )
-from repro.sim.faults import FaultInjector
 from repro.sim.fault_models import (
     BernoulliControlLoss,
     ClockGlitchFaults,
@@ -62,7 +60,6 @@ __all__ = [
     "ConnectionStats",
     "MetricsCollector",
     "SimulationReport",
-    "FaultInjector",
     "FaultModel",
     "FaultConfig",
     "RecoveryPolicy",

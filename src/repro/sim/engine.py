@@ -62,8 +62,7 @@ from repro.obs.events import (
     RunHeader,
 )
 from repro.obs.manifest import package_version as _package_version
-from repro.sim.fault_models import FaultModel, coerce_fault_model
-from repro.sim.faults import FaultInjector
+from repro.sim.fault_models import FaultModel
 from repro.sim.metrics import MetricsCollector, SimulationReport
 from repro.sim.trace import SlotTrace
 from repro.traffic.base import TrafficSource
@@ -120,12 +119,10 @@ class Simulation:
         :class:`~repro.obs.events.FastForwardSpan` event.  ``None``
         (default) costs nothing.
     faults:
-        Optional fault source: a legacy scripted
-        :class:`~repro.sim.faults.FaultInjector` (wrapped for backwards
-        compatibility) or any
-        :class:`~repro.sim.fault_models.FaultModel` -- stochastic,
-        transient, composite.  Its recovery timeout must exceed the
-        worst-case hand-over gap, or healthy hand-overs would be
+        Optional fault source: any
+        :class:`~repro.sim.fault_models.FaultModel` -- scripted,
+        stochastic, transient, composite.  Its recovery timeout must
+        exceed the worst-case hand-over gap, or healthy hand-overs would be
         misclassified as failures (enforced here, satisfying the
         documented invariant).
     loss_model:
@@ -149,7 +146,7 @@ class Simulation:
         initial_master: int = 0,
         drop_late: bool = False,
         trace: SlotTrace | None = None,
-        faults: "FaultModel | FaultInjector | None" = None,
+        faults: FaultModel | None = None,
         loss_model: "PacketLossModel | None" = None,
         admission: AdmissionController | None = None,
         fast_forward: bool = True,
@@ -182,7 +179,15 @@ class Simulation:
         self._attach_seq = 0
         self.drop_late = drop_late
         self.trace = trace
-        self.faults = coerce_fault_model(faults)
+        if faults is not None and not isinstance(faults, FaultModel):
+            raise TypeError(
+                f"faults must be a FaultModel or None, got "
+                f"{type(faults).__name__}; script faults with "
+                "ScriptedFaultModel(node_failures=..., "
+                "control_loss_slots=..., "
+                "recovery=RecoveryPolicy(timeout_s=...))"
+            )
+        self.faults = faults
         self.loss_model = loss_model
         self.admission = admission
         #: Packets lost and later retransmitted (reliable service stats).

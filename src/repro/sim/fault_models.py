@@ -1,15 +1,27 @@
-"""Composable stochastic fault models and the recovery policy.
+"""Composable fault models and the recovery policy (paper Section 8).
 
-:mod:`repro.sim.faults` implements exactly the scripted fault set the
-paper's Section 8 sketches (permanent fail-stop nodes, a hand-picked set
-of lost distribution packets, single-shot designated-node takeover).
-This module generalises it into a :class:`FaultModel` interface the
-engine drives once per slot, with composable, independently seeded fault
+The paper leaves two failure modes open and sketches the remedy: "The
+current study also assumes that the token is never lost.  In a real
+implementation, using a time out and a designated node that always will
+start could solve this."  Experiment S9 measures what that costs:
+
+* **node failure**: from a given slot on, a node stops releasing traffic,
+  stops appending requests, and cannot transmit or clock.  If it was due
+  to become master, the clock never starts;
+* **control loss**: the distribution packet of one slot is lost, so no
+  node learns the arbitration result or the next master;
+* **recovery**: when the expected clock does not appear within the
+  timeout, the *designated node* (the lowest-id live node) assumes the
+  master role, the affected slot's grants are void, and operation
+  resumes -- at the price of one timeout interval plus one idle slot.
+
+Faults reach the engine through the :class:`FaultModel` interface, which
+it drives once per slot, with composable, independently seeded fault
 sources:
 
-* :class:`ScriptedFaultModel` -- wraps a legacy
-  :class:`~repro.sim.faults.FaultInjector` unchanged (backwards
-  compatible);
+* :class:`ScriptedFaultModel` -- exactly the fault set Section 8
+  sketches: permanent fail-stop nodes and a hand-picked set of lost
+  distribution packets;
 * :class:`ScriptedNodeOutages` -- deterministic *transient* node
   outages ``node -> [(down, up), ...]``: the node fail-stops at ``down``
   and rejoins, with empty queues, at ``up``;
@@ -46,8 +58,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.sim.faults import FaultInjector
 
 
 @dataclass(frozen=True)
@@ -163,35 +173,46 @@ class FaultModel:
 
 
 class ScriptedFaultModel(FaultModel):
-    """Adapter presenting a legacy :class:`FaultInjector` as a model.
+    """A scripted set of permanent node failures and control losses.
 
-    Preserves the seed semantics exactly: ``control_loss_slots`` are
-    *distribution*-packet losses (the only control loss the old injector
-    knew), node failures are permanent, and the recovery timeout is the
-    injector's.
+    Parameters
+    ----------
+    node_failures:
+        Mapping ``node -> slot``: the node is dead from that slot onward.
+    control_loss_slots:
+        Slots whose *distribution* packet is lost (the plan decided
+        during that slot never reaches the nodes).
+    recovery:
+        Recovery policy; defaults to :class:`RecoveryPolicy`'s defaults.
     """
 
     def __init__(
-        self, injector: FaultInjector, recovery: RecoveryPolicy | None = None
+        self,
+        node_failures: Mapping[int, int] | None = None,
+        control_loss_slots: Iterable[int] = (),
+        recovery: RecoveryPolicy | None = None,
     ):
-        self.injector = injector
-        self.recovery = (
-            recovery
-            if recovery is not None
-            else RecoveryPolicy(timeout_s=injector.recovery_timeout_s)
-        )
+        self.node_failures = dict(node_failures or {})
+        self.control_loss_slots = frozenset(control_loss_slots)
+        self.recovery = recovery if recovery is not None else RecoveryPolicy()
+        for node, slot in self.node_failures.items():
+            if slot < 0:
+                raise ValueError(
+                    f"failure slot for node {node} must be non-negative, got {slot}"
+                )
 
     def is_alive(self, node: int, slot: int) -> bool:
         """Whether ``node`` is operational during ``slot``."""
-        return self.injector.is_alive(node, slot)
+        failed_at = self.node_failures.get(node)
+        return failed_at is None or slot < failed_at
 
     def distribution_lost(self, slot: int) -> bool:
         """Whether the scripted fault set loses slot's distribution packet."""
-        return self.injector.control_lost(slot)
+        return slot in self.control_loss_slots
 
     def any_faults_configured(self) -> bool:
-        """Whether the wrapped injector scripts any fault."""
-        return self.injector.any_faults_configured()
+        """Whether the script holds any fault at all."""
+        return bool(self.node_failures) or bool(self.control_loss_slots)
 
 
 class ScriptedNodeOutages(FaultModel):
@@ -562,25 +583,6 @@ class CompositeFaultModel(FaultModel):
     def any_faults_configured(self) -> bool:
         """Whether any component can produce a fault."""
         return any(m.any_faults_configured() for m in self.models)
-
-
-def coerce_fault_model(
-    faults: "FaultModel | FaultInjector | None",
-) -> FaultModel | None:
-    """Normalise the engine's ``faults`` argument.
-
-    Accepts ``None``, a legacy :class:`FaultInjector` (wrapped in a
-    :class:`ScriptedFaultModel` for backwards compatibility), or any
-    :class:`FaultModel`.
-    """
-    if faults is None or isinstance(faults, FaultModel):
-        return faults
-    if isinstance(faults, FaultInjector):
-        return ScriptedFaultModel(faults)
-    raise TypeError(
-        f"faults must be a FaultModel, FaultInjector or None, "
-        f"got {type(faults).__name__}"
-    )
 
 
 @dataclass(frozen=True)

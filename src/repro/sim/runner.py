@@ -45,7 +45,6 @@ from repro.phy.link import FibreRibbonLink
 from repro.ring.topology import RingTopology
 from repro.sim.engine import Simulation
 from repro.sim.fault_models import FaultConfig, FaultModel
-from repro.sim.faults import FaultInjector
 from repro.sim.metrics import SimulationReport
 from repro.sim.profiling import PhaseProfiler
 from repro.sim.trace import SlotTrace
@@ -168,7 +167,7 @@ class RunOptions:
     #: In-memory per-slot trace (disables the idle fast-forward).
     trace: SlotTrace | None = None
     #: Fault source overriding :attr:`ScenarioConfig.fault_config`.
-    faults: "FaultModel | FaultInjector | None" = None
+    faults: "FaultModel | None" = None
     #: Per-packet loss model (reliable-transmission service).
     loss_model: object | None = None
     #: Create an admission controller and admission-test the scenario's
@@ -246,8 +245,7 @@ def build_simulation(
     """Assemble a ready-to-run simulation for a scenario.
 
     ``options`` bundles every run-time attachment (see
-    :class:`RunOptions`).  :attr:`RunOptions.faults` accepts a scripted
-    :class:`FaultInjector` or any
+    :class:`RunOptions`).  :attr:`RunOptions.faults` accepts any
     :class:`~repro.sim.fault_models.FaultModel`; when omitted and the
     scenario carries a :attr:`ScenarioConfig.fault_config`, that
     configuration is built (seeded from its own fault seed).  With

@@ -57,6 +57,7 @@ from repro.core.priorities import TrafficClass, class_priority_range
 from repro.core.protocol import PlannedTransmission, SlotPlan
 from repro.obs.registry import Histogram
 from repro.sim.metrics import ConnectionStats
+from repro.sim.vector.soa import release_schedule
 from repro.traffic.periodic import ConnectionSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -280,35 +281,7 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
     s = sim.current_slot
     end = s + n_slots
     conns = [src.connection for src in sources]
-    parts_t: list[np.ndarray] = []
-    parts_i: list[np.ndarray] = []
-    for idx, src in enumerate(sources):
-        conn = conns[idx]
-        wlo = s if s >= src.active_from else src.active_from
-        whi = end
-        until = src.active_until
-        if until is not None and until < whi:
-            whi = until
-        phase = conn.phase_slots
-        period = conn.period_slots
-        if wlo <= phase:
-            first = phase
-        else:
-            first = phase + -(-(wlo - phase) // period) * period
-        if first >= whi:
-            continue
-        ts = np.arange(first, whi, period, dtype=np.int64)
-        parts_t.append(ts)
-        parts_i.append(np.full(len(ts), idx, dtype=np.int64))
-    if parts_t:
-        t = np.concatenate(parts_t)
-        i_src = np.concatenate(parts_i)
-        order = np.lexsort((i_src, t))
-        rel_slot = np.ascontiguousarray(t[order])
-        rel_conn = np.ascontiguousarray(i_src[order])
-    else:
-        rel_slot = np.empty(0, dtype=np.int64)
-        rel_conn = np.empty(0, dtype=np.int64)
+    rel_slot, rel_conn = release_schedule(sources, s, end)
     n_rel = len(rel_slot)
     if n_rel > _MAX_RELEASES:
         return False

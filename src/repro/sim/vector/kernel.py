@@ -46,8 +46,6 @@ from heapq import heappop, heappush, heapreplace
 from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.core.mapping import LinearMapping, LogarithmicMapping
 from repro.core import messages as _messages
 from repro.core.messages import Message, MessageStatus
@@ -68,6 +66,7 @@ from repro.sim.vector.soa import (
     VECTOR_SWEEP_MIN_NODES,
     SoAState,
     arbitration_order,
+    release_schedule,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -327,33 +326,11 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                 lo = sched_lo
                 hi = min(end, lo + _SCHED_CHUNK)
                 sched_lo = hi
-                parts_t: list[np.ndarray] = []
-                parts_i: list[np.ndarray] = []
-                for idx, src in enumerate(sources):
-                    wlo = lo if lo >= src.active_from else src.active_from
-                    whi = hi
-                    until = src.active_until
-                    if until is not None and until < whi:
-                        whi = until
-                    conn = conns[idx]
-                    phase = conn.phase_slots
-                    period = conn.period_slots
-                    if wlo <= phase:
-                        first = phase
-                    else:
-                        first = phase + -(-(wlo - phase) // period) * period
-                    if first >= whi:
-                        continue
-                    ts = np.arange(first, whi, period, dtype=np.int64)
-                    parts_t.append(ts)
-                    parts_i.append(np.full(len(ts), idx, dtype=np.int64))
-                if not parts_t:
+                slots, index = release_schedule(sources, lo, hi)
+                if not len(slots):
                     continue
-                t = np.concatenate(parts_t)
-                i = np.concatenate(parts_i)
-                order = np.lexsort((i, t))
-                sched_slots = t[order].tolist()
-                sched_src = i[order].tolist()
+                sched_slots = slots.tolist()
+                sched_src = index.tolist()
                 sched_ptr = 0
                 sched_len = len(sched_slots)
                 sched_next = sched_slots[0]

@@ -22,11 +22,16 @@ array.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.phy.packets import MAX_PRIORITY
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.traffic.periodic import ConnectionSource
 
 #: Bits reserved for the node tie-break below the priority field.
 PACKED_NODE_BITS: int = 16
@@ -112,3 +117,39 @@ def arbitration_order(packed: np.ndarray) -> list[int]:
     lanes = np.nonzero(packed)[0]
     order = lanes[np.argsort(packed[lanes])][::-1]
     return [int(node) for node in order]
+
+
+def release_schedule(
+    sources: Sequence[ConnectionSource], lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every periodic release of ``sources`` in the window ``[lo, hi)``.
+
+    Returns ``(slots, source_index)`` as int64 arrays in the oracle's
+    polling order: ascending slot, and source-list order among the
+    releases of one slot.  Each source contributes one ``arange`` over
+    its phase/period clipped to its ``active_from``/``active_until``
+    span, and one ``lexsort`` interleaves them -- the schedule both
+    vector kernels ingest instead of polling sources slot by slot.
+    """
+    parts_t: list[np.ndarray] = []
+    parts_i: list[np.ndarray] = []
+    for idx, src in enumerate(sources):
+        conn = src.connection
+        wlo = lo if lo >= src.active_from else src.active_from
+        whi = hi
+        until = src.active_until
+        if until is not None and until < whi:
+            whi = until
+        first = conn.next_release_at_or_after(wlo)
+        if first >= whi:
+            continue
+        ts = np.arange(first, whi, conn.period_slots, dtype=np.int64)
+        parts_t.append(ts)
+        parts_i.append(np.full(len(ts), idx, dtype=np.int64))
+    if not parts_t:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    t = np.concatenate(parts_t)
+    i = np.concatenate(parts_i)
+    order = np.lexsort((i, t))
+    return t[order], i[order]

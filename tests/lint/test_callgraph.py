@@ -1,16 +1,6 @@
-"""Call-graph construction, resolution, caching and the --graph CLI."""
+"""Call-graph construction, resolution and the --graph CLI."""
 
-import json
-
-import pytest
-
-from repro.lint.callgraph import (
-    GRAPH_VERSION,
-    MODULE_BODY,
-    build_call_graph,
-    load_or_build,
-    source_tree_hash,
-)
+from repro.lint.callgraph import MODULE_BODY, build_call_graph
 from repro.lint.cli import main
 from repro.lint.dataflow import fixpoint, propagate
 from repro.lint.engine import load_project
@@ -18,9 +8,9 @@ from repro.lint.engine import load_project
 from tests.lint.conftest import materialise
 
 
-def _project(tmp_path, *fixtures, graph_cache=None):
+def _project(tmp_path, *fixtures):
     root = materialise(tmp_path, *fixtures)
-    project, findings = load_project([root], root=root, graph_cache=graph_cache)
+    project, findings = load_project([root], root=root)
     assert findings == []
     return project
 
@@ -33,7 +23,12 @@ class TestBuild:
         assert graph.functions[
             "repro.service.server.AdmissionService._worker"
         ].is_async
-        assert f"repro.service.server.{MODULE_BODY}" in graph.functions
+        body = graph.functions[f"repro.service.server.{MODULE_BODY}"]
+        # Each entry carries its live def node and module.
+        worker = graph.functions["repro.service.server.AdmissionService._worker"]
+        assert worker.node.name == "_worker"
+        assert body.node is body.source.tree is worker.source.tree
+        assert worker.rel == worker.source.rel
         cls = graph.classes["repro.service.server.AdmissionService"]
         assert "_worker" in cls.methods
         assert "toggle" in cls.methods
@@ -91,54 +86,6 @@ class TestBuild:
         assert "~> asyncio.sleep" in text
 
 
-class TestCache:
-    def test_round_trip_and_reuse(self, tmp_path):
-        cache = tmp_path / "callgraph.json"
-        project = _project(tmp_path, "unawaited_bad.py", graph_cache=cache)
-        first = project.call_graph()
-        assert cache.exists()
-        doc = json.loads(cache.read_text())
-        assert doc["version"] == GRAPH_VERSION
-        assert doc["tree_hash"] == source_tree_hash(project.modules)
-
-        reloaded_project = _project(
-            tmp_path, "unawaited_bad.py", graph_cache=cache
-        )
-        reloaded = reloaded_project.call_graph()
-        assert reloaded.to_dict() == first.to_dict()
-
-    def test_stale_cache_is_rebuilt(self, tmp_path):
-        cache = tmp_path / "callgraph.json"
-        project = _project(tmp_path, "unawaited_bad.py", graph_cache=cache)
-        project.call_graph()
-        doc = json.loads(cache.read_text())
-        doc["tree_hash"] = "0" * 64
-        doc["functions"] = []
-        cache.write_text(json.dumps(doc))
-
-        fresh = load_or_build(
-            _project(tmp_path, "unawaited_bad.py"), cache
-        )
-        assert fresh.functions  # rebuilt, not the gutted stale doc
-        assert json.loads(cache.read_text())["tree_hash"] == fresh.tree_hash
-
-    def test_corrupt_cache_is_rebuilt_silently(self, tmp_path):
-        cache = tmp_path / "callgraph.json"
-        cache.write_text("{ not json")
-        project = _project(tmp_path, "unawaited_bad.py")
-        graph = load_or_build(project, cache)
-        assert graph.functions
-        assert json.loads(cache.read_text())["version"] == GRAPH_VERSION
-
-    def test_cache_file_is_byte_stable(self, tmp_path):
-        cache = tmp_path / "callgraph.json"
-        load_or_build(_project(tmp_path, "unawaited_bad.py"), cache)
-        first = cache.read_bytes()
-        cache.unlink()
-        load_or_build(_project(tmp_path, "unawaited_bad.py"), cache)
-        assert cache.read_bytes() == first
-
-
 class TestGraphCli:
     def test_graph_flag_prints_and_exits_zero(self, tmp_path, capsys):
         root = materialise(tmp_path, "unawaited_bad.py")
@@ -146,15 +93,6 @@ class TestGraphCli:
         out = capsys.readouterr().out
         assert "# call graph:" in out
         assert "repro.service.fire.ping" in out
-
-    def test_graph_cache_flag_writes_artifact(self, tmp_path, capsys):
-        root = materialise(tmp_path, "unawaited_bad.py")
-        cache = tmp_path / "cg.json"
-        assert main([str(root), "--graph", "--graph-cache", str(cache)]) == 0
-        assert json.loads(cache.read_text())["version"] == GRAPH_VERSION
-        capsys.readouterr()
-        # A normal lint run reuses the same artifact.
-        assert main([str(root), "--graph-cache", str(cache)]) == 1
 
     def test_graph_on_missing_path_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope"), "--graph"]) == 2

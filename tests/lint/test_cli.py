@@ -1,4 +1,4 @@
-"""CLI behaviour (exit codes, baseline flow) and the pinned clean-tree gate."""
+"""CLI behaviour (exit codes, formats, flags) and the pinned clean-tree gate."""
 
 import json
 import subprocess
@@ -46,20 +46,38 @@ class TestExitCodes:
 
     def test_select_limits_rules(self, tmp_path, capsys):
         root = materialise(tmp_path, "wallclock_bad.py", "rng_bad.py")
-        assert main([str(root), "--select", "no-unseeded-rng"]) == 1
+        assert main([str(root), "--select", "seed-provenance"]) == 1
         out = capsys.readouterr().out
-        assert "no-unseeded-rng" in out
+        assert "seed-provenance" in out
         assert "no-wallclock-in-sim" not in out
+
+    def test_json_format(self, tmp_path, capsys):
+        root = materialise(tmp_path, "wallclock_bad.py")
+        assert main([str(root), "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["count"] == 4
+        assert all(f["rule"] == "no-wallclock-in-sim" for f in doc["findings"])
+
+    @pytest.mark.parametrize(
+        "removed",
+        [["--baseline", "x"], ["--update-baseline"], ["--graph-cache", "x"]],
+        ids=["baseline", "update-baseline", "graph-cache"],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, removed):
+        root = materialise(tmp_path, "wallclock_good.py")
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(root), *removed])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestListRules:
     def test_lists_the_full_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
+        assert len(out.splitlines()) == 10
         for name in (
             "no-wallclock-in-sim",
-            "no-unseeded-rng",
-            "rng-not-defaulted",
             "frozen-dataclass-mutation",
             "sorted-iteration-before-serialization",
             "priority-domain",
@@ -73,96 +91,14 @@ class TestListRules:
             assert name in out
 
 
-class TestBaselineFlow:
-    def test_update_requires_baseline_path(self, tmp_path, capsys):
-        root = materialise(tmp_path, "wallclock_bad.py")
-        assert main([str(root), "--update-baseline"]) == 2
-
-    def test_update_then_lint_is_clean(self, tmp_path, capsys):
-        root = materialise(tmp_path, "wallclock_bad.py")
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [str(root), "--baseline", str(baseline), "--update-baseline"]
-        ) == 0
-        doc = json.loads(baseline.read_text())
-        assert doc["version"] == 1
-        assert len(doc["findings"]) == 4
-        capsys.readouterr()
-        assert main([str(root), "--baseline", str(baseline)]) == 0
-        assert "4 baselined" in capsys.readouterr().out
-
-    def test_update_merges_instead_of_clobbering(self, tmp_path, capsys):
-        """--select X --update-baseline must keep other rules' entries."""
-        root = materialise(tmp_path, "wallclock_bad.py", "rng_bad.py")
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [str(root), "--baseline", str(baseline), "--update-baseline"]
-        ) == 0
-        full = json.loads(baseline.read_text())["findings"]
-        n_wallclock = sum(
-            1 for e in full if e["rule"] == "no-wallclock-in-sim"
-        )
-        n_rng = sum(1 for e in full if e["rule"] == "no-unseeded-rng")
-        assert n_wallclock == 4 and n_rng == 4
-
-        # Re-update with only the RNG rule selected: wallclock entries
-        # (which did not run) survive; RNG entries are replaced.
-        assert main(
-            [
-                str(root),
-                "--select",
-                "no-unseeded-rng",
-                "--baseline",
-                str(baseline),
-                "--update-baseline",
-            ]
-        ) == 0
-        merged = json.loads(baseline.read_text())["findings"]
-        assert (
-            sum(1 for e in merged if e["rule"] == "no-wallclock-in-sim") == 4
-        )
-        assert sum(1 for e in merged if e["rule"] == "no-unseeded-rng") == 4
-        capsys.readouterr()
-        assert main([str(root), "--baseline", str(baseline)]) == 0
-
-    def test_update_with_select_replaces_only_that_rule(self, tmp_path):
-        """Selected-rule entries are replaced (multiset), not appended."""
-        root = materialise(tmp_path, "wallclock_bad.py")
-        baseline = tmp_path / "baseline.json"
-        for _ in range(2):  # second update must not double the entries
-            assert main(
-                [
-                    str(root),
-                    "--select",
-                    "no-wallclock-in-sim",
-                    "--baseline",
-                    str(baseline),
-                    "--update-baseline",
-                ]
-            ) == 0
-        doc = json.loads(baseline.read_text())
-        assert len(doc["findings"]) == 4
-
-    def test_json_format(self, tmp_path, capsys):
-        root = materialise(tmp_path, "wallclock_bad.py")
-        assert main([str(root), "--format", "json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["count"] == 4
-        assert all(f["rule"] == "no-wallclock-in-sim" for f in doc["findings"])
-
-
 class TestRealTree:
     """The acceptance gate: the shipped source tree must lint clean."""
 
     def test_src_repro_is_lint_clean(self, capsys):
-        baseline = REPO_ROOT / ".repro-lint-baseline.json"
-        status = main([str(SRC_REPRO), "--baseline", str(baseline)])
+        """No flags: pragmas in the tree are the only suppressions."""
+        status = main([str(SRC_REPRO)])
         out = capsys.readouterr().out
         assert status == 0, f"src/repro must stay lint-clean:\n{out}"
-
-    def test_baseline_file_is_empty(self):
-        doc = json.loads((REPO_ROOT / ".repro-lint-baseline.json").read_text())
-        assert doc == {"version": 1, "findings": []}
 
     def test_examples_and_benchmarks_are_lint_clean(self, capsys):
         paths = [
@@ -187,7 +123,11 @@ class TestRealTree:
             "rng = np.random.default_rng()\n"
         )
         assert main([str(tmp_path)]) == 1
-        assert "no-unseeded-rng" in capsys.readouterr().out
+        # Same location the retired no-unseeded-rng rule reported.
+        assert (
+            "sim/noise.py:4:6: seed-provenance"
+            in capsys.readouterr().out
+        )
 
 
 class TestEntryPoints:
@@ -214,15 +154,3 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "0 findings" in proc.stdout
-
-    @pytest.mark.parametrize("flag", ["--help"])
-    def test_help_mentions_baseline(self, flag):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", flag],
-            capture_output=True,
-            text=True,
-            cwd=str(REPO_ROOT),
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 0
-        assert "--baseline" in proc.stdout

@@ -1,10 +1,9 @@
-"""Engine mechanics: discovery, module names, pragmas, baseline, reporters."""
+"""Engine mechanics: discovery, module names, pragmas, reporters."""
 
 import json
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.context import module_name_for, parse_pragmas
-from repro.lint.engine import LintEngine, lint_paths
+from repro.lint.engine import LintEngine
 from repro.lint.findings import Finding
 from repro.lint.registry import all_rules, get_rule, rule_names
 from repro.lint.reporters import render_json, render_text
@@ -59,7 +58,7 @@ class TestPragmas:
             "import time\n\n\n"
             "def f():\n"
             '    """Doc."""\n'
-            "    return time.time()  # repro-lint: disable=no-unseeded-rng\n",
+            "    return time.time()  # repro-lint: disable=seed-provenance\n",
         )
         findings = run_rules(root, "no-wallclock-in-sim")
         assert [f.rule for f in findings] == ["no-wallclock-in-sim"]
@@ -73,6 +72,22 @@ class TestPragmas:
         findings, _ = LintEngine().run([root], root=root)
         assert [f.rule for f in findings] == ["invalid-pragma"]
         assert "no-such-rule" in findings[0].message
+
+    def test_pragma_naming_a_removed_rule_is_reported(self, tmp_path):
+        """The folded RNG rule names no longer suppress anything."""
+        root = _write_tree(
+            tmp_path,
+            "repro/sim/engine.py",
+            "import numpy as np\n"
+            "rng = np.random.default_rng()"
+            "  # repro-lint: disable=no-unseeded-rng, rng-not-defaulted\n",
+        )
+        findings, _ = LintEngine().run([root], root=root)
+        assert sorted(f.rule for f in findings) == [
+            "invalid-pragma",
+            "invalid-pragma",
+            "seed-provenance",
+        ]
 
     def test_comma_separated_rule_list(self):
         pragmas = parse_pragmas(
@@ -94,7 +109,7 @@ class TestEngine:
 
     def test_findings_sorted_and_paths_relative(self, tmp_path):
         root = materialise(tmp_path, "wallclock_bad.py", "rng_bad.py")
-        findings = run_rules(root, "no-wallclock-in-sim", "no-unseeded-rng")
+        findings = run_rules(root, "no-wallclock-in-sim", "seed-provenance")
         assert findings == sorted(findings, key=lambda f: f.sort_key)
         assert all(not f.path.startswith("/") for f in findings)
 
@@ -108,82 +123,24 @@ class TestEngine:
         assert len(findings) == 4
 
 
-class TestBaseline:
-    def _findings(self, tmp_path):
-        root = materialise(tmp_path, "wallclock_bad.py")
-        return run_rules(root, "no-wallclock-in-sim"), root
-
-    def test_round_trip_suppresses_everything(self, tmp_path):
-        findings, root = self._findings(tmp_path)
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        remaining, n_files, n_baselined = lint_paths(
-            [root],
-            baseline_path=path,
-            rules=(get_rule("no-wallclock-in-sim"),),
-            root=root,
-        )
-        assert remaining == []
-        assert n_baselined == len(findings)
-
-    def test_baseline_survives_line_shifts(self, tmp_path):
-        findings, root = self._findings(tmp_path)
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        target = root / "repro/sim/engine.py"
-        target.write_text("# a new leading comment line\n" + target.read_text())
-        remaining, _, n_baselined = lint_paths(
-            [root],
-            baseline_path=path,
-            rules=(get_rule("no-wallclock-in-sim"),),
-            root=root,
-        )
-        assert remaining == []
-        assert n_baselined == len(findings)
-
-    def test_multiset_semantics(self, tmp_path):
-        f = Finding(rule="r", path="p.py", line=3, col=0, message="m")
-        g = Finding(rule="r", path="p.py", line=9, col=0, message="m")
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [f])  # one grandfathered instance
-        remaining, n_baselined = apply_baseline([f, g], load_baseline(path))
-        assert n_baselined == 1
-        assert len(remaining) == 1  # the second identical finding still fails
-
-    def test_new_findings_not_masked(self, tmp_path):
-        findings, root = self._findings(tmp_path)
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings[:2])
-        remaining, _, n_baselined = lint_paths(
-            [root],
-            baseline_path=path,
-            rules=(get_rule("no-wallclock-in-sim"),),
-            root=root,
-        )
-        assert n_baselined == 2
-        assert len(remaining) == len(findings) - 2
-
-
 class TestReporters:
     FINDING = Finding(
         rule="no-wallclock-in-sim", path="a/b.py", line=3, col=7, message="msg"
     )
 
     def test_text_lines_and_summary(self):
-        text = render_text([self.FINDING], n_files=4, n_baselined=2)
+        text = render_text([self.FINDING], n_files=4)
         assert "a/b.py:3:7: no-wallclock-in-sim msg" in text
-        assert "1 finding" in text
-        assert "4 files" in text
-        assert "2 baselined" in text
+        assert text.endswith("1 finding in 4 files")
 
     def test_clean_summary(self):
-        assert "0 findings" in render_text([], n_files=4, n_baselined=0)
+        assert "0 findings" in render_text([], n_files=4)
 
     def test_json_shape(self):
-        doc = json.loads(render_json([self.FINDING], n_files=4, n_baselined=2))
+        doc = json.loads(render_json([self.FINDING], n_files=4))
+        assert sorted(doc) == ["count", "files", "findings"]
         assert doc["count"] == 1
         assert doc["files"] == 4
-        assert doc["baselined"] == 2
         assert doc["findings"][0] == {
             "rule": "no-wallclock-in-sim",
             "path": "a/b.py",
@@ -197,7 +154,7 @@ class TestRegistry:
     def test_catalogue_is_sorted_and_complete(self):
         names = [r.name for r in all_rules()]
         assert names == sorted(names)
-        assert len(names) == 12
+        assert len(names) == 10
         assert rule_names() == set(names)
 
     def test_every_rule_declares_its_invariant(self):

@@ -17,8 +17,7 @@ from repro.obs.replay import (
     replay_events,
     summarise_log,
 )
-from repro.sim.fault_models import FaultConfig
-from repro.sim.faults import FaultInjector
+from repro.sim.fault_models import FaultConfig, ScriptedFaultModel
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 from repro.sim.trace import SlotTrace
 
@@ -232,7 +231,7 @@ class TestFastForwardSpans:
         # Faults disable fast-forward; every scripted fault must then
         # appear in the log at exactly its scripted slot.
         config = ScenarioConfig(n_nodes=4, connections=connections(4, k=2))
-        injector = FaultInjector(
+        injector = ScriptedFaultModel(
             control_loss_slots=frozenset({100, 350, 700}),
         )
         path = tmp_path / "scripted.jsonl"

@@ -9,6 +9,8 @@ import asyncio
 import pytest
 
 from repro.core.connection import LogicalRealTimeConnection
+from repro.obs.events import EventDispatcher, JsonlEventLog
+from repro.obs.replay import iter_jsonl, summarise_log
 from repro.service import (
     AdmissionClient,
     AdmissionService,
@@ -265,6 +267,41 @@ class TestBackpressure:
                 assert snap["counters"]["service:service_backpressure"] == 1
 
         asyncio.run(scenario())
+
+
+    def test_refused_submission_consumes_a_seq(self, tmp_path):
+        """``seq`` numbers submissions, not served requests: a refusal
+        takes one, so the served seqs skip exactly the seqs of the
+        ``service_backpressure`` events -- and replay still matches."""
+        path = tmp_path / "events.jsonl"
+
+        async def scenario():
+            observer = EventDispatcher()
+            observer.add_sink(JsonlEventLog(path))
+            service = AdmissionService(
+                config(), queue_depth=1, observer=observer
+            )
+            async with service:
+                burst = await asyncio.gather(
+                    *(service.submit("status") for _ in range(4)),
+                    return_exceptions=True,
+                )
+                late = await service.submit("status")
+            observer.close()
+            replies = [r for r in burst if not isinstance(r, Exception)]
+            return service, [r.seq for r in replies + [late]]
+
+        service, reply_seqs = asyncio.run(scenario())
+        events = list(iter_jsonl(path))
+        refused = [
+            e["seq"] for e in events if e["kind"] == "service_backpressure"
+        ]
+        served = [e["seq"] for e in events if e["kind"] == "service_request"]
+        assert refused == [2, 3, 4]
+        assert served == reply_seqs == [1, 5]
+        summary = summarise_log(path)
+        assert summary.service_backpressure == service.backpressure_total == 3
+        assert dict(summary.service_requests) == dict(service.request_totals)
 
 
 class TestCleanShutdown:

@@ -23,9 +23,7 @@ from repro.sim.fault_models import (
     ScriptedFaultModel,
     ScriptedNodeOutages,
     TransientNodeFaults,
-    coerce_fault_model,
 )
-from repro.sim.faults import FaultInjector
 from repro.traffic.periodic import ConnectionSource
 
 RECOVERY = RecoveryPolicy(timeout_s=2e-6)
@@ -64,31 +62,29 @@ class TestRecoveryPolicy:
 
 class TestScriptedFaultModel:
     def test_matches_wrapped_injector(self):
-        inj = FaultInjector(
+        model = ScriptedFaultModel(
             node_failures={2: 100},
             control_loss_slots=frozenset({5, 9}),
-            recovery_timeout_s=3e-6,
+            recovery=RecoveryPolicy(timeout_s=3e-6),
         )
-        model = ScriptedFaultModel(inj)
         assert model.is_alive(2, 99) and not model.is_alive(2, 100)
         assert model.distribution_lost(5) and not model.distribution_lost(6)
-        # The legacy injector never loses the collection packet.
+        # The script never loses the collection packet.
         assert not any(model.collection_lost(s) for s in range(100))
         assert model.recovery.timeout_s == 3e-6
         assert model.any_faults_configured()
 
     def test_coerce_wraps_injector(self):
-        inj = FaultInjector(control_loss_slots=frozenset({1}))
-        model = coerce_fault_model(inj)
-        assert isinstance(model, ScriptedFaultModel)
-        assert model.injector is inj
+        """No adapter: the engine drives the scripted model itself."""
+        model = ScriptedFaultModel(control_loss_slots=frozenset({1}))
+        assert _build_sim(4, model).faults is model
 
     def test_coerce_passthrough_and_rejection(self):
-        assert coerce_fault_model(None) is None
+        assert _build_sim(4, None).faults is None
         model = FaultModel()
-        assert coerce_fault_model(model) is model
-        with pytest.raises(TypeError, match="FaultModel"):
-            coerce_fault_model("not a model")
+        assert _build_sim(4, model).faults is model
+        with pytest.raises(TypeError, match=r"ScriptedFaultModel\(node_failures"):
+            _build_sim(4, "not a model")
 
 
 class TestScriptedNodeOutages:
@@ -287,9 +283,7 @@ class TestCompositeFaultModel:
     def test_alive_is_conjunction_loss_is_disjunction(self):
         outage_a = ScriptedNodeOutages({1: [(10, 20)]})
         outage_b = ScriptedNodeOutages({1: [(30, 40)], 2: [(5, None)]})
-        loss = ScriptedFaultModel(
-            FaultInjector(control_loss_slots=frozenset({7}))
-        )
+        loss = ScriptedFaultModel(control_loss_slots=frozenset({7}))
         model = CompositeFaultModel([outage_a, outage_b, loss])
         assert not model.is_alive(1, 15)  # from a
         assert not model.is_alive(1, 35)  # from b
@@ -469,8 +463,7 @@ def test_live_node_always_recovers(script):
         [
             ScriptedNodeOutages(outages, recovery=RECOVERY),
             ScriptedFaultModel(
-                FaultInjector(control_loss_slots=frozenset(dist_loss)),
-                recovery=RECOVERY,
+                control_loss_slots=frozenset(dist_loss), recovery=RECOVERY
             ),
             ClockGlitchFaults(glitch_slots=glitches, recovery=RECOVERY),
             _ScriptedCollectionLoss(col_loss, recovery=RECOVERY),

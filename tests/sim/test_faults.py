@@ -17,9 +17,9 @@ from repro.sim.fault_models import (
     CompositeFaultModel,
     GilbertElliottControlLoss,
     RecoveryPolicy,
+    ScriptedFaultModel,
     TransientNodeFaults,
 )
-from repro.sim.faults import FaultInjector
 from repro.traffic.periodic import ConnectionSource
 
 
@@ -43,39 +43,39 @@ def conn(source=0, dst=2, period=10, size=1, phase=0):
 
 class TestFaultInjector:
     def test_alive_before_failure_slot(self):
-        inj = FaultInjector(node_failures={2: 100})
+        inj = ScriptedFaultModel(node_failures={2: 100})
         assert inj.is_alive(2, 99)
         assert not inj.is_alive(2, 100)
         assert inj.is_alive(1, 10**6)
 
     def test_control_loss_slots(self):
-        inj = FaultInjector(control_loss_slots=frozenset({5, 9}))
-        assert inj.control_lost(5)
-        assert not inj.control_lost(6)
+        inj = ScriptedFaultModel(control_loss_slots=frozenset({5, 9}))
+        assert inj.distribution_lost(5)
+        assert not inj.distribution_lost(6)
 
     def test_designated_node_is_lowest_alive(self):
-        inj = FaultInjector(node_failures={0: 10, 1: 20})
+        inj = ScriptedFaultModel(node_failures={0: 10, 1: 20})
         assert inj.designated_node(5, 4) == 0
         assert inj.designated_node(15, 4) == 1
         assert inj.designated_node(25, 4) == 2
 
     def test_all_dead_raises(self):
-        inj = FaultInjector(node_failures={n: 0 for n in range(4)})
+        inj = ScriptedFaultModel(node_failures={n: 0 for n in range(4)})
         with pytest.raises(RuntimeError, match="all nodes"):
             inj.designated_node(0, 4)
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            FaultInjector(recovery_timeout_s=0.0)
+            ScriptedFaultModel(recovery=RecoveryPolicy(timeout_s=0.0))
 
     def test_invalid_failure_slot_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            FaultInjector(node_failures={0: -1})
+            ScriptedFaultModel(node_failures={0: -1})
 
 
 class TestNodeFailure:
     def test_dead_node_stops_releasing(self):
-        faults = FaultInjector(node_failures={0: 50})
+        faults = ScriptedFaultModel(node_failures={0: 50})
         sim = build(sources=[ConnectionSource(conn(source=0, period=10))], faults=faults)
         report = sim.run(200)
         rt = report.class_stats(TrafficClass.RT_CONNECTION)
@@ -85,7 +85,7 @@ class TestNodeFailure:
     def test_ring_survives_node_failure(self):
         # Node 1 dies; a connection 2 -> 0 (passing through nobody dead,
         # but its traffic pattern keeps the ring alive).
-        faults = FaultInjector(node_failures={1: 30})
+        faults = ScriptedFaultModel(node_failures={1: 30})
         sim = build(
             sources=[ConnectionSource(conn(source=2, dst=0, period=5))],
             faults=faults,
@@ -97,7 +97,9 @@ class TestNodeFailure:
 
     def test_dead_master_recovered_by_designated_node(self):
         # Node 3 sends periodically, becoming master; it dies mid-run.
-        faults = FaultInjector(node_failures={3: 50}, recovery_timeout_s=1e-6)
+        faults = ScriptedFaultModel(
+            node_failures={3: 50}, recovery=RecoveryPolicy(timeout_s=1e-6)
+        )
         sim = build(
             sources=[
                 ConnectionSource(conn(source=3, dst=1, period=4, phase=0)),
@@ -113,7 +115,9 @@ class TestNodeFailure:
         assert report.master_slots[0] > 0
 
     def test_recovery_timeout_added_to_gap(self):
-        faults = FaultInjector(node_failures={3: 10}, recovery_timeout_s=5e-6)
+        faults = ScriptedFaultModel(
+            node_failures={3: 10}, recovery=RecoveryPolicy(timeout_s=5e-6)
+        )
         sim = build(
             sources=[ConnectionSource(conn(source=3, dst=1, period=4))],
             faults=faults,
@@ -128,8 +132,9 @@ class TestControlLoss:
     def test_lost_distribution_voids_next_slot(self):
         # Control packet of slot 5's arbitration is lost: slot 6 carries
         # nothing and its master is the designated node.
-        faults = FaultInjector(
-            control_loss_slots=frozenset({5}), recovery_timeout_s=1e-6
+        faults = ScriptedFaultModel(
+            control_loss_slots=frozenset({5}),
+            recovery=RecoveryPolicy(timeout_s=1e-6),
         )
         sim = build(
             sources=[ConnectionSource(conn(source=2, dst=0, period=1))],
@@ -142,8 +147,9 @@ class TestControlLoss:
         assert outcomes[7].transmitted != ()
 
     def test_loss_costs_one_slot_of_throughput(self):
-        faults = FaultInjector(
-            control_loss_slots=frozenset({10, 20, 30}), recovery_timeout_s=1e-6
+        faults = ScriptedFaultModel(
+            control_loss_slots=frozenset({10, 20, 30}),
+            recovery=RecoveryPolicy(timeout_s=1e-6),
         )
         sim_faulty = build(
             sources=[ConnectionSource(conn(source=2, dst=0, period=1))],
@@ -165,19 +171,21 @@ class TestTimeoutInvariant:
         topology = RingTopology.uniform(4, 10.0)
         timing = NetworkTiming(topology=topology, link=FibreRibbonLink())
         too_small = timing.max_handover_time_s / 2
-        faults = FaultInjector(recovery_timeout_s=too_small)
+        faults = ScriptedFaultModel(recovery=RecoveryPolicy(timeout_s=too_small))
         with pytest.raises(ValueError, match="hand-over gap"):
             Simulation(timing, CcrEdfProtocol(topology), faults=faults)
 
     def test_timeout_equal_to_worst_gap_rejected(self):
         topology = RingTopology.uniform(4, 10.0)
         timing = NetworkTiming(topology=topology, link=FibreRibbonLink())
-        faults = FaultInjector(recovery_timeout_s=timing.max_handover_time_s)
+        faults = ScriptedFaultModel(
+            recovery=RecoveryPolicy(timeout_s=timing.max_handover_time_s)
+        )
         with pytest.raises(ValueError, match="hand-over gap"):
             Simulation(timing, CcrEdfProtocol(topology), faults=faults)
 
     def test_valid_timeout_accepted(self):
-        build(faults=FaultInjector(recovery_timeout_s=1e-6))
+        build(faults=ScriptedFaultModel(recovery=RecoveryPolicy(timeout_s=1e-6)))
 
 
 def _report_fingerprint(report):
@@ -278,7 +286,7 @@ class TestTotalFailure:
     def test_all_nodes_dead_surfaces_clearly(self):
         """When the last node dies there is no designated node left; the
         engine surfaces that as a RuntimeError instead of looping."""
-        faults = FaultInjector(node_failures={n: 10 for n in range(4)})
+        faults = ScriptedFaultModel(node_failures={n: 10 for n in range(4)})
         sim = build(
             sources=[ConnectionSource(conn(source=2, dst=0, period=5))],
             faults=faults,
@@ -287,7 +295,7 @@ class TestTotalFailure:
             sim.run(100)
 
     def test_last_survivor_keeps_the_network_up(self):
-        faults = FaultInjector(node_failures={1: 10, 2: 10, 3: 10})
+        faults = ScriptedFaultModel(node_failures={1: 10, 2: 10, 3: 10})
         sim = build(
             sources=[ConnectionSource(conn(source=0, dst=2, period=5))],
             faults=faults,

@@ -75,6 +75,21 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_replications_print_the_resolved_job_count(self, capsys):
+        """``--jobs 0`` means every available CPU, capped at one worker
+        per replication; the banner names that count, not the flag."""
+        from repro.sim.batch import resolve_jobs
+
+        argv = ["simulate", "--slots", "500", "--seed", "5",
+                "--replications", "2"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--jobs", "0"]) == 0
+        every_cpu = capsys.readouterr().out.splitlines()
+        assert serial[0].endswith("master seed 5, 1 job(s)")
+        assert every_cpu[0].endswith(f", {min(resolve_jobs(0), 2)} job(s)")
+        assert every_cpu[1:] == serial[1:]
+
     def test_compare_lists_all_protocols(self, capsys):
         rc = main(
             ["compare", "--slots", "1000", "--utilisation", "0.4", "--seed", "2"]
