@@ -1147,7 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--trace",
         action="store_true",
-        help="keep an in-memory per-slot trace (disables the idle "
+        help="keep an in-memory per-slot trace (disables the "
         "fast-forward; see --trace-max)",
     )
     p_sim.add_argument(

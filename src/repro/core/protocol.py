@@ -124,10 +124,12 @@ class MacProtocol(ABC):
         """Whether an all-idle arbitration keeps master and gap unchanged.
 
         True only for protocols whose plan, when every queue is empty, is
-        a fixed point: same master, zero gap, no grants.  The simulator's
-        idle-slot fast-forward is sound exactly under this property;
-        rotating-master protocols (TDMA, CC-FPR, round-robin hand-over)
-        must return False.
+        a fixed point: same master, zero gap, no grants -- and for which
+        a lone requester that is the master and granted keeps the clock
+        and its grant while it has packets left.  The simulator's
+        fast-forward (idle and busy spans) is sound exactly under this
+        property; rotating-master protocols (TDMA, CC-FPR, round-robin
+        hand-over) must return False.
         """
         return False
 
@@ -248,7 +250,8 @@ class CcrEdfProtocol(MacProtocol):
 
     @property
     def idle_plan_is_stationary(self) -> bool:
-        """With EDF hand-over an all-idle slot keeps the master (gap 0)."""
+        """With EDF hand-over an all-idle slot keeps the master (gap 0),
+        and so does a lone requester once it holds the clock."""
         return self._edf_handover
 
     @property

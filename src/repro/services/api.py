@@ -22,7 +22,7 @@ The canonical signalling surface is :meth:`ConnectionClient.open_lrtc` /
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.core.admission import AdmissionController, AdmissionDecision
@@ -51,17 +51,34 @@ class _Submission:
         )
 
 
+def _no_wakeup() -> None:
+    """Wake-up hook of an injector no engine has filed yet."""
+
+
 class MessageInjector(TrafficSource):
     """Per-node endpoint for submitting individual messages.
 
     Create one per node, pass it to the simulation's sources, then call
     :meth:`submit` at any time; the message is released at the next slot
     boundary.  The returned handle exposes the delivery status.
+
+    The engine polls an injector only while a submission is pending: a
+    submit on an empty injector wakes it onto the release calendar for
+    the next executed slot, and an empty injector never vetoes the
+    fast-forward.
     """
 
     def __init__(self, node: int):
         self.node = node
         self._pending: list[_Submission] = []
+        self._wake: Callable[[], None] = _no_wakeup
+
+    def bind_wakeup(self, wake: Callable[[], None]) -> None:
+        self._wake = wake
+
+    def next_release_slot(self, after: int) -> int | None:
+        """``after`` while a submission is pending, ``None`` otherwise."""
+        return after if self._pending else None
 
     def submit(
         self,
@@ -93,7 +110,10 @@ class MessageInjector(TrafficSource):
             size_slots=size_slots,
             relative_deadline_slots=relative_deadline_slots,
         )
+        was_empty = not self._pending
         self._pending.append(sub)
+        if was_empty:
+            self._wake()
         return sub
 
     def messages_for_slot(self, slot: int) -> list[Message]:

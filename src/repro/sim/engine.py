@@ -12,9 +12,19 @@ Traffic release runs off one *release calendar*: a min-heap of
 ``(due_slot, attach_seq, source)`` for every source whose class names its
 next release (:meth:`~repro.traffic.base.TrafficSource.next_release_slot`
 overridden), plus a short always-poll list for the rest.  A slot polls
-only what is due, in attachment order; the idle fast-forward reads the
-heap top.  An entry is a lower bound -- it may be early, never late --
-so ``messages_for_slot`` stays the authority on what is released.
+only what is due, in attachment order; the fast-forward reads the heap
+top.  An entry is a lower bound -- it may be early, never late -- so
+``messages_for_slot`` stays the authority on what is released.  A source
+whose releases come from outside the slot loop (a
+:class:`~repro.services.api.MessageInjector`) re-files itself through
+the wake-up hook the engine binds when it files it
+(:meth:`~repro.traffic.base.TrafficSource.bind_wakeup`).
+
+``run()`` fast-forwards over slots that provably repeat the last one
+(see :meth:`Simulation._try_fast_forward`): *idle* spans, where nobody
+requests, and *busy* spans, where the master is the only requester and
+is granted every slot until its message's delivery, which is stepped.
+Both end at the next release the calendar names.
 
 Fault semantics (experiments S9/S12): a failed node is fail-stop with
 passive optical pass-through -- it stops releasing, requesting,
@@ -42,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from collections.abc import Mapping, Sequence
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
@@ -108,7 +119,7 @@ class Simulation:
         Optional :class:`~repro.sim.trace.SlotTrace` to record events.
         Internally the trace subscribes to the event dispatch (see
         ``observer``); per-slot traces force slot-by-slot stepping, so
-        they disable the idle fast-forward.
+        they disable the fast-forward.
     observer:
         Optional :class:`~repro.obs.events.EventDispatcher`.  The engine
         emits typed events (slot executed, hand-over, faults, recovery,
@@ -116,8 +127,9 @@ class Simulation:
         sinks -- e.g. a JSONL log on disk -- without keeping anything in
         memory.  Streaming sinks do *not* disable fast-forward: a skipped
         idle span is logged as one
-        :class:`~repro.obs.events.FastForwardSpan` event.  ``None``
-        (default) costs nothing.
+        :class:`~repro.obs.events.FastForwardSpan` event, a busy span as
+        the per-slot ``slot`` records stepping would have emitted.
+        ``None`` (default) costs nothing.
     faults:
         Optional fault source: any
         :class:`~repro.sim.fault_models.FaultModel` -- scripted,
@@ -255,12 +267,13 @@ class Simulation:
         # Hand-over hop distances on the fixed ring, memoised per pair.
         self._hops_cache: dict[tuple[int, int], int] = {}
         self.profiler = profiler
-        # Idle-slot fast-forward is sound only when each idle slot is an
-        # exact repetition: a stationary idle plan (protocol property),
-        # no stochastic per-slot fault draws, and no per-slot trace
-        # records (traces must show every slot, so they disable it).
-        # Streaming event sinks do NOT disable it: a skipped span is
-        # logged as one FastForwardSpan event.
+        # Fast-forward is sound only when each skipped slot is an exact
+        # repetition: a stationary idle plan (protocol property, which
+        # the EDF hand-over also gives a lone granted master), no
+        # stochastic per-slot fault draws, and no per-slot trace records
+        # (traces must show every slot, so they disable it).  Streaming
+        # event sinks do NOT disable it: an idle span is logged as one
+        # FastForwardSpan event, a busy span slot by slot.
         self.fast_forward = (
             fast_forward
             and (observer is None or not observer.blocks_fast_forward)
@@ -352,11 +365,11 @@ class Simulation:
         removed = len(self._sources) - len(kept)
         if removed:
             self._sources = kept
-            if self._calendar is not None:
-                self._calendar = [
-                    e for e in self._calendar if not torn_down(e[2])
-                ]
-                heapify(self._calendar)
+            calendar = self._calendar
+            if calendar is not None:
+                # In place: wake-up hooks hold this list.
+                calendar[:] = [e for e in calendar if not torn_down(e[2])]
+                heapify(calendar)
                 self._always_poll = tuple(
                     e for e in self._always_poll if not torn_down(e[2])
                 )
@@ -373,11 +386,13 @@ class Simulation:
         :meth:`TrafficSource.next_release_slot` goes on the heap at the
         slot it names (or nowhere, if it will never release again).
         Every other source -- the conservative default, which answers
-        ``after`` because its release decision is a per-slot RNG draw or
-        an external submission, and duck-typed sources with no such
-        method -- is polled in every executed slot.  The decision is by
+        ``after`` because its release decision is a per-slot RNG draw,
+        and duck-typed sources with no such method -- is polled in every
+        executed slot.  The decision is by
         *class*; the calls go through the instance, so a wrapper set on
-        ``source.next_release_slot`` later is what the engine calls.
+        ``source.next_release_slot`` later is what the engine calls.  A
+        source on the heap is handed a wake-up hook that files it again
+        for the next executed slot (see :meth:`TrafficSource.bind_wakeup`).
         """
         calendar = self._calendar
         assert calendar is not None
@@ -390,6 +405,14 @@ class Simulation:
         due = source.next_release_slot(self.current_slot)
         if due is not None:
             heappush(calendar, (due, seq, source))
+        # The wake-up hook files the source as due at slot 0, a lower
+        # bound on every slot: the next step polls it and a fast-forward
+        # probe asks it first.  It holds the heap, not the engine, so a
+        # source keeps no finished simulation alive.  A woken source may
+        # still be filed for a later slot as well; step() polls it once.
+        bind = getattr(source, "bind_wakeup", None)
+        if bind is not None:
+            bind(functools.partial(heappush, calendar, (0, seq, source)))
 
     def _build_calendar(self) -> list[_Due]:
         """Index every attached source; returns the (new) heap."""
@@ -549,12 +572,14 @@ class Simulation:
         # Poll what the calendar says is due plus the always-poll list,
         # in attachment order.  An entry is a lower bound: a source
         # popped early just answers "nothing", so messages_for_slot stays
-        # the authority on what is released.
+        # the authority on what is released; a source woken while also
+        # filed for this slot is polled once.
         calendar = self._calendar
         if calendar is None:
             calendar = self._build_calendar()
         batch: Sequence[_Due | _Polled] = self._always_poll
         n_due = n_polls = 0
+        last_seq = -1
         if calendar and calendar[0][0] <= slot:
             due_now: list[_Due | _Polled] = [heappop(calendar)]
             while calendar and calendar[0][0] <= slot:
@@ -565,6 +590,9 @@ class Simulation:
                 due_now.sort(key=_BY_ATTACH_SEQ)
             batch = due_now
         for due, seq, src in batch:
+            if seq == last_seq:
+                continue
+            last_seq = seq
             if faults is None or self._node_alive[src.node]:
                 n_polls += 1
                 for msg in src.messages_for_slot(slot):
@@ -688,20 +716,33 @@ class Simulation:
         return outcome
 
     def _try_fast_forward(self, end: int) -> int:
-        """Skip a run of provably idle slots; returns how many were skipped.
+        """Skip a run of provably repeating slots; returns how many.
 
-        Sound only when the pending plan is the *stationary* idle plan --
-        no requests anywhere, the master keeping the clock with a zero
-        hand-over gap -- and no traffic source can release before the
-        skip target.  Each skipped slot is then an exact repetition of
-        the last executed one: the batch accounting below reproduces
-        slot-by-slot stepping bit-for-bit (including float totals, which
-        accumulate by repeated addition rather than multiplication).
+        Sound only when the pending plan is *stationary* -- the master
+        keeps the clock with a zero hand-over gap, nothing is denied at
+        the break -- and no traffic source can release before the skip
+        target.  Two plans are stationary:
+
+        * the *idle* plan: no requests anywhere;
+        * the *busy* plan: exactly one node requests, and it is the master
+          and granted.  A message granted every slot keeps a constant
+          laxity (its deadline and its remaining work both shrink by one
+          slot per slot), and with a single requester its priority decides
+          nothing, so every policy re-plans the same grant until a release
+          or the delivery.  The span stops one slot short of the delivery,
+          which is stepped.  Not under drop-late, where the slot's drop
+          sweep could take a message off this node's queue.
+
+        Each skipped slot is then an exact repetition of the last executed
+        one: the batch accounting below reproduces slot-by-slot stepping
+        bit-for-bit (float totals accumulate by repeated addition, never
+        multiplication), and a busy span hands event sinks the same
+        per-slot records stepping would have.
         """
         plan = self._plan
+        busy = plan.transmissions
         if (
-            plan.n_requests != 0
-            or plan.transmissions
+            plan.n_requests != len(busy)
             or plan.denied_by_break
             or plan.gap_s != 0.0
             or plan.master != self._prev_master
@@ -709,6 +750,16 @@ class Simulation:
             return 0
         slot = self.current_slot
         target = end
+        if busy:
+            if len(busy) != 1 or self.drop_late:
+                return 0
+            (tx,) = busy
+            if tx.node != plan.master:
+                return 0
+            # The delivering slot is stepped, never spanned.
+            target = min(end, slot + tx.message.remaining_slots - 1)
+            if target <= slot:
+                return 0
         calendar = self._calendar
         if calendar is None:
             calendar = self._build_calendar()
@@ -750,12 +801,23 @@ class Simulation:
         r.slots_simulated += k
         r.master_slots[plan.master] += k
         r.handover_hops[0] += k
+        if busy:
+            r.busy_slots += k
+            r.packets_sent += k
+            msg = tx.message
+            msg.sent_slots += k
+            msg.status = MessageStatus.IN_TRANSIT
         self.current_slot = slot + k
         self._plan = dataclasses.replace(plan, transmit_slot=self.current_slot)
         if self.profiler is not None:
-            self.profiler.count("fast_forwarded_slots", k)
-        if self.observer is not None:
-            self.observer.emit(
+            self.profiler.count(
+                "busy_forwarded_slots" if busy else "fast_forwarded_slots", k
+            )
+        observer = self.observer
+        if observer is None:
+            return k
+        if not busy:
+            observer.emit(
                 FastForwardSpan(
                     slot_start=slot,
                     slot_end=self.current_slot,
@@ -763,6 +825,16 @@ class Simulation:
                     master=plan.master,
                 )
             )
+        elif observer.wants_slot_events:
+            for t in range(slot, self.current_slot):
+                observer.dispatch_slot(
+                    SlotOutcome(
+                        slot=t, master=plan.master, gap_s=0.0, transmitted=busy
+                    ),
+                    plan,
+                    plan,
+                    0, 0, 0, 0,
+                )
         return k
 
     def run(self, n_slots: int) -> SimulationReport:

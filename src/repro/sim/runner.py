@@ -164,7 +164,7 @@ class RunOptions:
     #: :attr:`engine`, the policy *does* change results -- campaigns
     #: carry it on the scenario so it lands in run fingerprints.
     policy: "SchedulingPolicy | str | None" = None
-    #: In-memory per-slot trace (disables the idle fast-forward).
+    #: In-memory per-slot trace (disables the fast-forward).
     trace: SlotTrace | None = None
     #: Fault source overriding :attr:`ScenarioConfig.fault_config`.
     faults: "FaultModel | None" = None
@@ -173,7 +173,7 @@ class RunOptions:
     #: Create an admission controller and admission-test the scenario's
     #: connections into it before the run.
     with_admission: bool = False
-    #: Skip exactly-repeating idle slots (bit-identical results).
+    #: Skip exactly-repeating idle and busy slots (bit-identical results).
     fast_forward: bool = True
     #: Slot-loop phase profiler.
     profiler: "PhaseProfiler | None" = None

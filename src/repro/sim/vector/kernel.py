@@ -19,9 +19,12 @@ and event streams by exploiting two protocol facts:
   is an exact repetition, so the kernel advances K slots at a time.
   Idle spans reproduce the oracle's fast-forward (including its
   ``FastForwardSpan`` events and span boundaries); *busy* spans batch
-  the repeated loaded slot as well, which the oracle cannot.  Float
-  accumulators are advanced by the same repeated additions the oracle
-  performs, never by multiplication, so totals match bit-for-bit.
+  the repeated loaded slot as well.  The oracle batches busy spans only
+  for a lone granted master; this kernel also batches several
+  concurrent grants, bounding the span by priority-bucket expiry and
+  drop-late as well.  Float accumulators are advanced by the same
+  repeated additions the oracle performs, never by multiplication, so
+  totals match bit-for-bit.
 
 Interesting-event bookkeeping is heap-based: a release heap keyed by
 each source's ``next_release_slot`` contract and a conservative
@@ -44,7 +47,7 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush, heapreplace
 from itertools import repeat
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.mapping import LinearMapping, LogarithmicMapping
 from repro.core import messages as _messages

@@ -12,7 +12,7 @@ are reproducible bit-for-bit.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.core.messages import Message
 
@@ -36,7 +36,7 @@ class TrafficSource(ABC):
 
         The engine's release calendar files the source at the returned
         slot and does not call :meth:`messages_for_slot` before it; the
-        idle fast-forward skips up to it.  So the answer may be *early*
+        fast-forward skips up to it.  So the answer may be *early*
         (the source is polled, releases nothing, and is asked again) but
         never *late*: a release in a slot before the returned one would
         be lost.  ``None`` means the source will never release again and
@@ -48,13 +48,26 @@ class TrafficSource(ABC):
         what this default (``after`` itself) spells out.  That is
         required of any source whose release decision is an RNG draw
         *per slot* (skipping a slot would skip its draw and change the
-        sample path) or depends on calls from outside the slot loop
-        (:class:`~repro.services.api.MessageInjector`).  Sources whose
-        releases are a function of the slot number override it with the
-        exact answer, and must then not rely on being polled in slots
-        they did not name.
+        sample path).  Sources whose releases are a function of the slot
+        number override it with the exact answer, and must then not rely
+        on being polled in slots they did not name.  A source fed from
+        outside the slot loop (:class:`~repro.services.api.MessageInjector`)
+        overrides it too -- ``after`` while something is pending, ``None``
+        otherwise -- and calls the hook :meth:`bind_wakeup` gave it when
+        something arrives.
         """
         return after
+
+    def bind_wakeup(self, wake: Callable[[], None]) -> None:
+        """Take the engine's re-filing hook (the default ignores it).
+
+        The engine calls this when it files the source on its release
+        calendar.  Calling ``wake()`` later files the source again, at
+        its original attachment order, for the next executed slot -- the
+        way for a source whose :meth:`next_release_slot` said ``None`` (or
+        a later slot) to be polled after all because a release arrived
+        from outside the slot loop.
+        """
 
 
 class CompositeSource(TrafficSource):
@@ -85,3 +98,7 @@ class CompositeSource(TrafficSource):
             if earliest is None or nxt < earliest:
                 earliest = nxt
         return earliest
+
+    def bind_wakeup(self, wake: Callable[[], None]) -> None:
+        for src in self.sources:
+            src.bind_wakeup(wake)

@@ -371,8 +371,12 @@ def test_composite_of_connection_and_injector():
     sim, events = assert_calendar_invisible(scenario)
     be = sim.report.class_stats(TrafficClass.BEST_EFFORT)
     assert be.released == be.delivered == 3
-    # The injector half answers "now" every slot: nothing is skipped.
-    assert not any('"fast_forward"' in line for line in events)
+    # An empty injector sleeps, so idle stretches are skipped; each
+    # submit wakes the composite for the next slot (else the 77 pair
+    # would wait for the connection's release at 104 and the
+    # differential above would fail).
+    assert any('"fast_forward"' in line for line in events)
+    assert sim.report.class_stats(TrafficClass.BEST_EFFORT).mean_latency_slots < 10
 
 
 def test_same_slot_same_node_releases_keep_attach_order():
@@ -481,9 +485,39 @@ def test_sparse_ring_polls_exactly_as_often_as_it_releases():
     assert profiler.counters["source_polls"] == n
     assert profiler.counters["calendar_due"] == n
     assert profiler.counters["fast_forwarded_slots"] > 50_000
-    assert profiler.calls["release"] + profiler.counters[
-        "fast_forwarded_slots"
-    ] == 100_000
+    assert profiler.counters["busy_forwarded_slots"] > 1_000
+    assert (
+        profiler.calls["release"]
+        + profiler.counters["fast_forwarded_slots"]
+        + profiler.counters["busy_forwarded_slots"]
+    ) == 100_000
+
+
+def test_injector_is_polled_only_after_a_submit():
+    first = conn(0, 2, 500, phase=3)
+    injector = MessageInjector(1)
+    profiler = PhaseProfiler()
+    sim = build_simulation(
+        ScenarioConfig(n_nodes=4, connections=(first,)),
+        RunOptions(extra_sources=[injector], engine="python", profiler=profiler),
+    )
+    polls = count_polls(sim)
+    sim.run(50)
+    # Empty, the injector is off the calendar and vetoes no skip.
+    assert polls["n"] == 1
+    assert profiler.counters["fast_forwarded_slots"] > 40
+    subs = [injector.submit([3], relative_deadline_slots=20) for _ in range(2)]
+    sim.run(50)
+    # Woken once for both submissions, released in the next slot.
+    assert polls["n"] == 2
+    assert [s.message.created_slot for s in subs] == [50, 50]
+    # Detaching rebuilds the heap; the hook must still file into it.
+    assert sim.detach_connection_source(first.connection_id) == 1
+    late = injector.submit([2], relative_deadline_slots=20)
+    sim.run(50)
+    assert polls["n"] == 3 and late.message.created_slot == 100
+    be = sim.report.class_stats(TrafficClass.BEST_EFFORT)
+    assert be.released == be.delivered == 3
 
 
 def test_instance_wrappers_set_after_build_are_what_the_engine_calls():
