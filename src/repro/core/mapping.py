@@ -27,6 +27,16 @@ from dataclasses import dataclass
 from repro.core.priorities import TrafficClass, class_priority_range
 
 
+def _class_range_of(priority: int, traffic_class: TrafficClass) -> tuple[int, int]:
+    """The class's ``(lo, hi)`` priority range, which must hold ``priority``."""
+    lo_p, hi_p = class_priority_range(traffic_class)
+    if not (lo_p <= priority <= hi_p):
+        raise ValueError(
+            f"priority {priority} outside class range [{lo_p}, {hi_p}]"
+        )
+    return lo_p, hi_p
+
+
 class LaxityMapping(ABC):
     """Maps a message laxity in slots to a 5-bit priority level.
 
@@ -52,14 +62,16 @@ class LaxityMapping(ABC):
         *most* urgent level: every late (negative-laxity) message
         saturates there per the :meth:`priority_for` contract, so that
         bucket is unbounded below -- it is *not* ``[0, ...]``, which
-        this method used to claim.  Useful for analysis and plotting;
-        computed by scanning, so intended for small ranges only.
+        this method used to claim.  A level the mapping never produces
+        raises ``ValueError``.
+
+        The simulator's fast-forward asks for ``lo`` to know how long a
+        waiting request keeps its priority.  This base implementation
+        scans the laxity axis from 0, which costs up to the bucket's
+        laxity in ``priority_for`` calls; the built-in mappings override
+        it with closed forms.
         """
-        lo_p, hi_p = class_priority_range(traffic_class)
-        if not (lo_p <= priority <= hi_p):
-            raise ValueError(
-                f"priority {priority} outside class range [{lo_p}, {hi_p}]"
-            )
+        lo_p, hi_p = _class_range_of(priority, traffic_class)
         if priority == hi_p:
             # The saturation bucket.  Scan only for its upper end; when
             # the class owns a single level (e.g. non-real-time), the
@@ -114,6 +126,19 @@ class LogarithmicMapping(LaxityMapping):
         bucket = int(math.log2(laxity_slots + 1))
         return max(lo, hi - bucket)
 
+    def bucket_bounds(
+        self, priority: int, traffic_class: TrafficClass
+    ) -> tuple[int | None, int | None]:
+        """Closed form of the base-class scan: level ``k = hi - priority``
+        covers ``[2^k - 1, 2^(k+1) - 2]``, the most urgent level is
+        ``(None, 0)`` and the least urgent ``(2^k - 1, None)``."""
+        lo_p, hi_p = _class_range_of(priority, traffic_class)
+        k = hi_p - priority
+        if k == 0:
+            return (None, None if lo_p == hi_p else 0)
+        start = (1 << k) - 1
+        return (start, None if priority == lo_p else 2 * start)
+
 
 @dataclass(frozen=True)
 class LinearMapping(LaxityMapping):
@@ -142,3 +167,26 @@ class LinearMapping(LaxityMapping):
         levels = hi - lo + 1
         bucket = laxity_slots * levels // self.horizon_slots
         return max(lo, hi - bucket)
+
+    def bucket_bounds(
+        self, priority: int, traffic_class: TrafficClass
+    ) -> tuple[int | None, int | None]:
+        """Closed form of the base-class scan: bucket ``b = hi - priority``
+        starts at the first laxity with ``laxity * levels // horizon == b``,
+        ``ceil(b * horizon / levels)``; when the horizon is shorter than
+        the level count some buckets are empty and never produced."""
+        lo_p, hi_p = _class_range_of(priority, traffic_class)
+        levels = hi_p - lo_p + 1
+        horizon = self.horizon_slots
+        b = hi_p - priority
+        if b == 0:
+            return (None, None if levels == 1 else (horizon - 1) // levels)
+        start = -(-b * horizon // levels)
+        if priority == lo_p:
+            return (start, None)
+        end = -(-(b + 1) * horizon // levels) - 1
+        if start > end:
+            raise ValueError(
+                f"priority {priority} is never produced by this mapping"
+            )
+        return (start, end)

@@ -124,14 +124,34 @@ class MacProtocol(ABC):
         """Whether an all-idle arbitration keeps master and gap unchanged.
 
         True only for protocols whose plan, when every queue is empty, is
-        a fixed point: same master, zero gap, no grants -- and for which
-        a lone requester that is the master and granted keeps the clock
-        and its grant while it has packets left.  The simulator's
+        a fixed point: same master, zero gap, no grants -- and whose busy
+        plan (master unchanged, zero gap, no break denial, at least one
+        grant) is re-planned identically for as long as every request in
+        it keeps its priority, up to the slot
+        :meth:`busy_plan_repeats_until` names.  The simulator's
         fast-forward (idle and busy spans) is sound exactly under this
         property; rotating-master protocols (TDMA, CC-FPR, round-robin
         hand-over) must return False.
         """
         return False
+
+    def busy_plan_repeats_until(
+        self, plan: SlotPlan, queues_by_node: Mapping[int, NodeQueues]
+    ) -> int | None:
+        """First slot whose arbitration may re-plan a busy ``plan`` differently.
+
+        Asked by the simulator's fast-forward about a pending plan with at
+        least one grant, once it has ruled out every other change before
+        the answer: no release, drop or delivery, master and gap
+        unchanged, no break denial.  What is left is priorities moving;
+        ``None`` means they never change the plan, and
+        ``plan.transmit_slot`` means no slot is guaranteed.  This default
+        spans only a lone requester that is the master and granted: with
+        one request its priority decides nothing, whatever the policy.
+        """
+        if plan.n_requests == 1 and plan.transmissions[0].node == plan.master:
+            return None
+        return plan.transmit_slot
 
     def _check_queues(self, queues_by_node: Mapping[int, NodeQueues]) -> None:
         """Validate that the mapping covers exactly nodes ``0..N-1``.
@@ -251,8 +271,55 @@ class CcrEdfProtocol(MacProtocol):
     @property
     def idle_plan_is_stationary(self) -> bool:
         """With EDF hand-over an all-idle slot keeps the master (gap 0),
-        and so does a lone requester once it holds the clock."""
+        and so does the highest-priority requester once it holds the
+        clock, while no request changes priority."""
         return self._edf_handover
+
+    def busy_plan_repeats_until(
+        self, plan: SlotPlan, queues_by_node: Mapping[int, NodeQueues]
+    ) -> int | None:
+        """Under EDF, the slot the first waiting head leaves its bucket.
+
+        A granted message keeps a constant laxity (its deadline and its
+        remaining work both shrink by one slot per slot), so its priority
+        holds.  A waiting head's laxity shrinks by one per slot, but its
+        mapped priority moves only when the laxity drops below its
+        bucket's lower end: a head planned at laxity ``x`` in a bucket
+        starting at ``lo`` keeps its priority through ``x - lo`` more
+        arbitrations.  Non-real-time heads never move.  Other policies
+        keep the lone-requester rule: FIFO's age-based priority moves the
+        granted heads too.
+        """
+        if not self._edf_policy:
+            return super().busy_plan_repeats_until(plan, queues_by_node)
+        waiting = plan.n_requests - len(plan.transmissions)
+        if not waiting:
+            return None
+        granted = {tx.node for tx in plan.transmissions}
+        slot = plan.transmit_slot
+        mapping = self.mapping
+        until = None
+        for node, queues in queues_by_node.items():
+            if node in granted:
+                continue
+            msg = queues.head()
+            if msg is None:
+                continue
+            # The plan was arbitrated in the slot before it transmits.
+            laxity = msg.laxity(slot - 1)
+            if laxity is not None:
+                tc = msg.traffic_class
+                lo = mapping.bucket_bounds(
+                    mapping.priority_for(laxity, tc), tc
+                )[0]
+                if lo is not None:
+                    leaves = slot + laxity - lo
+                    if until is None or leaves < until:
+                        until = leaves
+            waiting -= 1
+            if not waiting:
+                break
+        return until
 
     @property
     def queue_policy(self) -> "SchedulingPolicy | None":
@@ -321,12 +388,19 @@ class CcrEdfProtocol(MacProtocol):
         # Walk the nodes in append order (downstream from the master; the
         # master itself last, at d == n) exactly as the packet travels,
         # keeping only the non-empty requests the master would process.
+        # A queue whose head memo already says "no live message" would
+        # compose the empty request without side effects, so it is
+        # skipped on that one test; arbitration sorts by (-priority,
+        # node), so which nodes are visited does not reorder anything.
         compose = self.compose_request
         entries: list[tuple[int, CollectionRequest]] = []
         messages_by_node: dict[int, Message] = {}
         for d in range(1, n + 1):
             node = (current_master + d) % n
-            request, msg = compose(queues_by_node[node], current_slot)
+            queues = queues_by_node[node]
+            if queues._cached_head is None and queues._head_valid:
+                continue
+            request, msg = compose(queues, current_slot)
             if msg is not None:
                 entries.append((node, request))
                 messages_by_node[node] = msg

@@ -54,6 +54,11 @@ class NodeQueues:
     answer only changes when the cached head itself finishes (delivered
     or dropped) -- which the cheap status check below detects, since a
     finished non-head message can never promote anything above the head.
+    The memo is the pair ``_head_valid`` / ``_cached_head``; ``_head_valid
+    and _cached_head is None`` means "no live message", which the
+    protocol's collection phase reads to skip idle nodes.  Anything that
+    puts a message on a heap must clear ``_head_valid`` (``enqueue`` does,
+    and so do the vector kernels, which push onto the heaps directly).
     """
 
     __slots__ = (

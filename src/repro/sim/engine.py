@@ -22,9 +22,12 @@ the wake-up hook the engine binds when it files it
 
 ``run()`` fast-forwards over slots that provably repeat the last one
 (see :meth:`Simulation._try_fast_forward`): *idle* spans, where nobody
-requests, and *busy* spans, where the master is the only requester and
-is granted every slot until its message's delivery, which is stepped.
-Both end at the next release the calendar names.
+requests, and *busy* spans, where the same grants repeat until the
+first delivery, which is stepped -- under EDF with any number of grants
+and waiting requesters, until a waiting head's laxity leaves its mapping
+bucket; under other policies for a lone granted master.  Both end at
+the next release the calendar names.  A span's float time totals are
+summed a binade at a time (:func:`_repeated_sum`), not a slot at a time.
 
 Fault semantics (experiments S9/S12): a failed node is fail-stop with
 passive optical pass-through -- it stops releasing, requesting,
@@ -53,6 +56,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 from collections.abc import Mapping, Sequence
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
@@ -85,6 +89,60 @@ _Due = tuple[int, int, TrafficSource]
 _Polled = tuple[None, int, TrafficSource]
 
 _BY_ATTACH_SEQ = itemgetter(1)
+
+#: A binade's floats are ``n * ulp`` for ``2**52 <= n < _BINADE_ULPS``.
+_BINADE_ULPS = 1 << 53
+
+
+def _repeated_sum(x: float, c: float, k: int) -> float:
+    """``x`` after ``k`` rounds of ``x += c``, bit for bit.
+
+    ``x >= 0`` and ``c`` a positive normal float (a slot length).
+
+    A fast-forward span must leave the float totals exactly where
+    stepping leaves them, and stepping adds the slot length once per
+    slot.  In one binade every float is a multiple ``n * u`` of its ulp
+    ``u``, so ``fl(x + c)`` is ``x + d`` with the same rounded increment
+    ``d`` for every ``x`` in it -- unless ``c / u`` ends in exactly one
+    half, a rounding tie settled by the parity of ``n`` (to even).  So the
+    loop jumps ``x + j * d`` to the last multiple below the binade top,
+    exactly (an integer below ``2**53`` times a power of two), and takes a
+    single plain step at each binade crossing and at an odd ``n`` under a
+    tie.  ``k`` additions cost O(binades crossed), not O(k).
+    """
+    while k > 0:
+        if x < c:
+            # One plain step reaches c or above, a normal float.
+            x += c
+            k -= 1
+            continue
+        u = math.ulp(x)
+        n = int(x / u)
+        q = c / u  # exact: u is a power of two, q <= n
+        m = int(q)
+        frac = q - m
+        if frac == 0.5:
+            if n & 1:
+                # The tie rounds to the even neighbour; take it plainly.
+                x += c
+                k -= 1
+                continue
+            d = m + (m & 1)
+        else:
+            d = m + (frac > 0.5)
+        if d == 0:
+            return x  # x + c rounds back to x, every time
+        j = (_BINADE_ULPS - 1 - n) // d
+        if j == 0:
+            # The next step may cross into the next binade.
+            x += c
+            k -= 1
+            continue
+        if j > k:
+            j = k
+        x = (n + j * d) * u
+        k -= j
+    return x
 
 
 class RecoveryState(enum.Enum):
@@ -269,11 +327,12 @@ class Simulation:
         self.profiler = profiler
         # Fast-forward is sound only when each skipped slot is an exact
         # repetition: a stationary idle plan (protocol property, which
-        # the EDF hand-over also gives a lone granted master), no
-        # stochastic per-slot fault draws, and no per-slot trace records
-        # (traces must show every slot, so they disable it).  Streaming
-        # event sinks do NOT disable it: an idle span is logged as one
-        # FastForwardSpan event, a busy span slot by slot.
+        # the EDF hand-over also gives a busy plan while its requests
+        # keep their priorities), no stochastic per-slot fault draws,
+        # and no per-slot trace records (traces must show every slot, so
+        # they disable it).  Streaming event sinks do NOT disable it: an
+        # idle span is logged as one FastForwardSpan event, a busy span
+        # slot by slot.
         self.fast_forward = (
             fast_forward
             and (observer is None or not observer.blocks_fast_forward)
@@ -724,26 +783,28 @@ class Simulation:
         target.  Two plans are stationary:
 
         * the *idle* plan: no requests anywhere;
-        * the *busy* plan: exactly one node requests, and it is the master
-          and granted.  A message granted every slot keeps a constant
-          laxity (its deadline and its remaining work both shrink by one
-          slot per slot), and with a single requester its priority decides
-          nothing, so every policy re-plans the same grant until a release
-          or the delivery.  The span stops one slot short of the delivery,
-          which is stepped.  Not under drop-late, where the slot's drop
-          sweep could take a message off this node's queue.
+        * a *busy* plan: at least one grant, re-planned identically while
+          every request in it keeps its priority -- queue heads cannot
+          change before a release or a delivery, so the protocol's answer
+          (:meth:`~repro.core.protocol.MacProtocol.busy_plan_repeats_until`)
+          bounds the span.  Under EDF a granted message keeps a constant
+          laxity and a waiting head keeps its priority until its laxity
+          leaves its mapping bucket, so several grants and losing
+          requesters span too; other policies span a lone requester that
+          is the master and granted.  The span stops one slot short of
+          the first delivery, which is stepped.  Not under drop-late,
+          where the slot's drop sweep could take a message off a queue.
 
         Each skipped slot is then an exact repetition of the last executed
         one: the batch accounting below reproduces slot-by-slot stepping
-        bit-for-bit (float totals accumulate by repeated addition, never
-        multiplication), and a busy span hands event sinks the same
-        per-slot records stepping would have.
+        bit-for-bit (float totals are what repeated addition gives, see
+        :func:`_repeated_sum`), and a busy span hands event sinks the
+        same per-slot records stepping would have.
         """
         plan = self._plan
         busy = plan.transmissions
         if (
-            plan.n_requests != len(busy)
-            or plan.denied_by_break
+            plan.denied_by_break
             or plan.gap_s != 0.0
             or plan.master != self._prev_master
         ):
@@ -751,15 +812,17 @@ class Simulation:
         slot = self.current_slot
         target = end
         if busy:
-            if len(busy) != 1 or self.drop_late:
-                return 0
-            (tx,) = busy
-            if tx.node != plan.master:
+            if self.drop_late:
                 return 0
             # The delivering slot is stepped, never spanned.
-            target = min(end, slot + tx.message.remaining_slots - 1)
+            for tx in busy:
+                delivers = slot + tx.message.remaining_slots - 1
+                if delivers < target:
+                    target = delivers
             if target <= slot:
                 return 0
+        elif plan.n_requests:
+            return 0
         calendar = self._calendar
         if calendar is None:
             calendar = self._build_calendar()
@@ -790,23 +853,30 @@ class Simulation:
                 heapreplace(calendar, (nxt, seq, src))
         if calendar and calendar[0][0] < target:
             target = calendar[0][0]
+        if busy:
+            # Asked last: the protocol's answer is the costliest bound.
+            repeats = self.protocol.busy_plan_repeats_until(
+                plan, self._queues_view
+            )
+            if repeats is not None and repeats < target:
+                target = repeats
         k = target - slot
         if k <= 0:
             return 0
         r = self.metrics.report
         slot_length = self.timing.slot_length_s
-        for _ in range(k):
-            r.wall_time_s += slot_length
-            r.slot_time_s += slot_length
+        r.wall_time_s = _repeated_sum(r.wall_time_s, slot_length, k)
+        r.slot_time_s = _repeated_sum(r.slot_time_s, slot_length, k)
         r.slots_simulated += k
         r.master_slots[plan.master] += k
         r.handover_hops[0] += k
         if busy:
             r.busy_slots += k
-            r.packets_sent += k
-            msg = tx.message
-            msg.sent_slots += k
-            msg.status = MessageStatus.IN_TRANSIT
+            r.packets_sent += k * len(busy)
+            for tx in busy:
+                msg = tx.message
+                msg.sent_slots += k
+                msg.status = MessageStatus.IN_TRANSIT
         self.current_slot = slot + k
         self._plan = dataclasses.replace(plan, transmit_slot=self.current_slot)
         if self.profiler is not None:

@@ -1,9 +1,11 @@
 """Tests for the laxity-to-priority mapping functions."""
 
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.mapping import LinearMapping, LogarithmicMapping
+from repro.core.mapping import LaxityMapping, LinearMapping, LogarithmicMapping
 from repro.core.priorities import TrafficClass, class_priority_range
 
 CLASSES = [TrafficClass.BEST_EFFORT, TrafficClass.RT_CONNECTION]
@@ -179,3 +181,45 @@ class TestBucketBounds:
             if hi_b is not None:
                 assert m.priority_for(hi_b, tc) == p
                 assert m.priority_for(hi_b + 1, tc) == p - 1
+
+
+def _bounds_or_error(bucket_bounds, p, tc):
+    try:
+        return bucket_bounds(p, tc)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestClosedFormBucketBounds:
+    """The built-in mappings' O(1) bounds equal the base-class scan."""
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [LogarithmicMapping()]
+        # Horizons below (1, 7, 14), equal to (15), not divisible by (16,
+        # 29, 45, 1024) and divisible by (150, 1500) the 15 levels of a
+        # deadline class; 1024 is the default.
+        + [
+            LinearMapping(horizon_slots=h)
+            for h in (1, 7, 14, 15, 16, 29, 45, 150, 1024, 1500)
+        ],
+        ids=repr,
+    )
+    def test_equals_the_scan_for_every_class_and_level(self, mapping):
+        for tc in TrafficClass:
+            lo_p, hi_p = class_priority_range(tc)
+            for p in range(lo_p - 1, hi_p + 2):
+                closed = _bounds_or_error(mapping.bucket_bounds, p, tc)
+                scanned = _bounds_or_error(
+                    functools.partial(LaxityMapping.bucket_bounds, mapping), p, tc
+                )
+                assert closed == scanned, (tc, p)
+
+    def test_short_horizon_levels_are_never_produced(self):
+        # 7 slots over 15 levels: bucket = laxity * 15 // 7 skips levels.
+        m = LinearMapping(horizon_slots=7)
+        tc = TrafficClass.RT_CONNECTION
+        _, hi_p = class_priority_range(tc)
+        assert m.bucket_bounds(hi_p - 2, tc) == (1, 1)
+        with pytest.raises(ValueError, match="never produced"):
+            m.bucket_bounds(hi_p - 1, tc)

@@ -7,34 +7,46 @@ slot.  Periodic sources advertise exact next-release slots, so idle
 stretches are skipped; Poisson sources keep the conservative default and
 suppress skipping entirely -- either way the report must not change.
 
-Busy spans: while the master is the only requester and is granted, each
-slot repeats the last until a release or the delivery.  The property
-below draws multi-slot, multicast and D<P connections under every policy,
-with and without spatial reuse, advances in uneven ``run()`` chunks, and
-compares report, queue state and pending plan with stepping after every
-chunk -- and checks that busy spans were actually taken.
+Busy spans: while the pending plan's requests all keep their priorities,
+each slot repeats the last until a release or the first delivery -- under
+EDF with several grants and waiting requesters (until a waiting head's
+laxity leaves its mapping bucket), under RM and FIFO for a lone granted
+master.  The property below draws multi-slot, multicast and D<P
+connections under every policy and both built-in mappings, with and
+without spatial reuse, advances in uneven ``run()`` chunks, and compares
+report, queue state and pending plan with stepping after every chunk --
+and checks that busy spans, also with a waiting requester, were actually
+taken.  The pins fix the exact slots a span ends at.
+
+Span time: the float totals a span adds are computed a binade at a time
+(``_repeated_sum``); a property pins them to the plain loop bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clocking import RoundRobinHandover
 from repro.core.connection import LogicalRealTimeConnection
+from repro.core.mapping import LaxityMapping, LinearMapping
 from repro.core.priorities import TrafficClass
 from repro.core.protocol import CcrEdfProtocol
 from repro.core.timing import NetworkTiming
 from repro.obs.events import EventDispatcher, JsonlEventLog
 from repro.phy.link import FibreRibbonLink
 from repro.ring.topology import RingTopology
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, _repeated_sum
 from repro.sim.profiling import PhaseProfiler
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
+from repro.sim.vector import ckernel
 from repro.traffic.periodic import ConnectionSource
 from repro.traffic.poisson import PoissonSource
 from tests.sim.test_release_calendar import spelled_out
@@ -152,6 +164,8 @@ def conn(source, dsts, period, size, phase=0, deadline=None):
 @dataclass(frozen=True)
 class BusyWorkload:
     config: ScenarioConfig
+    #: Laxity mapping; ``None`` is the default logarithmic one.
+    mapping: LaxityMapping | None
     #: Slots per ``run()`` call of the fast-forwarding play.
     chunks: tuple[int, ...]
 
@@ -175,8 +189,11 @@ def busy_workloads(draw):
         spatial_reuse=draw(st.booleans()),
         connections=tuple(conns),
     )
+    mapping = draw(
+        st.none() | st.builds(LinearMapping, st.integers(1, 600))
+    )
     chunks = draw(st.lists(st.integers(1, 150), min_size=1, max_size=6))
-    return BusyWorkload(config, tuple(chunks))
+    return BusyWorkload(config, mapping, tuple(chunks))
 
 
 def state(sim):
@@ -199,13 +216,37 @@ def state(sim):
     return sim.current_slot, copy.deepcopy(sim.report), queues, pending
 
 
-def play(config, chunks, fast_forward, **options):
-    """Run ``config`` chunk by chunk on the oracle; state after each."""
+def busy_spans(sim, spans=None) -> list[tuple[int, int, int]]:
+    """Record ``(n_requests, n_grants, slots)`` of every busy span the
+    engine takes from now on, into ``spans`` (a new list by default)."""
+    if spans is None:
+        spans = []
+    forward = sim._try_fast_forward
+
+    def recorded(end):
+        plan = sim._plan
+        k = forward(end)
+        if k and plan.transmissions:
+            spans.append((plan.n_requests, len(plan.transmissions), k))
+        return k
+
+    sim._try_fast_forward = recorded
+    return spans
+
+
+def play(config, chunks, fast_forward, spans=None, **options):
+    """Run ``config`` chunk by chunk on the oracle; state after each.
+
+    ``spans``, a list, collects the busy spans taken (see
+    :func:`busy_spans`).
+    """
     with fresh_message_ids():
         sim = build_simulation(
             config,
             RunOptions(engine="python", fast_forward=fast_forward, **options),
         )
+        if spans is not None:
+            busy_spans(sim, spans)
         states = []
         for chunk in chunks:
             sim.run(chunk)
@@ -213,13 +254,22 @@ def play(config, chunks, fast_forward, **options):
     return states, sim
 
 
-def busy_slots_spanned(workload: BusyWorkload) -> int:
-    """Assert one workload spans invisibly; returns its busy-span slots."""
-    profiler = PhaseProfiler()
-    fast, _ = play(workload.config, workload.chunks, True, profiler=profiler)
-    slow, _ = play(workload.config, workload.chunks, False)
+def waits(spans) -> bool:
+    """Whether any of ``spans`` had a requester that was not granted."""
+    return any(n_requests > n_grants for n_requests, n_grants, _ in spans)
+
+
+def spans_of(workload: BusyWorkload) -> list[tuple[int, int, int]]:
+    """Assert one workload spans invisibly; returns its busy spans."""
+    spans: list[tuple[int, int, int]] = []
+    fast, _ = play(
+        workload.config, workload.chunks, True, spans, mapping=workload.mapping
+    )
+    slow, _ = play(
+        workload.config, workload.chunks, False, mapping=workload.mapping
+    )
     assert fast == slow
-    return profiler.counters["busy_forwarded_slots"]
+    return spans
 
 
 def stepped_slots(sim) -> list[int]:
@@ -235,19 +285,31 @@ def stepped_slots(sim) -> list[int]:
     return seen
 
 
+#: Node 0's 600-slot message (laxity 401) is granted and holds the clock;
+#: node 1's 10-slot message (laxity 991 at slot 0) shares link 1->2 with
+#: it and waits, its laxity shrinking by one per slot.
+WAITING = ScenarioConfig(
+    n_nodes=4,
+    connections=(conn(0, [2], 1000, 600), conn(1, [3], 1000, 10)),
+)
+
+
 class TestBusySpans:
     def test_busy_spans_match_stepping(self):
-        spanned: list[int] = []
+        spanned: list[list[tuple[int, int, int]]] = []
 
-        @settings(max_examples=200, deadline=None)
+        # 300 examples: about one in eight takes a span with a waiting
+        # requester, so the count below has a wide margin.
+        @settings(max_examples=300, deadline=None)
         @given(busy_workloads())
         def check(workload):
-            spanned.append(busy_slots_spanned(workload))
+            spanned.append(spans_of(workload))
 
         check()
-        # Not vacuous: the drawn workloads did take busy spans.
-        assert sum(spanned) > 0
-        assert sum(1 for k in spanned if k) >= 10
+        # Not vacuous: the drawn workloads did take busy spans, also
+        # spans that a losing requester waited through.
+        assert sum(1 for spans in spanned if spans) >= 10
+        assert sum(1 for spans in spanned if waits(spans)) >= 10
 
     def test_lone_master_repeats_until_the_slot_before_delivery(self):
         config = ScenarioConfig(
@@ -263,9 +325,10 @@ class TestBusySpans:
         assert sim.report.class_stats(TrafficClass.RT_CONNECTION).delivered == 1
         assert sim.report.busy_slots == sim.report.packets_sent == 120
 
-    def test_multi_requester_plans_are_stepped(self):
-        # Two nodes sharing the ring through spatial reuse: both granted
-        # every slot, but a span needs a lone requester.
+    def test_two_grant_plan_spans_until_the_slot_before_delivery(self):
+        # Two nodes sharing the ring through spatial reuse, both granted
+        # every slot at a constant laxity: slots 1..99 repeat, and slot
+        # 100 delivers both messages and is stepped.
         config = ScenarioConfig(
             n_nodes=6,
             connections=(conn(0, [1], 300, 100), conn(3, [4], 300, 100)),
@@ -275,7 +338,54 @@ class TestBusySpans:
         (slow,), _ = play(config, [250], False)
         assert fast == slow
         assert sim.report.packets_sent == 200
-        assert profiler.counters["busy_forwarded_slots"] == 0
+        assert profiler.counters["busy_forwarded_slots"] == 99
+
+    def test_fifo_two_grant_plans_are_stepped(self):
+        # FIFO's priority is the message age, so the granted heads' own
+        # priorities move every slot: only a lone requester spans.
+        config = ScenarioConfig(
+            n_nodes=6,
+            policy="fifo",
+            connections=(conn(0, [1], 300, 100), conn(3, [4], 300, 100)),
+        )
+        profiler = PhaseProfiler()
+        (fast,), sim = play(config, [250], True, profiler=profiler)
+        (slow,), _ = play(config, [250], False)
+        assert fast == slow
+        assert sim.report.packets_sent == 200
+        assert "busy_forwarded_slots" not in profiler.counters
+
+    def test_waiting_head_bucket_crossing_ends_the_span(self):
+        # Both mappings in one test: a bound memoised across protocols
+        # (keyed by priority and class only) would carry one mapping's
+        # buckets into the other's run.
+        cases = [
+            # Logarithmic: laxity 991 sits in [511, 1022]; slot 481
+            # arbitrates laxity 510 and is stepped.  [255, 510] outlasts
+            # node 0's delivery in slot 600, after which node 1 takes the
+            # clock (a gap: stepped).
+            (None, [0, 481, 600, 601]),
+            # Linear over 1 500 slots: buckets of 100 laxities, left in
+            # slots 92, 192, ..., 592 -- where node 1's level overtakes
+            # node 0's and the clock moves.
+            (
+                LinearMapping(horizon_slots=1500),
+                [0, 92, 192, 292, 392, 492, 592, 593],
+            ),
+        ]
+        for mapping, expected in cases:
+            with fresh_message_ids():
+                sim = build_simulation(
+                    WAITING, RunOptions(engine="python", mapping=mapping)
+                )
+                seen = stepped_slots(sim)
+                spans = busy_spans(sim)
+                sim.run(1000)
+                fast = state(sim)
+            (slow,), _ = play(WAITING, [1000], False, mapping=mapping)
+            assert fast == slow
+            assert seen[: len(expected)] == expected
+            assert waits(spans)
 
     def test_release_landing_mid_span_is_stepped(self):
         config = ScenarioConfig(
@@ -330,6 +440,46 @@ class TestBusySpans:
         assert fast == slow
         assert profiler.counters["busy_forwarded_slots"] > 0
 
+    def test_vector_to_oracle_handover_with_a_waiting_requester(self):
+        with fresh_message_ids():
+            sim = build_simulation(WAITING, RunOptions(engine="vector"))
+            sim.run(100)
+            assert sim.vector_backend is not None
+            plan = sim._plan
+            assert plan.n_requests == 2
+            assert [tx.node for tx in plan.transmissions] == [0]
+            seen = stepped_slots(sim)
+            Simulation.run(sim, 900)
+            fast = state(sim)
+        (slow,), _ = play(WAITING, [1000], False)
+        assert fast == slow
+        # The kernel arbitrated slot 99 at node 1's laxity 892, still in
+        # [511, 1022]: the oracle spans 100..480 and steps the crossing.
+        assert seen[:3] == [481, 600, 601]
+
+    def test_compiled_fold_refill_is_collected_on_the_next_step(self):
+        if ckernel._kernel_fn() is None:
+            pytest.skip("no C toolchain; compiled tier unavailable")
+        config = ScenarioConfig(
+            n_nodes=4, connections=(conn(2, [0], 200, 30, phase=50),)
+        )
+        with fresh_message_ids():
+            sim = build_simulation(config, RunOptions(engine="vector"))
+            for _ in range(10):
+                sim.step()
+            # The oracle's collection phase saw node 2's queue empty.
+            idle = sim.queues[2]
+            assert idle._head_valid and idle._cached_head is None
+            # The kernel releases at 50 and hands back a half-sent message.
+            sim.run(60)
+            assert sim.vector_backend == "compiled"
+            sim.step()
+            assert [tx.node for tx in sim._plan.transmissions] == [2]
+            Simulation.run(sim, 129)
+            fast = state(sim)
+        (slow,), _ = play(config, [200], False)
+        assert fast == slow
+
     def test_event_log_slot_records_equal_stepped_ones(self, tmp_path):
         config = ScenarioConfig(
             n_nodes=5,
@@ -339,25 +489,81 @@ class TestBusySpans:
                 conn(2, [3], 90, 2, phase=11),
             ),
         )
-
-        def log(fast_forward: bool, profiler=None) -> list[str]:
-            path = tmp_path / f"ff{int(fast_forward)}.jsonl"
-            observer = EventDispatcher()
-            observer.add_sink(JsonlEventLog(path))
-            play(
-                config,
-                [173, 400, 27],
-                fast_forward,
-                observer=observer,
-                profiler=profiler,
-            )
-            observer.close()
-            return path.read_text().splitlines()
-
         profiler = PhaseProfiler()
-        fast = log(True, profiler)
-        slow = log(False)
+        chunks = [173, 400, 27]
+        fast = event_log(tmp_path, config, chunks, True, profiler=profiler)
+        slow = event_log(tmp_path, config, chunks, False)
         assert profiler.counters["busy_forwarded_slots"] > 100
         assert any('"fast_forward"' in line for line in fast)
         # Busy spans log every slot; only idle spans are collapsed.
         assert spelled_out(fast) == slow
+
+    def test_event_log_of_multi_requester_spans_equals_stepped_one(
+        self, tmp_path
+    ):
+        # WAITING on a wider ring, plus node 3 granted alongside node 0.
+        config = dataclasses.replace(
+            WAITING,
+            n_nodes=6,
+            connections=WAITING.connections
+            + (conn(3, [4], 500, 100, phase=20),),
+        )
+        spans: list[tuple[int, int, int]] = []
+        chunks = [173, 400, 427]
+        fast = event_log(tmp_path, config, chunks, True, spans=spans)
+        slow = event_log(tmp_path, config, chunks, False)
+        assert waits(spans)
+        assert any(n_grants > 1 for _, n_grants, _ in spans)
+        assert spelled_out(fast) == slow
+
+
+def event_log(tmp_path, config, chunks, fast_forward: bool, **play_options):
+    """The JSONL lines a chunked play of ``config`` writes."""
+    path = tmp_path / f"ff{int(fast_forward)}.jsonl"
+    observer = EventDispatcher()
+    observer.add_sink(JsonlEventLog(path))
+    play(config, chunks, fast_forward, observer=observer, **play_options)
+    observer.close()
+    return path.read_text().splitlines()
+
+
+# ----------------------------------------------------------------------
+# Span time: a binade at a time, bit for bit.
+# ----------------------------------------------------------------------
+
+
+def plain_sum(x: float, c: float, k: int) -> float:
+    for _ in range(k):
+        x += c
+    return x
+
+
+@st.composite
+def repeated_sums(draw):
+    """``(x, c, k)``: from zero, near a binade top, or on a rounding tie."""
+    kind = draw(st.sampled_from(["zero", "any", "crossing", "tie"]))
+    k = draw(st.integers(0, 3_000) | st.integers(0, 10**6))
+    c = draw(st.floats(1e-9, 10.0))
+    if kind == "zero":
+        return 0.0, c, k
+    x = draw(st.floats(1e-6, 1e3))
+    if kind == "crossing":
+        # A few increments below the top of x's binade.
+        top = 2.0 ** math.frexp(x)[1]
+        x = max(top - draw(st.integers(1, 64)) * c, 0.0)
+    elif kind == "tie":
+        # c an odd multiple of half an ulp of x: x + c is a rounding tie.
+        c = (2 * draw(st.integers(0, 2**24)) + 1) * math.ulp(x) / 2
+    return x, c, k
+
+
+class TestRepeatedSum:
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_sums())
+    @example((0.0, 1.0e-6, 10**6))
+    @example((1.0, 2.0**-53, 10**6))  # a tie that rounds back to x
+    @example((1.0 + 2.0**-52, 3 * 2.0**-53, 1_000))  # odd x, tie
+    @example((0.5 - 2.0**-54, 2.0**-54, 3))  # the step onto the top
+    def test_equals_the_plain_loop(self, case):
+        x, c, k = case
+        assert _repeated_sum(x, c, k) == plain_sum(x, c, k)
