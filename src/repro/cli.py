@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -397,8 +398,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from functools import partial
-
         from repro.obs.manifest import RunManifest
         from repro.sim.batch import replicate, resolve_jobs
 
@@ -556,17 +555,9 @@ def _compare_one(args: argparse.Namespace, protocol: str):
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """The `compare` subcommand: all protocols, identical workload."""
-    if args.jobs != 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
+    from repro.sim.batch import ordered_map
 
-        from repro.sim.batch import resolve_jobs
-
-        jobs = min(resolve_jobs(args.jobs), len(PROTOCOLS))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(partial(_compare_one, args), PROTOCOLS))
-    else:
-        rows = [_compare_one(args, protocol) for protocol in PROTOCOLS]
+    rows = ordered_map(partial(_compare_one, args), PROTOCOLS, args.jobs)
     achieved = sum(c.utilisation for c in _build_config(
         args, "ccr-edf", np.random.default_rng(args.seed)
     ).connections)

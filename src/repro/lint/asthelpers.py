@@ -48,6 +48,13 @@ class ImportMap:
         return f"{full}.{rest}" if rest else full
 
 
+def has_dotted_suffix(name: str, *suffixes: str) -> bool:
+    """Whether ``name`` is one of ``suffixes`` or ends with one of them on
+    a dotted-name boundary: ``obs.events`` matches ``repro.obs.events``
+    but not ``repro.obs.revents``."""
+    return any(name == s or name.endswith("." + s) for s in suffixes)
+
+
 def dotted_name(node: ast.expr) -> str | None:
     """``a.b.c`` for a pure Name/Attribute chain, else ``None``."""
     parts: list[str] = []

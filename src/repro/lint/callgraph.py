@@ -31,7 +31,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.lint.asthelpers import ImportMap, dotted_name
+from repro.lint.asthelpers import ImportMap, dotted_name, has_dotted_suffix
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.lint.context import ModuleInfo, Project
@@ -309,7 +309,7 @@ class CallGraph:
         """Method qnames of every class matching a dotted-name suffix."""
         out: list[str] = []
         for qname in sorted(self.classes):
-            if qname == class_suffix or qname.endswith("." + class_suffix):
+            if has_dotted_suffix(qname, class_suffix):
                 out.extend(sorted(self.classes[qname].methods.values()))
         return tuple(out)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.lint.asthelpers import has_dotted_suffix
 from repro.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
@@ -171,6 +172,6 @@ class Project:
         ``repro.obs.events`` but not ``repro.obs.revents``.
         """
         for module in self.modules:
-            if module.module == suffix or module.module.endswith("." + suffix):
+            if has_dotted_suffix(module.module, suffix):
                 return module
         return None

@@ -14,6 +14,5 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     priority_domain,
     seed_provenance,
     serialization,
-    vector_packed,
     wallclock,
 )

@@ -33,6 +33,7 @@ import ast
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+from repro.lint.asthelpers import has_dotted_suffix
 from repro.lint.context import ModuleInfo, Project
 from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, register
@@ -98,13 +99,6 @@ def _in_repro(module: str) -> bool:
 
 def _service_module(module: str) -> bool:
     return ".service" in f".{module}" and _in_repro(module)
-
-
-def _matches_suffix(qname: str, suffixes: Sequence[str]) -> bool:
-    return any(
-        qname == suffix or qname.endswith("." + suffix)
-        for suffix in suffixes
-    )
 
 
 # ---------------------------------------------------------------------
@@ -450,7 +444,7 @@ class AwaitSharedState(LintRule):
                 continue
             if not _in_repro(info.module):
                 continue
-            if _matches_suffix(qname, SERIALISATION_POINTS):
+            if has_dotted_suffix(qname, *SERIALISATION_POINTS):
                 continue
             assert isinstance(info.node, ast.AsyncFunctionDef)
             if info.module not in global_names:

@@ -52,7 +52,11 @@ import ast
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from repro.lint.asthelpers import ImportMap, resolve_call_target
+from repro.lint.asthelpers import (
+    ImportMap,
+    has_dotted_suffix,
+    resolve_call_target,
+)
 from repro.lint.callgraph import MODULE_BODY, CallGraph, CallSite, FunctionInfo
 from repro.lint.context import ModuleInfo, Project
 from repro.lint.dataflow import fixpoint
@@ -454,9 +458,7 @@ class SeedProvenance(LintRule):
         self, module: ModuleInfo, reported: set[tuple[str, int, int]]
     ) -> Iterable[Finding]:
         """Entropy-less constructors and def-time defaults, any module."""
-        may_mint = module.module == ENTROPY_MINTING_MODULE or (
-            module.module.endswith("." + ENTROPY_MINTING_MODULE)
-        )
+        may_mint = has_dotted_suffix(module.module, ENTROPY_MINTING_MODULE)
         imports = ImportMap(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(

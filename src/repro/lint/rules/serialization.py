@@ -20,7 +20,11 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable
 
-from repro.lint.asthelpers import ImportMap, resolve_call_target
+from repro.lint.asthelpers import (
+    ImportMap,
+    has_dotted_suffix,
+    resolve_call_target,
+)
 from repro.lint.context import ModuleInfo
 from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, register
@@ -48,7 +52,7 @@ VIEW_METHODS = frozenset({"items", "keys", "values"})
 
 
 def _in_scope(module: str) -> bool:
-    if any(module == m or module.endswith("." + m) for m in SCOPED_MODULES):
+    if has_dotted_suffix(module, *SCOPED_MODULES):
         return True
     return any(
         module == pkg or module.startswith(pkg + ".")

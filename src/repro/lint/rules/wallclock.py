@@ -27,7 +27,11 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable
 
-from repro.lint.asthelpers import ImportMap, resolve_call_target
+from repro.lint.asthelpers import (
+    ImportMap,
+    has_dotted_suffix,
+    resolve_call_target,
+)
 from repro.lint.context import ModuleInfo
 from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, register
@@ -63,13 +67,6 @@ FORBIDDEN_CALLS = frozenset(
 )
 
 
-def _module_allowed(module: str) -> bool:
-    return any(
-        module == allowed or module.endswith("." + allowed)
-        for allowed in ALLOWED_MODULES
-    )
-
-
 @register
 class NoWallclockInSim(LintRule):
     """Flag host-clock calls outside the measurement/provenance modules."""
@@ -82,7 +79,7 @@ class NoWallclockInSim(LintRule):
     )
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        if _module_allowed(module.module):
+        if has_dotted_suffix(module.module, *ALLOWED_MODULES):
             return
         if ALLOWED_PATH_PARTS.intersection(module.rel.split("/")):
             return

@@ -7,10 +7,12 @@ the paper's Section 6 directly onto asyncio:
 * **One designated node.**  All requests -- no matter how many clients
   submit concurrently -- drain through a single worker coroutine that
   drives one :class:`~repro.services.api.ConnectionClient` against the
-  hosted simulation.  The worker *is* the designated admission node:
-  requests are served strictly one at a time in arrival order, exactly
-  the serialisation :class:`~repro.core.admission.AdmissionController`
-  assumes ("thread-unsafe by design").
+  hosted simulation; open, close, suspend and resume are its verbs, and
+  ``status`` reads the controller.  The worker *is* the designated
+  admission node: requests are served strictly one at a time in arrival
+  order, exactly the serialisation
+  :class:`~repro.core.admission.AdmissionController` assumes
+  ("thread-unsafe by design").
 * **Bounded queue, explicit backpressure.**  The request queue holds at
   most ``queue_depth`` requests.  A submission against a full queue
   fails synchronously with the typed
@@ -56,7 +58,6 @@ from repro.service.messages import (
 from repro.services.api import ConnectionClient, MessageInjector
 from repro.sim.engine import Simulation
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
-from repro.traffic.periodic import ConnectionSource
 
 #: One queued request: (request, reply future, submission timestamp).
 _QueueItem = tuple[ServiceRequest, "asyncio.Future[ServiceReply]", float]
@@ -321,24 +322,12 @@ class AdmissionService:
             elif request.op == "suspend":
                 if request.node is None:
                     raise ValueError("'suspend' request carries no node")
-                self.controller.current_slot = self.sim.current_slot
-                suspended = self.controller.suspend_node(request.node)
-                for cid in suspended:
-                    self.sim.detach_connection_source(cid)
+                self._client.suspend_node(request.node)
                 outcome = "accepted"
             elif request.op == "resume":
                 if request.node is None:
                     raise ValueError("'resume' request carries no node")
-                self.controller.current_slot = self.sim.current_slot
-                resumed = self.controller.resume_node(request.node)
-                for d in resumed:
-                    if d.accepted:
-                        self.sim.attach_source(
-                            ConnectionSource(
-                                d.connection,
-                                active_from=self.sim.current_slot,
-                            )
-                        )
+                resumed = self._client.resume_node(request.node)
                 decision = resumed[-1] if resumed else None
                 outcome = (
                     "accepted"

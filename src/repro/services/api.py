@@ -16,8 +16,12 @@ accounts for that round-trip (2 best-effort messages) before a
 connection's traffic may start flowing.
 
 The canonical signalling surface is :meth:`ConnectionClient.open_lrtc` /
-:meth:`ConnectionClient.close_lrtc`, matching the async
-:class:`repro.service.AdmissionClient` verb for verb.
+:meth:`ConnectionClient.close_lrtc`, plus the fault-path pair
+:meth:`~ConnectionClient.suspend_node` / :meth:`~ConnectionClient.resume_node`,
+matching the async :class:`repro.service.AdmissionClient` verb for verb.
+The client is the one place that puts a connection on the ring (an
+attached :class:`~repro.traffic.periodic.ConnectionSource`) and takes it
+off again.
 """
 
 from __future__ import annotations
@@ -175,8 +179,9 @@ class ConnectionClient:
     and only then (on acceptance) activates the connection's periodic
     source.  Tear-down runs the same 2-message dialogue in reverse.
 
-    Drives the supplied simulation while waiting, so the signalling cost
-    is measured in real network slots.  :meth:`open_lrtc` and
+    Drives the supplied simulation while waiting
+    (:meth:`~repro.sim.engine.Simulation.run_until`), so the signalling
+    cost is measured in real network slots.  :meth:`open_lrtc` and
     :meth:`close_lrtc` are the canonical pair and return a symmetric
     :class:`SignallingResult`.
     """
@@ -201,26 +206,36 @@ class ConnectionClient:
         self.admission_node = admission_node
         self.injectors = injectors
 
-    def _await_delivery(self, submission: _Submission, max_slots: int) -> int:
-        """Step the simulation until the message is delivered."""
-        start = self.sim.current_slot
-        while not submission.delivered:
-            if self.sim.current_slot - start >= max_slots:
-                raise TimeoutError(
-                    "signalling message not delivered within "
-                    f"{max_slots} slots"
-                )
-            self.sim.step()
-        return self.sim.current_slot - start
-
     def _signal(self, src: int, dst: int, max_slots: int) -> int:
-        """One best-effort signalling leg from ``src`` to ``dst``."""
+        """One best-effort signalling leg from ``src`` to ``dst``.
+
+        Drives the ring until the leg is delivered; returns the slots it
+        took.
+        """
         leg = self.injectors[src].submit(
             destinations=[dst],
             traffic_class=TrafficClass.BEST_EFFORT,
             relative_deadline_slots=self.SIGNALLING_DEADLINE_SLOTS,
         )
-        return self._await_delivery(leg, max_slots)
+        start = self.sim.current_slot
+        if not self.sim.run_until(lambda: leg.delivered, max_slots):
+            raise TimeoutError(
+                f"signalling message not delivered within {max_slots} slots"
+            )
+        return self.sim.current_slot - start
+
+    def _stamped(self) -> AdmissionController:
+        """The controller, stamped with the live slot so its admission
+        events carry *when* it decided, not ``None``."""
+        self.controller.current_slot = self.sim.current_slot
+        return self.controller
+
+    def _activate(self, connection: LogicalRealTimeConnection) -> None:
+        """Put an admitted connection on the ring: its periodic source
+        releases from the next slot on."""
+        self.sim.attach_source(
+            ConnectionSource(connection, active_from=self.sim.current_slot)
+        )
 
     def open_lrtc(
         self,
@@ -239,20 +254,14 @@ class ConnectionClient:
         if src != self.admission_node:
             used += self._signal(src, self.admission_node, max_wait_slots)
 
-        # Stamp the controller with the live slot so the AdmissionDecided
-        # event carries *when* the test ran, not ``None``.
-        self.controller.current_slot = self.sim.current_slot
-        decision = self.controller.request(connection)
+        decision = self._stamped().request(connection)
 
         if src != self.admission_node:
             used += self._signal(self.admission_node, src, max_wait_slots)
             round_trips = 1
 
         if decision.accepted:
-            # Activate the periodic source from the next slot on.
-            self.sim.attach_source(
-                ConnectionSource(connection, active_from=self.sim.current_slot)
-            )
+            self._activate(connection)
         return SignallingResult(
             decision=decision, slots_used=used, round_trips=round_trips
         )
@@ -269,8 +278,7 @@ class ConnectionClient:
         :meth:`open_lrtc`, so open and close signalling costs are
         directly comparable.
         """
-        self.controller.current_slot = self.sim.current_slot
-        connection = self.controller.remove(connection_id)
+        connection = self._stamped().remove(connection_id)
         used = 0
         round_trips = 0
         src = connection.source
@@ -285,3 +293,25 @@ class ConnectionClient:
         return SignallingResult(
             decision=None, slots_used=used, round_trips=round_trips
         )
+
+    def suspend_node(self, node: int) -> tuple[int, ...]:
+        """Suspend every connection sourced at ``node`` and stop its
+        traffic; returns the suspended connection ids.
+
+        Local to the admission node (the failure was observed there), so
+        no signalling slots are spent.
+        """
+        suspended = self._stamped().suspend_node(node)
+        for cid in suspended:
+            self.sim.detach_connection_source(cid)
+        return suspended
+
+    def resume_node(self, node: int) -> tuple[AdmissionDecision, ...]:
+        """Re-admit ``node``'s suspended connections in suspension order
+        and restart the traffic of each one accepted; returns the
+        decisions."""
+        resumed = self._stamped().resume_node(node)
+        for decision in resumed:
+            if decision.accepted:
+                self._activate(decision.connection)
+        return resumed

@@ -94,6 +94,7 @@ class BarrierCoordinator:
                 raise ValueError(f"no injector for participant node {node}")
 
         start = self.sim.current_slot
+        end = start + max_slots  # one budget for both phases
 
         # Phase 1: gather.  The coordinator's own arrival is local.
         arrivals = [
@@ -105,12 +106,12 @@ class BarrierCoordinator:
             for node in nodes
             if node != self.coordinator
         ]
-        while not all(a.delivered for a in arrivals):
-            if self.sim.current_slot - start >= max_slots:
-                raise TimeoutError(
-                    f"barrier gather phase incomplete after {max_slots} slots"
-                )
-            self.sim.step()
+        if not self.sim.run_until(
+            lambda: all(a.delivered for a in arrivals), max_slots
+        ):
+            raise TimeoutError(
+                f"barrier gather phase incomplete after {max_slots} slots"
+            )
 
         # Phase 2: release broadcast to every other participant.
         release = self.injectors[self.coordinator].submit(
@@ -118,12 +119,12 @@ class BarrierCoordinator:
             traffic_class=TrafficClass.BEST_EFFORT,
             relative_deadline_slots=self.deadline_slots,
         )
-        while not release.delivered:
-            if self.sim.current_slot - start >= max_slots:
-                raise TimeoutError(
-                    f"barrier release phase incomplete after {max_slots} slots"
-                )
-            self.sim.step()
+        if not self.sim.run_until(
+            lambda: release.delivered, end - self.sim.current_slot
+        ):
+            raise TimeoutError(
+                f"barrier release phase incomplete after {max_slots} slots"
+            )
 
         return BarrierResult(
             start_slot=start,

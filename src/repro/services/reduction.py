@@ -79,6 +79,7 @@ class GlobalReduction:
                 raise ValueError(f"no injector for participant node {node}")
 
         start = self.sim.current_slot
+        end = start + max_slots  # one budget for every hop and the broadcast
 
         # Reduce phase: hop participant -> next participant in id order.
         value = contributions[nodes[0]]
@@ -89,13 +90,13 @@ class GlobalReduction:
                 traffic_class=TrafficClass.BEST_EFFORT,
                 relative_deadline_slots=self.deadline_slots,
             )
-            while not hop.delivered:
-                if self.sim.current_slot - start >= max_slots:
-                    raise TimeoutError(
-                        f"reduction hop {src}->{dst} incomplete after "
-                        f"{max_slots} slots"
-                    )
-                self.sim.step()
+            if not self.sim.run_until(
+                lambda: hop.delivered, end - self.sim.current_slot
+            ):
+                raise TimeoutError(
+                    f"reduction hop {src}->{dst} incomplete after "
+                    f"{max_slots} slots"
+                )
             value = operator(value, contributions[dst])
 
         # Broadcast phase: the last participant multicasts the result.
@@ -106,12 +107,12 @@ class GlobalReduction:
             traffic_class=TrafficClass.BEST_EFFORT,
             relative_deadline_slots=self.deadline_slots,
         )
-        while not bcast.delivered:
-            if self.sim.current_slot - start >= max_slots:
-                raise TimeoutError(
-                    f"reduction broadcast incomplete after {max_slots} slots"
-                )
-            self.sim.step()
+        if not self.sim.run_until(
+            lambda: bcast.delivered, end - self.sim.current_slot
+        ):
+            raise TimeoutError(
+                f"reduction broadcast incomplete after {max_slots} slots"
+            )
 
         return ReductionResult(
             start_slot=start,

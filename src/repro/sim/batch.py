@@ -29,16 +29,20 @@ Two picklability rules follow from using processes when ``n_jobs != 1``:
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
+from typing import TypeVar
 
 import numpy as np
 
 from repro.obs.registry import MetricRegistry
 from repro.sim.engine import Simulation
 from repro.sim.metrics import SimulationReport
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,25 @@ def resolve_jobs(n_jobs: int) -> int:
     return available_cpus()
 
 
+def ordered_map(
+    fn: Callable[[_Item], _Result], items: Sequence[_Item], n_jobs: int
+) -> list[_Result]:
+    """``[fn(item) for item in items]`` on up to ``n_jobs`` processes.
+
+    The one fan-out path (:func:`replicate`, ``repro compare --jobs``).
+    ``n_jobs <= 0`` means one per available CPU, and the pool never
+    outgrows ``items``; one job maps in-process, more need a picklable
+    ``fn`` (a module-level function or a ``functools.partial`` of one).
+    Results come back in input order whichever worker finishes first, so
+    the list is the same for every job count.
+    """
+    jobs = min(resolve_jobs(n_jobs), len(items))
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_one(
     build: Callable[[np.random.Generator], Simulation],
     seed: np.random.SeedSequence,
@@ -234,15 +257,13 @@ def replicate(
         raise ValueError("no metrics requested")
 
     children = np.random.SeedSequence(master_seed).spawn(n_replications)
-    jobs = min(resolve_jobs(n_jobs), n_replications)
-    runs = (repeat(build), children, repeat(n_slots), repeat(collect_registry))
-    if jobs == 1:
-        results = list(map(run_one, *runs))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # map() preserves input order: results come back in seed
-            # order regardless of which worker finished first.
-            results = list(pool.map(run_one, *runs))
+    results = ordered_map(
+        partial(
+            run_one, build, n_slots=n_slots, collect_registry=collect_registry
+        ),
+        children,
+        n_jobs,
+    )
 
     merged_registry = None
     if collect_registry:

@@ -20,7 +20,9 @@ whose releases come from outside the slot loop (a
 the wake-up hook the engine binds when it files it
 (:meth:`~repro.traffic.base.TrafficSource.bind_wakeup`).
 
-``run()`` fast-forwards over slots that provably repeat the last one
+One loop drives the ring: :meth:`Simulation.run_until`, behind
+``run()`` and every signalling wait in :mod:`repro.services`.  It
+fast-forwards over slots that provably repeat the last one
 (see :meth:`Simulation._try_fast_forward`): *idle* spans, where nobody
 requests, and *busy* spans, where the same grants repeat until the
 first delivery, which is stepped -- under EDF with any number of grants
@@ -57,7 +59,7 @@ import dataclasses
 import enum
 import functools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
 
@@ -92,6 +94,11 @@ _BY_ATTACH_SEQ = itemgetter(1)
 
 #: A binade's floats are ``n * ulp`` for ``2**52 <= n < _BINADE_ULPS``.
 _BINADE_ULPS = 1 << 53
+
+
+def _never() -> bool:
+    """The ``done`` predicate of a fixed-length :meth:`Simulation.run`."""
+    return False
 
 
 def _repeated_sum(x: float, c: float, k: int) -> float:
@@ -907,29 +914,42 @@ class Simulation:
                 )
         return k
 
+    def run_until(self, done: Callable[[], bool], max_slots: int) -> bool:
+        """Drive the ring until ``done()`` holds; at most ``max_slots`` slots.
+
+        The one slot loop: ``done`` is asked before every step or span,
+        and each iteration either fast-forwards (spans never pass
+        ``start + max_slots``) or steps one slot.  Returns ``True`` once
+        ``done()`` holds and ``False`` when the budget ran out first --
+        then exactly ``max_slots`` slots ran.
+
+        A delivery is always a stepped slot (a busy span ends the slot
+        before it), so a predicate on delivery status is seen in the
+        slot it turns true.  A predicate on the slot count is not: a span
+        can jump past it -- pass a budget instead (:meth:`run` does).
+        """
+        if max_slots < 0:
+            raise ValueError(f"slot count must be non-negative, got {max_slots}")
+        end = self.current_slot + max_slots
+        fast_forward = self.fast_forward
+        profiler = self.profiler if fast_forward else None
+        while not done():
+            if self.current_slot >= end:
+                return False
+            if fast_forward:
+                # The probe, failed ones included, is its own phase,
+                # symmetric with the vector engine's "kernel" phase.
+                if profiler is not None:
+                    t_phase = profiler.clock()
+                forwarded = self._try_fast_forward(end)
+                if profiler is not None:
+                    profiler.lap("fast_forward", t_phase)
+                if forwarded:
+                    continue
+            self.step()
+        return True
+
     def run(self, n_slots: int) -> SimulationReport:
         """Execute ``n_slots`` slots and return the accumulated report."""
-        if n_slots < 0:
-            raise ValueError(f"slot count must be non-negative, got {n_slots}")
-        if not self.fast_forward:
-            for _ in range(n_slots):
-                self.step()
-            return self.report
-        end = self.current_slot + n_slots
-        profiler = self.profiler
-        if profiler is not None:
-            # Attribute the fast-forward probe (including failed probes,
-            # which previously vanished into unaccounted run() time) to
-            # its own phase, symmetric with the vector engine's "kernel"
-            # phase.
-            while self.current_slot < end:
-                t_phase = profiler.clock()
-                forwarded = self._try_fast_forward(end)
-                profiler.lap("fast_forward", t_phase)
-                if not forwarded:
-                    self.step()
-            return self.report
-        while self.current_slot < end:
-            if not self._try_fast_forward(end):
-                self.step()
+        self.run_until(_never, n_slots)
         return self.report

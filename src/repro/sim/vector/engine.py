@@ -4,8 +4,10 @@
 whose :meth:`run` dispatches to the struct-of-arrays kernel
 (:mod:`repro.sim.vector.kernel`) whenever the configuration is one the
 kernel replicates bit-for-bit, and otherwise falls back to the inherited
-pure-Python slot loop -- the reference oracle.  ``step()`` is always the
-oracle: single-slot stepping has nothing to batch.
+pure-Python slot loop -- the reference oracle.  Only :meth:`run` is
+overridden: ``step()`` and ``run_until()`` are always the oracle, since
+single-slot stepping has nothing to batch and a signalling wait must stop
+in the slot its message is delivered.
 
 The fallback decision is recorded in :attr:`vector_fallback_reason` so
 callers (and the differential harness) can assert which core actually

@@ -43,7 +43,9 @@ PACKED_NODE_MASK: int = (1 << PACKED_NODE_BITS) - 1
 PACKED_PRIO_SHIFT: int = PACKED_NODE_BITS
 
 #: Largest packed value any request can take; must fit ``int64`` with
-#: headroom so numpy reductions never overflow (checked by ``repro lint``).
+#: headroom so numpy reductions never overflow.  The tiling and the
+#: ``_ckernel.c`` mirror of shift and mask are pinned by
+#: ``tests/sim/vector/test_soa.py``.
 PACKED_MAX: int = (MAX_PRIORITY << PACKED_PRIO_SHIFT) | PACKED_NODE_MASK
 
 #: Sentinel "this priority bucket never expires" value for ``prio_until``

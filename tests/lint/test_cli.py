@@ -75,14 +75,13 @@ class TestListRules:
     def test_lists_the_full_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert len(out.splitlines()) == 10
+        assert len(out.splitlines()) == 9
         for name in (
             "no-wallclock-in-sim",
             "frozen-dataclass-mutation",
             "sorted-iteration-before-serialization",
             "priority-domain",
             "event-metric-parity",
-            "vector-packed-field",
             "seed-provenance",
             "async-blocking",
             "await-shared-state",

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.lint.asthelpers import has_dotted_suffix
 from repro.lint.context import module_name_for, parse_pragmas
 from repro.lint.engine import LintEngine
 from repro.lint.findings import Finding
@@ -36,6 +37,13 @@ class TestModuleNames:
         script = tmp_path / "scratch.py"
         script.write_text("x = 1\n")
         assert module_name_for(script) == "scratch"
+
+    def test_suffix_matches_on_dotted_boundaries(self):
+        assert has_dotted_suffix("repro.obs.events", "obs.events")
+        assert has_dotted_suffix("obs.events", "obs.events")
+        assert not has_dotted_suffix("repro.obs.revents", "obs.events")
+        assert has_dotted_suffix("repro.cli", "sim.profiling", "cli")
+        assert not has_dotted_suffix("repro.cli")
 
 
 class TestPragmas:
@@ -154,7 +162,7 @@ class TestRegistry:
     def test_catalogue_is_sorted_and_complete(self):
         names = [r.name for r in all_rules()]
         assert names == sorted(names)
-        assert len(names) == 10
+        assert len(names) == 9
         assert rule_names() == set(names)
 
     def test_every_rule_declares_its_invariant(self):

@@ -197,46 +197,6 @@ class TestPriorityDomain:
             assert policy.FIFO_AGE_HORIZON_LOG2 == hi - lo
 
 
-class TestVectorPackedField:
-    RULE = "vector-packed-field"
-
-    def test_quiet_on_correct_tiling(self, lint_tree):
-        assert (
-            lint_tree(
-                "priority_packets.py", "vector_soa_good.py", rules=(self.RULE,)
-            )
-            == []
-        )
-
-    def test_fires_on_field_gap_and_stale_max(self, lint_tree):
-        findings = lint_tree(
-            "priority_packets.py", "vector_soa_bad.py", rules=(self.RULE,)
-        )
-        messages = " ".join(f.message for f in findings)
-        assert "PACKED_PRIO_SHIFT is 20" in messages
-        assert "PACKED_MAX" in messages
-
-    def test_fires_on_stale_c_mirror(self, tmp_path):
-        from tests.lint.conftest import materialise, run_rules
-
-        root = materialise(
-            tmp_path, "priority_packets.py", "vector_soa_good.py"
-        )
-        # A compiled mirror whose literals do not match the Python
-        # constants: wrong shift, wrong node mask.
-        (root / "repro/sim/vector/_ckernel.c").write_text(
-            "okey[i] = ((uint64_t)prio << 20) | (uint64_t)(0xFFFFF - i);\n"
-        )
-        messages = " ".join(
-            f.message for f in run_rules(root, self.RULE)
-        )
-        assert "does not shift priorities by 16" in messages
-        assert "does not use the node mask 0xFFFF" in messages
-
-    def test_quiet_without_vector_module(self, lint_tree):
-        assert lint_tree("wallclock_good.py", rules=(self.RULE,)) == []
-
-
 class TestEventMetricParity:
     def test_quiet_when_names_map_to_taxonomy(self, lint_tree):
         assert (
@@ -268,7 +228,6 @@ def test_every_rule_has_a_fixture():
         "sorted-iteration-before-serialization": "serialization",
         "priority-domain": "priority",
         "event-metric-parity": "parity",
-        "vector-packed-field": "vector",
         "seed-provenance": "seedprov",
         "async-blocking": "asyncblock",
         "await-shared-state": "awaitstate",

@@ -341,6 +341,43 @@ class TestCleanShutdown:
         asyncio.run(scenario())
 
 
+class TestCancelledCaller:
+    def test_open_cancelled_while_queued_is_still_served(self, tmp_path):
+        """The service owns a request once it is queued: a caller that
+        gives up does not unserve it, and the worker skips the reply
+        instead of failing on the cancelled future."""
+        path = tmp_path / "events.jsonl"
+
+        async def scenario():
+            observer = EventDispatcher()
+            observer.add_sink(JsonlEventLog(path))
+            service = AdmissionService(config(), observer=observer)
+            async with service:
+                client = AdmissionClient(service)
+                c = conn(10, 1)
+                ahead = asyncio.ensure_future(service.submit("status"))
+                queued = asyncio.ensure_future(client.open_lrtc(c))
+                await asyncio.sleep(0)  # both submits enqueue
+                assert not service.request_totals  # nothing served yet
+                queued.cancel()
+                await ahead
+                with pytest.raises(asyncio.CancelledError):
+                    await queued
+                # Bounded: a worker that died on the cancelled future
+                # would leave this status unanswered.
+                status = await asyncio.wait_for(client.status(), 5)
+                assert service.running
+                assert status.admitted == 1
+                assert service.request_totals["open:accepted"] == 1
+            observer.close()
+            return service
+
+        service = asyncio.run(scenario())
+        summary = summarise_log(path)
+        assert dict(summary.service_requests) == dict(service.request_totals)
+        assert summary.service_utilisation == service.controller.utilisation
+
+
 class TestWorkerCrash:
     def test_crash_fails_pending_and_closes_service(self, monkeypatch):
         def crash(self, request, submitted_at, depth):

@@ -18,6 +18,7 @@ from repro.core.priorities import TrafficClass
 from repro.sim.batch import (
     AVAILABILITY_METRICS,
     available_cpus,
+    ordered_map,
     replicate,
     resolve_jobs,
 )
@@ -152,6 +153,12 @@ class TestParallelValidation:
 
     def test_available_cpus_never_below_one(self):
         assert available_cpus() >= 1
+
+    def test_ordered_map_keeps_input_order_for_any_job_count(self):
+        items = [5, 1, 4, 2, 3]
+        for n_jobs in (1, 2, 0):
+            assert ordered_map(abs, [-i for i in items], n_jobs) == items
+        assert ordered_map(abs, [], 2) == []
 
 
 class TestRegistryMerge:

@@ -99,6 +99,13 @@ class TestCommands:
         for proto in ("ccr-edf", "upper-edf", "ccfpr", "tdma"):
             assert proto in out
 
+    def test_compare_output_is_the_same_for_any_job_count(self, capsys):
+        argv = ["compare", "--slots", "500", "--utilisation", "0.4"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
     def test_analysis_mode_flag(self, capsys):
         rc = main(
             [
