@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.core.arbitration import Arbiter
 from repro.ring.segments import mask_to_links, masks_overlap
 from repro.ring.topology import RingTopology
 
@@ -96,17 +97,12 @@ def greedy_priority_grant_count(
 ) -> int:
     """Grants the real sweep produces: ``requests`` are ``(priority,
     mask)`` pairs, swept in descending priority (ties keep input order,
-    mirroring the node-index tie-break)."""
-    ordered = sorted(
-        enumerate(requests), key=lambda e: (-e[1][0], e[0])
-    )
-    occupied = 0
-    count = 0
-    for _, (_, mask) in ordered:
-        if mask == 0 or masks_overlap(mask, forbidden_mask):
-            continue
-        if masks_overlap(mask, occupied):
-            continue
-        occupied |= mask
-        count += 1
-    return count
+    mirroring the node-index tie-break) by :meth:`Arbiter.grant_sweep`,
+    with each request's index standing in for its node."""
+    n = len(requests)
+    if not n:
+        return 0
+    keys = [priority * n + (n - 1 - i) for i, (priority, _) in enumerate(requests)]
+    masks = [mask for _, mask in requests]
+    _, granted, _ = Arbiter().grant_sweep(n, keys, masks, forbidden_mask)
+    return len(granted)

@@ -885,7 +885,18 @@ class Simulation:
                 msg.sent_slots += k
                 msg.status = MessageStatus.IN_TRANSIT
         self.current_slot = slot + k
-        self._plan = dataclasses.replace(plan, transmit_slot=self.current_slot)
+        # dataclasses.replace, spelled out: it costs twice this per span.
+        self._plan = SlotPlan(
+            transmit_slot=self.current_slot,
+            master=plan.master,
+            gap_s=plan.gap_s,
+            transmissions=busy,
+            denied_by_break=plan.denied_by_break,
+            n_requests=plan.n_requests,
+            arbitration=plan.arbitration,
+            collection_packet=plan.collection_packet,
+            distribution_packet=plan.distribution_packet,
+        )
         if self.profiler is not None:
             self.profiler.count(
                 "busy_forwarded_slots" if busy else "fast_forwarded_slots", k

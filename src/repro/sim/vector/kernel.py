@@ -287,7 +287,9 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
             floor = -(-(bucket * horizon) // levels)
             return prio, lax + now - floor
         # Unknown mapping: compute via the shared oracle cache and
-        # revalidate at the very next planning slot.
+        # revalidate at the very next planning slot.  ``lax`` is positive
+        # here (late heads returned above), so the cache never sees a
+        # negative key; the oracle folds those into one.
         key = (lax, tc)
         prio = prio_cache.get(key)
         if prio is None:

@@ -1,7 +1,7 @@
 """Tests for the master's arbitration (sorting, grant sweep, clock break)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.arbitration import Arbiter, BreakPolicy
 from repro.phy.packets import CollectionPacket, CollectionRequest
@@ -223,6 +223,86 @@ def arbitration_inputs(draw):
                 destinations=1 << dst,
             )
     return packet(n, master, reqs), reqs
+
+
+def reference_sweep(n, master, reqs, policy, break_node, spatial_reuse, max_grants):
+    """The grant sweep spelled with a ``(-priority, node)`` tuple sort."""
+    ordered = sorted(reqs.items(), key=lambda e: (-e[1].priority, e[0]))
+    if not ordered:
+        return master, [], []
+    hp_node = ordered[0][0]
+    if policy is BreakPolicy.AT_HP_NODE:
+        break_mask = 1 << ((hp_node - 1) % n)
+    elif policy is BreakPolicy.AT_FIXED_NODE:
+        break_mask = 1 << ((break_node - 1) % n)
+    else:
+        break_mask = 0
+    limit = 1 if not spatial_reuse else (max_grants or len(ordered))
+    granted, denied, occupied = [], [], 0
+    for node, r in ordered:
+        if len(granted) >= limit:
+            break
+        if r.links == 0:
+            continue
+        if r.links & break_mask:
+            denied.append(node)
+            continue
+        if r.links & occupied:
+            continue
+        granted.append(node)
+        occupied |= r.links
+    return hp_node, granted, denied
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Any request set: few priorities (many ties), arbitrary link masks
+    (zero-link requests included), every break policy and grant cap."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    master = draw(st.integers(min_value=0, max_value=n - 1))
+    top = draw(st.sampled_from([2, 4, 31]))
+    reqs = {}
+    for node in range(n):
+        if draw(st.booleans()):
+            reqs[node] = CollectionRequest(
+                priority=draw(st.integers(min_value=1, max_value=top)),
+                links=draw(st.integers(min_value=0, max_value=(1 << n) - 1)),
+                destinations=draw(st.integers(min_value=0, max_value=(1 << n) - 1)),
+            )
+    policy = draw(st.sampled_from(list(BreakPolicy)))
+    break_node = (
+        draw(st.integers(min_value=0, max_value=n - 1))
+        if policy is BreakPolicy.AT_FIXED_NODE
+        else None
+    )
+    spatial_reuse = draw(st.booleans())
+    max_grants = draw(st.none() | st.integers(min_value=1, max_value=4))
+    return n, master, reqs, policy, break_node, spatial_reuse, max_grants
+
+
+class TestIntegerKeySweep:
+    @given(sweep_inputs())
+    @settings(max_examples=400)
+    def test_equals_tuple_sort_sweep(self, inp):
+        n, master, reqs, policy, break_node, spatial_reuse, max_grants = inp
+        arbiter = Arbiter(spatial_reuse=spatial_reuse, max_grants=max_grants)
+        result = arbiter.arbitrate(packet(n, master, reqs), policy, break_node)
+        assert (
+            result.hp_node,
+            [g.node for g in result.grants],
+            list(result.denied_by_break),
+        ) == reference_sweep(
+            n, master, reqs, policy, break_node, spatial_reuse, max_grants
+        )
+        for g in result.grants:
+            assert g.request is reqs[g.node]
+
+    @given(sweep_inputs())
+    @settings(max_examples=100)
+    def test_sort_requests_is_the_tuple_order(self, inp):
+        n, master, reqs = inp[:3]
+        order = Arbiter().sort_requests(packet(n, master, reqs))
+        assert order == sorted(reqs.items(), key=lambda e: (-e[1].priority, e[0]))
 
 
 class TestArbitrationProperties:

@@ -1,8 +1,9 @@
 """Tests for the CCR-EDF per-slot protocol state machine."""
 
+import numpy as np
 import pytest
 
-from repro.core.arbitration import Arbiter
+from repro.core.arbitration import Arbiter, ArbitrationResult, Grant
 from repro.core.clocking import RoundRobinHandover
 from repro.core.messages import Message, MessageStatus
 from repro.core.priorities import (
@@ -13,6 +14,9 @@ from repro.core.priorities import (
 from repro.core.protocol import CcrEdfProtocol
 from repro.core.queues import NodeQueues
 from repro.ring.topology import RingTopology
+from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
+from repro.traffic.periodic import random_connection_set
+from repro.traffic.sweeps import scale_connections_to_utilisation
 
 
 def queues_for(n):
@@ -166,6 +170,125 @@ class TestPlanSlot:
         plan = protocol.plan_slot(0, current_master=0, queues_by_node=queues_for(4))
         assert plan.collection_packet is None
         assert plan.distribution_packet is None
+
+
+def loaded_config(utilisation=0.8, **config):
+    """An N = 8 ring with 16 connections at ``utilisation``."""
+    rng = np.random.default_rng(1)
+    conns = scale_connections_to_utilisation(
+        random_connection_set(rng, 8, 16, 0.5, period_range=(10, 100)),
+        utilisation,
+    )
+    return ScenarioConfig(n_nodes=8, connections=tuple(conns), **config)
+
+
+def loaded_sim(utilisation=0.8, trace_packets=False, config=None, **kwargs):
+    """:func:`loaded_config` built on the oracle."""
+    sim = build_simulation(
+        config or loaded_config(utilisation, **kwargs),
+        RunOptions(engine="python"),
+    )
+    if trace_packets:
+        sim.protocol.trace_packets = True
+    return sim
+
+
+class TestRecordFreeArbitration:
+    def test_untraced_run_builds_no_arbitration_records(self, monkeypatch):
+        built = []
+        for cls in (ArbitrationResult, Grant):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        report = loaded_sim().run(2_000)
+        assert report.packets_sent > 1_000
+        assert built == []
+
+    def test_traced_plans_carry_the_arbitration(self):
+        sim = loaded_sim(trace_packets=True)
+        arbitrated = 0
+        for _ in range(500):
+            sim.step()
+            plan = sim._plan
+            assert plan.arbitration is not None
+            assert plan.arbitration.hp_node == plan.master
+            assert [g.node for g in plan.arbitration.grants] == [
+                tx.node for tx in plan.transmissions
+            ]
+            arbitrated += plan.n_requests > 0
+        assert arbitrated > 100
+
+    def test_planned_transmissions_match_the_queue_heads(self):
+        """Cached planned transmissions are the head's, links included."""
+        sim = loaded_sim()
+        protocol = sim.protocol
+        checked = 0
+        for _ in range(2_000):
+            sim.step()
+            plan = sim._plan
+            for tx in (*plan.transmissions, *plan.denied_by_break):
+                msg = sim.queues[tx.node].head()
+                assert tx.message is msg
+                assert tx.destinations == msg.destinations
+                assert tx.links == protocol.route_masks(
+                    msg.source, msg.destinations
+                )[0]
+                checked += 1
+        assert checked > 1_000
+
+    def test_multi_slot_grants_share_one_planned_transmission(self, protocol):
+        q = queues_for(4)
+        q[0].enqueue(rt_msg(0, 2, deadline=50, size=3))
+        plans = []
+        master = 0
+        for slot in range(3):
+            plan = protocol.plan_slot(slot, master, q)
+            protocol.execute_plan(plan)
+            plans.append(plan)
+            master = plan.master
+        first = plans[0].transmissions[0]
+        assert all(p.transmissions[0] is first for p in plans)
+        assert first.message.status is MessageStatus.DELIVERED
+
+    def test_unwasted_transmissions_are_handed_on_as_is(self, protocol):
+        q = queues_for(4)
+        q[0].enqueue(rt_msg(0, 2, deadline=10, size=2))
+        plan = protocol.plan_slot(0, current_master=0, queues_by_node=q)
+        outcome = protocol.execute_plan(plan)
+        assert outcome.transmitted is plan.transmissions
+        assert outcome.wasted == ()
+
+
+class TestPriorityCache:
+    def test_late_laxities_share_one_entry(self):
+        """On an overloaded ring late heads pile up; their laxity is new
+        every slot, yet the priority memo stays bounded."""
+        sim = loaded_sim(1.05, spatial_reuse=False)
+        sim.run(10_000)
+        size = len(sim.protocol._prio_cache)
+        assert sim.report.class_stats(TrafficClass.RT_CONNECTION).deadline_missed
+        sim.run(30_000)
+        assert len(sim.protocol._prio_cache) == size
+        # Laxities run from -1 up to the largest relative deadline.
+        assert size <= 100 + 2
+
+    def test_folding_leaves_the_report_unchanged(self):
+        class NoMemo(dict):
+            def get(self, key, default=None):
+                return default
+
+            def __setitem__(self, key, value):
+                pass
+
+        config = loaded_config(1.05, spatial_reuse=False)
+        memo = loaded_sim(config=config)
+        plain = loaded_sim(config=config)
+        plain.protocol._prio_cache = NoMemo()
+        assert memo.run(5_000) == plain.run(5_000)
 
 
 class TestExecutePlan:

@@ -325,6 +325,33 @@ class TestBusySpans:
         assert sim.report.class_stats(TrafficClass.RT_CONNECTION).delivered == 1
         assert sim.report.busy_slots == sim.report.packets_sent == 120
 
+    def test_spanned_plan_keeps_every_field(self):
+        """A span re-dates the pending plan and keeps everything else,
+        the traced arbitration record and packets included."""
+        config = ScenarioConfig(
+            n_nodes=4, connections=(conn(1, [3], 400, 120, phase=5),)
+        )
+        sim = build_simulation(config, RunOptions(engine="python"))
+        sim.protocol.trace_packets = True
+        forward = sim._try_fast_forward
+        spans = []
+
+        def recorded(end):
+            before = sim._plan
+            k = forward(end)
+            if k and before.transmissions:
+                spans.append((before, sim._plan))
+            return k
+
+        sim._try_fast_forward = recorded
+        sim.run(200)
+        assert spans
+        for before, after in spans:
+            assert before.arbitration is not None
+            assert after == dataclasses.replace(
+                before, transmit_slot=after.transmit_slot
+            )
+
     def test_two_grant_plan_spans_until_the_slot_before_delivery(self):
         # Two nodes sharing the ring through spatial reuse, both granted
         # every slot at a constant laxity: slots 1..99 repeat, and slot
