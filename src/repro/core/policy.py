@@ -63,6 +63,10 @@ RM_PERIOD_HORIZON_LOG2 = 14
 #: class's most urgent level.  Same band-width invariant as above.
 FIFO_AGE_HORIZON_LOG2 = 14
 
+#: The youngest age the FIFO encoder saturates at: ``age + 1`` reaches
+#: ``2**FIFO_AGE_HORIZON_LOG2``, the top ``log2`` bucket.
+_FIFO_AGE_SATURATED = (1 << FIFO_AGE_HORIZON_LOG2) - 1
+
 
 def rate_priority(period_slots: int, traffic_class: TrafficClass) -> int:
     """Static rate-monotonic level: shorter period, higher priority.
@@ -217,7 +221,10 @@ class FifoPolicy(SchedulingPolicy):
         return message.created_slot
 
     def cache_token(self, message: Message, current_slot: int) -> int:
-        return current_slot - message.created_slot
+        # From this age on ``age_priority`` returns one level: saturating
+        # the token there keeps the memo bounded on an overloaded ring.
+        age = current_slot - message.created_slot
+        return age if age < _FIFO_AGE_SATURATED else _FIFO_AGE_SATURATED
 
     def request_priority(
         self,

@@ -22,6 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.arbitration import Arbiter, ArbitrationResult, Grant
 from repro.core.clocking import ClockHandoverStrategy, EdfHandover
@@ -93,6 +94,14 @@ class SlotOutcome:
     wasted: tuple[PlannedTransmission, ...] = ()
 
 
+@lru_cache(maxsize=16)
+def _route_table(
+    topology: RingTopology,
+) -> dict[tuple[int, frozenset[int]], tuple[int, int]]:
+    """The ``route_masks`` memo, one per distinct topology."""
+    return {}
+
+
 class MacProtocol(ABC):
     """Interface every MAC implementation exposes to the simulator."""
 
@@ -110,8 +119,9 @@ class MacProtocol(ABC):
         self._checked_queues: Mapping[int, NodeQueues] | None = None
         # Path masks depend only on (source, destinations) on a fixed
         # topology; caching them takes link computation off the per-slot
-        # hot path.
-        self._route_cache: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
+        # hot path, and sharing the cache per ring takes it off every
+        # fresh run on an equal topology.
+        self._route_cache = _route_table(topology)
         # Hand-over gaps per (master, next master) pair on the fixed ring.
         self._gap_cache: dict[tuple[int, int], float] = {}
 

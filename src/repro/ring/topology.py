@@ -59,11 +59,12 @@ class RingTopology:
     def uniform(
         cls, n_nodes: int, link_length_m: float = DEFAULT_LINK_LENGTH_M
     ) -> "RingTopology":
-        """Ring with all links of the same length (the paper's assumption)."""
-        return cls(
-            n_nodes=n_nodes,
-            segments=tuple(FibreSegment(link_length_m) for _ in range(n_nodes)),
-        )
+        """Ring with all links of the same length (the paper's assumption).
+
+        Equal arguments return one shared (immutable) instance, so every
+        table cached per topology is built once per ring, not per run.
+        """
+        return _uniform(cls, n_nodes, link_length_m)
 
     # ------------------------------------------------------------------
     # Hop arithmetic
@@ -174,3 +175,14 @@ class RingTopology:
 def _handover_gap_table(topology: RingTopology) -> tuple[float, ...]:
     nodes = topology.nodes()
     return tuple(topology.handover_delay_s(a, b) for a in nodes for b in nodes)
+
+
+# typed: 10 and 10.0 build segments that print differently.
+@lru_cache(maxsize=16, typed=True)
+def _uniform(
+    cls: type[RingTopology], n_nodes: int, link_length_m: float
+) -> RingTopology:
+    return cls(
+        n_nodes=n_nodes,
+        segments=tuple(FibreSegment(link_length_m) for _ in range(n_nodes)),
+    )

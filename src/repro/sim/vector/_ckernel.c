@@ -11,12 +11,14 @@
  * interpreter calls, and grants sweep (priority desc, node asc) with
  * the oracle's break-slot denial and spatial-reuse overlap rules.
  *
- * All protocol state lives in flat arrays handed in by the glue: a
- * message table (pre-existing live messages first, rows for scheduled
- * releases after), per-node EDF heaps keyed (deadline, msg_id), and a
- * precomputed release schedule sorted (slot, source index) -- the
- * oracle's source polling order.  The glue folds the outputs (delivery
- * log, accounting, final plan) back into the Python object graph.
+ * All state lives in one workspace of 8-byte words handed in by the
+ * glue: a header holding the word offset of every field, then the
+ * fields in the order of ckernel.WORKSPACE (enum ws_field below).  It
+ * carries a message table (pre-existing live messages first, one row
+ * per scheduled release after), per-connection release calendar
+ * columns, and every output the exit fold reads.  Per-node EDF heaps
+ * keyed (deadline, msg_id) and the calendar's due slots are kernel
+ * scratch.
  */
 
 #include <math.h>
@@ -27,6 +29,95 @@
 #define ST_PENDING 0
 #define ST_IN_TRANSIT 1
 #define ST_DELIVERED 2
+
+/* Workspace fields, in the order of ckernel.WORKSPACE (pinned by
+ * tests/sim/vector/test_soa.py).  ws[field] is the field's word offset. */
+enum ws_field {
+    /* int64 scalars in */
+    W_N,
+    W_START_SLOT,
+    W_N_SLOTS,
+    W_LIMIT,
+    W_RT_LO,
+    W_RT_HI,
+    W_LOG_MAP,
+    W_LEVELS,
+    W_HORIZON,
+    W_N_PRE,
+    W_N_REL,
+    W_N_CONNS,
+    W_N_CIDS,
+    W_ID0,
+    /* int64 scalars in and out: the pending plan */
+    W_MASTER,
+    W_PREV_MASTER,
+    W_N_REQ,
+    W_N_TX,
+    W_N_DEN,
+    /* int64 scalars out */
+    W_BUSY,
+    W_PACKETS,
+    W_WASTED,
+    W_DENIALS,
+    W_N_DEL,
+    W_N_MISSED,
+    W_LAT_SUM,
+    W_LAT_MIN,
+    W_LAT_MAX,
+    W_N_TOUCH,
+    W_N_BUCKETS,
+    W_N_LIVE,
+    /* float64 scalars */
+    W_SLOT_LENGTH,
+    W_GAP,
+    W_WALL,
+    W_SLOT_TIME,
+    W_GAP_TIME,
+    /* per node */
+    W_GAP_MATRIX,
+    W_HEAP_CAP,
+    W_TX_ROWS,
+    W_DEN_ROWS,
+    W_MASTER_COUNT,
+    W_HOP_COUNT,
+    /* per sourced connection */
+    W_CONN_NODE,
+    W_CONN_SIZE,
+    W_CONN_DEADLINE,
+    W_CONN_CID,
+    W_CONN_LINKS,
+    W_CONN_FIRST,
+    W_CONN_PERIOD,
+    W_CONN_STOP,
+    /* per dense connection id */
+    W_TOUCHED,
+    W_TOUCH_ORDER,
+    W_CID_DELIVERED,
+    W_CID_MISSED,
+    /* log2 latency buckets */
+    W_BUCKET_KEY,
+    W_BUCKET_COUNT,
+    /* message table */
+    W_M_NODE,
+    W_M_SIZE,
+    W_M_SENT,
+    W_M_DEADLINE,
+    W_M_CREATED,
+    W_M_ID,
+    W_M_CID,
+    W_M_LINKS,
+    W_M_STATUS,
+    W_M_COMPLETED,
+    W_M_CONN,
+    W_LAT,
+    W_LAT_BY_CID,
+    W_ROW_LOG,
+    W_NFIELDS
+};
+
+#define I64(f) (ws + ws[f])
+#define U64(f) ((uint64_t *)(ws + ws[f]))
+#define F64(f) ((double *)(ws + ws[f]))
 
 typedef struct {
     int64_t deadline;
@@ -85,86 +176,109 @@ static void heap_pop(Ent *heap, int64_t *size) {
     }
 }
 
-/* iacc output slots. */
-#define IA_BUSY 0
-#define IA_PACKETS 1
-#define IA_WASTED 2
-#define IA_DENIALS 3
-#define IA_PREV_MASTER 4
-#define IA_MASTER 5
-#define IA_NREQ 6
-#define IA_NDEL 7
-#define IA_NTOUCH 8
-#define IA_NTX 9
-#define IA_NDEN 10
+/* Bit length of a positive latency: the log2 bucket Histogram.observe
+ * files it under (the frexp exponent). */
+static inline int64_t bit_length(int64_t v) {
+    int64_t bits = 0;
+    while (v) {
+        bits++;
+        v >>= 1;
+    }
+    return bits;
+}
 
-int64_t repro_run_ckernel(
-    int64_t n, int64_t start_slot, int64_t n_slots, double slot_length,
-    int64_t limit, int64_t rt_lo, int64_t rt_hi, int64_t log_map,
-    int64_t levels, int64_t horizon, const double *gap_matrix,
-    /* message table, n_pre live rows prefilled + n_rel release rows */
-    int64_t n_pre, int64_t n_rel, int64_t *m_node, int64_t *m_size,
-    int64_t *m_sent, int64_t *m_deadline, int64_t *m_created, int64_t *m_id,
-    int64_t *m_cid, uint64_t *m_links, int64_t *m_status, int64_t *m_completed,
-    /* release schedule, sorted (slot, source index) */
-    const int64_t *rel_slot, const int64_t *rel_conn,
-    /* per-connection constants */
-    int64_t n_conns, const int64_t *conn_node, const int64_t *conn_size,
-    const int64_t *conn_deadline, const int64_t *conn_cid,
-    const uint64_t *conn_links, int64_t id0,
-    /* per-connection-id first-touch state (dense cid index space) */
-    int64_t n_cids, int64_t *touched,
-    /* pending plan (decided last slot, executes first) */
-    int64_t p_master, double p_gap, int64_t p_nreq, int64_t p_ntx,
-    const int64_t *p_tx_rows_in, int64_t p_nden, const int64_t *p_den_rows_in,
-    int64_t prev_master,
-    /* per-node heap capacities */
-    const int64_t *heap_cap,
-    /* outputs */
-    double *facc /* wall, slot_t, gap_t (in/out) */, int64_t *iacc,
-    int64_t *master_count, int64_t *hop_count, int64_t *del_rows,
-    int64_t *touch_out, int64_t *out_tx_rows, int64_t *out_den_rows,
-    double *out_gap) {
+int64_t repro_run_ckernel(int64_t *ws) {
+    const int64_t n = *I64(W_N);
     if (n <= 0 || n > 62) {
         return -1;
     }
+    const int64_t start_slot = *I64(W_START_SLOT);
+    const int64_t n_slots = *I64(W_N_SLOTS);
+    const int64_t limit = *I64(W_LIMIT);
+    const int64_t rt_lo = *I64(W_RT_LO);
+    const int64_t rt_hi = *I64(W_RT_HI);
+    const int64_t log_map = *I64(W_LOG_MAP);
+    const int64_t levels = *I64(W_LEVELS);
+    const int64_t horizon = *I64(W_HORIZON);
+    const int64_t n_pre = *I64(W_N_PRE);
+    const int64_t n_rel = *I64(W_N_REL);
+    const int64_t n_conns = *I64(W_N_CONNS);
+    const int64_t n_cids = *I64(W_N_CIDS);
+    const int64_t id0 = *I64(W_ID0);
+    const double slot_length = *F64(W_SLOT_LENGTH);
+    const double *gap_matrix = F64(W_GAP_MATRIX);
+    const int64_t *heap_cap = I64(W_HEAP_CAP);
+    int64_t *master_count = I64(W_MASTER_COUNT);
+    int64_t *hop_count = I64(W_HOP_COUNT);
+    const int64_t *conn_node = I64(W_CONN_NODE);
+    const int64_t *conn_size = I64(W_CONN_SIZE);
+    const int64_t *conn_deadline = I64(W_CONN_DEADLINE);
+    const int64_t *conn_cid = I64(W_CONN_CID);
+    const uint64_t *conn_links = U64(W_CONN_LINKS);
+    const int64_t *conn_first = I64(W_CONN_FIRST);
+    const int64_t *conn_period = I64(W_CONN_PERIOD);
+    const int64_t *conn_stop = I64(W_CONN_STOP);
+    int64_t *touched = I64(W_TOUCHED);
+    int64_t *touch_order = I64(W_TOUCH_ORDER);
+    int64_t *cid_delivered = I64(W_CID_DELIVERED);
+    int64_t *cid_missed = I64(W_CID_MISSED);
+    int64_t *bucket_key = I64(W_BUCKET_KEY);
+    int64_t *bucket_count = I64(W_BUCKET_COUNT);
+    int64_t *m_node = I64(W_M_NODE);
+    int64_t *m_size = I64(W_M_SIZE);
+    int64_t *m_sent = I64(W_M_SENT);
+    int64_t *m_deadline = I64(W_M_DEADLINE);
+    int64_t *m_created = I64(W_M_CREATED);
+    int64_t *m_id = I64(W_M_ID);
+    int64_t *m_cid = I64(W_M_CID);
+    uint64_t *m_links = U64(W_M_LINKS);
+    int64_t *m_status = I64(W_M_STATUS);
+    int64_t *m_completed = I64(W_M_COMPLETED);
+    int64_t *m_conn = I64(W_M_CONN);
+    int64_t *lat = I64(W_LAT);
+    int64_t *lat_by_cid = I64(W_LAT_BY_CID);
+    /* Delivered rows while the loop runs; live release rows at exit. */
+    int64_t *row_log = I64(W_ROW_LOG);
     int64_t n_rows = n_pre + n_rel;
 
-    /* Per-node heap arena. */
+    /* Scratch: per-node heap arena, node tables, grant lists, calendar. */
     int64_t total_cap = 0;
     for (int64_t i = 0; i < n; i++) {
         total_cap += heap_cap[i];
     }
     Ent *arena = (Ent *)malloc((size_t)(total_cap > 0 ? total_cap : 1) *
                                sizeof(Ent));
-    int64_t *hoff = (int64_t *)malloc((size_t)n * 4 * sizeof(int64_t));
-    /* Scratch: hoff | hsz | head_row | order */
-    if (arena == NULL || hoff == NULL) {
+    int64_t *scratch = (int64_t *)malloc(
+        (size_t)(n * 9 + n_cids + n_conns + 1) * sizeof(int64_t));
+    if (arena == NULL || scratch == NULL) {
         free(arena);
-        free(hoff);
+        free(scratch);
         return -2;
     }
+    int64_t *hoff = scratch;
     int64_t *hsz = hoff + n;
     int64_t *head_row = hsz + n;
     int64_t *order = head_row + n;
-    uint64_t *okey = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    int64_t *cur_tx = (int64_t *)malloc((size_t)n * 4 * sizeof(int64_t));
-    if (okey == NULL || cur_tx == NULL) {
-        free(arena);
-        free(hoff);
-        free(okey);
-        free(cur_tx);
-        return -2;
-    }
+    uint64_t *okey = (uint64_t *)(order + n);
+    int64_t *cur_tx = (int64_t *)(okey + n);
     int64_t *cur_den = cur_tx + n;
     int64_t *nxt_tx = cur_den + n;
     int64_t *nxt_den = nxt_tx + n;
+    int64_t *cid_cursor = nxt_den + n;
+    int64_t *conn_due = cid_cursor + n_cids;
+    int64_t ret = 0;
 
     int64_t off = 0;
     for (int64_t i = 0; i < n; i++) {
         hoff[i] = off;
         hsz[i] = 0;
         off += heap_cap[i];
+        master_count[i] = 0;
+        hop_count[i] = 0;
+    }
+    for (int64_t ci = 0; ci < n_cids; ci++) {
+        cid_delivered[ci] = 0;
+        cid_missed[ci] = 0;
     }
 
     /* Seed the heaps with the pre-existing live messages. */
@@ -172,64 +286,95 @@ int64_t repro_run_ckernel(
         int64_t node = m_node[row];
         Ent e = {m_deadline[row], m_id[row], row};
         if (hsz[node] >= heap_cap[node]) {
-            free(arena);
-            free(hoff);
-            free(okey);
-            free(cur_tx);
-            return -3;
+            ret = -3;
+            goto done;
         }
         heap_push(arena + hoff[node], &hsz[node], e);
     }
 
-    for (int64_t j = 0; j < p_ntx && j < n; j++) {
-        cur_tx[j] = p_tx_rows_in[j];
-    }
-    for (int64_t j = 0; j < p_nden && j < n; j++) {
-        cur_den[j] = p_den_rows_in[j];
+    /* The release calendar: each connection's next due slot (INT64_MAX
+     * once its window is spent), and the earliest of them. */
+    int64_t next_due = INT64_MAX;
+    for (int64_t c = 0; c < n_conns; c++) {
+        int64_t due =
+            conn_first[c] < conn_stop[c] ? conn_first[c] : INT64_MAX;
+        conn_due[c] = due;
+        if (due < next_due) {
+            next_due = due;
+        }
     }
 
-    double wall = facc[0];
-    double slot_t = facc[1];
-    double gap_t = facc[2];
+    int64_t p_master = *I64(W_MASTER);
+    int64_t prev_master = *I64(W_PREV_MASTER);
+    int64_t p_nreq = *I64(W_N_REQ);
+    int64_t p_ntx = *I64(W_N_TX);
+    int64_t p_nden = *I64(W_N_DEN);
+    double p_gap = *F64(W_GAP);
+    if (p_ntx > n || p_nden > n) {
+        ret = -4;
+        goto done;
+    }
+    for (int64_t j = 0; j < p_ntx; j++) {
+        cur_tx[j] = I64(W_TX_ROWS)[j];
+    }
+    for (int64_t j = 0; j < p_nden; j++) {
+        cur_den[j] = I64(W_DEN_ROWS)[j];
+    }
+
+    double wall = *F64(W_WALL);
+    double slot_t = *F64(W_SLOT_TIME);
+    double gap_t = *F64(W_GAP_TIME);
     int64_t busy = 0, packets = 0, wasted = 0, denials = 0;
-    int64_t n_del = 0, n_touch = 0;
-    int64_t rel_ptr = 0;
+    int64_t n_del = 0, n_touch = 0, n_missed = 0;
+    int64_t lat_sum = 0, lat_min = 0, lat_max = 0;
+    int64_t n_released = 0;
     int64_t s = start_slot;
     int64_t end = start_slot + n_slots;
 
     while (s < end) {
-        /* (a) traffic release: the precomputed schedule, in the oracle's
-         * (slot, source index) polling order. */
-        while (rel_ptr < n_rel && rel_slot[rel_ptr] <= s) {
-            int64_t c = rel_conn[rel_ptr];
-            int64_t row = n_pre + rel_ptr;
-            int64_t node = conn_node[c];
-            int64_t deadline = s + conn_deadline[c];
-            m_node[row] = node;
-            m_size[row] = conn_size[c];
-            m_sent[row] = 0;
-            m_deadline[row] = deadline;
-            m_created[row] = s;
-            m_id[row] = id0 + rel_ptr;
-            m_cid[row] = conn_cid[c];
-            m_links[row] = conn_links[c];
-            m_status[row] = ST_PENDING;
-            m_completed[row] = -1;
-            if (hsz[node] >= heap_cap[node]) {
-                free(arena);
-                free(hoff);
-                free(okey);
-                free(cur_tx);
-                return -3;
+        /* (a) traffic release: every connection due at s, in the
+         * oracle's (slot, source index) polling order. */
+        if (s == next_due) {
+            next_due = INT64_MAX;
+            for (int64_t c = 0; c < n_conns; c++) {
+                int64_t due = conn_due[c];
+                if (due == s) {
+                    int64_t row = n_pre + n_released;
+                    int64_t node = conn_node[c];
+                    int64_t deadline = s + conn_deadline[c];
+                    int64_t msg_id = id0 + n_released;
+                    if (row >= n_rows || hsz[node] >= heap_cap[node]) {
+                        ret = -3;
+                        goto done;
+                    }
+                    m_node[row] = node;
+                    m_size[row] = conn_size[c];
+                    m_sent[row] = 0;
+                    m_deadline[row] = deadline;
+                    m_created[row] = s;
+                    m_id[row] = msg_id;
+                    m_cid[row] = conn_cid[c];
+                    m_links[row] = conn_links[c];
+                    m_status[row] = ST_PENDING;
+                    m_conn[row] = c;
+                    Ent e = {deadline, msg_id, row};
+                    heap_push(arena + hoff[node], &hsz[node], e);
+                    int64_t ci = conn_cid[c];
+                    if (!touched[ci]) {
+                        touched[ci] = 1;
+                        touch_order[n_touch++] = ci;
+                    }
+                    n_released++;
+                    due = s + conn_period[c];
+                    if (due >= conn_stop[c]) {
+                        due = INT64_MAX;
+                    }
+                    conn_due[c] = due;
+                }
+                if (due < next_due) {
+                    next_due = due;
+                }
             }
-            Ent e = {deadline, id0 + rel_ptr, row};
-            heap_push(arena + hoff[node], &hsz[node], e);
-            int64_t ci = conn_cid[c];
-            if (ci >= 0 && !touched[ci]) {
-                touched[ci] = 1;
-                touch_out[n_touch++] = ci;
-            }
-            rel_ptr++;
         }
 
         /* (b) drop-late: excluded from the closed world. */
@@ -247,11 +392,26 @@ int64_t repro_run_ckernel(
             if (remaining == 1) {
                 m_status[row] = ST_DELIVERED;
                 m_completed[row] = s;
-                del_rows[n_del++] = row;
+                int64_t latency = s - m_created[row] + 1;
                 int64_t ci = m_cid[row];
-                if (ci >= 0 && !touched[ci]) {
+                lat[n_del] = latency;
+                row_log[n_del] = row;
+                if (n_del == 0 || latency < lat_min) {
+                    lat_min = latency;
+                }
+                if (n_del == 0 || latency > lat_max) {
+                    lat_max = latency;
+                }
+                lat_sum += latency;
+                n_del++;
+                cid_delivered[ci]++;
+                if (s > m_deadline[row]) {
+                    cid_missed[ci]++;
+                    n_missed++;
+                }
+                if (!touched[ci]) {
                     touched[ci] = 1;
-                    touch_out[n_touch++] = ci;
+                    touch_order[n_touch++] = ci;
                 }
             } else {
                 m_status[row] = ST_IN_TRANSIT;
@@ -385,35 +545,71 @@ int64_t repro_run_ckernel(
         nxt_den = swap;
         s++;
     }
+    if (n_released != n_rel) {
+        ret = -5;
+        goto done;
+    }
 
-    facc[0] = wall;
-    facc[1] = slot_t;
-    facc[2] = gap_t;
-    iacc[IA_BUSY] = busy;
-    iacc[IA_PACKETS] = packets;
-    iacc[IA_WASTED] = wasted;
-    iacc[IA_DENIALS] = denials;
-    iacc[IA_PREV_MASTER] = prev_master;
-    iacc[IA_MASTER] = p_master;
-    iacc[IA_NREQ] = p_nreq;
-    iacc[IA_NDEL] = n_del;
-    iacc[IA_NTOUCH] = n_touch;
-    iacc[IA_NTX] = p_ntx;
-    iacc[IA_NDEN] = p_nden;
+    /* Exit aggregates.  Latencies grouped by connection id, each group in
+     * delivery order (a counting sort over the delivery log). */
+    int64_t pos = 0;
+    for (int64_t ci = 0; ci < n_cids; ci++) {
+        cid_cursor[ci] = pos;
+        pos += cid_delivered[ci];
+    }
+    for (int64_t k = 0; k < n_del; k++) {
+        lat_by_cid[cid_cursor[m_cid[row_log[k]]]++] = lat[k];
+    }
+    /* log2 buckets, in first-occurrence order of the delivery column. */
+    int64_t per_bucket[65] = {0};
+    int64_t n_buckets = 0;
+    for (int64_t k = 0; k < n_del; k++) {
+        int64_t b = bit_length(lat[k]);
+        if (per_bucket[b]++ == 0) {
+            bucket_key[n_buckets++] = b;
+        }
+    }
+    for (int64_t k = 0; k < n_buckets; k++) {
+        bucket_count[k] = per_bucket[bucket_key[k]];
+    }
+    /* Release rows still live, in row order. */
+    int64_t n_live = 0;
+    for (int64_t row = n_pre; row < n_rows; row++) {
+        if (m_status[row] != ST_DELIVERED) {
+            row_log[n_live++] = row;
+        }
+    }
+
+    *F64(W_WALL) = wall;
+    *F64(W_SLOT_TIME) = slot_t;
+    *F64(W_GAP_TIME) = gap_t;
+    *F64(W_GAP) = p_gap;
+    *I64(W_MASTER) = p_master;
+    *I64(W_PREV_MASTER) = prev_master;
+    *I64(W_N_REQ) = p_nreq;
+    *I64(W_N_TX) = p_ntx;
+    *I64(W_N_DEN) = p_nden;
+    *I64(W_BUSY) = busy;
+    *I64(W_PACKETS) = packets;
+    *I64(W_WASTED) = wasted;
+    *I64(W_DENIALS) = denials;
+    *I64(W_N_DEL) = n_del;
+    *I64(W_N_MISSED) = n_missed;
+    *I64(W_LAT_SUM) = lat_sum;
+    *I64(W_LAT_MIN) = lat_min;
+    *I64(W_LAT_MAX) = lat_max;
+    *I64(W_N_TOUCH) = n_touch;
+    *I64(W_N_BUCKETS) = n_buckets;
+    *I64(W_N_LIVE) = n_live;
     for (int64_t j = 0; j < p_ntx; j++) {
-        out_tx_rows[j] = cur_tx[j];
+        I64(W_TX_ROWS)[j] = cur_tx[j];
     }
     for (int64_t j = 0; j < p_nden; j++) {
-        out_den_rows[j] = cur_den[j];
+        I64(W_DEN_ROWS)[j] = cur_den[j];
     }
-    *out_gap = p_gap;
 
-    /* cur_tx/cur_den may point into either half of the alloc; free the
-     * allocation base, recovered from whichever pointer is lower. */
+done:
     free(arena);
-    free(hoff);
-    free(okey);
-    free(cur_tx < nxt_tx ? cur_tx : nxt_tx);
-    (void)n_rows;
-    return 0;
+    free(scratch);
+    return ret;
 }

@@ -5,7 +5,7 @@ tiny C kernel (``_ckernel.c``, shipped as source next to this module)
 compiled on demand with the system C compiler and loaded through
 :mod:`ctypes`.  No third-party build machinery is involved -- if no
 compiler is available, compilation fails, or the configuration falls
-outside the closed world, :func:`try_run` returns ``False`` and the
+outside the closed world, :func:`try_run` returns the reason and the
 caller uses the pure-Python vector kernel instead.
 
 The closed world is the subset of configurations whose per-slot
@@ -22,14 +22,20 @@ semantics the C loop replicates *bit-identically*:
   has already excluded faults, loss and tracing);
 * the ring fits the kernel's 64-bit link masks.
 
-Bit-identity is preserved by construction: wall/slot/gap times advance
-by the oracle's exact double additions in the oracle's order, message
-ids are reserved from the global counter before the call (one per
-scheduled release) so later Python-side allocations continue the same
-sequence, the kernel's delivery log is folded into the metrics column
-by column in delivery order (see "The compiled tier's exit fold" in
-``DESIGN.md``), and ``per_connection`` insertion order follows the
-kernel's recorded first-touch sequence.
+One call marshals one workspace: a single int64 buffer whose header
+holds the word offset of every field of :data:`WORKSPACE`, the table
+both this module and ``_ckernel.c`` derive their layout from.  The
+kernel walks the release calendar itself from per-connection columns
+(first release in the call, period, window end), so no release schedule
+is materialised.  Bit-identity is preserved by construction: wall/slot/
+gap times advance by the oracle's exact double additions in the
+oracle's order, message ids are reserved from the global counter before
+the call (one per release, counted arithmetically) so later Python-side
+allocations continue the same sequence, the kernel's delivery
+aggregates are folded into the metrics column by column in delivery
+order (see "The compiled tier's exit fold" in ``DESIGN.md``), and
+``per_connection`` insertion order follows the kernel's recorded
+first-touch sequence.
 
 An attached profiler does not change the tier: each call records one
 ``ingest``, one ``kernel`` and one ``fold`` lap.
@@ -44,6 +50,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from collections.abc import Sequence
 from heapq import heapify
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -57,23 +64,169 @@ from repro.core.priorities import TrafficClass, class_priority_range
 from repro.core.protocol import PlannedTransmission, SlotPlan
 from repro.obs.registry import Histogram
 from repro.sim.metrics import ConnectionStats
-from repro.sim.vector.soa import release_schedule
 from repro.traffic.periodic import ConnectionSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulation
 
-#: Refuse schedules beyond this many releases in one call (memory guard;
-#: the pure-Python kernel chunks its schedule instead).
+#: Refuse calls beyond this many releases (memory guard; the
+#: pure-Python kernel chunks its schedule instead).
 _MAX_RELEASES = 4_000_000
 
 #: Ring width limit: link masks are 64-bit in the C kernel.
 _MAX_NODES = 62
 
-#: Array arguments travel as bare addresses (``ndarray.ctypes.data``):
-#: every array is built in :func:`try_run` with the dtype the C
-#: signature names (``int64``, ``uint64`` for link masks, ``float64``).
-_ADDR = ctypes.c_void_p
+#: Largest log2 latency bucket plus one (latencies are int64).
+_BUCKETS = 64
+
+#: The kernel's workspace, one entry per field: ``(name, dtype, length
+#: rule)``.  Every field is a run of 8-byte words carved from one int64
+#: buffer; word ``i`` of the buffer holds the word offset of field ``i``
+#: and the fields follow the header in this order.  ``_ckernel.c`` names
+#: the same fields in the same order (``enum ws_field``, pinned by
+#: ``tests/sim/vector/test_soa.py``).  Length rules: ``"1"`` a scalar,
+#: ``"n"`` one word per node, ``"n*n"`` per ordered node pair,
+#: ``"conns"`` per sourced connection, ``"cids"`` per dense connection
+#: id, ``"buckets"`` per log2 latency bucket, ``"rows"`` per message
+#: row (live messages carried in, then one per release).  Scalars come
+#: first, so scalar ``i`` is word ``len(WORKSPACE) + i``.
+WORKSPACE: tuple[tuple[str, str, str], ...] = (
+    # int64 scalars in
+    ("n", "i8", "1"),
+    ("start_slot", "i8", "1"),
+    ("n_slots", "i8", "1"),
+    ("limit", "i8", "1"),
+    ("rt_lo", "i8", "1"),
+    ("rt_hi", "i8", "1"),
+    ("log_map", "i8", "1"),
+    ("levels", "i8", "1"),
+    ("horizon", "i8", "1"),
+    ("n_pre", "i8", "1"),
+    ("n_rel", "i8", "1"),
+    ("n_conns", "i8", "1"),
+    ("n_cids", "i8", "1"),
+    ("id0", "i8", "1"),
+    # int64 scalars in and out: the pending plan
+    ("master", "i8", "1"),
+    ("prev_master", "i8", "1"),
+    ("n_req", "i8", "1"),
+    ("n_tx", "i8", "1"),
+    ("n_den", "i8", "1"),
+    # int64 scalars out
+    ("busy", "i8", "1"),
+    ("packets", "i8", "1"),
+    ("wasted", "i8", "1"),
+    ("denials", "i8", "1"),
+    ("n_del", "i8", "1"),
+    ("n_missed", "i8", "1"),
+    ("lat_sum", "i8", "1"),
+    ("lat_min", "i8", "1"),
+    ("lat_max", "i8", "1"),
+    ("n_touch", "i8", "1"),
+    ("n_buckets", "i8", "1"),
+    ("n_live", "i8", "1"),
+    # float64 scalars: the slot length in; the pending gap and the
+    # wall / slot / gap time accumulators in and out
+    ("slot_length", "f8", "1"),
+    ("gap", "f8", "1"),
+    ("wall", "f8", "1"),
+    ("slot_time", "f8", "1"),
+    ("gap_time", "f8", "1"),
+    # per node
+    ("gap_matrix", "f8", "n*n"),
+    ("heap_cap", "i8", "n"),
+    ("tx_rows", "i8", "n"),
+    ("den_rows", "i8", "n"),
+    ("master_count", "i8", "n"),
+    ("hop_count", "i8", "n"),
+    # per sourced connection: constants and the release calendar
+    ("conn_node", "i8", "conns"),
+    ("conn_size", "i8", "conns"),
+    ("conn_deadline", "i8", "conns"),
+    ("conn_cid", "i8", "conns"),
+    ("conn_links", "u8", "conns"),
+    ("conn_first", "i8", "conns"),
+    ("conn_period", "i8", "conns"),
+    ("conn_stop", "i8", "conns"),
+    # per dense connection id
+    ("touched", "i8", "cids"),
+    ("touch_order", "i8", "cids"),
+    ("cid_delivered", "i8", "cids"),
+    ("cid_missed", "i8", "cids"),
+    # log2 latency buckets, in first-occurrence order
+    ("bucket_key", "i8", "buckets"),
+    ("bucket_count", "i8", "buckets"),
+    # message table
+    ("m_node", "i8", "rows"),
+    ("m_size", "i8", "rows"),
+    ("m_sent", "i8", "rows"),
+    ("m_deadline", "i8", "rows"),
+    ("m_created", "i8", "rows"),
+    ("m_id", "i8", "rows"),
+    ("m_cid", "i8", "rows"),
+    ("m_links", "u8", "rows"),
+    ("m_status", "i8", "rows"),
+    ("m_completed", "i8", "rows"),
+    ("m_conn", "i8", "rows"),
+    # per delivery, in delivery order / grouped by connection id
+    ("lat", "i8", "rows"),
+    ("lat_by_cid", "i8", "rows"),
+    # delivered rows while the loop runs; live release rows at exit
+    ("row_log", "i8", "rows"),
+)
+
+_RULES = ("1", "n", "n*n", "conns", "cids", "buckets", "rows")
+_HEADER = len(WORKSPACE)
+_FIELD = {name: i for i, (name, _, _) in enumerate(WORKSPACE)}
+_FIELD_RULE = [_RULES.index(rule) for _, _, rule in WORKSPACE]
+_DTYPE = {"i8": np.int64, "u8": np.uint64, "f8": np.float64}
+# Scalars lead the table: the int64 ones, then the float64 ones.
+_INT_SCALARS = [n for n, dtype, rule in WORKSPACE if (rule, dtype) == ("1", "i8")]
+_FLOAT_SCALARS = [n for n, dtype, rule in WORKSPACE if (rule, dtype) == ("1", "f8")]
+_N_SCALARS = len(_INT_SCALARS) + len(_FLOAT_SCALARS)
+assert [n for n, _, _ in WORKSPACE[:_N_SCALARS]] == _INT_SCALARS + _FLOAT_SCALARS
+
+
+class _Workspace:
+    """One call's buffer, carved per :data:`WORKSPACE`."""
+
+    __slots__ = ("words", "floats", "offsets")
+
+    def __init__(self, n: int, n_conns: int, n_cids: int, n_rows: int):
+        sizes = (1, n, n * n, n_conns, n_cids, _BUCKETS, n_rows)
+        offsets = list(
+            itertools.accumulate([sizes[r] for r in _FIELD_RULE], initial=_HEADER)
+        )
+        words = np.empty(offsets[-1], dtype=np.int64)
+        words[:_HEADER] = offsets[:-1]
+        self.words = words
+        self.floats = words.view(np.float64)
+        self.offsets = offsets
+
+    def col(self, name: str) -> np.ndarray:
+        """The field ``name`` as an array of its dtype (a view)."""
+        f = _FIELD[name]
+        view = self.words[self.offsets[f] : self.offsets[f + 1]]
+        dtype = WORKSPACE[f][1]
+        return view if dtype == "i8" else view.view(_DTYPE[dtype])
+
+    def put(self, name: str, values: Sequence[int] | Sequence[float]) -> None:
+        """Fill the leading ``len(values)`` words of field ``name``."""
+        if values:
+            self.col(name)[: len(values)] = values
+
+    def set_scalars(self, **values: int | float) -> None:
+        """Write the scalar inputs; outputs the kernel sets start at 0."""
+        n_int = len(_INT_SCALARS)
+        self.words[_HEADER : _HEADER + n_int] = [
+            values.pop(name, 0) for name in _INT_SCALARS
+        ]
+        self.floats[_HEADER + n_int : _HEADER + _N_SCALARS] = [
+            values.pop(name, 0.0) for name in _FLOAT_SCALARS
+        ]
+        if values:
+            raise KeyError(f"not workspace scalars: {sorted(values)}")
+
 
 _UNSET = object()
 _fn: object = _UNSET
@@ -122,60 +275,8 @@ def _build_library() -> object | None:
         return None
     fn = lib.repro_run_ckernel
     fn.restype = ctypes.c_int64
-    fn.argtypes = [
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # start_slot
-        ctypes.c_int64,  # n_slots
-        ctypes.c_double,  # slot_length
-        ctypes.c_int64,  # limit
-        ctypes.c_int64,  # rt_lo
-        ctypes.c_int64,  # rt_hi
-        ctypes.c_int64,  # log_map
-        ctypes.c_int64,  # levels
-        ctypes.c_int64,  # horizon
-        _ADDR,  # gap_matrix (float64)
-        ctypes.c_int64,  # n_pre
-        ctypes.c_int64,  # n_rel
-        _ADDR,  # m_node
-        _ADDR,  # m_size
-        _ADDR,  # m_sent
-        _ADDR,  # m_deadline
-        _ADDR,  # m_created
-        _ADDR,  # m_id
-        _ADDR,  # m_cid
-        _ADDR,  # m_links (uint64)
-        _ADDR,  # m_status
-        _ADDR,  # m_completed
-        _ADDR,  # rel_slot
-        _ADDR,  # rel_conn
-        ctypes.c_int64,  # n_conns
-        _ADDR,  # conn_node
-        _ADDR,  # conn_size
-        _ADDR,  # conn_deadline
-        _ADDR,  # conn_cid
-        _ADDR,  # conn_links (uint64)
-        ctypes.c_int64,  # id0
-        ctypes.c_int64,  # n_cids
-        _ADDR,  # touched
-        ctypes.c_int64,  # p_master
-        ctypes.c_double,  # p_gap
-        ctypes.c_int64,  # p_nreq
-        ctypes.c_int64,  # p_ntx
-        _ADDR,  # p_tx_rows
-        ctypes.c_int64,  # p_nden
-        _ADDR,  # p_den_rows
-        ctypes.c_int64,  # prev_master
-        _ADDR,  # heap_cap
-        _ADDR,  # facc (float64)
-        _ADDR,  # iacc
-        _ADDR,  # master_count
-        _ADDR,  # hop_count
-        _ADDR,  # del_rows
-        _ADDR,  # touch_out
-        _ADDR,  # out_tx_rows
-        _ADDR,  # out_den_rows
-        _ADDR,  # out_gap (float64)
-    ]
+    # The workspace's base address, as an integer (``ndarray.ctypes.data``).
+    fn.argtypes = [ctypes.c_void_p]
     return fn
 
 
@@ -190,42 +291,39 @@ def _kernel_fn() -> object | None:
     return _fn  # type: ignore[return-value]
 
 
-def _arr(values: list[int]) -> np.ndarray:
-    a = np.empty(max(1, len(values)), dtype=np.int64)
-    if values:
-        a[: len(values)] = values
-    return a
+def try_run(sim: Simulation, n_slots: int) -> str | None:
+    """Run ``n_slots`` on the compiled kernel if eligible.
 
-
-def try_run(sim: Simulation, n_slots: int) -> bool:
-    """Run ``n_slots`` on the compiled kernel if eligible; else ``False``.
-
-    Returns ``True`` only after the simulation has been advanced (state,
-    metrics, registry and pending plan identical to the oracle).  All
-    eligibility checks happen *before* any mutation, so ``False`` always
+    Returns ``None`` only after the simulation has been advanced (state,
+    metrics, registry and pending plan identical to the oracle), and
+    otherwise the reason the compiled tier refused the call.  All
+    eligibility checks happen *before* any mutation, so a refusal always
     leaves the simulation untouched for the Python kernel.
     """
     fn = _kernel_fn()
-    if fn is None or n_slots <= 0:
-        return False
-    if sim.observer is not None or sim.drop_late:
-        return False
+    if fn is None:
+        return "no compiled kernel"
+    if sim.observer is not None:
+        return "observer attached"
+    if sim.drop_late:
+        return "drop-late"
     profiler = sim.profiler
     if profiler is not None:
         t_phase = profiler.clock()
     metrics = sim.metrics
     if metrics.fault_window_active:
-        return False
+        return "fault window open"
     mapping = sim.protocol.mapping
     log_map = type(mapping) is LogarithmicMapping
     if not log_map and type(mapping) is not LinearMapping:
-        return False
+        return f"laxity mapping {type(mapping).__name__}"
     n = sim.topology.n_nodes
     if n > _MAX_NODES:
-        return False
+        return f"ring wider than {_MAX_NODES} nodes"
     sources = sim.sources
-    if not all(type(src) is ConnectionSource for src in sources):
-        return False
+    for src in sources:
+        if type(src) is not ConnectionSource:
+            return f"source {type(src).__name__} is not a ConnectionSource"
 
     RT = TrafficClass.RT_CONNECTION
     DELIVERED = MessageStatus.DELIVERED
@@ -246,7 +344,7 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
             for entry in heap:
                 st = entry[2].status
                 if st is PENDING or st is IN_TRANSIT:
-                    return False
+                    return "live best-effort or non-real-time backlog"
         for entry in q._rt:
             msg = entry[2]
             st = msg.status
@@ -258,7 +356,7 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
                 or msg.deadline_slot is None
                 or cid is None
             ):
-                return False
+                return "live message outside an RT connection"
             row_of[id(msg)] = len(pre_objs)
             pre_objs.append(msg)
             pre_cids.append(cid)
@@ -268,34 +366,43 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
     for tx in plan.transmissions:
         row = row_of.get(id(tx.message))
         if row is None:
-            return False
+            return "planned message not queued"
         plan_tx_rows.append(row)
     plan_den_rows: list[int] = []
     for tx in plan.denied_by_break:
         row = row_of.get(id(tx.message))
         if row is None:
-            return False
+            return "planned message not queued"
         plan_den_rows.append(row)
 
-    # --- release schedule over [s, end), oracle polling order ----------
+    # --- the release calendar over [s, end), counted arithmetically ----
+    # Each source's first release is the one the oracle's calendar files
+    # it under (``next_release_slot``); its window ends at active_until
+    # or at the call's end, whichever comes first.
     s = sim.current_slot
     end = s + n_slots
     conns = [src.connection for src in sources]
-    rel_slot, rel_conn = release_schedule(sources, s, end)
-    n_rel = len(rel_slot)
+    conn_first: list[int] = []
+    conn_stop: list[int] = []
+    rel_counts: list[int] = []
+    heap_cap = [0] * n
+    for msg in pre_objs:
+        heap_cap[msg.source] += 1
+    for src, conn in zip(sources, conns):
+        until = src.active_until
+        stop = end if until is None or until > end else until
+        first = src.next_release_slot(s)
+        if first is None or first >= stop:
+            first, k = stop, 0
+        else:
+            k = (stop - 1 - first) // conn.period_slots + 1
+            heap_cap[conn.source] += k
+        conn_first.append(first)
+        conn_stop.append(stop)
+        rel_counts.append(k)
+    n_rel = sum(rel_counts)
     if n_rel > _MAX_RELEASES:
-        return False
-
-    # --- constants -----------------------------------------------------
-    rt_lo, rt_hi = class_priority_range(RT)
-    levels = rt_hi - rt_lo + 1
-    horizon = mapping.horizon_slots if not log_map else 1
-    arbiter = protocol.arbiter
-    limit = 1 if not arbiter.spatial_reuse else (arbiter.max_grants or 1 << 30)
-    slot_length = sim.timing.slot_length_s
-
-    # The engine admits only the plain EdfHandover, whose gap is Eq. 1.
-    gap_matrix = np.array(sim.topology.handover_gap_table, dtype=np.float64)
+        return f"more than {_MAX_RELEASES} releases"
 
     # Dense connection-id space: connections first, then any live
     # message whose connection is no longer sourced (admission churn).
@@ -310,159 +417,106 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         return di
 
     conn_cid = [_dense(c.connection_id) for c in conns]
-    conn_node = [c.source for c in conns]
-    conn_size = [c.size_slots for c in conns]
-    conn_deadline = [c.relative_deadline_slots for c in conns]
-    conn_links = [route_masks(c.source, c.destinations)[0] for c in conns]
-
+    pre_dense = [_dense(cid) for cid in pre_cids]
+    n_cids = len(cid_list)
     n_pre = len(pre_objs)
     n_rows = n_pre + n_rel
-    m_node = np.empty(max(1, n_rows), dtype=np.int64)
-    m_size = np.empty_like(m_node)
-    m_sent = np.empty_like(m_node)
-    m_deadline = np.empty_like(m_node)
-    m_created = np.empty_like(m_node)
-    m_id = np.empty_like(m_node)
-    m_cid = np.empty_like(m_node)
-    m_links = np.empty(max(1, n_rows), dtype=np.uint64)
-    m_status = np.empty_like(m_node)
-    m_completed = np.empty_like(m_node)
-    for row, msg in enumerate(pre_objs):
-        m_node[row] = msg.source
-        m_size[row] = msg.size_slots
-        m_sent[row] = msg.sent_slots
-        m_deadline[row] = msg.deadline_slot
-        m_created[row] = msg.created_slot
-        m_id[row] = msg.msg_id
-        m_cid[row] = _dense(pre_cids[row])
-        m_links[row] = route_masks(msg.source, msg.destinations)[0]
-        m_status[row] = 0 if msg.status is PENDING else 1
-        m_completed[row] = -1
-
     per_connection = metrics.report.per_connection
-    touched = _arr([1 if cid in per_connection else 0 for cid in cid_list])
-    n_cids = len(cid_list)
 
-    heap_cap = np.zeros(n, dtype=np.int64)
-    for msg in pre_objs:
-        heap_cap[msg.source] += 1
-    if n_rel:
-        conn_node_arr = _arr(conn_node)
-        heap_cap += np.bincount(conn_node_arr[rel_conn], minlength=n)
-
-    # --- reserve message ids for every scheduled release ---------------
+    # --- marshal: one workspace ----------------------------------------
+    ws = _Workspace(n, len(conns), n_cids, n_rows)
+    rt_lo, rt_hi = class_priority_range(RT)
+    arbiter = protocol.arbiter
+    report = metrics.report
     # The constructor's default factory resolves the module-level counter
     # at call time, so rebinding it hands the kernel a contiguous id
     # block while later Python-side constructions continue the sequence.
     id0 = next(_messages._message_ids)
     _messages._message_ids = itertools.count(id0 + n_rel if n_rel else id0)
-
-    # --- outputs -------------------------------------------------------
-    report = metrics.report
-    facc = np.array(
-        [report.wall_time_s, report.slot_time_s, report.gap_time_s],
-        dtype=np.float64,
+    ws.set_scalars(
+        n=n,
+        start_slot=s,
+        n_slots=n_slots,
+        limit=1 if not arbiter.spatial_reuse else (arbiter.max_grants or 1 << 30),
+        rt_lo=rt_lo,
+        rt_hi=rt_hi,
+        log_map=1 if log_map else 0,
+        levels=rt_hi - rt_lo + 1,
+        horizon=mapping.horizon_slots if not log_map else 1,
+        n_pre=n_pre,
+        n_rel=n_rel,
+        n_conns=len(conns),
+        n_cids=n_cids,
+        id0=id0,
+        master=plan.master,
+        prev_master=sim._prev_master,
+        n_req=plan.n_requests,
+        n_tx=len(plan_tx_rows),
+        n_den=len(plan_den_rows),
+        slot_length=sim.timing.slot_length_s,
+        gap=plan.gap_s,
+        wall=report.wall_time_s,
+        slot_time=report.slot_time_s,
+        gap_time=report.gap_time_s,
     )
-    iacc = np.zeros(11, dtype=np.int64)
-    master_count = np.zeros(n, dtype=np.int64)
-    hop_count = np.zeros(n, dtype=np.int64)
-    del_rows = np.empty(max(1, n_rows), dtype=np.int64)
-    touch_out = np.empty(max(1, n_cids), dtype=np.int64)
-    out_tx_rows = np.empty(n, dtype=np.int64)
-    out_den_rows = np.empty(n, dtype=np.int64)
-    out_gap = np.zeros(1, dtype=np.float64)
-
-    # Named locals keep every marshalled array alive across the call.
-    conn_node_a = _arr(conn_node)
-    conn_size_a = _arr(conn_size)
-    conn_deadline_a = _arr(conn_deadline)
-    conn_cid_a = _arr(conn_cid)
-    conn_links_a = np.array(conn_links or [0], dtype=np.uint64)
-    plan_tx_a = _arr(plan_tx_rows)
-    plan_den_a = _arr(plan_den_rows)
+    # The engine admits only the plain EdfHandover, whose gap is Eq. 1.
+    ws.put("gap_matrix", sim.topology.handover_gap_table)
+    ws.put("heap_cap", heap_cap)
+    ws.put("tx_rows", plan_tx_rows)
+    ws.put("den_rows", plan_den_rows)
+    ws.put("conn_node", [c.source for c in conns])
+    ws.put("conn_size", [c.size_slots for c in conns])
+    ws.put("conn_deadline", [c.relative_deadline_slots for c in conns])
+    ws.put("conn_cid", conn_cid)
+    ws.put("conn_links", [route_masks(c.source, c.destinations)[0] for c in conns])
+    ws.put("conn_first", conn_first)
+    ws.put("conn_period", [c.period_slots for c in conns])
+    ws.put("conn_stop", conn_stop)
+    ws.put("touched", [1 if cid in per_connection else 0 for cid in cid_list])
+    if n_pre:
+        ws.put("m_node", [m.source for m in pre_objs])
+        ws.put("m_size", [m.size_slots for m in pre_objs])
+        ws.put("m_sent", [m.sent_slots for m in pre_objs])
+        ws.put("m_deadline", [m.deadline_slot for m in pre_objs])
+        ws.put("m_created", [m.created_slot for m in pre_objs])
+        ws.put("m_id", [m.msg_id for m in pre_objs])
+        ws.put("m_cid", pre_dense)
+        ws.put(
+            "m_links",
+            [route_masks(m.source, m.destinations)[0] for m in pre_objs],
+        )
+        ws.put("m_status", [0 if m.status is PENDING else 1 for m in pre_objs])
+    words = ws.words
     if profiler is not None:
         t_phase = profiler.lap("ingest", t_phase)
-    ret = fn(
-        n,
-        s,
-        n_slots,
-        slot_length,
-        limit,
-        rt_lo,
-        rt_hi,
-        1 if log_map else 0,
-        levels,
-        horizon,
-        gap_matrix.ctypes.data,
-        n_pre,
-        n_rel,
-        m_node.ctypes.data,
-        m_size.ctypes.data,
-        m_sent.ctypes.data,
-        m_deadline.ctypes.data,
-        m_created.ctypes.data,
-        m_id.ctypes.data,
-        m_cid.ctypes.data,
-        m_links.ctypes.data,
-        m_status.ctypes.data,
-        m_completed.ctypes.data,
-        rel_slot.ctypes.data,
-        rel_conn.ctypes.data,
-        len(conns),
-        conn_node_a.ctypes.data,
-        conn_size_a.ctypes.data,
-        conn_deadline_a.ctypes.data,
-        conn_cid_a.ctypes.data,
-        conn_links_a.ctypes.data,
-        id0,
-        n_cids,
-        touched.ctypes.data,
-        plan.master,
-        plan.gap_s,
-        plan.n_requests,
-        len(plan_tx_rows),
-        plan_tx_a.ctypes.data,
-        len(plan_den_rows),
-        plan_den_a.ctypes.data,
-        sim._prev_master,
-        heap_cap.ctypes.data,
-        facc.ctypes.data,
-        iacc.ctypes.data,
-        master_count.ctypes.data,
-        hop_count.ctypes.data,
-        del_rows.ctypes.data,
-        touch_out.ctypes.data,
-        out_tx_rows.ctypes.data,
-        out_den_rows.ctypes.data,
-        out_gap.ctypes.data,
-    )
+    ret = fn(words.ctypes.data)
     if ret != 0:
         raise RuntimeError(f"compiled slot kernel failed (code {ret})")
     if profiler is not None:
         t_phase = profiler.lap("kernel", t_phase)
 
     # --- fold the outputs back into the Python object graph ------------
-    # Column-wise: the kernel's delivery log ``del_rows[:n_del]`` is in
-    # oracle delivery order, so the per-message updates of
-    # ``MetricsCollector.on_delivery`` are replayed as array expressions;
-    # Python loops run over connections, histogram buckets, nodes and
-    # still-live messages only.
-    n_del = int(iacc[7])
-    n_touch = int(iacc[8])
+    # The kernel wrote every per-delivery aggregate (latencies in delivery
+    # order and grouped by connection, per-connection delivered/missed
+    # counts, histogram sums and log2 buckets in first-occurrence order),
+    # so Python loops run over connections, buckets, nodes and still-live
+    # messages only.
+    out = words[_HEADER : _HEADER + _N_SCALARS].tolist()
+    fout = ws.floats[_HEADER : _HEADER + _N_SCALARS].tolist()
+    F = _FIELD
+    n_del = out[F["n_del"]]
 
     # Connection-stats entries, created in the kernel's first-touch order
     # (release or delivery, whichever came first) == dict insertion order.
-    for di in touch_out[:n_touch].tolist():
+    for di in ws.col("touch_order")[: out[F["n_touch"]]].tolist():
         cid = cid_list[di]
         if cid not in per_connection:
             per_connection[cid] = ConnectionStats(cid)
 
-    per_class = report.per_class
-    rt_stats = per_class[RT]
+    rt_stats = report.per_class[RT]
     registry = metrics.registry
     if n_rel:
         rt_stats.released += n_rel
-        rel_counts = np.bincount(rel_conn, minlength=len(conns)).tolist()
         for c, k in enumerate(rel_counts):
             if k:
                 per_connection[cid_list[conn_cid[c]]].released += k
@@ -470,31 +524,25 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
             registry.counters["sim:released"] += n_rel
 
     if n_del:
-        rows = del_rows[:n_del]
-        completed = m_completed[rows]
-        latency = completed - m_created[rows] + 1
-        missed = completed > m_deadline[rows]
-        missed_total = int(np.count_nonzero(missed))
+        missed_total = out[F["n_missed"]]
         rt_stats.delivered += n_del
         rt_stats.deadline_missed += missed_total
         rt_stats.deadline_met += n_del - missed_total
-        rt_stats.latencies_slots.extend(latency.tolist())
-
-        # Per connection: a *stable* grouping by dense connection id keeps
-        # each connection's latencies in delivery order (report content);
-        # the narrowest key dtype lets the stable sort run as a radix sort.
-        group = m_cid[rows].astype(np.min_scalar_type(n_cids))
-        grouped = latency[np.argsort(group, kind="stable")]
-        sizes = np.bincount(group, minlength=n_cids).tolist()
-        misses = np.bincount(group[missed], minlength=n_cids).tolist()
+        rt_stats.latencies_slots.extend(ws.col("lat")[:n_del].tolist())
+        # Per connection, each group in delivery order (report content).
+        grouped = ws.col("lat_by_cid")[:n_del].tolist()
         lo = 0
-        for cid, k, k_missed in zip(cid_list, sizes, misses):
+        for cid, k, k_missed in zip(
+            cid_list,
+            ws.col("cid_delivered").tolist(),
+            ws.col("cid_missed").tolist(),
+        ):
             if k:
                 cstat = per_connection[cid]
                 cstat.delivered += k
                 cstat.deadline_missed += k_missed
                 cstat.deadline_met += k - k_missed
-                cstat.latencies_slots.extend(grouped[lo : lo + k].tolist())
+                cstat.latencies_slots.extend(grouped[lo : lo + k])
                 lo += k
 
         if registry is not None:
@@ -507,40 +555,35 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
             hist.count += n_del
             # The exact integer sum equals the oracle's one-by-one float
             # additions: every partial sum is an integer below 2**53.
-            hist.total += int(latency.sum())
-            lat_min = int(latency.min())
+            hist.total += out[F["lat_sum"]]
+            lat_min = out[F["lat_min"]]
             if lat_min < hist.min:
                 hist.min = lat_min
-            lat_max = int(latency.max())
+            lat_max = out[F["lat_max"]]
             if lat_max > hist.max:
                 hist.max = lat_max
-            # latency >= 1: the log2 bucket is the bit length, i.e. the
-            # frexp exponent.  Buckets are created in first-occurrence
-            # order, as one observe() per delivery would.
-            bits = np.frexp(latency.astype(np.float64))[1].astype(np.uint8)
-            buckets, first, per_bucket = np.unique(
-                bits, return_index=True, return_counts=True
-            )
-            order = np.argsort(first)
+            n_buckets = out[F["n_buckets"]]
+            buckets = hist.buckets
             for bucket, k in zip(
-                buckets[order].tolist(), per_bucket[order].tolist()
+                ws.col("bucket_key")[:n_buckets].tolist(),
+                ws.col("bucket_count")[:n_buckets].tolist(),
             ):
-                hist.buckets[bucket] += k
+                buckets[bucket] += k
 
-    report.wall_time_s = float(facc[0])
-    report.slot_time_s = float(facc[1])
-    report.gap_time_s = float(facc[2])
+    report.wall_time_s = fout[F["wall"]]
+    report.slot_time_s = fout[F["slot_time"]]
+    report.gap_time_s = fout[F["gap_time"]]
     report.slots_simulated += n_slots
-    report.busy_slots += int(iacc[0])
-    report.packets_sent += int(iacc[1])
-    report.wasted_grants += int(iacc[2])
-    report.break_denials += int(iacc[3])
+    report.busy_slots += out[F["busy"]]
+    report.packets_sent += out[F["packets"]]
+    report.wasted_grants += out[F["wasted"]]
+    report.break_denials += out[F["denials"]]
     master_slots = report.master_slots
-    for i, v in enumerate(master_count.tolist()):
+    for i, v in enumerate(ws.col("master_count").tolist()):
         if v:
             master_slots[i] += v
     handover_hops = report.handover_hops
-    for i, v in enumerate(hop_count.tolist()):
+    for i, v in enumerate(ws.col("hop_count").tolist()):
         if v:
             handover_hops[i] += v
 
@@ -549,49 +592,50 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
     # while still live (delivered releases never escaped the kernel and
     # are unobservable, exactly like the oracle's garbage).
     _STATUS = (PENDING, IN_TRANSIT, DELIVERED)
+    m_status = ws.col("m_status")
     live_by_node: list[list[tuple[int, int, Message]]] = [[] for _ in range(n)]
-    for msg, sent, st, done, deadline in zip(
-        pre_objs,
-        m_sent[:n_pre].tolist(),
-        m_status[:n_pre].tolist(),
-        m_completed[:n_pre].tolist(),
-        m_deadline[:n_pre].tolist(),
-    ):
-        msg.sent_slots = sent
-        msg.status = _STATUS[st]
-        if st == 2:
-            msg.completed_slot = done
-        else:
-            live_by_node[msg.source].append((deadline, msg.msg_id, msg))
-    live = np.flatnonzero(m_status[n_pre:n_rows] != 2)
-    live_rows = live + n_pre
+    if n_pre:
+        for msg, sent, st, done in zip(
+            pre_objs,
+            ws.col("m_sent")[:n_pre].tolist(),
+            m_status[:n_pre].tolist(),
+            ws.col("m_completed")[:n_pre].tolist(),
+        ):
+            msg.sent_slots = sent
+            msg.status = _STATUS[st]
+            if st == 2:
+                msg.completed_slot = done
+            else:
+                live_by_node[msg.source].append(
+                    (msg.deadline_slot, msg.msg_id, msg)
+                )
+    live_rows = ws.col("row_log")[: out[F["n_live"]]]
     new_objs: dict[int, Message] = {}
-    for row, c, node, size, created, deadline, mid, sent, st in zip(
-        live_rows.tolist(),
-        rel_conn[live].tolist(),
-        m_node[live_rows].tolist(),
-        m_size[live_rows].tolist(),
-        m_created[live_rows].tolist(),
-        m_deadline[live_rows].tolist(),
-        m_id[live_rows].tolist(),
-        m_sent[live_rows].tolist(),
-        m_status[live_rows].tolist(),
-    ):
-        conn = conns[c]
-        msg = new_objs[row] = Message(
-            node,
-            conn.destinations,
-            RT,
-            size,
-            created,
-            deadline,
-            conn.connection_id,
-            mid,
-            sent,
-            _STATUS[st],
-            period_slots=conn.period_slots,
-        )
-        live_by_node[node].append((deadline, mid, msg))
+    if len(live_rows):
+        for row, c, created, deadline, mid, sent, st in zip(
+            live_rows.tolist(),
+            ws.col("m_conn")[live_rows].tolist(),
+            ws.col("m_created")[live_rows].tolist(),
+            ws.col("m_deadline")[live_rows].tolist(),
+            ws.col("m_id")[live_rows].tolist(),
+            ws.col("m_sent")[live_rows].tolist(),
+            m_status[live_rows].tolist(),
+        ):
+            conn = conns[c]
+            msg = new_objs[row] = Message(
+                conn.source,
+                conn.destinations,
+                RT,
+                conn.size_slots,
+                created,
+                deadline,
+                conn.connection_id,
+                mid,
+                sent,
+                _STATUS[st],
+                period_slots=conn.period_slots,
+            )
+            live_by_node[conn.source].append((deadline, mid, msg))
     for i in range(n):
         q = queues[i]
         entries = live_by_node[i]
@@ -599,32 +643,32 @@ def try_run(sim: Simulation, n_slots: int) -> bool:
         q._rt[:] = entries
         q._head_valid = False
 
-    def _planned(rows: np.ndarray) -> tuple[PlannedTransmission, ...]:
+    m_links = ws.col("m_links")
+
+    def _planned(name: str, count: int) -> tuple[PlannedTransmission, ...]:
         planned = []
-        for row, node, links in zip(
-            rows.tolist(), m_node[rows].tolist(), m_links[rows].tolist()
-        ):
+        for row in ws.col(name)[:count].tolist():
             msg = pre_objs[row] if row < n_pre else new_objs[row]
             planned.append(
                 PlannedTransmission(
-                    node=node,
+                    node=msg.source,
                     message=msg,
-                    links=links,
+                    links=int(m_links[row]),
                     destinations=msg.destinations,
                 )
             )
         return tuple(planned)
 
     sim.current_slot = end
-    sim._prev_master = int(iacc[4])
+    sim._prev_master = out[F["prev_master"]]
     sim._plan = SlotPlan(
         transmit_slot=end,
-        master=int(iacc[5]),
-        gap_s=float(out_gap[0]),
-        transmissions=_planned(out_tx_rows[: int(iacc[9])]),
-        denied_by_break=_planned(out_den_rows[: int(iacc[10])]),
-        n_requests=int(iacc[6]),
+        master=out[F["master"]],
+        gap_s=fout[F["gap"]],
+        transmissions=_planned("tx_rows", out[F["n_tx"]]),
+        denied_by_break=_planned("den_rows", out[F["n_den"]]),
+        n_requests=out[F["n_req"]],
     )
     if profiler is not None:
         profiler.lap("fold", t_phase)
-    return True
+    return None

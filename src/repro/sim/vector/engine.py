@@ -60,6 +60,10 @@ class VectorSimulation(Simulation):
         #: ``"compiled"`` (the C micro-kernel), ``"python"`` (the SoA
         #: kernel), or ``None`` (oracle fallback / never ran).
         self.vector_backend: str | None = None
+        #: Why the compiled tier refused the last kernel ``run()``, which
+        #: then ran on the SoA kernel; ``None`` unless ``vector_backend``
+        #: is ``"python"``.
+        self.vector_numpy_reason: str | None = None
 
     def _fallback_reason(self) -> str | None:
         """Reason the kernel must not run, or ``None`` if it may."""
@@ -96,12 +100,15 @@ class VectorSimulation(Simulation):
         self.vector_fallback_reason = reason
         if reason is not None:
             self.vector_backend = None
+            self.vector_numpy_reason = None
             return super().run(n_slots)
-        if _try_compiled(self, n_slots):
-            # Closed-world configurations run on the compiled micro-
-            # kernel (which times its own ingest / kernel / fold laps);
-            # anything it cannot replicate bit-for-bit lands on the
-            # pure-Python SoA kernel below.
+        # Closed-world configurations run on the compiled micro-kernel
+        # (which times its own ingest / kernel / fold laps); anything it
+        # cannot replicate bit-for-bit lands on the pure-Python SoA
+        # kernel below, with the refusal on record.
+        refusal = _try_compiled(self, n_slots)
+        self.vector_numpy_reason = refusal
+        if refusal is None:
             self.vector_backend = "compiled"
         else:
             profiler = self.profiler

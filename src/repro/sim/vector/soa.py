@@ -130,8 +130,9 @@ def release_schedule(
     polling order: ascending slot, and source-list order among the
     releases of one slot.  Each source contributes one ``arange`` over
     its phase/period clipped to its ``active_from``/``active_until``
-    span, and one ``lexsort`` interleaves them -- the schedule both
-    vector kernels ingest instead of polling sources slot by slot.
+    span, and one ``lexsort`` interleaves them -- the schedule the numpy
+    kernel ingests instead of polling sources slot by slot (the compiled
+    kernel walks the same calendar in C, see ``ckernel.try_run``).
     """
     parts_t: list[np.ndarray] = []
     parts_i: list[np.ndarray] = []

@@ -282,3 +282,59 @@ def test_policies_are_deterministic_per_seed():
         (c.source, c.destinations, c.period_slots, c.size_slots, c.deadline_slots)
         for c in draws[1]
     ]
+
+
+class _NoMemo(dict):
+    """A priority memo that never remembers: every lookup recomputes."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestFifoMemoBound:
+    """On an overloaded FIFO ring the head ages grow without bound; the
+    protocol's priority memo must not (one entry per saturated age)."""
+
+    @staticmethod
+    def _config():
+        from repro.sim.runner import ScenarioConfig
+        from repro.traffic.periodic import random_connection_set
+        from repro.traffic.sweeps import scale_connections_to_utilisation
+
+        rng = np.random.default_rng(3)
+        conns = scale_connections_to_utilisation(
+            random_connection_set(rng, 4, 6, 0.5, period_range=(5, 40)), 1.5
+        )
+        return ScenarioConfig(
+            n_nodes=4,
+            connections=tuple(conns),
+            spatial_reuse=False,
+            policy="fifo",
+        )
+
+    @staticmethod
+    def _sizes(sim):
+        sizes = {}
+        for _, traffic_class in sim.protocol._prio_cache:
+            sizes[traffic_class] = sizes.get(traffic_class, 0) + 1
+        return sizes
+
+    def test_memo_saturates_and_matches_the_unmemoised_run(self):
+        from repro.sim.runner import RunOptions, build_simulation
+
+        config = self._config()
+        sim = build_simulation(config, RunOptions(engine="python"))
+        sim.run(40_000)
+        early = self._sizes(sim)
+        # The ring is overloaded far past the age horizon by now.
+        assert early == {TrafficClass.RT_CONNECTION: 2**FIFO_AGE_HORIZON_LOG2}
+
+        bare = build_simulation(config, RunOptions(engine="python"))
+        bare.protocol._prio_cache = _NoMemo()
+        assert bare.run(40_000) == sim.report
+
+        sim.run(120_000)
+        assert self._sizes(sim) == early

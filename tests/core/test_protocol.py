@@ -83,6 +83,18 @@ class TestComposeRequest:
         assert req.links == 0b0110
         assert req.destinations == 0b1000
 
+    def test_route_masks_are_shared_per_ring(self):
+        """Fresh protocols on equal topologies share one route memo, so a
+        new run does not recompute the paths of its connections."""
+        segments = RingTopology.uniform(5, 10.0).segments
+        first = CcrEdfProtocol(topology=RingTopology(5, segments))
+        masks = first.route_masks(1, frozenset({3}))
+        second = CcrEdfProtocol(topology=RingTopology(5, segments))
+        assert second._route_cache is first._route_cache
+        assert second._route_cache[(1, frozenset({3}))] is masks
+        other = CcrEdfProtocol(topology=RingTopology.uniform(6, 10.0))
+        assert other._route_cache is not first._route_cache
+
     def test_tighter_deadline_higher_priority(self, protocol):
         q_tight = NodeQueues(0)
         q_tight.enqueue(rt_msg(0, 2, deadline=0))

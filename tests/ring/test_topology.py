@@ -14,6 +14,14 @@ class TestConstruction:
         assert len(ring.segments) == 8
         assert all(seg.length_m == 10.0 for seg in ring.segments)
 
+    def test_uniform_rings_are_shared(self):
+        """Equal arguments return one instance, so the tables cached per
+        topology (gaps, route masks) are built once per ring."""
+        ring = RingTopology.uniform(6, link_length_m=10.0)
+        assert RingTopology.uniform(6, link_length_m=10.0) is ring
+        assert RingTopology.uniform(6, link_length_m=12.0) is not ring
+        assert RingTopology.uniform(6, link_length_m=10) == ring
+
     def test_default_segments_created(self):
         ring = RingTopology(n_nodes=4)
         assert len(ring.segments) == 4

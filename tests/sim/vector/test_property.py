@@ -155,9 +155,10 @@ def periodic_sources(draw):
 )
 @settings(max_examples=60, deadline=None)
 def test_release_schedule_is_the_oracles_polling_order(sources, lo, n, chunk):
-    """The schedule both kernels ingest lists exactly the releases the
-    oracle's slot-by-slot polling produces, in its order -- whole-window
-    (compiled tier) and chunk by chunk (numpy tier) alike."""
+    """The schedule the numpy tier ingests lists exactly the releases
+    the oracle's slot-by-slot polling produces, in its order -- whole
+    window and chunk by chunk alike.  (The compiled tier walks its
+    calendar in C; ``test_entry.py`` holds it to the oracle.)"""
     hi = lo + n
     polled = [
         (slot, idx)

@@ -1,0 +1,179 @@
+"""The compiled tier names every refusal.
+
+``ckernel.try_run`` declines a call it cannot replicate bit for bit and
+returns why; :class:`VectorSimulation` then runs the numpy SoA kernel
+and records the reason in ``vector_numpy_reason``.  One test per
+refusal: the reason is recorded, the numpy tier ran, and the result is
+still the oracle's (the refusal left the simulation untouched).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.connection import LogicalRealTimeConnection
+from repro.core.mapping import LogarithmicMapping
+from repro.core.messages import Message
+from repro.core.priorities import TrafficClass
+from repro.core.protocol import PlannedTransmission, SlotPlan
+from repro.obs.events import BoundedEventRing, EventDispatcher
+from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
+from repro.sim.vector import ckernel
+from repro.traffic.poisson import PoissonSource
+
+from tests.sim.vector.test_differential import (
+    _loaded_config,
+    assert_engines_match,
+)
+
+
+class _TunedLog(LogarithmicMapping):
+    """The logarithmic map under another name: not the closed world."""
+
+
+def _make(config, **options):
+    return lambda engine: build_simulation(
+        config, RunOptions(engine=engine, **options)
+    )
+
+
+def _inject(traffic_class, connection_id=None, orphan=False):
+    """A setup step enqueueing one message at node 0 (both engines);
+    ``orphan`` then strips the connection id off the queued message."""
+
+    def setup(sim):
+        msg = Message(
+            source=0,
+            destinations=frozenset([2]),
+            traffic_class=traffic_class,
+            size_slots=2,
+            created_slot=sim.current_slot,
+            deadline_slot=sim.current_slot + 400,
+            connection_id=connection_id,
+        )
+        sim.queues[0].enqueue(msg)
+        if orphan:
+            msg.connection_id = None
+
+    return setup
+
+
+def _open_fault_window(sim):
+    sim.metrics.fault_window_active = True
+
+
+def _plan_foreign_message(sim):
+    # A grant whose message sits in no queue (the oracle would still
+    # transmit it; the compiled tier can only address queued rows).
+    msg = Message(
+        source=1,
+        destinations=frozenset([3]),
+        traffic_class=TrafficClass.RT_CONNECTION,
+        size_slots=1,
+        created_slot=sim.current_slot,
+        deadline_slot=sim.current_slot + 50,
+        connection_id=999_999,
+    )
+    plan = sim._plan
+    tx = PlannedTransmission(
+        node=1, message=msg, links=0b110, destinations=msg.destinations
+    )
+    sim._plan = SlotPlan(
+        transmit_slot=plan.transmit_slot,
+        master=plan.master,
+        gap_s=plan.gap_s,
+        transmissions=(tx,),
+        n_requests=1,
+    )
+
+
+def _wide_ring():
+    conns = tuple(
+        LogicalRealTimeConnection(
+            source=i,
+            destinations=frozenset({(i + 5) % 64}),
+            period_slots=40,
+            size_slots=2,
+        )
+        for i in range(0, 64, 8)
+    )
+    return ScenarioConfig(n_nodes=64, connections=conns)
+
+
+def _poisson(config):
+    return PoissonSource(
+        node=2,
+        n_nodes=config.n_nodes,
+        rate_per_slot=0.05,
+        traffic_class=TrafficClass.NON_REAL_TIME,
+        rng=np.random.default_rng(11),
+    )
+
+
+def _cases():
+    config = _loaded_config(8, 0.6)
+    return {
+        "no compiled kernel": (_make(config), ()),
+        "observer attached": (
+            lambda engine: build_simulation(
+                config, RunOptions(engine=engine, observer=_observer())
+            ),
+            (),
+        ),
+        "drop-late": (_make(_loaded_config(8, 0.9, drop_late=True)), ()),
+        "fault window open": (_make(config), (_open_fault_window,)),
+        "laxity mapping _TunedLog": (_make(config, mapping=_TunedLog()), ()),
+        "ring wider than 62 nodes": (_make(_wide_ring()), ()),
+        "source PoissonSource is not a ConnectionSource": (
+            lambda engine: build_simulation(
+                config,
+                RunOptions(engine=engine, extra_sources=(_poisson(config),)),
+            ),
+            (),
+        ),
+        "live best-effort or non-real-time backlog": (
+            _make(config),
+            (_inject(TrafficClass.BEST_EFFORT),),
+        ),
+        "live message outside an RT connection": (
+            _make(config),
+            (_inject(TrafficClass.RT_CONNECTION, 999_998, orphan=True),),
+        ),
+        "planned message not queued": (_make(config), (_plan_foreign_message,)),
+        "more than 10 releases": (_make(config), ()),
+    }
+
+
+def _observer():
+    observer = EventDispatcher()
+    observer.add_sink(BoundedEventRing(100))
+    return observer
+
+
+REFUSALS = sorted(_cases())
+
+
+@pytest.mark.parametrize("reason", REFUSALS)
+def test_refusal_is_named(reason, monkeypatch):
+    if reason == "no compiled kernel":
+        monkeypatch.setattr(ckernel, "_fn", None)
+    elif ckernel._kernel_fn() is None:
+        pytest.skip("no C toolchain; compiled tier unavailable")
+    if reason.startswith("more than"):
+        monkeypatch.setattr(ckernel, "_MAX_RELEASES", 10)
+    make_sim, setup = _cases()[reason]
+    sim = assert_engines_match(
+        make_sim, warm=5, chunks=(*setup, 300), extra_steps=10
+    )
+    assert sim.vector_backend == "python"
+    assert sim.vector_numpy_reason == reason
+    assert sim.vector_fallback_reason is None
+
+
+def test_compiled_run_records_no_refusal():
+    if ckernel._kernel_fn() is None:
+        pytest.skip("no C toolchain; compiled tier unavailable")
+    sim = build_simulation(_loaded_config(8, 0.6), RunOptions(engine="vector"))
+    sim.run(300)
+    assert (sim.vector_backend, sim.vector_numpy_reason) == ("compiled", None)
