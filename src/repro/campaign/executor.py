@@ -154,7 +154,7 @@ def execute_run(spec: RunSpec) -> dict[str, Any]:
     ) -> Simulation:
         return _build_run(spec, rng, engine)
 
-    report, _ = run_one(build, seed, spec.point.n_slots, engine=spec.engine)
+    report = run_one(build, seed, spec.point.n_slots, engine=spec.engine)
     elapsed = time.perf_counter() - t0  # repro-lint: disable=no-wallclock-in-sim
     row: dict[str, Any] = {
         "point": spec.point.index,

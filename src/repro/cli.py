@@ -412,7 +412,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             n_replications=args.replications,
             master_seed=args.seed,
             n_jobs=args.jobs,
-            collect_registry=manifest_path is not None,
         )
         elapsed = _time.perf_counter() - t0
         print(f"protocol            : {args.protocol}")
@@ -1022,31 +1021,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     timing = make_timing(config)
     controller = AdmissionController(timing)
 
-    specs = []
-    for raw in args.spec:
+    conns = []
+    for i, raw in enumerate(args.spec):
         try:
             period_s, size_s = raw.split(":")
             period, size = int(period_s), int(size_s)
         except ValueError:
-            print(f"bad --spec {raw!r}: expected PERIOD:SIZE in slots")
+            print(f"bad --spec {raw!r}: expected PERIOD:SIZE in slots",
+                  file=sys.stderr)
             return 2
-        specs.append((period, size))
-
-    conns = []
-    decisions = []
-    for i, (period, size) in enumerate(specs):
         src = i % args.nodes
         dst = (src + 1 + i) % args.nodes
         if dst == src:
             dst = (src + 1) % args.nodes
-        conn = LogicalRealTimeConnection(
-            source=src,
-            destinations=frozenset([dst]),
-            period_slots=period,
-            size_slots=size,
-        )
-        decisions.append(controller.request(conn))
+        try:
+            conn = LogicalRealTimeConnection(
+                source=src,
+                destinations=frozenset([dst]),
+                period_slots=period,
+                size_slots=size,
+            )
+        except ValueError as exc:
+            print(f"bad --spec {raw!r}: {exc}", file=sys.stderr)
+            return 2
         conns.append(conn)
+    decisions = [controller.request(conn) for conn in conns]
 
     admitted = [c for c, d in zip(conns, decisions) if d.accepted]
     print(f"network: N={args.nodes}, U_max={timing.u_max:.4f}")

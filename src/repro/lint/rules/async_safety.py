@@ -3,7 +3,7 @@
 The admission service's correctness argument is *serialisation by
 construction*: one worker coroutine is the designated admission node
 (paper Section 6), every other coroutine only submits and awaits.  That
-argument holds only while three properties do:
+argument holds only while two properties do:
 
 * ``async-blocking`` — no blocking call (``time.sleep``, file or
   subprocess I/O, process-pool waits) inside any ``async def`` reachable
@@ -19,11 +19,8 @@ argument holds only while three properties do:
   path-sensitive (branches are analysed separately, so exclusive
   branches do not cross-contaminate) and loop bodies are analysed twice
   to catch loop-carried read-await-write cycles.
-* ``unawaited-coroutine`` — a bare call to a known-async function whose
-  coroutine is neither awaited, gathered nor stored never runs; the
-  operation silently does not happen.
 
-All three resolve targets through the project call graph, so they see
+Both resolve targets through the project call graph, so they see
 through method calls on annotated attributes and re-exported names.
 """
 
@@ -76,22 +73,6 @@ BLOCKING_METHOD_NAMES = frozenset(
 #: the designated admission node's worker loop *is* the serialisation
 #: point, so its state transitions cannot interleave with themselves.
 SERIALISATION_POINTS = ("service.server.AdmissionService._worker",)
-
-#: External async callables a bare (un-awaited) call to is always a bug.
-KNOWN_ASYNC_CALLS = frozenset(
-    {
-        "asyncio.sleep",
-        "asyncio.gather",
-        "asyncio.wait",
-        "asyncio.wait_for",
-        "asyncio.to_thread",
-        "asyncio.shield",
-        "asyncio.Queue.put",
-        "asyncio.Queue.get",
-        "asyncio.Queue.join",
-    }
-)
-
 
 def _in_repro(module: str) -> bool:
     return module == "repro" or module.startswith("repro.")
@@ -469,86 +450,3 @@ class AwaitSharedState(LintRule):
                         "claim-first"
                     ),
                 )
-
-
-# ---------------------------------------------------------------------
-# unawaited-coroutine
-# ---------------------------------------------------------------------
-
-
-@register
-class UnawaitedCoroutine(LintRule):
-    """Bare calls to async functions that drop the coroutine."""
-
-    name = "unawaited-coroutine"
-    summary = (
-        "calls to known-async functions whose coroutine is neither "
-        "awaited, gathered nor stored"
-    )
-    invariant = (
-        "a dropped coroutine never runs: the request it was meant to "
-        "submit silently does not happen (and asyncio only warns at GC "
-        "time, far from the bug)"
-    )
-    scope = "project"
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        graph = project.call_graph()
-        for qname in sorted(graph.functions):
-            info = graph.functions[qname]
-            if not _in_repro(info.module):
-                continue
-            sites = {
-                (site.line, site.col): site
-                for site in graph.calls.get(qname, ())
-            }
-            for call in _bare_calls(info.node.body):
-                # A ``f(...).g()`` statement shares (line, col) with its
-                # inner call; only pure-dotted calls match graph sites.
-                func: ast.expr = call.func
-                while isinstance(func, ast.Attribute):
-                    func = func.value
-                if not isinstance(func, ast.Name):
-                    continue
-                site = sites.get((call.lineno, call.col_offset))
-                if site is None:
-                    continue
-                is_async_target = (
-                    site.kind == "project"
-                    and site.target in graph.functions
-                    and graph.functions[site.target].is_async
-                ) or (
-                    site.kind == "external"
-                    and site.target in KNOWN_ASYNC_CALLS
-                )
-                if is_async_target:
-                    yield Finding(
-                        rule=self.name,
-                        path=info.rel,
-                        line=call.lineno,
-                        col=call.col_offset,
-                        message=(
-                            f"call to async {site.target} is neither "
-                            "awaited, gathered nor stored; the "
-                            "coroutine is dropped and the operation "
-                            "never runs (add await, or pass it to "
-                            "asyncio.gather/create_task)"
-                        ),
-                    )
-
-
-def _bare_calls(body: Sequence[ast.stmt]) -> Iterable[ast.Call]:
-    """Expression-statement calls, excluding nested def/class bodies."""
-
-    def rec(node: ast.AST) -> Iterable[ast.Call]:
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-            yield node.value
-        for child in ast.iter_child_nodes(node):
-            yield from rec(child)
-
-    for stmt in body:
-        yield from rec(stmt)

@@ -45,9 +45,6 @@ PARITY_ALLOWLIST: dict[str, str] = {
         "(replay reconstructs it by summation)"
     ),
     "sim:recoveries": "mirror of the 'recovery' event (count of them)",
-    "sim:recovery_timeout_s": (
-        "histogram of RecoveryPerformed.timeout_s values"
-    ),
     "phase:": (
         "phase-profiler timers; host-side measurement with deliberately "
         "no event stream"

@@ -14,9 +14,10 @@ simulation study it never published), so runs must be *auditable*:
   host, wall time and the phase-profiler table, making every published
   number reproducible from its artifact;
 * :mod:`repro.obs.registry` -- a unified counter/histogram registry
-  backing :class:`~repro.sim.profiling.PhaseProfiler` and (optionally)
-  :class:`~repro.sim.metrics.MetricsCollector`, merged across parallel
-  replications in deterministic seed order;
+  backing :class:`~repro.sim.profiling.PhaseProfiler` and, derived from
+  a finished report by :func:`~repro.sim.metrics.registry_of`, a run's
+  ``sim:*`` totals, merged across replications in deterministic seed
+  order;
 * :mod:`repro.obs.replay` -- reconstructs run totals from an event log,
   proving the log is a faithful record of the run.
 

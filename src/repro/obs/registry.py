@@ -1,14 +1,14 @@
 """A unified counter/histogram registry for run observability.
 
-One :class:`MetricRegistry` per run collects named monotonic counters and
-scalar histograms from every instrumented component --
-:class:`~repro.sim.profiling.PhaseProfiler` stores its phase timers here,
-and :class:`~repro.sim.metrics.MetricsCollector` mirrors its fault/
-recovery/latency observations when given a registry.  Registries are
-plain picklable values with a deterministic, order-independent
-:meth:`~MetricRegistry.merge`, so parallel replication folds per-worker
-observability together in seed order exactly as it merges metric values
-(:func:`repro.sim.batch.replicate`).
+One :class:`MetricRegistry` collects named monotonic counters and scalar
+histograms -- :class:`~repro.sim.profiling.PhaseProfiler` stores its
+phase timers here, the live service and the campaign executor count
+into one, and :func:`repro.sim.metrics.registry_of` derives a run's
+``sim:*`` registry from its finished report.  Registries are plain
+picklable values with a deterministic, order-independent
+:meth:`~MetricRegistry.merge`, so replicated runs fold together in seed
+order exactly as their metric values do
+(:attr:`repro.sim.batch.BatchResult.registry`).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from the replication's seed sequence, so replications are independent
 replication is :func:`run_one`, a pure function of its
 :class:`numpy.random.SeedSequence` child; ``n_jobs`` only changes *where*
 that function is evaluated, and the finished runs are merged **in seed
-order**, so every report, :class:`MetricSummary` value and merged
+order**, so every report, :class:`MetricSummary` value and derived
 registry is byte-for-byte the same for any job count.
 
 Two picklability rules follow from using processes when ``n_jobs != 1``:
@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.obs.registry import MetricRegistry
 from repro.sim.engine import Simulation
-from repro.sim.metrics import SimulationReport
+from repro.sim.metrics import SimulationReport, registry_of
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
@@ -126,9 +126,15 @@ class BatchResult:
 
     reports: tuple[SimulationReport, ...]
     metrics: dict[str, MetricSummary]
-    #: Merged per-worker observability (seed order), populated only when
-    #: the batch ran with ``collect_registry=True``.
-    registry: MetricRegistry | None = None
+
+    @property
+    def registry(self) -> MetricRegistry:
+        """The replications' ``sim:*`` registries
+        (:func:`~repro.sim.metrics.registry_of`), merged in seed order."""
+        merged = MetricRegistry()
+        for report in self.reports:
+            merged.merge(registry_of(report))
+        return merged
 
     def __getitem__(self, name: str) -> MetricSummary:
         return self.metrics[name]
@@ -182,11 +188,9 @@ def run_one(
     build: Callable[[np.random.Generator], Simulation],
     seed: np.random.SeedSequence,
     n_slots: int,
-    collect_registry: bool = False,
     engine: str | None = None,
-) -> tuple[SimulationReport, MetricRegistry | None]:
-    """Worker body: one seeded run, returning its report (and, when
-    requested, the observability registry its collector mirrored into).
+) -> SimulationReport:
+    """Worker body: one seeded run, returning its report.
 
     This is the bit-identical unit both shard-parallel paths share:
     :func:`replicate` below and the campaign executor
@@ -200,14 +204,7 @@ def run_one(
     """
     rng = np.random.default_rng(seed)
     sim = build(rng) if engine is None else build(rng, engine=engine)
-    registry = None
-    if collect_registry:
-        registry = MetricRegistry()
-        sim.metrics.registry = registry
-    report = sim.run(n_slots)
-    if registry is not None and sim.profiler is not None:
-        registry.merge(sim.profiler.registry)
-    return report, registry
+    return sim.run(n_slots)
 
 
 def replicate(
@@ -217,7 +214,6 @@ def replicate(
     n_replications: int = 10,
     master_seed: int = 0,
     n_jobs: int = 1,
-    collect_registry: bool = False,
 ) -> BatchResult:
     """Run ``build(rng)`` across independent seeds and aggregate.
 
@@ -241,11 +237,6 @@ def replicate(
         Worker processes (``<= 0`` = one per available CPU), capped at
         ``n_replications``.  One job runs in-process; the result is
         bit-identical for every value.
-    collect_registry:
-        When True, each replication's collector mirrors its observations
-        into its own fresh :class:`~repro.obs.registry.MetricRegistry`
-        and the seed-order merge lands in :attr:`BatchResult.registry`
-        (the same grouping for any ``n_jobs``, so float totals match).
     """
     if n_replications < 1:
         raise ValueError(
@@ -257,20 +248,9 @@ def replicate(
         raise ValueError("no metrics requested")
 
     children = np.random.SeedSequence(master_seed).spawn(n_replications)
-    results = ordered_map(
-        partial(
-            run_one, build, n_slots=n_slots, collect_registry=collect_registry
-        ),
-        children,
-        n_jobs,
+    reports = tuple(
+        ordered_map(partial(run_one, build, n_slots=n_slots), children, n_jobs)
     )
-
-    merged_registry = None
-    if collect_registry:
-        merged_registry = MetricRegistry()
-        for _, registry in results:
-            merged_registry.merge(registry)
-    reports = tuple(report for report, _ in results)
     return BatchResult(
         reports=reports,
         metrics={
@@ -279,5 +259,4 @@ def replicate(
             )
             for name, extract in metrics.items()
         },
-        registry=merged_registry,
     )

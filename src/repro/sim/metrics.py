@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.messages import Message
 from repro.core.priorities import TrafficClass
 from repro.core.protocol import SlotOutcome, SlotPlan
+from repro.obs.registry import MetricRegistry
 
 
 @dataclass
@@ -302,24 +303,41 @@ class SimulationReport:
         return missed / (met + missed)
 
 
-class MetricsCollector:
-    """Feeds a :class:`SimulationReport` from engine callbacks.
+def registry_of(report: SimulationReport) -> MetricRegistry:
+    """The ``sim:*`` observability registry of one finished run.
 
-    When a :class:`~repro.obs.registry.MetricRegistry` is attached
-    (``registry`` argument, or assigned later), the collector mirrors its
-    message/fault/recovery observations into it under ``sim:*`` names, so
-    parallel replication can merge per-worker observability exactly as it
-    merges reports.  ``registry=None`` (default) mirrors nothing.
+    A view of ``report``, nothing more: message totals summed over the
+    traffic classes, one ``sim:fault:<kind>`` counter per injected fault
+    kind, the recovery count, and every delivery latency observed into
+    ``sim:latency_slots``.  A zero total leaves no counter.
     """
+    registry = MetricRegistry()
+    classes = report.per_class.values()
+    availability = report.availability_stats
+    registry.inc("sim:released", sum(s.released for s in classes))
+    registry.inc("sim:delivered", sum(s.delivered for s in classes))
+    registry.inc("sim:dropped", sum(s.dropped for s in classes))
+    registry.inc("sim:deadline_missed", sum(s.deadline_missed for s in classes))
+    registry.inc("sim:recoveries", availability.recoveries)
+    for kind, total in availability.fault_events.items():
+        registry.inc(f"sim:fault:{kind}", total)
+    for stats in classes:
+        for latency in stats.latencies_slots:
+            registry.observe("sim:latency_slots", latency)
+    # Unary plus keeps the positive counts: no counter at zero.
+    registry.counters = +registry.counters
+    return registry
 
-    def __init__(self, n_nodes: int, registry=None):
+
+class MetricsCollector:
+    """Feeds a :class:`SimulationReport` from engine callbacks."""
+
+    def __init__(self, n_nodes: int):
         self.report = SimulationReport(n_nodes=n_nodes)
         #: Set by the engine while a fault window is open (recovery in
         #: progress, or a rejoining node's queue being purged); deadline
         #: misses recorded meanwhile are attributed to the fault.
         self.fault_window_active = False
-        #: Optional :class:`~repro.obs.registry.MetricRegistry` mirror.
-        self.registry = registry
 
     # --- message lifecycle --------------------------------------------
 
@@ -339,8 +357,6 @@ class MetricsCollector:
         conn = self._connection_stats(message)
         if conn is not None:
             conn.released += 1
-        if self.registry is not None:
-            self.registry.inc("sim:released")
 
     def on_delivery(self, message: Message) -> None:
         """Account a completed delivery (latency, deadline verdict)."""
@@ -366,11 +382,6 @@ class MetricsCollector:
                 conn.deadline_met += 1
             elif met is False:
                 conn.deadline_missed += 1
-        if self.registry is not None:
-            self.registry.inc("sim:delivered")
-            self.registry.observe("sim:latency_slots", latency)
-            if met is False:
-                self.registry.inc("sim:deadline_missed")
 
     def on_drop(self, message: Message) -> None:
         """Account a dropped message (a miss if it had a deadline)."""
@@ -385,18 +396,12 @@ class MetricsCollector:
         if conn is not None:
             conn.dropped += 1
             conn.deadline_missed += 1
-        if self.registry is not None:
-            self.registry.inc("sim:dropped")
-            if message.deadline_slot is not None:
-                self.registry.inc("sim:deadline_missed")
 
     # --- fault lifecycle ------------------------------------------------
 
     def on_fault_event(self, kind: str) -> None:
         """Account one injected fault occurrence of the given kind."""
         self.report.availability_stats.fault_events[kind] += 1
-        if self.registry is not None:
-            self.registry.inc(f"sim:fault:{kind}")
 
     def on_recovery(self, timeout_s: float) -> None:
         """Account one designated-node takeover (one voided slot)."""
@@ -404,9 +409,6 @@ class MetricsCollector:
         a.recoveries += 1
         a.slots_lost += 1
         a.recovery_time_s += timeout_s
-        if self.registry is not None:
-            self.registry.inc("sim:recoveries")
-            self.registry.observe("sim:recovery_timeout_s", timeout_s)
 
     def on_arbitration_void(self) -> None:
         """Account one arbitration round lost to collection-packet loss."""
@@ -417,8 +419,6 @@ class MetricsCollector:
         a = self.report.availability_stats
         a.node_failures += 1
         a.fault_events["node_failure"] += 1
-        if self.registry is not None:
-            self.registry.inc("sim:fault:node_failure")
 
     def on_node_rejoin(self) -> None:
         """Account one node repair/rejoin transition."""

@@ -61,11 +61,6 @@ enum ws_field {
     W_DENIALS,
     W_N_DEL,
     W_N_MISSED,
-    W_LAT_SUM,
-    W_LAT_MIN,
-    W_LAT_MAX,
-    W_N_TOUCH,
-    W_N_BUCKETS,
     W_N_LIVE,
     /* float64 scalars */
     W_SLOT_LENGTH,
@@ -90,13 +85,8 @@ enum ws_field {
     W_CONN_PERIOD,
     W_CONN_STOP,
     /* per dense connection id */
-    W_TOUCHED,
-    W_TOUCH_ORDER,
     W_CID_DELIVERED,
     W_CID_MISSED,
-    /* log2 latency buckets */
-    W_BUCKET_KEY,
-    W_BUCKET_COUNT,
     /* message table */
     W_M_NODE,
     W_M_SIZE,
@@ -176,17 +166,6 @@ static void heap_pop(Ent *heap, int64_t *size) {
     }
 }
 
-/* Bit length of a positive latency: the log2 bucket Histogram.observe
- * files it under (the frexp exponent). */
-static inline int64_t bit_length(int64_t v) {
-    int64_t bits = 0;
-    while (v) {
-        bits++;
-        v >>= 1;
-    }
-    return bits;
-}
-
 int64_t repro_run_ckernel(int64_t *ws) {
     const int64_t n = *I64(W_N);
     if (n <= 0 || n > 62) {
@@ -218,12 +197,8 @@ int64_t repro_run_ckernel(int64_t *ws) {
     const int64_t *conn_first = I64(W_CONN_FIRST);
     const int64_t *conn_period = I64(W_CONN_PERIOD);
     const int64_t *conn_stop = I64(W_CONN_STOP);
-    int64_t *touched = I64(W_TOUCHED);
-    int64_t *touch_order = I64(W_TOUCH_ORDER);
     int64_t *cid_delivered = I64(W_CID_DELIVERED);
     int64_t *cid_missed = I64(W_CID_MISSED);
-    int64_t *bucket_key = I64(W_BUCKET_KEY);
-    int64_t *bucket_count = I64(W_BUCKET_COUNT);
     int64_t *m_node = I64(W_M_NODE);
     int64_t *m_size = I64(W_M_SIZE);
     int64_t *m_sent = I64(W_M_SENT);
@@ -325,8 +300,7 @@ int64_t repro_run_ckernel(int64_t *ws) {
     double slot_t = *F64(W_SLOT_TIME);
     double gap_t = *F64(W_GAP_TIME);
     int64_t busy = 0, packets = 0, wasted = 0, denials = 0;
-    int64_t n_del = 0, n_touch = 0, n_missed = 0;
-    int64_t lat_sum = 0, lat_min = 0, lat_max = 0;
+    int64_t n_del = 0, n_missed = 0;
     int64_t n_released = 0;
     int64_t s = start_slot;
     int64_t end = start_slot + n_slots;
@@ -359,11 +333,6 @@ int64_t repro_run_ckernel(int64_t *ws) {
                     m_conn[row] = c;
                     Ent e = {deadline, msg_id, row};
                     heap_push(arena + hoff[node], &hsz[node], e);
-                    int64_t ci = conn_cid[c];
-                    if (!touched[ci]) {
-                        touched[ci] = 1;
-                        touch_order[n_touch++] = ci;
-                    }
                     n_released++;
                     due = s + conn_period[c];
                     if (due >= conn_stop[c]) {
@@ -396,22 +365,11 @@ int64_t repro_run_ckernel(int64_t *ws) {
                 int64_t ci = m_cid[row];
                 lat[n_del] = latency;
                 row_log[n_del] = row;
-                if (n_del == 0 || latency < lat_min) {
-                    lat_min = latency;
-                }
-                if (n_del == 0 || latency > lat_max) {
-                    lat_max = latency;
-                }
-                lat_sum += latency;
                 n_del++;
                 cid_delivered[ci]++;
                 if (s > m_deadline[row]) {
                     cid_missed[ci]++;
                     n_missed++;
-                }
-                if (!touched[ci]) {
-                    touched[ci] = 1;
-                    touch_order[n_touch++] = ci;
                 }
             } else {
                 m_status[row] = ST_IN_TRANSIT;
@@ -560,18 +518,6 @@ int64_t repro_run_ckernel(int64_t *ws) {
     for (int64_t k = 0; k < n_del; k++) {
         lat_by_cid[cid_cursor[m_cid[row_log[k]]]++] = lat[k];
     }
-    /* log2 buckets, in first-occurrence order of the delivery column. */
-    int64_t per_bucket[65] = {0};
-    int64_t n_buckets = 0;
-    for (int64_t k = 0; k < n_del; k++) {
-        int64_t b = bit_length(lat[k]);
-        if (per_bucket[b]++ == 0) {
-            bucket_key[n_buckets++] = b;
-        }
-    }
-    for (int64_t k = 0; k < n_buckets; k++) {
-        bucket_count[k] = per_bucket[bucket_key[k]];
-    }
     /* Release rows still live, in row order. */
     int64_t n_live = 0;
     for (int64_t row = n_pre; row < n_rows; row++) {
@@ -595,11 +541,6 @@ int64_t repro_run_ckernel(int64_t *ws) {
     *I64(W_DENIALS) = denials;
     *I64(W_N_DEL) = n_del;
     *I64(W_N_MISSED) = n_missed;
-    *I64(W_LAT_SUM) = lat_sum;
-    *I64(W_LAT_MIN) = lat_min;
-    *I64(W_LAT_MAX) = lat_max;
-    *I64(W_N_TOUCH) = n_touch;
-    *I64(W_N_BUCKETS) = n_buckets;
     *I64(W_N_LIVE) = n_live;
     for (int64_t j = 0; j < p_ntx; j++) {
         I64(W_TX_ROWS)[j] = cur_tx[j];

@@ -33,9 +33,7 @@ oracle's order, message ids are reserved from the global counter before
 the call (one per release, counted arithmetically) so later Python-side
 allocations continue the same sequence, the kernel's delivery
 aggregates are folded into the metrics column by column in delivery
-order (see "The compiled tier's exit fold" in ``DESIGN.md``), and
-``per_connection`` insertion order follows the kernel's recorded
-first-touch sequence.
+order (see "The compiled tier's exit fold" in ``DESIGN.md``).
 
 An attached profiler does not change the tier: each call records one
 ``ingest``, one ``kernel`` and one ``fold`` lap.
@@ -62,7 +60,6 @@ from repro.core.mapping import LinearMapping, LogarithmicMapping
 from repro.core.messages import Message, MessageStatus
 from repro.core.priorities import TrafficClass, class_priority_range
 from repro.core.protocol import PlannedTransmission, SlotPlan
-from repro.obs.registry import Histogram
 from repro.sim.metrics import ConnectionStats
 from repro.traffic.periodic import ConnectionSource
 
@@ -76,9 +73,6 @@ _MAX_RELEASES = 4_000_000
 #: Ring width limit: link masks are 64-bit in the C kernel.
 _MAX_NODES = 62
 
-#: Largest log2 latency bucket plus one (latencies are int64).
-_BUCKETS = 64
-
 #: The kernel's workspace, one entry per field: ``(name, dtype, length
 #: rule)``.  Every field is a run of 8-byte words carved from one int64
 #: buffer; word ``i`` of the buffer holds the word offset of field ``i``
@@ -87,9 +81,9 @@ _BUCKETS = 64
 #: ``tests/sim/vector/test_soa.py``).  Length rules: ``"1"`` a scalar,
 #: ``"n"`` one word per node, ``"n*n"`` per ordered node pair,
 #: ``"conns"`` per sourced connection, ``"cids"`` per dense connection
-#: id, ``"buckets"`` per log2 latency bucket, ``"rows"`` per message
-#: row (live messages carried in, then one per release).  Scalars come
-#: first, so scalar ``i`` is word ``len(WORKSPACE) + i``.
+#: id, ``"rows"`` per message row (live messages carried in, then one
+#: per release).  Scalars come first, so scalar ``i`` is word
+#: ``len(WORKSPACE) + i``.
 WORKSPACE: tuple[tuple[str, str, str], ...] = (
     # int64 scalars in
     ("n", "i8", "1"),
@@ -119,11 +113,6 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("denials", "i8", "1"),
     ("n_del", "i8", "1"),
     ("n_missed", "i8", "1"),
-    ("lat_sum", "i8", "1"),
-    ("lat_min", "i8", "1"),
-    ("lat_max", "i8", "1"),
-    ("n_touch", "i8", "1"),
-    ("n_buckets", "i8", "1"),
     ("n_live", "i8", "1"),
     # float64 scalars: the slot length in; the pending gap and the
     # wall / slot / gap time accumulators in and out
@@ -149,13 +138,8 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("conn_period", "i8", "conns"),
     ("conn_stop", "i8", "conns"),
     # per dense connection id
-    ("touched", "i8", "cids"),
-    ("touch_order", "i8", "cids"),
     ("cid_delivered", "i8", "cids"),
     ("cid_missed", "i8", "cids"),
-    # log2 latency buckets, in first-occurrence order
-    ("bucket_key", "i8", "buckets"),
-    ("bucket_count", "i8", "buckets"),
     # message table
     ("m_node", "i8", "rows"),
     ("m_size", "i8", "rows"),
@@ -175,7 +159,7 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("row_log", "i8", "rows"),
 )
 
-_RULES = ("1", "n", "n*n", "conns", "cids", "buckets", "rows")
+_RULES = ("1", "n", "n*n", "conns", "cids", "rows")
 _HEADER = len(WORKSPACE)
 _FIELD = {name: i for i, (name, _, _) in enumerate(WORKSPACE)}
 _FIELD_RULE = [_RULES.index(rule) for _, _, rule in WORKSPACE]
@@ -193,7 +177,7 @@ class _Workspace:
     __slots__ = ("words", "floats", "offsets")
 
     def __init__(self, n: int, n_conns: int, n_cids: int, n_rows: int):
-        sizes = (1, n, n * n, n_conns, n_cids, _BUCKETS, n_rows)
+        sizes = (1, n, n * n, n_conns, n_cids, n_rows)
         offsets = list(
             itertools.accumulate([sizes[r] for r in _FIELD_RULE], initial=_HEADER)
         )
@@ -295,7 +279,7 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     """Run ``n_slots`` on the compiled kernel if eligible.
 
     Returns ``None`` only after the simulation has been advanced (state,
-    metrics, registry and pending plan identical to the oracle), and
+    metrics and pending plan identical to the oracle), and
     otherwise the reason the compiled tier refused the call.  All
     eligibility checks happen *before* any mutation, so a refusal always
     leaves the simulation untouched for the Python kernel.
@@ -421,7 +405,6 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     n_cids = len(cid_list)
     n_pre = len(pre_objs)
     n_rows = n_pre + n_rel
-    per_connection = metrics.report.per_connection
 
     # --- marshal: one workspace ----------------------------------------
     ws = _Workspace(n, len(conns), n_cids, n_rows)
@@ -472,7 +455,6 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     ws.put("conn_first", conn_first)
     ws.put("conn_period", [c.period_slots for c in conns])
     ws.put("conn_stop", conn_stop)
-    ws.put("touched", [1 if cid in per_connection else 0 for cid in cid_list])
     if n_pre:
         ws.put("m_node", [m.source for m in pre_objs])
         ws.put("m_size", [m.size_slots for m in pre_objs])
@@ -498,30 +480,27 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     # --- fold the outputs back into the Python object graph ------------
     # The kernel wrote every per-delivery aggregate (latencies in delivery
     # order and grouped by connection, per-connection delivered/missed
-    # counts, histogram sums and log2 buckets in first-occurrence order),
-    # so Python loops run over connections, buckets, nodes and still-live
+    # counts), so Python loops run over connections, nodes and still-live
     # messages only.
     out = words[_HEADER : _HEADER + _N_SCALARS].tolist()
     fout = ws.floats[_HEADER : _HEADER + _N_SCALARS].tolist()
     F = _FIELD
     n_del = out[F["n_del"]]
+    per_connection = report.per_connection
 
-    # Connection-stats entries, created in the kernel's first-touch order
-    # (release or delivery, whichever came first) == dict insertion order.
-    for di in ws.col("touch_order")[: out[F["n_touch"]]].tolist():
-        cid = cid_list[di]
-        if cid not in per_connection:
-            per_connection[cid] = ConnectionStats(cid)
+    def _stats(cid: int) -> ConnectionStats:
+        # A connection has an entry once it released or delivered.
+        cstat = per_connection.get(cid)
+        if cstat is None:
+            cstat = per_connection[cid] = ConnectionStats(cid)
+        return cstat
 
     rt_stats = report.per_class[RT]
-    registry = metrics.registry
     if n_rel:
         rt_stats.released += n_rel
         for c, k in enumerate(rel_counts):
             if k:
-                per_connection[cid_list[conn_cid[c]]].released += k
-        if registry is not None:
-            registry.counters["sim:released"] += n_rel
+                _stats(cid_list[conn_cid[c]]).released += k
 
     if n_del:
         missed_total = out[F["n_missed"]]
@@ -538,37 +517,12 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
             ws.col("cid_missed").tolist(),
         ):
             if k:
-                cstat = per_connection[cid]
+                cstat = _stats(cid)
                 cstat.delivered += k
                 cstat.deadline_missed += k_missed
                 cstat.deadline_met += k - k_missed
                 cstat.latencies_slots.extend(grouped[lo : lo + k])
                 lo += k
-
-        if registry is not None:
-            registry.counters["sim:delivered"] += n_del
-            if missed_total:
-                registry.counters["sim:deadline_missed"] += missed_total
-            hist = registry.histograms.get("sim:latency_slots")
-            if hist is None:
-                hist = registry.histograms["sim:latency_slots"] = Histogram()
-            hist.count += n_del
-            # The exact integer sum equals the oracle's one-by-one float
-            # additions: every partial sum is an integer below 2**53.
-            hist.total += out[F["lat_sum"]]
-            lat_min = out[F["lat_min"]]
-            if lat_min < hist.min:
-                hist.min = lat_min
-            lat_max = out[F["lat_max"]]
-            if lat_max > hist.max:
-                hist.max = lat_max
-            n_buckets = out[F["n_buckets"]]
-            buckets = hist.buckets
-            for bucket, k in zip(
-                ws.col("bucket_key")[:n_buckets].tolist(),
-                ws.col("bucket_count")[:n_buckets].tolist(),
-            ):
-                buckets[bucket] += k
 
     report.wall_time_s = fout[F["wall"]]
     report.slot_time_s = fout[F["slot_time"]]

@@ -59,7 +59,6 @@ from repro.core.priorities import (
 )
 from repro.core.protocol import PlannedTransmission, SlotOutcome, SlotPlan
 from repro.obs.events import ArbitrationDenied, FastForwardSpan, HandoverOccurred
-from repro.obs.registry import Histogram
 from repro.sim.metrics import ConnectionStats
 from repro.traffic.periodic import ConnectionSource
 from repro.sim.vector.soa import (
@@ -103,7 +102,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
 
     Mutates the simulation in place exactly as ``n_slots`` calls of
     ``Simulation.step()`` (with the engine's idle fast-forward) would:
-    same report, same metric registry, same emitted events, same pending
+    same report, same emitted events, same pending
     plan afterwards.  Eligibility must be established by the caller.
     """
     protocol = sim.protocol
@@ -128,7 +127,6 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     on_drop = metrics.on_drop
     per_class = report.per_class
     per_connection = report.per_connection
-    registry = metrics.registry
 
     DELIVERED = MessageStatus.DELIVERED
     DROPPED = MessageStatus.DROPPED
@@ -146,15 +144,6 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     horizon = mapping.horizon_slots if lin_map else 0
     rt_sat = (1 << (rt_hi - rt_lo)) - 1
     log2 = math.log2
-    frexp = math.frexp
-    # Registry internals, hoisted: ``inc``/``observe`` bodies inlined on
-    # the per-event paths (same Counter/Histogram updates).
-    reg_counters = registry.counters if registry is not None else None
-    lat_hist = (
-        registry.histograms.get("sim:latency_slots")
-        if registry is not None
-        else None
-    )
     msg_new = Message.__new__
     # Resolved at run time: the compiled kernel's glue rebinds the module
     # counter when it reserves an id block, and this must see the rebind.
@@ -177,7 +166,6 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
         """Fold one delivery into the metrics (the oracle's
         ``on_delivery``, field updates in the same order).  Returns
         whether the deadline was missed."""
-        nonlocal lat_hist
         tc = msg.traffic_class
         cls_stats = rt_stats if tc is RT else per_class[tc]
         cls_stats.delivered += 1
@@ -208,23 +196,6 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                     cstat.deadline_missed += 1
                 else:
                     cstat.deadline_met += 1
-        if reg_counters is not None:
-            reg_counters["sim:delivered"] += 1
-            hist = lat_hist
-            if hist is None:
-                hist = lat_hist = registry.histograms[
-                    "sim:latency_slots"
-                ] = Histogram()
-            hist.count += 1
-            hist.total += latency
-            if latency < hist.min:
-                hist.min = latency
-            if latency > hist.max:
-                hist.max = latency
-            # latency >= 1, so the bucket is frexp's exponent
-            hist.buckets[frexp(latency)[1]] += 1
-            if missed:
-                reg_counters["sim:deadline_missed"] += 1
         return missed
 
     wants_events = observer is not None and observer.wants_slot_events
@@ -538,8 +509,6 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                     cs = per_connection[cid] = ConnectionStats(cid)
                 cstats[idx] = cs
             cs.released += 1
-            if reg_counters is not None:
-                reg_counters["sim:released"] += 1
             ev0 += 1
             if drop_late_on:
                 heappush(drop_heap, (deadline - size + 2, mid, msg))

@@ -1,5 +1,6 @@
 # lint-fixture-path: repro/service/fire.py
-"""BAD: coroutines created and dropped without await."""
+"""Call-graph fixture: a coroutine calling a project coroutine and a
+stdlib one as bare statements (``->`` and ``~>`` edges)."""
 import asyncio
 
 

@@ -1,6 +1,6 @@
 # lint-fixture-path: repro/service/caller.py
-"""BAD (with unawaited_client_defs): dropped coroutine through a typed
-attribute — resolving ``self.client.close_lrtc`` needs the call graph."""
+"""Call-graph fixture (with callgraph_typed_attr_defs): resolving
+``self.client.close_lrtc`` needs the annotated attribute's type."""
 from repro.service.client import AdmissionClient
 
 

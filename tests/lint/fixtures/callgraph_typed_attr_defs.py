@@ -1,5 +1,5 @@
 # lint-fixture-path: repro/service/client.py
-"""Async client definitions for the unawaited-coroutine fixtures."""
+"""Async client definitions for the callgraph_typed_attr fixture."""
 
 
 class AdmissionClient:

@@ -57,7 +57,7 @@ class TestBuild:
 
     def test_typed_attribute_method_resolution(self, tmp_path):
         project = _project(
-            tmp_path, "unawaited_client_bad.py", "unawaited_client_defs.py"
+            tmp_path, "callgraph_typed_attr.py", "callgraph_typed_attr_defs.py"
         )
         graph = build_call_graph(project)
         close_all = "repro.service.caller.Teardown.close_all"
@@ -76,7 +76,7 @@ class TestBuild:
         assert "repro.ioutil.flush_log" in graph.reachable(roots)
 
     def test_render_is_deterministic_and_labelled(self, tmp_path):
-        project = _project(tmp_path, "unawaited_bad.py")
+        project = _project(tmp_path, "callgraph_bare_calls.py")
         graph = build_call_graph(project)
         text = graph.render()
         assert text == graph.render()
@@ -88,7 +88,7 @@ class TestBuild:
 
 class TestGraphCli:
     def test_graph_flag_prints_and_exits_zero(self, tmp_path, capsys):
-        root = materialise(tmp_path, "unawaited_bad.py")
+        root = materialise(tmp_path, "callgraph_bare_calls.py")
         assert main([str(root), "--graph"]) == 0
         out = capsys.readouterr().out
         assert "# call graph:" in out

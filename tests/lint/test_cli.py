@@ -75,7 +75,7 @@ class TestListRules:
     def test_lists_the_full_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert len(out.splitlines()) == 9
+        assert len(out.splitlines()) == 8
         for name in (
             "no-wallclock-in-sim",
             "frozen-dataclass-mutation",
@@ -85,7 +85,6 @@ class TestListRules:
             "seed-provenance",
             "async-blocking",
             "await-shared-state",
-            "unawaited-coroutine",
         ):
             assert name in out
 

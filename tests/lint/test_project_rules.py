@@ -1,4 +1,4 @@
-"""Whole-program rule self-tests: the four call-graph-backed rules.
+"""Whole-program rule self-tests: the three call-graph-backed rules.
 
 Each rule gets positive fixtures (fires, with the right location and
 message) and a negative fixture (stays quiet on the clean idiom), plus
@@ -127,41 +127,16 @@ class TestAwaitSharedState:
         assert lint_tree("awaitstate_worker_good.py", rules=(self.RULE,)) == []
 
 
-class TestUnawaitedCoroutine:
-    RULE = "unawaited-coroutine"
-
-    def test_dropped_project_and_stdlib_coroutines(self, lint_tree):
-        findings = lint_tree("unawaited_bad.py", rules=(self.RULE,))
-        targets = sorted(f.message for f in findings)
-        assert len(findings) == 2, targets
-        assert any("asyncio.sleep" in m for m in targets)
-        assert any("fire.ping" in m for m in targets)
-
-    def test_dropped_coroutine_through_typed_attribute(self, lint_tree):
-        findings = lint_tree(
-            "unawaited_client_bad.py",
-            "unawaited_client_defs.py",
-            rules=(self.RULE,),
-        )
-        assert len(findings) == 1
-        assert "close_lrtc" in findings[0].message
-        assert findings[0].path.endswith("caller.py")
-
-    def test_quiet_when_awaited_gathered_or_stored(self, lint_tree):
-        assert lint_tree("unawaited_good.py", rules=(self.RULE,)) == []
-
-
 class TestRealTree:
-    """The shipped source tree must be clean under all four new rules —
-    real findings were fixed in the code, not baselined away."""
+    """The shipped source tree must be clean under the three whole-program
+    rules — real findings were fixed in the code, not baselined away."""
 
     def test_src_repro_clean_under_whole_program_rules(self, capsys):
         status = main(
             [
                 str(REPO_ROOT / "src" / "repro"),
                 "--select",
-                "seed-provenance,async-blocking,"
-                "await-shared-state,unawaited-coroutine",
+                "seed-provenance,async-blocking,await-shared-state",
             ]
         )
         out = capsys.readouterr().out

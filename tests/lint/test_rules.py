@@ -231,7 +231,6 @@ def test_every_rule_has_a_fixture():
         "seed-provenance": "seedprov",
         "async-blocking": "asyncblock",
         "await-shared-state": "awaitstate",
-        "unawaited-coroutine": "unawaited",
     }
     assert set(prefixes) == rule_names()
     for prefix in prefixes.values():

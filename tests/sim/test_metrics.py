@@ -1,13 +1,25 @@
 """Tests for the metrics collector and simulation report."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.messages import Message
 from repro.core.priorities import TrafficClass
 from repro.core.protocol import PlannedTransmission, SlotOutcome, SlotPlan
-from repro.sim.metrics import ClassStats, MetricsCollector
+from repro.sim.fault_models import FaultConfig
+from repro.sim.metrics import (
+    ClassStats,
+    MetricsCollector,
+    SimulationReport,
+    registry_of,
+)
+from repro.sim.runner import RunOptions, ScenarioConfig, run_scenario
+from repro.traffic.periodic import random_connection_set
+from repro.traffic.poisson import PoissonSource
+from repro.traffic.sweeps import scale_connections_to_utilisation
 
 
 def rt_msg(deadline, created=0, size=1):
@@ -202,3 +214,100 @@ class TestReportDerived:
             c.on_delivery(msg)
         assert c.report.total_released == 3
         assert c.report.total_delivered == 3
+
+
+def _run(utilisation, n_slots, **config):
+    """An 8-node RT workload plus best-effort Poisson traffic."""
+    rng = np.random.default_rng(5)
+    conns = random_connection_set(rng, 8, 12, 0.5, period_range=(10, 100))
+    conns = scale_connections_to_utilisation(conns, utilisation)
+    best_effort = PoissonSource(
+        node=3,
+        n_nodes=8,
+        rate_per_slot=0.05,
+        traffic_class=TrafficClass.BEST_EFFORT,
+        relative_deadline_slots=40,
+        rng=rng,
+    )
+    return run_scenario(
+        ScenarioConfig(n_nodes=8, connections=tuple(conns), **config),
+        n_slots,
+        RunOptions(extra_sources=[best_effort]),
+    )
+
+
+def _by_hand(report):
+    """The registry snapshot recomputed from the report's own fields."""
+    classes = list(report.per_class.values())
+    a = report.availability_stats
+    counters = {
+        "sim:released": sum(c.released for c in classes),
+        "sim:delivered": sum(c.delivered for c in classes),
+        "sim:dropped": sum(c.dropped for c in classes),
+        "sim:deadline_missed": sum(c.deadline_missed for c in classes),
+        "sim:recoveries": a.recoveries,
+        **{f"sim:fault:{kind}": n for kind, n in a.fault_events.items()},
+    }
+    latencies = [x for c in classes for x in c.latencies_slots]
+    buckets = Counter(x.bit_length() for x in latencies)
+    return {
+        "counters": {k: v for k, v in counters.items() if v},
+        "histograms": {
+            "sim:latency_slots": {
+                "count": len(latencies),
+                "total": float(sum(latencies)),
+                "min": min(latencies),
+                "max": max(latencies),
+                "mean": sum(latencies) / len(latencies),
+                "buckets": {str(b): n for b, n in sorted(buckets.items())},
+            }
+        },
+    }
+
+
+class TestRegistryOf:
+    def test_drop_late_overload(self):
+        report = _run(1.3, 4000, drop_late=True)
+        rt = report.class_stats(TrafficClass.RT_CONNECTION)
+        best_effort = report.class_stats(TrafficClass.BEST_EFFORT)
+        # Drop-late turns every miss into a drop, in both classes.
+        assert rt.dropped and best_effort.dropped
+        counters = registry_of(report).as_dict()["counters"]
+        assert counters["sim:deadline_missed"] == report.total_missed
+        assert counters["sim:dropped"] == report.total_dropped
+        assert not any(k.startswith("sim:fault") for k in counters)
+        assert "sim:recoveries" not in counters
+        assert registry_of(report).as_dict() == _by_hand(report)
+
+    def test_fault_run(self):
+        report = _run(
+            0.6,
+            6000,
+            fault_config=FaultConfig(
+                node_mttf_slots=1500.0,
+                node_mttr_slots=100.0,
+                p_collection_loss=0.01,
+                p_distribution_loss=0.01,
+                p_clock_glitch=0.005,
+                seed=3,
+            ),
+        )
+        a = report.availability_stats
+        assert a.recoveries and a.node_failures
+        assert len(a.fault_events) == 4
+        registry = registry_of(report)
+        assert registry.counters["sim:recoveries"] == a.recoveries
+        assert registry.counters["sim:fault:node_failure"] == a.node_failures
+        assert registry.as_dict() == _by_hand(report)
+
+    def test_zero_totals_leave_no_counter(self):
+        report = _run(0.3, 2000)
+        assert report.total_missed == 0
+        assert set(registry_of(report).counters) == {
+            "sim:released",
+            "sim:delivered",
+        }
+        assert registry_of(SimulationReport(n_nodes=4)).as_dict() == {
+            "counters": {},
+            "histograms": {},
+        }

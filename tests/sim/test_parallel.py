@@ -170,7 +170,6 @@ class TestRegistryMerge:
             n_replications=4,
             master_seed=11,
             n_jobs=1,
-            collect_registry=True,
         )
         parallel = replicate(
             _build_faulty_scenario,
@@ -179,23 +178,10 @@ class TestRegistryMerge:
             n_replications=4,
             master_seed=11,
             n_jobs=2,
-            collect_registry=True,
         )
-        assert serial.registry is not None
-        assert parallel.registry is not None
         # Counters are exact integers; histograms merge additively in
         # seed order on both paths, so the registries are equal.
         assert parallel.registry == serial.registry
         assert parallel.registry.counters["sim:released"] == sum(
             r.total_released for r in serial.reports
         )
-
-    def test_registry_off_by_default(self):
-        result = replicate(
-            _build_faulty_scenario,
-            300,
-            METRICS,
-            n_replications=2,
-            master_seed=3,
-        )
-        assert result.registry is None

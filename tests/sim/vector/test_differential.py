@@ -3,11 +3,12 @@
 Every scenario here runs twice -- once on the pure-Python oracle
 (``engine="python"``) and once on the vector engine -- and the two final
 states must be **equal**, not approximately equal: the report, the
-metric registry (counters and histogram internals), the pending slot
-plan, the live queue contents, and the slot cursor.  After the compared
-run, both simulations take 60 further oracle ``step()`` calls, so the
-state the kernel hands back is proven to *continue* identically, not
-just to summarise identically.
+pending slot plan, the live queue contents, and the slot cursor.  (The
+``sim:*`` registry is a function of the report,
+:func:`repro.sim.metrics.registry_of`, so report equality covers it.)
+After the compared run, both simulations take 60 further oracle
+``step()`` calls, so the state the kernel hands back is proven to
+*continue* identically, not just to summarise identically.
 
 The suite covers both vector backends: closed-world scenarios land on
 the compiled C micro-kernel, while scenarios with features the C tier
@@ -31,8 +32,8 @@ import repro.core.messages as _messages
 from repro.core.connection import LogicalRealTimeConnection
 from repro.core.mapping import LinearMapping
 from repro.core.priorities import TrafficClass
-from repro.obs.registry import MetricRegistry
 from repro.sim.fault_models import FaultConfig
+from repro.sim.metrics import registry_of
 from repro.sim.profiling import PhaseProfiler
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 from repro.sim.vector import ckernel
@@ -68,33 +69,6 @@ def _loaded_config(n_nodes, utilisation, seed=1, **kwargs):
     )
 
 
-def registry_state(registry):
-    """Registry content, order- and type-sensitive.
-
-    Keys are listed in insertion order and ``total`` / ``min`` / ``max``
-    carry their types, so a fast path that creates a counter or a log2
-    bucket in another order than the oracle's one-observation-at-a-time
-    sequence, or turns an ``int`` into a ``float``, fails the comparison
-    (plain ``dict`` equality would let both through).
-    """
-    if registry is None:
-        return None
-    return (
-        list(registry.counters.items()),
-        [
-            (
-                name,
-                h.count,
-                (type(h.total), h.total),
-                (type(h.min), h.min),
-                (type(h.max), h.max),
-                list(h.buckets.items()),
-            )
-            for name, h in registry.histograms.items()
-        ],
-    )
-
-
 def plan_state(sim):
     plan = sim._plan
     return (
@@ -127,7 +101,6 @@ def queue_state(sim):
 def snapshot(sim):
     return (
         sim.report,
-        registry_state(sim.metrics.registry),
         plan_state(sim),
         sim.current_slot,
         sim._prev_master,
@@ -143,7 +116,6 @@ def run_engine(engine, make_sim, *, warm=0, chunks=(2000,), extra_steps=60):
     """
     with fresh_message_ids():
         sim = make_sim(engine)
-        sim.metrics.registry = MetricRegistry()
         for _ in range(warm):
             sim.step()
         for chunk in chunks:
@@ -160,7 +132,7 @@ def assert_engines_match(make_sim, **kwargs):
     """Run both engines and compare snapshots field by field."""
     py_snap, _ = run_engine("python", make_sim, **kwargs)
     vec_snap, vec_sim = run_engine("vector", make_sim, **kwargs)
-    labels = ("report", "registry", "plan", "slot", "prev_master", "queues")
+    labels = ("report", "plan", "slot", "prev_master", "queues")
     for label, expected, actual in zip(labels, py_snap, vec_snap):
         assert actual == expected, f"{label} diverged from the oracle"
     return vec_sim
@@ -392,10 +364,11 @@ def test_fold_interleaved_connections_on_one_node(backend):
         assert latencies != sorted(latencies, reverse=True)
 
 
-def test_fold_histogram_bucket_order(backend):
-    """Latencies span four log2 buckets that first occur as 3, 5, 2, 4;
-    ``registry_state`` compares bucket order and ``min``/``max``/``total``
-    types, so numerically sorted insertion fails."""
+def test_fold_latencies_are_python_ints(backend):
+    """Latencies spanning four log2 buckets fold back as plain ``int``s,
+    in the class list and per connection alike: report equality alone
+    would let a numpy integer or a float through, and the registry and
+    every artifact built from the report would then change type."""
     config = ScenarioConfig(
         n_nodes=8,
         connections=(
@@ -406,10 +379,14 @@ def test_fold_histogram_bucket_order(backend):
     )
     sim = assert_engines_match(_simple(config), chunks=(700, 1300))
     assert sim.vector_backend == backend
-    hist = sim.metrics.registry.histograms["sim:latency_slots"]
-    assert list(hist.buckets) == [3, 5, 2, 4]
+    report = sim.report
+    latencies = report.class_stats(RT).latencies_slots
+    for stats in report.per_connection.values():
+        latencies = latencies + stats.latencies_slots
+    assert {type(x) for x in latencies} == {int}
+    hist = registry_of(report).histograms["sim:latency_slots"]
+    assert sorted(hist.buckets) == [2, 3, 4, 5]
     assert type(hist.min) is int and type(hist.max) is int
-    assert type(hist.total) is float
 
 
 def test_fold_chunk_edges(backend):
@@ -439,7 +416,7 @@ def test_fold_chunk_edges(backend):
     delivered = [snap[0].class_stats(RT).delivered for snap in oracle]
     assert delivered == [0, 0, 1, 1, 2]
     in_transit = [
-        [m for node in snap[5] for m in node if m[3] == "in_transit"]
+        [m for node in snap[4] for m in node if m[3] == "in_transit"]
         for snap in oracle
     ]
     # (msg_id, deadline, sent, status): 500's first message is carried
@@ -457,8 +434,8 @@ def test_fold_chunk_edges(backend):
 
 def test_profiler_does_not_change_the_tier():
     """A profiled closed-world run stays on the compiled tier, produces
-    the unprofiled run's report and metrics registry, and records one
-    ``ingest`` / ``kernel`` / ``fold`` lap per ``run()`` call."""
+    the unprofiled run's report, and records one ``ingest`` / ``kernel``
+    / ``fold`` lap per ``run()`` call and nothing else."""
     if ckernel._kernel_fn() is None:
         pytest.skip("no C toolchain; compiled tier unavailable")
     config = _loaded_config(8, 0.75)
@@ -471,9 +448,7 @@ def test_profiler_does_not_change_the_tier():
     assert sim.vector_backend == "compiled"
     assert profiled == plain
     assert profiler.calls == {"ingest": 3, "kernel": 3, "fold": 3}
-    assert not any(
-        name.startswith("phase:") for name in sim.metrics.registry.histograms
-    )
+    assert not profiler.counters
 
 
 def test_profiled_soa_kernel_records_one_kernel_lap(monkeypatch):
@@ -592,6 +567,6 @@ def test_arbitration_order_priority_then_node():
     make_sim, kwargs = _simple(config), {"chunks": (2,), "extra_steps": 0}
     py_snap, _ = run_engine("python", make_sim, **kwargs)
     vec_snap, _ = run_engine("vector", make_sim, **kwargs)
-    assert vec_snap[2] == py_snap[2]  # the pending plan, grants in order
-    grants = vec_snap[2][4]
+    assert vec_snap[1] == py_snap[1]  # the pending plan, grants in order
+    grants = vec_snap[1][4]
     assert grants, "contended scenario produced an empty plan"

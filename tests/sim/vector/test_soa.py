@@ -69,8 +69,7 @@ def test_workspace_offsets_follow_the_table():
     n, conns, cids, rows = 5, 3, 4, 7
     ws = ckernel._Workspace(n, conns, cids, rows)
     lengths = {
-        "1": 1, "n": n, "n*n": n * n, "conns": conns, "cids": cids,
-        "buckets": ckernel._BUCKETS, "rows": rows,
+        "1": 1, "n": n, "n*n": n * n, "conns": conns, "cids": cids, "rows": rows,
     }
     header = ws.words[: len(ckernel.WORKSPACE)].tolist()
     position = len(ckernel.WORKSPACE)

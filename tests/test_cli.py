@@ -90,6 +90,52 @@ class TestCommands:
         assert every_cpu[0].endswith(f", {min(resolve_jobs(0), 2)} job(s)")
         assert every_cpu[1:] == serial[1:]
 
+    def test_replicated_manifest_registry_is_the_reports(self, tmp_path, capsys):
+        """``--manifest``'s registry section is derived from the
+        replications' reports: byte-identical for any job count, its
+        fault and recovery counters the sums over the three reports."""
+        import json
+        from collections import Counter
+        from functools import partial
+
+        from repro.cli import _REPLICATION_METRICS, _build_replication
+        from repro.sim.batch import replicate
+
+        argv = ["simulate", "--slots", "3000", "--seed", "4",
+                "--replications", "3", "--fault-node-mttf", "1500",
+                "--fault-collection-loss", "0.01",
+                "--fault-distribution-loss", "0.01",
+                "--fault-clock-glitch", "0.005"]
+        sections = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.json"
+            assert main(argv + ["--jobs", jobs, "--manifest", str(path)]) == 0
+            sections.append(
+                json.dumps(json.loads(path.read_text())["registry"])
+            )
+        capsys.readouterr()
+        assert sections[0] == sections[1]
+
+        reports = replicate(
+            partial(_build_replication, build_parser().parse_args(argv)),
+            n_slots=3000,
+            metrics=_REPLICATION_METRICS,
+            n_replications=3,
+            master_seed=4,
+        ).reports
+        faults = Counter()
+        for report in reports:
+            faults.update(report.availability_stats.fault_events)
+        counters = json.loads(sections[0])["counters"]
+        assert len(faults) == 4
+        assert {
+            name: n for name, n in counters.items()
+            if name.startswith("sim:fault:")
+        } == {f"sim:fault:{kind}": n for kind, n in faults.items()}
+        assert counters["sim:recoveries"] == sum(
+            r.availability_stats.recoveries for r in reports
+        ) > 0
+
     def test_compare_lists_all_protocols(self, capsys):
         rc = main(
             ["compare", "--slots", "1000", "--utilisation", "0.4", "--seed", "2"]
@@ -291,7 +337,26 @@ class TestAnalyze:
     def test_bad_spec_format(self, capsys):
         rc = main(["analyze", "--spec", "banana"])
         assert rc == 2
-        assert "bad --spec" in capsys.readouterr().out
+        assert "bad --spec" in capsys.readouterr().err
+
+    def test_spec_with_zero_period_is_a_usage_error(self, capsys):
+        rc = main(["analyze", "--spec", "4:2", "--spec", "0:1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "bad --spec '0:1': period must be >= 1 slot, got 0\n"
+        )
+
+    def test_spec_larger_than_its_period_is_a_usage_error(self, capsys):
+        rc = main(["analyze", "--spec", "10:20"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "bad --spec '10:20': message size 20 exceeds period 10: "
+            "intrinsically infeasible\n"
+        )
 
     def test_spec_required(self):
         import pytest
