@@ -23,8 +23,10 @@ and extends it to constrained deadlines (deadline < period).
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
 
 from repro.core.connection import LogicalRealTimeConnection
 from repro.core.timing import NetworkTiming
@@ -152,10 +154,23 @@ def processor_demand_test(
 ) -> bool:
     """Exact EDF feasibility on the slot-domain resource.
 
-    Checks ``dbf(t) <= supply * t`` at every absolute deadline ``t`` up to
-    the hyperperiod (sufficient for synchronous periodic sets).  With the
-    paper's deadline = period model this coincides with the utilisation
-    test; with constrained deadlines it is strictly stronger.
+    Checks ``dbf(t) <= supply * t`` at every absolute deadline ``t`` of a
+    synchronous release up to the hyperperiod -- but no further than the
+    first point past which ``dbf`` provably stays below the supply line:
+
+    * with implicit deadlines (``D = P`` everywhere) the utilisation test
+      is exact, and the answer is ``U <= supply``;
+    * with ``U < supply``, Baruah, Rosier and Howell's ``L_a = max(D_max,
+      sum((P_i - D_i) * U_i) / (supply - U))``: from ``D_max`` on,
+      ``dbf(t) <= U * t + sum((P_i - D_i) * U_i)``, which is below
+      ``supply * t`` for every ``t >= L_a``;
+    * with ``U == supply``, the synchronous busy period (the first ``w >
+      0`` with ``supply * w`` equal to the work released in ``[0, w)``):
+      a deadline miss of the synchronous schedule falls inside it.
+
+    The check points are walked lazily in deadline order, so memory is
+    ``O(n)`` whatever the hyperperiod.  With constrained deadlines the
+    test is strictly stronger than the utilisation test.
 
     ``supply_slots_per_slot`` scales the resource (e.g. a share of slots
     left to real-time traffic).
@@ -166,23 +181,70 @@ def processor_demand_test(
         raise ValueError(
             f"supply must be in (0, 1], got {supply_slots_per_slot}"
         )
-    # Utilisation necessary condition (also handles unbounded growth).
-    if slot_domain_utilisation(connections) > supply_slots_per_slot:
+    # Exact rationals: a float sum of e_i / P_i can round across supply.
+    supply = Fraction(supply_slots_per_slot)
+    shares = [Fraction(c.size_slots, c.period_slots) for c in connections]
+    u = sum(shares, Fraction(0))
+    if u > supply:
         return False
-    h = hyperperiod(connections)
-    # Check points: all absolute deadlines within one hyperperiod.
-    checkpoints: set[int] = set()
-    for c in connections:
-        d = c.period_slots if deadlines is None else deadlines.get(
-            c.connection_id, c.period_slots
+    rel = [
+        c.period_slots
+        if deadlines is None
+        else deadlines.get(c.connection_id, c.period_slots)
+        for c in connections
+    ]
+    for c, d in zip(connections, rel):
+        if d < c.size_slots:
+            raise ValueError(
+                f"connection {c.connection_id}: deadline {d} shorter than "
+                f"message size {c.size_slots}"
+            )
+    if all(d == c.period_slots for c, d in zip(connections, rel)):
+        return True
+    horizon = hyperperiod(connections)
+    if u < supply:
+        slack = sum(
+            (
+                (c.period_slots - d) * share
+                for c, d, share in zip(connections, rel, shares)
+            ),
+            Fraction(0),
         )
-        t = d
-        while t <= h:
-            checkpoints.add(t)
-            t += c.period_slots
-    for t in sorted(checkpoints):
+        horizon = min(horizon, max(max(rel), math.floor(slack / (supply - u))))
+    else:
+        horizon = min(horizon, _busy_period(connections, supply, horizon))
+    # Each connection's absolute deadlines d, d + P, ... merged in order.
+    due = [(d, i) for i, d in enumerate(rel) if d <= horizon]
+    heapq.heapify(due)
+    last = None
+    while due:
+        t, i = due[0]
+        nxt = t + connections[i].period_slots
+        if nxt <= horizon:
+            heapq.heapreplace(due, (nxt, i))
+        else:
+            heapq.heappop(due)
+        if t == last:
+            continue
+        last = t
         if demand_bound_function(connections, t, deadlines) > (
             supply_slots_per_slot * t
         ):
             return False
     return True
+
+
+def _busy_period(
+    connections: Sequence[LogicalRealTimeConnection], supply: Fraction, cap: int
+) -> int:
+    """The synchronous busy period at ``supply``, or ``cap`` if longer:
+    the least fixed point of ``w = sum(ceil(w / P_i) * e_i) / supply``."""
+    w = sum((Fraction(c.size_slots) for c in connections), Fraction(0)) / supply
+    while w < cap:
+        nxt = sum(
+            (-(-w // c.period_slots) * c.size_slots for c in connections), 0
+        ) / supply
+        if nxt == w:
+            break
+        w = nxt
+    return min(cap, math.ceil(w))

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Hashable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.priorities import TrafficClass, class_priority_range
 
@@ -190,3 +192,43 @@ class LinearMapping(LaxityMapping):
                 f"priority {priority} is never produced by this mapping"
             )
         return (start, end)
+
+
+def level_starts(
+    mapping: LaxityMapping, traffic_class: TrafficClass
+) -> tuple[int | None, ...]:
+    """The lower laxity bound of each of the class's levels, most urgent
+    first: index ``k`` is the level ``hi - k``.
+
+    Entry 0 is ``None`` (the most urgent level is unbounded below).  A
+    level the mapping never produces gets the start of the next, less
+    urgent level, so its interval is empty.  The fast tiers read a head's
+    priority off this table alone: a laxity ``lax > 0`` maps to ``hi -
+    (bisect_right(starts, lax, 1) - 1)``, a laxity ``<= 0`` to ``hi``,
+    and the level holds while the laxity stays at or above its start.
+
+    Built from :meth:`LaxityMapping.bucket_bounds` once per hashable
+    mapping and class, so equal mappings share one table and a mapping
+    relying on the base-class scan pays it once.
+    """
+    if isinstance(mapping, Hashable):
+        return _cached_level_starts(mapping, traffic_class)
+    return _build_level_starts(mapping, traffic_class)
+
+
+def _build_level_starts(
+    mapping: LaxityMapping, traffic_class: TrafficClass
+) -> tuple[int | None, ...]:
+    lo, hi = class_priority_range(traffic_class)
+    starts: list[int | None] = [None] * (hi - lo + 1)
+    for k in range(hi - lo, 0, -1):
+        try:
+            starts[k] = mapping.bucket_bounds(hi - k, traffic_class)[0]
+        except ValueError:
+            if k == hi - lo:
+                raise
+            starts[k] = starts[k + 1]
+    return tuple(starts)
+
+
+_cached_level_starts = lru_cache(maxsize=64)(_build_level_starts)

@@ -37,9 +37,8 @@ Both static encoders saturate after :data:`RM_PERIOD_HORIZON_LOG2` /
 :data:`FIFO_AGE_HORIZON_LOG2` doublings.  Those constants are
 load-bearing: each must equal the width of the Table 1 class bands
 (``hi - lo``, 14 levels for both deadline classes) or an encoded level
-would leave its class band and break the strict class precedence.  The
-``priority-domain`` lint rule checks them statically against
-``core.priorities``.
+would leave its class band and break the strict class precedence
+(pinned by ``tests/core/test_policy.py``).
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ from repro.core.priorities import TrafficClass, class_priority_range
 #: ``log2`` saturation horizon of the RM period encoder: periods up to
 #: ``2**(RM_PERIOD_HORIZON_LOG2 + 1) - 1`` slots get distinct rate
 #: levels; longer periods all land on the class's least urgent level.
-#: Must equal the class band width (checked by the ``priority-domain``
-#: lint rule), or ``hi - bucket`` would fall out of the class band.
+#: Must equal the class band width, or ``hi - bucket`` would fall out of
+#: the class band.
 RM_PERIOD_HORIZON_LOG2 = 14
 
 #: ``log2`` saturation horizon of the FIFO age encoder: messages older

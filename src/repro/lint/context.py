@@ -4,7 +4,7 @@ Pragma syntax (documented in docs/LINTING.md)::
 
     x = time.time()  # repro-lint: disable=no-wallclock-in-sim
 
-    # repro-lint: disable=priority-domain          <- on a line of its
+    # repro-lint: disable=seed-provenance          <- on a line of its
     ...                                               own: whole file
 
 Several rules may be disabled at once with a comma-separated list.

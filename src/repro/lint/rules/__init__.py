@@ -11,7 +11,6 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     async_safety,
     frozen,
     parity,
-    priority_domain,
     seed_provenance,
     serialization,
     wallclock,

@@ -3,13 +3,14 @@
  * Compiled lazily by repro.sim.vector.ckernel and loaded via ctypes.
  * Executes the per-slot pipeline of repro.sim.engine.Simulation for the
  * strict configuration subset the glue admits (periodic RT-connection
- * traffic only, logarithmic/linear laxity mapping, no observer, no
- * profiler, no drop-late, no faults) and is bit-identical to the oracle
- * for it: the float accumulators advance by the same IEEE-754 double
- * additions in the same order (no reassociation -- never build with
- * -ffast-math), the priority buckets use the same libm log2 the
- * interpreter calls, and grants sweep (priority desc, node asc) with
- * the oracle's break-slot denial and spatial-reuse overlap rules.
+ * traffic only, no observer, no drop-late, no faults) and is
+ * bit-identical to the oracle for it: the float accumulators advance by
+ * the same IEEE-754 double additions in the same order (no
+ * reassociation -- never build with -ffast-math), a head's priority is
+ * read off the laxity mapping's level-start table the glue derives
+ * (repro.core.mapping.level_starts), and grants sweep (priority desc,
+ * node asc) with the oracle's break-slot denial and spatial-reuse
+ * overlap rules.
  *
  * All state lives in one workspace of 8-byte words handed in by the
  * glue: a header holding the word offset of every field, then the
@@ -21,7 +22,6 @@
  * scratch.
  */
 
-#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -40,9 +40,6 @@ enum ws_field {
     W_LIMIT,
     W_RT_LO,
     W_RT_HI,
-    W_LOG_MAP,
-    W_LEVELS,
-    W_HORIZON,
     W_N_PRE,
     W_N_REL,
     W_N_CONNS,
@@ -87,6 +84,8 @@ enum ws_field {
     /* per dense connection id */
     W_CID_DELIVERED,
     W_CID_MISSED,
+    /* per RT priority level below the most urgent */
+    W_RT_LEVEL_START,
     /* message table */
     W_M_NODE,
     W_M_SIZE,
@@ -176,9 +175,9 @@ int64_t repro_run_ckernel(int64_t *ws) {
     const int64_t limit = *I64(W_LIMIT);
     const int64_t rt_lo = *I64(W_RT_LO);
     const int64_t rt_hi = *I64(W_RT_HI);
-    const int64_t log_map = *I64(W_LOG_MAP);
-    const int64_t levels = *I64(W_LEVELS);
-    const int64_t horizon = *I64(W_HORIZON);
+    /* Level rt_hi - 1 - k starts at laxity rt_level_start[k]. */
+    const int64_t n_lower = rt_hi - rt_lo;
+    const int64_t *rt_level_start = I64(W_RT_LEVEL_START);
     const int64_t n_pre = *I64(W_N_PRE);
     const int64_t n_rel = *I64(W_N_REL);
     const int64_t n_conns = *I64(W_N_CONNS);
@@ -417,23 +416,13 @@ int64_t repro_run_ckernel(int64_t *ws) {
             head_row[i] = row;
             int64_t lax =
                 m_deadline[row] - s - (m_size[row] - m_sent[row]) + 1;
-            int64_t prio;
-            if (lax <= 0) {
-                prio = rt_hi;
-            } else if (log_map) {
-                /* Same libm log2 + C truncation the interpreter runs. */
-                int64_t bucket = (int64_t)log2((double)(lax + 1));
-                prio = rt_hi - bucket;
-                if (prio < rt_lo) {
-                    prio = rt_lo;
-                }
-            } else {
-                int64_t bucket = (lax * levels) / horizon;
-                prio = rt_hi - bucket;
-                if (prio < rt_lo) {
-                    prio = rt_lo;
-                }
+            /* Levels whose start the laxity reaches; every start is
+             * positive, so a late head stays at rt_hi. */
+            int64_t k = 0;
+            while (k < n_lower && lax >= rt_level_start[k]) {
+                k++;
             }
+            int64_t prio = rt_hi - k;
             /* Packed key: descending == (priority desc, node asc). */
             okey[i] = ((uint64_t)prio << 16) | (uint64_t)(0xFFFF - i);
             order[n_active++] = i;

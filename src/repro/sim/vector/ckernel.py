@@ -15,9 +15,6 @@ semantics the C loop replicates *bit-identically*:
   fully predictable releases);
 * every live queued message is an RT-connection message (no live
   best-effort or non-real-time backlog);
-* the laxity mapping is exactly ``LogarithmicMapping`` or
-  ``LinearMapping`` (closed-form priorities, same libm ``log2`` the
-  interpreter calls);
 * no observer, no drop-late policy, no active fault window (the engine
   has already excluded faults, loss and tracing);
 * the ring fits the kernel's 64-bit link masks.
@@ -31,7 +28,9 @@ is materialised.  Bit-identity is preserved by construction: wall/slot/
 gap times advance by the oracle's exact double additions in the
 oracle's order, message ids are reserved from the global counter before
 the call (one per release, counted arithmetically) so later Python-side
-allocations continue the same sequence, the kernel's delivery
+allocations continue the same sequence, a head's priority is read off
+the mapping's level-start table (``core.mapping.level_starts``, so any
+laxity mapping runs here), the kernel's delivery
 aggregates are folded into the metrics column by column in delivery
 order (see "The compiled tier's exit fold" in ``DESIGN.md``).
 
@@ -51,12 +50,12 @@ import tempfile
 from collections.abc import Sequence
 from heapq import heapify
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
 from repro.core import messages as _messages
-from repro.core.mapping import LinearMapping, LogarithmicMapping
+from repro.core.mapping import level_starts
 from repro.core.messages import Message, MessageStatus
 from repro.core.priorities import TrafficClass, class_priority_range
 from repro.core.protocol import PlannedTransmission, SlotPlan
@@ -82,7 +81,8 @@ _MAX_NODES = 62
 #: ``"n"`` one word per node, ``"n*n"`` per ordered node pair,
 #: ``"conns"`` per sourced connection, ``"cids"`` per dense connection
 #: id, ``"rows"`` per message row (live messages carried in, then one
-#: per release).  Scalars come first, so scalar ``i`` is word
+#: per release), ``"levels"`` per RT-connection priority level below the
+#: most urgent one.  Scalars come first, so scalar ``i`` is word
 #: ``len(WORKSPACE) + i``.
 WORKSPACE: tuple[tuple[str, str, str], ...] = (
     # int64 scalars in
@@ -92,9 +92,6 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("limit", "i8", "1"),
     ("rt_lo", "i8", "1"),
     ("rt_hi", "i8", "1"),
-    ("log_map", "i8", "1"),
-    ("levels", "i8", "1"),
-    ("horizon", "i8", "1"),
     ("n_pre", "i8", "1"),
     ("n_rel", "i8", "1"),
     ("n_conns", "i8", "1"),
@@ -140,6 +137,9 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     # per dense connection id
     ("cid_delivered", "i8", "cids"),
     ("cid_missed", "i8", "cids"),
+    # per RT level below the most urgent: word ``k`` is the laxity at
+    # which level ``rt_hi - 1 - k`` starts (``level_starts`` past entry 0)
+    ("rt_level_start", "i8", "levels"),
     # message table
     ("m_node", "i8", "rows"),
     ("m_size", "i8", "rows"),
@@ -159,7 +159,7 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("row_log", "i8", "rows"),
 )
 
-_RULES = ("1", "n", "n*n", "conns", "cids", "rows")
+_RULES = ("1", "n", "n*n", "conns", "cids", "rows", "levels")
 _HEADER = len(WORKSPACE)
 _FIELD = {name: i for i, (name, _, _) in enumerate(WORKSPACE)}
 _FIELD_RULE = [_RULES.index(rule) for _, _, rule in WORKSPACE]
@@ -176,8 +176,10 @@ class _Workspace:
 
     __slots__ = ("words", "floats", "offsets")
 
-    def __init__(self, n: int, n_conns: int, n_cids: int, n_rows: int):
-        sizes = (1, n, n * n, n_conns, n_cids, n_rows)
+    def __init__(
+        self, n: int, n_conns: int, n_cids: int, n_rows: int, n_levels: int
+    ):
+        sizes = (1, n, n * n, n_conns, n_cids, n_rows, n_levels)
         offsets = list(
             itertools.accumulate([sizes[r] for r in _FIELD_RULE], initial=_HEADER)
         )
@@ -244,7 +246,7 @@ def _build_library() -> object | None:
             # additions must stay IEEE-754 exact and unreassociated to
             # match the interpreter bit for bit.
             subprocess.run(
-                [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(src), "-lm"],
+                [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(src)],
                 check=True,
                 capture_output=True,
                 timeout=300,
@@ -297,10 +299,6 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     metrics = sim.metrics
     if metrics.fault_window_active:
         return "fault window open"
-    mapping = sim.protocol.mapping
-    log_map = type(mapping) is LogarithmicMapping
-    if not log_map and type(mapping) is not LinearMapping:
-        return f"laxity mapping {type(mapping).__name__}"
     n = sim.topology.n_nodes
     if n > _MAX_NODES:
         return f"ring wider than {_MAX_NODES} nodes"
@@ -407,8 +405,11 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     n_rows = n_pre + n_rel
 
     # --- marshal: one workspace ----------------------------------------
-    ws = _Workspace(n, len(conns), n_cids, n_rows)
     rt_lo, rt_hi = class_priority_range(RT)
+    # Entry 0 of the table, the most urgent level, is unbounded below
+    # (None); every level under it starts at an int.
+    rt_lower = cast("tuple[int, ...]", level_starts(protocol.mapping, RT)[1:])
+    ws = _Workspace(n, len(conns), n_cids, n_rows, len(rt_lower))
     arbiter = protocol.arbiter
     report = metrics.report
     # The constructor's default factory resolves the module-level counter
@@ -423,9 +424,6 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
         limit=1 if not arbiter.spatial_reuse else (arbiter.max_grants or 1 << 30),
         rt_lo=rt_lo,
         rt_hi=rt_hi,
-        log_map=1 if log_map else 0,
-        levels=rt_hi - rt_lo + 1,
-        horizon=mapping.horizon_slots if not log_map else 1,
         n_pre=n_pre,
         n_rel=n_rel,
         n_conns=len(conns),
@@ -445,6 +443,7 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     # The engine admits only the plain EdfHandover, whose gap is Eq. 1.
     ws.put("gap_matrix", sim.topology.handover_gap_table)
     ws.put("heap_cap", heap_cap)
+    ws.put("rt_level_start", rt_lower)
     ws.put("tx_rows", plan_tx_rows)
     ws.put("den_rows", plan_den_rows)
     ws.put("conn_node", [c.source for c in conns])

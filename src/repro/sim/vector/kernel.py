@@ -44,13 +44,13 @@ the oracle otherwise (see ``_fallback_reason``).
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from heapq import heappop, heappush, heapreplace
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
-from repro.core.mapping import LinearMapping, LogarithmicMapping
 from repro.core import messages as _messages
+from repro.core.mapping import level_starts
 from repro.core.messages import Message, MessageStatus
 from repro.core.priorities import (
     PRIO_NON_REAL_TIME,
@@ -122,7 +122,6 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     slot_length = sim.timing.slot_length_s
     sources = sim.sources
     route_masks = protocol.route_masks
-    prio_cache = protocol._prio_cache
     on_release = metrics.on_release
     on_drop = metrics.on_drop
     per_class = report.per_class
@@ -137,13 +136,16 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     INF = PRIO_UNTIL_FOREVER
     NODE_MASK = PACKED_NODE_MASK
 
-    be_lo, be_hi = class_priority_range(TrafficClass.BEST_EFFORT)
-    rt_lo, rt_hi = class_priority_range(RT)
-    log_map = type(mapping) is LogarithmicMapping
-    lin_map = type(mapping) is LinearMapping
-    horizon = mapping.horizon_slots if lin_map else 0
-    rt_sat = (1 << (rt_hi - rt_lo)) - 1
-    log2 = math.log2
+    # Per deadline class: its most urgent level ``hi`` and the starts of
+    # the levels below it (``level_starts`` past its ``None`` entry 0),
+    # the only mapping-dependent state of this tier.
+    class_levels = {
+        tc: (
+            class_priority_range(tc)[1],
+            cast("tuple[int, ...]", level_starts(mapping, tc)[1:]),
+        )
+        for tc in (TrafficClass.BEST_EFFORT, RT)
+    }
     msg_new = Message.__new__
     # Resolved at run time: the compiled kernel's glue rebinds the module
     # counter when it reserves an id block, and this must see the rebind.
@@ -231,42 +233,14 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
         deadline = msg.deadline_slot
         assert deadline is not None  # deadline classes always have one
         lax = deadline - now - (msg.size_slots - msg.sent_slots) + 1
-        if tc is RT:
-            lo, hi = rt_lo, rt_hi
-        else:
-            lo, hi = be_lo, be_hi
+        hi, lower = class_levels[tc]
         if lax <= 0:
             return hi, INF  # saturated urgent: laxity only shrinks
-        if log_map:
-            bucket = int(math.log2(lax + 1))
-            prio = hi - bucket
-            if prio <= lo:
-                # Saturated low: exact while lax >= 2^(hi-lo) - 1.
-                return lo, lax + now - ((1 << (hi - lo)) - 1)
-            # Bucket b covers lax in [2^b - 1, 2^(b+1) - 2].
-            return prio, lax + now - ((1 << bucket) - 1)
-        if lin_map:
-            levels = hi - lo + 1
-            bucket = lax * levels // horizon
-            prio = hi - bucket
-            if prio <= lo:
-                b_sat = hi - lo
-                floor = -(-(b_sat * horizon) // levels)
-                return lo, lax + now - floor
-            if bucket == 0:
-                return hi, INF  # most urgent already; stays as lax shrinks
-            floor = -(-(bucket * horizon) // levels)
-            return prio, lax + now - floor
-        # Unknown mapping: compute via the shared oracle cache and
-        # revalidate at the very next planning slot.  ``lax`` is positive
-        # here (late heads returned above), so the cache never sees a
-        # negative key; the oracle folds those into one.
-        key = (lax, tc)
-        prio = prio_cache.get(key)
-        if prio is None:
-            prio = mapping.priority_for(lax, tc)
-            prio_cache[key] = prio
-        return prio, now
+        k = bisect_right(lower, lax)
+        if k == 0:
+            return hi, INF  # most urgent already; stays as lax shrinks
+        # Level ``hi - k`` holds while the laxity stays >= its start.
+        return hi - k, now + lax - lower[k - 1]
 
     # --- release bookkeeping -------------------------------------------
     # Exact periodic sources are fully predictable, so their releases
@@ -718,29 +692,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                         active.discard(i)
                     continue
                 active.add(i)
-                # Inline of ``prio_and_until`` for the dominant case (an
-                # RT head under the logarithmic mapping); identical
-                # arithmetic, closure call elided.
-                if log_map and msg.traffic_class is RT:
-                    lax = (
-                        msg.deadline_slot
-                        - s
-                        - (msg.size_slots - msg.sent_slots)
-                        + 1
-                    )
-                    if lax <= 0:
-                        prio = rt_hi
-                        until = INF
-                    else:
-                        bucket = int(log2(lax + 1))
-                        prio = rt_hi - bucket
-                        if prio <= rt_lo:
-                            prio = rt_lo
-                            until = lax + s - rt_sat
-                        else:
-                            until = lax + s - ((1 << bucket) - 1)
-                else:
-                    prio, until = prio_and_until(msg, s)
+                prio, until = prio_and_until(msg, s)
                 prio_until[i] = until
                 pk = (prio << PACKED_PRIO_SHIFT) | (NODE_MASK - i)
                 packed[i] = pk

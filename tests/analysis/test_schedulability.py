@@ -1,7 +1,11 @@
 """Tests for the schedulability analysis (Equations 5/6 + exact test)."""
 
+import time
+from fractions import Fraction
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.schedulability import (
     demand_bound_function,
@@ -16,6 +20,7 @@ from repro.core.connection import LogicalRealTimeConnection
 from repro.core.timing import NetworkTiming
 from repro.phy.link import FibreRibbonLink
 from repro.ring.topology import RingTopology
+from repro.traffic.sweeps import random_workload
 
 
 def conn(period, size, source=0, dst=1):
@@ -176,3 +181,108 @@ class TestProcessorDemandTest:
         conns = [conn(p, min(s, p)) for p, s in specs]
         u = slot_domain_utilisation(conns)
         assert processor_demand_test(conns) == (u <= 1.0 + 1e-12)
+
+
+def full_enumeration(connections, deadlines=None, supply_slots_per_slot=1.0):
+    """The demand test checking every absolute deadline up to the
+    hyperperiod, held in one set: the reference the bounded, lazy
+    :func:`processor_demand_test` must agree with (exact utilisation
+    pre-check, as there)."""
+    if not connections:
+        return True
+    u = sum(Fraction(c.size_slots, c.period_slots) for c in connections)
+    if u > Fraction(supply_slots_per_slot):
+        return False
+    h = hyperperiod(connections)
+    checkpoints = set()
+    for c in connections:
+        d = c.period_slots if deadlines is None else deadlines.get(
+            c.connection_id, c.period_slots
+        )
+        t = d
+        while t <= h:
+            checkpoints.add(t)
+            t += c.period_slots
+    return all(
+        demand_bound_function(connections, t, deadlines)
+        <= supply_slots_per_slot * t
+        for t in sorted(checkpoints)
+    )
+
+
+@st.composite
+def demand_cases(draw):
+    """Small sets (hyperperiod <= 10^4) with deadlines on both sides of
+    the period; ``saturate`` tops the set up to ``U == 1`` exactly."""
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=2, max_value=40),
+                st.integers(min_value=1, max_value=40),
+                st.floats(min_value=0.0, max_value=1.5),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    conns = [conn(p, max(1, min(e, p // 2))) for p, e, _ in specs]
+    deadlines = {
+        c.connection_id: max(c.size_slots, round(f * c.period_slots))
+        for c, (_, _, f) in zip(conns, specs)
+    }
+    h = hyperperiod(conns)
+    assume(h <= 10_000)
+    supply = 1.0
+    if draw(st.booleans()):
+        idle = h - sum(c.size_slots * (h // c.period_slots) for c in conns)
+        assume(idle >= 1)
+        top = conn(h, idle)
+        conns.append(top)
+        deadlines[top.connection_id] = h
+    else:
+        supply = draw(st.sampled_from([1.0, 0.9, 0.75, 0.5]))
+    return conns, deadlines, supply
+
+
+class TestBoundedDemandHorizon:
+    def test_seed0_set_with_constrained_deadlines_returns_fast(self):
+        conns = random_workload(
+            np.random.default_rng(0),
+            n_nodes=8,
+            n_connections=6,
+            utilisation=0.85,
+            period_range=(10, 60),
+        )
+        # Periods 51/53/46/47/60/32: the hyperperiod is 467 510 880
+        # slots, far beyond an enumeration of every deadline.
+        assert hyperperiod(conns) == 467_510_880
+        deadlines = {c.connection_id: c.period_slots - 3 for c in conns}
+        start = time.perf_counter()
+        assert processor_demand_test(conns, deadlines=deadlines)
+        assert processor_demand_test(conns)
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize(
+        "specs, rel, expected",
+        [
+            # U == 1 exactly: the busy period bounds the horizon.
+            ([(4, 2), (4, 2)], (4, 3), True),
+            ([(4, 2), (4, 2)], (3, 3), False),
+            ([(4, 1), (6, 3), (12, 3)], (2, 6, 12), True),
+            ([(4, 1), (6, 3), (12, 3)], (4, 5, 10), True),
+            ([(4, 1), (6, 3), (12, 3)], (4, 3, 5), False),
+        ],
+    )
+    def test_full_utilisation(self, specs, rel, expected):
+        conns = [conn(p, e) for p, e in specs]
+        deadlines = {c.connection_id: d for c, d in zip(conns, rel)}
+        assert processor_demand_test(conns, deadlines=deadlines) is expected
+        assert full_enumeration(conns, deadlines) is expected
+
+    @given(demand_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_full_enumeration(self, case):
+        conns, deadlines, supply = case
+        assert processor_demand_test(
+            conns, deadlines=deadlines, supply_slots_per_slot=supply
+        ) == full_enumeration(conns, deadlines, supply)

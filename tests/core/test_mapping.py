@@ -1,14 +1,41 @@
 """Tests for the laxity-to-priority mapping functions."""
 
 import functools
+from bisect import bisect_right
+from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.core.mapping import LaxityMapping, LinearMapping, LogarithmicMapping
+from repro.core.mapping import (
+    LaxityMapping,
+    LinearMapping,
+    LogarithmicMapping,
+    level_starts,
+)
 from repro.core.priorities import TrafficClass, class_priority_range
 
 CLASSES = [TrafficClass.BEST_EFFORT, TrafficClass.RT_CONNECTION]
+
+
+class SquareStepMapping(LaxityMapping):
+    """A custom mapping on the base-class ``bucket_bounds`` scan: two
+    levels down per whole square root of the laxity, so every other
+    level below the most urgent one is never produced."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def priority_for(self, laxity_slots: int, traffic_class: TrafficClass) -> int:
+        self.calls += 1
+        lo, hi = class_priority_range(traffic_class)
+        if laxity_slots <= 0:
+            return hi
+        return max(lo, hi - 2 * isqrt(laxity_slots))
+
+
+#: One shared instance: the table cache keys on it.
+SQUARE_STEPS = SquareStepMapping()
 
 
 class TestLogarithmicMapping:
@@ -223,3 +250,64 @@ class TestClosedFormBucketBounds:
         assert m.bucket_bounds(hi_p - 2, tc) == (1, 1)
         with pytest.raises(ValueError, match="never produced"):
             m.bucket_bounds(hi_p - 1, tc)
+
+
+def _table_priority(mapping, laxity, tc):
+    """The priority the fast tiers read off ``level_starts``."""
+    _, hi = class_priority_range(tc)
+    if laxity <= 0:
+        return hi
+    return hi - (bisect_right(level_starts(mapping, tc), laxity, 1) - 1)
+
+
+class TestLevelStarts:
+    """The level-start table the fast tiers read reproduces the mapping."""
+
+    @given(
+        st.one_of(
+            st.just(LogarithmicMapping()),
+            # Horizons below 15 leave levels the map never produces.
+            st.builds(LinearMapping, st.integers(min_value=1, max_value=2048)),
+            st.just(SQUARE_STEPS),
+        ),
+        st.sampled_from(CLASSES),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_priority_equals_priority_for(self, mapping, tc):
+        saturation = level_starts(mapping, tc)[-1]
+        for laxity in range(-3, saturation + 4):
+            assert _table_priority(mapping, laxity, tc) == mapping.priority_for(
+                laxity, tc
+            ), laxity
+
+    def test_shape_and_empty_levels(self):
+        tc = TrafficClass.RT_CONNECTION
+        lo, hi = class_priority_range(tc)
+        starts = level_starts(LogarithmicMapping(), tc)
+        assert len(starts) == hi - lo + 1
+        assert starts[:4] == (None, 1, 3, 7)
+        # 7 slots over 15 levels: level hi - 1 is never produced and
+        # takes the start of level hi - 2, an empty interval.
+        assert level_starts(LinearMapping(horizon_slots=7), tc)[1:3] == (1, 1)
+        assert level_starts(LogarithmicMapping(), TrafficClass.NON_REAL_TIME) == (
+            None,
+        )
+
+    def test_built_once_per_equal_mapping(self):
+        tc = TrafficClass.BEST_EFFORT
+        assert level_starts(LinearMapping(horizon_slots=99), tc) is level_starts(
+            LinearMapping(horizon_slots=99), tc
+        )
+        mapping = SquareStepMapping()
+        level_starts(mapping, tc)
+        scanned = mapping.calls
+        assert scanned > 0
+        level_starts(mapping, tc)
+        assert mapping.calls == scanned
+
+    def test_unhashable_mapping_is_built_uncached(self):
+        class Unhashable(SquareStepMapping):
+            __hash__ = None  # type: ignore[assignment]
+
+        tc = TrafficClass.RT_CONNECTION
+        assert level_starts(Unhashable(), tc) == level_starts(SQUARE_STEPS, tc)

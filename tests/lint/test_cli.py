@@ -75,12 +75,11 @@ class TestListRules:
     def test_lists_the_full_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert len(out.splitlines()) == 8
+        assert len(out.splitlines()) == 7
         for name in (
             "no-wallclock-in-sim",
             "frozen-dataclass-mutation",
             "sorted-iteration-before-serialization",
-            "priority-domain",
             "event-metric-parity",
             "seed-provenance",
             "async-blocking",

@@ -162,7 +162,7 @@ class TestRegistry:
     def test_catalogue_is_sorted_and_complete(self):
         names = [r.name for r in all_rules()]
         assert names == sorted(names)
-        assert len(names) == 8
+        assert len(names) == 7
         assert rule_names() == set(names)
 
     def test_every_rule_declares_its_invariant(self):

@@ -127,76 +127,6 @@ class TestSortedIterationBeforeSerialization:
         assert lint_tree("serialization_out_of_scope.py", rules=(self.RULE,)) == []
 
 
-class TestPriorityDomain:
-    def test_quiet_on_table1(self, lint_tree):
-        assert (
-            lint_tree(
-                "priority_packets.py", "priority_good.py", rules=("priority-domain",)
-            )
-            == []
-        )
-
-    def test_fires_on_widened_classes(self, lint_tree):
-        findings = lint_tree(
-            "priority_packets.py", "priority_bad_ranges.py", rules=("priority-domain",)
-        )
-        messages = " ".join(f.message for f in findings)
-        assert "BEST_EFFORT_RANGE is (2, 20)" in messages
-        assert "RT_CONNECTION_RANGE is (21, 31)" in messages
-
-    def test_fires_on_widened_field(self, lint_tree):
-        findings = lint_tree(
-            "priority_bad_bits.py", "priority_good.py", rules=("priority-domain",)
-        )
-        messages = " ".join(f.message for f in findings)
-        assert "PRIORITY_FIELD_BITS is 6" in messages
-
-    def test_opaque_constants_are_findings(self, lint_tree):
-        findings = lint_tree(
-            "priority_packets.py", "priority_opaque.py", rules=("priority-domain",)
-        )
-        messages = " ".join(f.message for f in findings)
-        assert "BEST_EFFORT_RANGE could not be statically resolved" in messages
-        assert "RT_CONNECTION_RANGE could not be statically resolved" in messages
-
-    def test_quiet_without_protocol_core(self, lint_tree):
-        # Trees without core.priorities (e.g. other fixture runs) are skipped.
-        assert lint_tree("wallclock_good.py", rules=("priority-domain",)) == []
-
-    def test_quiet_on_matching_policy_horizons(self, lint_tree):
-        assert (
-            lint_tree(
-                "priority_packets.py",
-                "priority_good.py",
-                "policy_good.py",
-                rules=("priority-domain",),
-            )
-            == []
-        )
-
-    def test_fires_on_band_escaping_horizon(self, lint_tree):
-        findings = lint_tree(
-            "priority_packets.py",
-            "priority_good.py",
-            "policy_bad_span.py",
-            rules=("priority-domain",),
-        )
-        messages = " ".join(f.message for f in findings)
-        assert "RM_PERIOD_HORIZON_LOG2 is 20, expected 14" in messages
-        # The opaque FIFO horizon is a finding, not a silent pass.
-        assert "FIFO_AGE_HORIZON_LOG2 could not be statically resolved" in messages
-
-    def test_policy_module_checked_in_real_tree(self):
-        # The live repo's own horizons must satisfy the rule.
-        from repro.core import policy
-        from repro.core.priorities import TrafficClass, class_priority_range
-
-        for tc in (TrafficClass.BEST_EFFORT, TrafficClass.RT_CONNECTION):
-            lo, hi = class_priority_range(tc)
-            assert policy.RM_PERIOD_HORIZON_LOG2 == hi - lo
-            assert policy.FIFO_AGE_HORIZON_LOG2 == hi - lo
-
-
 class TestEventMetricParity:
     def test_quiet_when_names_map_to_taxonomy(self, lint_tree):
         assert (
@@ -226,7 +156,6 @@ def test_every_rule_has_a_fixture():
         "no-wallclock-in-sim": "wallclock",
         "frozen-dataclass-mutation": "frozen",
         "sorted-iteration-before-serialization": "serialization",
-        "priority-domain": "priority",
         "event-metric-parity": "parity",
         "seed-provenance": "seedprov",
         "async-blocking": "asyncblock",

@@ -24,6 +24,7 @@ from repro.sim.vector.soa import release_schedule
 from repro.traffic.periodic import ConnectionSource, random_connection_set
 from repro.traffic.sweeps import scale_connections_to_utilisation
 
+from tests.core.test_mapping import SQUARE_STEPS
 from tests.sim.vector.test_differential import (
     fresh_message_ids,
     run_engine,
@@ -43,7 +44,14 @@ def scenarios(draw):
     spatial_reuse = draw(st.booleans())
     initial_master = draw(st.integers(min_value=0, max_value=n_nodes - 1))
     mapping = draw(
-        st.sampled_from([None, LinearMapping(horizon_slots=256)])
+        st.sampled_from(
+            [
+                None,
+                LinearMapping(horizon_slots=256),
+                LinearMapping(horizon_slots=4),
+                SQUARE_STEPS,
+            ]
+        )
     )
     n_slots = draw(st.integers(min_value=1, max_value=900))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.connection import LogicalRealTimeConnection
-from repro.core.mapping import LogarithmicMapping
+from repro.core.mapping import LinearMapping, LogarithmicMapping
 from repro.core.messages import Message
 from repro.core.priorities import TrafficClass
 from repro.core.protocol import PlannedTransmission, SlotPlan
@@ -22,6 +22,7 @@ from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 from repro.sim.vector import ckernel
 from repro.traffic.poisson import PoissonSource
 
+from tests.core.test_mapping import SQUARE_STEPS
 from tests.sim.vector.test_differential import (
     _loaded_config,
     assert_engines_match,
@@ -29,7 +30,7 @@ from tests.sim.vector.test_differential import (
 
 
 class _TunedLog(LogarithmicMapping):
-    """The logarithmic map under another name: not the closed world."""
+    """The logarithmic map under another name (a custom mapping)."""
 
 
 def _make(config, **options):
@@ -123,7 +124,6 @@ def _cases():
         ),
         "drop-late": (_make(_loaded_config(8, 0.9, drop_late=True)), ()),
         "fault window open": (_make(config), (_open_fault_window,)),
-        "laxity mapping _TunedLog": (_make(config, mapping=_TunedLog()), ()),
         "ring wider than 62 nodes": (_make(_wide_ring()), ()),
         "source PoissonSource is not a ConnectionSource": (
             lambda engine: build_simulation(
@@ -176,4 +176,19 @@ def test_compiled_run_records_no_refusal():
         pytest.skip("no C toolchain; compiled tier unavailable")
     sim = build_simulation(_loaded_config(8, 0.6), RunOptions(engine="vector"))
     sim.run(300)
+    assert (sim.vector_backend, sim.vector_numpy_reason) == ("compiled", None)
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [_TunedLog(), LinearMapping(horizon_slots=4), SQUARE_STEPS],
+    ids=["custom-log", "linear-empty-levels", "custom-base-scan"],
+)
+def test_any_mapping_runs_compiled(mapping):
+    """No laxity mapping is a refusal: the compiled tier reads the
+    mapping's level-start table and still matches the oracle."""
+    if ckernel._kernel_fn() is None:
+        pytest.skip("no C toolchain; compiled tier unavailable")
+    make_sim = _make(_loaded_config(8, 0.6), mapping=mapping)
+    sim = assert_engines_match(make_sim, warm=5, chunks=(300,), extra_steps=10)
     assert (sim.vector_backend, sim.vector_numpy_reason) == ("compiled", None)

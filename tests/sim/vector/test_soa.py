@@ -66,11 +66,13 @@ def test_workspace_offsets_follow_the_table():
     buffer in table order, each as long as its length rule says."""
     from repro.sim.vector import ckernel
 
-    n, conns, cids, rows = 5, 3, 4, 7
-    ws = ckernel._Workspace(n, conns, cids, rows)
+    n, conns, cids, rows, levels = 5, 3, 4, 7, 6
+    ws = ckernel._Workspace(n, conns, cids, rows, levels)
     lengths = {
         "1": 1, "n": n, "n*n": n * n, "conns": conns, "cids": cids, "rows": rows,
+        "levels": levels,
     }
+    assert set(lengths) == set(ckernel._RULES)
     header = ws.words[: len(ckernel.WORKSPACE)].tolist()
     position = len(ckernel.WORKSPACE)
     for (name, dtype, rule), offset in zip(ckernel.WORKSPACE, header):
