@@ -124,7 +124,7 @@ def test_f67_gap_never_crossed_by_data(run_once, benchmark):
         violations = 0
         checked = 0
         for _ in range(5000):
-            plan = sim._plan
+            plan = sim.pending_plan
             break_mask = 1 << ((plan.master - 1) % 8)
             for tx in plan.transmissions:
                 checked += 1

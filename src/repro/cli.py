@@ -323,14 +323,16 @@ def _engine_outcome(sim, requested: str | None) -> dict:
     """Which engine tier executed ``sim``'s last run (manifest form).
 
     ``backend`` is ``"compiled"`` (the C micro-kernel), ``"numpy"`` (the
-    SoA kernel) or ``"oracle"`` (the pure-Python slot loop -- requested,
-    or fallen back to for ``fallback_reason``).
+    SoA kernel, which ran because the compiled tier refused for
+    ``numpy_reason``) or ``"oracle"`` (the pure-Python slot loop --
+    requested, or fallen back to for ``fallback_reason``).
     """
     tiers = {"compiled": "compiled", "python": "numpy"}
     return {
         "requested": resolve_engine(requested),
         "backend": tiers.get(getattr(sim, "vector_backend", None), "oracle"),
         "fallback_reason": getattr(sim, "vector_fallback_reason", None),
+        "numpy_reason": getattr(sim, "vector_numpy_reason", None),
     }
 
 
@@ -340,6 +342,8 @@ def _engine_label(outcome: dict) -> str:
         return "python"
     if outcome["backend"] == "oracle":
         return f"vector -> oracle: {outcome['fallback_reason']}"
+    if outcome["backend"] == "numpy":
+        return f"vector (numpy: {outcome['numpy_reason']})"
     return f"vector ({outcome['backend']})"
 
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.core.messages import Message
 from repro.core.priorities import TrafficClass
-from repro.core.protocol import SlotOutcome, SlotPlan
 from repro.obs.registry import MetricRegistry
 
 
@@ -432,22 +431,30 @@ class MetricsCollector:
 
     def on_slot(
         self,
-        outcome: SlotOutcome,
-        plan: SlotPlan,
+        master: int,
+        gap_s: float,
+        n_transmitted: int,
+        n_wasted: int,
+        n_denied: int,
         slot_length_s: float,
         handover_hops: int,
     ) -> None:
-        """Account one executed slot (time, grants, hand-over)."""
+        """Account one executed slot (time, grants, hand-over).
+
+        ``master`` clocked the slot after a hand-over gap of ``gap_s``;
+        ``n_transmitted`` grants sent a packet, ``n_wasted`` went unused
+        and ``n_denied`` requests were refused at the clock break when
+        the slot was planned.
+        """
         r = self.report
         r.slots_simulated += 1
-        r.wall_time_s += slot_length_s + outcome.gap_s
+        r.wall_time_s += slot_length_s + gap_s
         r.slot_time_s += slot_length_s
-        r.gap_time_s += outcome.gap_s
-        r.master_slots[outcome.master] += 1
+        r.gap_time_s += gap_s
+        r.master_slots[master] += 1
         r.handover_hops[handover_hops] += 1
-        n_tx = len(outcome.transmitted)
-        if n_tx:
+        if n_transmitted:
             r.busy_slots += 1
-            r.packets_sent += n_tx
-        r.wasted_grants += len(outcome.wasted)
-        r.break_denials += len(plan.denied_by_break)
+            r.packets_sent += n_transmitted
+        r.wasted_grants += n_wasted
+        r.break_denials += n_denied

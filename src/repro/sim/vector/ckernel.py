@@ -58,7 +58,7 @@ from repro.core import messages as _messages
 from repro.core.mapping import level_starts
 from repro.core.messages import Message, MessageStatus
 from repro.core.priorities import TrafficClass, class_priority_range
-from repro.core.protocol import PlannedTransmission, SlotPlan
+from repro.core.protocol import PlannedTransmission
 from repro.sim.metrics import ConnectionStats
 from repro.traffic.periodic import ConnectionSource
 
@@ -343,15 +343,15 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
             pre_objs.append(msg)
             pre_cids.append(cid)
 
-    plan = sim._plan
+    p_master, p_gap, p_txs, p_denied, p_nreq = sim._pending
     plan_tx_rows: list[int] = []
-    for tx in plan.transmissions:
+    for tx in p_txs:
         row = row_of.get(id(tx.message))
         if row is None:
             return "planned message not queued"
         plan_tx_rows.append(row)
     plan_den_rows: list[int] = []
-    for tx in plan.denied_by_break:
+    for tx in p_denied:
         row = row_of.get(id(tx.message))
         if row is None:
             return "planned message not queued"
@@ -429,13 +429,13 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
         n_conns=len(conns),
         n_cids=n_cids,
         id0=id0,
-        master=plan.master,
+        master=p_master,
         prev_master=sim._prev_master,
-        n_req=plan.n_requests,
+        n_req=p_nreq,
         n_tx=len(plan_tx_rows),
         n_den=len(plan_den_rows),
         slot_length=sim.timing.slot_length_s,
-        gap=plan.gap_s,
+        gap=p_gap,
         wall=report.wall_time_s,
         slot_time=report.slot_time_s,
         gap_time=report.gap_time_s,
@@ -612,15 +612,16 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
             )
         return tuple(planned)
 
-    sim.current_slot = end
-    sim._prev_master = out[F["prev_master"]]
-    sim._plan = SlotPlan(
-        transmit_slot=end,
-        master=out[F["master"]],
-        gap_s=fout[F["gap"]],
-        transmissions=_planned("tx_rows", out[F["n_tx"]]),
-        denied_by_break=_planned("den_rows", out[F["n_den"]]),
-        n_requests=out[F["n_req"]],
+    sim._resume(
+        end,
+        out[F["prev_master"]],
+        (
+            out[F["master"]],
+            fout[F["gap"]],
+            _planned("tx_rows", out[F["n_tx"]]),
+            _planned("den_rows", out[F["n_den"]]),
+            out[F["n_req"]],
+        ),
     )
     if profiler is not None:
         profiler.lap("fold", t_phase)

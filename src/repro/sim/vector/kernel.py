@@ -57,7 +57,7 @@ from repro.core.priorities import (
     TrafficClass,
     class_priority_range,
 )
-from repro.core.protocol import PlannedTransmission, SlotOutcome, SlotPlan
+from repro.core.protocol import PlannedTransmission
 from repro.obs.events import ArbitrationDenied, FastForwardSpan, HandoverOccurred
 from repro.sim.metrics import ConnectionStats
 from repro.traffic.periodic import ConnectionSource
@@ -81,20 +81,6 @@ _EMPTY_LIST: list = []
 #: schedule's memory to the traffic of one window regardless of how many
 #: slots a single ``run()`` spans.
 _SCHED_CHUNK: int = 1 << 15
-
-
-class _PlanView:
-    """Minimal stand-in for the next ``SlotPlan`` handed to event sinks.
-
-    Sinks only read ``n_requests`` from the next plan (packet traces,
-    which read more, force the oracle engine), so the kernel reuses one
-    mutable view instead of materialising a ``SlotPlan`` per slot.
-    """
-
-    __slots__ = ("n_requests",)
-
-    def __init__(self) -> None:
-        self.n_requests = 0
 
 
 def run_kernel(sim: Simulation, n_slots: int) -> None:
@@ -201,7 +187,6 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
         return missed
 
     wants_events = observer is not None and observer.wants_slot_events
-    plan_view = _PlanView()
 
     s = sim.current_slot
     end = s + n_slots
@@ -312,12 +297,10 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                     )
 
     # --- pending plan (decided last slot, executes first) --------------
-    plan = sim._plan
-    p_master = plan.master
-    p_gap = plan.gap_s
-    p_tx_nodes = [tx.node for tx in plan.transmissions]
-    p_tx_msgs = [tx.message for tx in plan.transmissions]
-    p_tx_links = [tx.links for tx in plan.transmissions]
+    p_master, p_gap, p_tx_objs, plan_denied, p_nreq = sim._pending
+    p_tx_nodes = [tx.node for tx in p_tx_objs]
+    p_tx_msgs = [tx.message for tx in p_tx_objs]
+    p_tx_links = [tx.links for tx in p_tx_objs]
     # Plan buffers alternate between the live plan and a spare set that
     # the replan path refills in place, so steady state allocates no new
     # lists.  Nothing outside the kernel holds a reference to either:
@@ -327,11 +310,9 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     spare_msgs: list[Message] = []
     spare_links: list[int] = []
     reusable_d: list[int] = []
-    p_tx_objs = plan.transmissions
-    p_denied = tuple(tx.node for tx in plan.denied_by_break)
-    p_denied_msgs = [tx.message for tx in plan.denied_by_break]
-    p_denied_links = [tx.links for tx in plan.denied_by_break]
-    p_nreq = plan.n_requests
+    p_denied = tuple(tx.node for tx in plan_denied)
+    p_denied_msgs = [tx.message for tx in plan_denied]
+    p_denied_links = [tx.links for tx in plan_denied]
     if p_tx_msgs:
         rem_min = INF
         for m in p_tx_msgs:
@@ -411,13 +392,8 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                             if profiler is not None:
                                 profiler.count("fast_forwarded_slots", k)
                             if observer is not None:
-                                observer.emit(
-                                    FastForwardSpan(
-                                        slot_start=s,
-                                        slot_end=s + k,
-                                        n_slots=k,
-                                        master=p_master,
-                                    )
+                                observer.emit_fields(
+                                    FastForwardSpan, s, s + k, k, p_master
                                 )
                         s += k
                         continue
@@ -833,42 +809,28 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
         # (f) event emission, in the oracle's per-slot order
         if observer is not None:
             if next_denied:
-                observer.emit(
-                    ArbitrationDenied(slot=s + 1, nodes=next_denied)
-                )
+                observer.emit_fields(ArbitrationDenied, s + 1, next_denied)
             if p_master != prev_master:
-                observer.emit(
-                    HandoverOccurred(
-                        slot=s,
-                        from_node=prev_master,
-                        to_node=p_master,
-                        hops=(p_master - prev_master) % n,
-                        gap_s=p_gap,
-                    )
+                observer.emit_fields(
+                    HandoverOccurred,
+                    s,
+                    prev_master,
+                    p_master,
+                    (p_master - prev_master) % n,
+                    p_gap,
                 )
             if wants_events:
                 if wasted_idx is None:
                     transmitted = p_tx_objs
-                    wasted: tuple[PlannedTransmission, ...] = ()
                 else:
                     stale = set(wasted_idx)
                     transmitted = tuple(
                         tx for j, tx in enumerate(p_tx_objs) if j not in stale
                     )
-                    wasted = tuple(
-                        tx for j, tx in enumerate(p_tx_objs) if j in stale
-                    )
-                outcome = SlotOutcome(
-                    slot=s,
-                    master=p_master,
-                    gap_s=p_gap,
-                    transmitted=transmitted,
-                    wasted=wasted,
-                )
-                plan_view.n_requests = next_nreq
                 observer.dispatch_slot(
-                    outcome, None, plan_view, ev0, ev1, ev2, ev3
-                )
+                    s, p_master, p_gap, transmitted, next_nreq,
+                    ev0, ev1, ev2, ev3,
+                )  # fmt: skip
 
         # (g) rotate the pipeline
         prev_master = p_master
@@ -915,33 +877,32 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
             handover_hops[i] += hop_count[i]
 
     # --- hand the pending plan back so step()/run() can continue --------
-    sim.current_slot = s
-    sim._prev_master = prev_master
-    transmissions = tuple(
-        PlannedTransmission(
-            node=p_tx_nodes[j],
-            message=p_tx_msgs[j],
-            links=p_tx_links[j],
-            destinations=p_tx_msgs[j].destinations,
-        )
-        for j in range(len(p_tx_msgs))
-    )
-    denied_txs = tuple(
-        PlannedTransmission(
-            node=p_denied[j],
-            message=p_denied_msgs[j],
-            links=p_denied_links[j],
-            destinations=p_denied_msgs[j].destinations,
-        )
-        for j in range(len(p_denied))
-    )
-    sim._plan = SlotPlan(
-        transmit_slot=s,
-        master=p_master,
-        gap_s=p_gap,
-        transmissions=transmissions,
-        denied_by_break=denied_txs,
-        n_requests=p_nreq,
+    sim._resume(
+        s,
+        prev_master,
+        (
+            p_master,
+            p_gap,
+            tuple(
+                PlannedTransmission(
+                    node=p_tx_nodes[j],
+                    message=p_tx_msgs[j],
+                    links=p_tx_links[j],
+                    destinations=p_tx_msgs[j].destinations,
+                )
+                for j in range(len(p_tx_msgs))
+            ),
+            tuple(
+                PlannedTransmission(
+                    node=p_denied[j],
+                    message=p_denied_msgs[j],
+                    links=p_denied_links[j],
+                    destinations=p_denied_msgs[j].destinations,
+                )
+                for j in range(len(p_denied))
+            ),
+            p_nreq,
+        ),
     )
     soa.store(packed, prio_until)
     sim._soa = soa  # type: ignore[attr-defined]

@@ -77,7 +77,7 @@ class WallClockAuditor:
         timing = self.sim.timing
         for _ in range(n_slots):
             slot = self.sim.current_slot
-            start = self.sim.report.wall_time_s + self.sim._plan.gap_s
+            start = self.sim.report.wall_time_s + self.sim.pending_plan.gap_s
             self._slot_start_s[slot] = start
             # Watch every queued live message for delivery.
             for q in self.sim.queues.values():

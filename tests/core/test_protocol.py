@@ -225,7 +225,7 @@ class TestRecordFreeArbitration:
         arbitrated = 0
         for _ in range(500):
             sim.step()
-            plan = sim._plan
+            plan = sim.pending_plan
             assert plan.arbitration is not None
             assert plan.arbitration.hp_node == plan.master
             assert [g.node for g in plan.arbitration.grants] == [
@@ -241,7 +241,7 @@ class TestRecordFreeArbitration:
         checked = 0
         for _ in range(2_000):
             sim.step()
-            plan = sim._plan
+            plan = sim.pending_plan
             for tx in (*plan.transmissions, *plan.denied_by_break):
                 msg = sim.queues[tx.node].head()
                 assert tx.message is msg

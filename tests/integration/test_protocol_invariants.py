@@ -40,7 +40,7 @@ class CheckingSimulation(Simulation):
     """Simulation subclass asserting structural invariants every slot."""
 
     def step(self):
-        plan = self._plan
+        plan = self.pending_plan
         # Invariant 1 + 2: disjoint grants, none crossing the break.
         break_link = (plan.master - 1) % self.topology.n_nodes
         occupied = 0

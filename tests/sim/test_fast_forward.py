@@ -198,7 +198,7 @@ def busy_workloads(draw):
 
 def state(sim):
     """Everything a later slot can depend on, with message identities."""
-    plan = sim._plan
+    plan = sim.pending_plan
     queues = {
         node: sorted(
             (m.msg_id, m.sent_slots, m.status) for m in q.pending_messages()
@@ -224,7 +224,7 @@ def busy_spans(sim, spans=None) -> list[tuple[int, int, int]]:
     forward = sim._try_fast_forward
 
     def recorded(end):
-        plan = sim._plan
+        plan = sim.pending_plan
         k = forward(end)
         if k and plan.transmissions:
             spans.append((plan.n_requests, len(plan.transmissions), k))
@@ -337,10 +337,10 @@ class TestBusySpans:
         spans = []
 
         def recorded(end):
-            before = sim._plan
+            before = sim.pending_plan
             k = forward(end)
             if k and before.transmissions:
-                spans.append((before, sim._plan))
+                spans.append((before, sim.pending_plan))
             return k
 
         sim._try_fast_forward = recorded
@@ -457,7 +457,7 @@ class TestBusySpans:
             )
             sim.run(60)
             assert sim.vector_backend is not None
-            plan = sim._plan
+            plan = sim.pending_plan
             (tx,) = plan.transmissions
             assert plan.n_requests == 1 and tx.node == plan.master == 1
             assert tx.message.remaining_slots >= 2
@@ -472,7 +472,7 @@ class TestBusySpans:
             sim = build_simulation(WAITING, RunOptions(engine="vector"))
             sim.run(100)
             assert sim.vector_backend is not None
-            plan = sim._plan
+            plan = sim.pending_plan
             assert plan.n_requests == 2
             assert [tx.node for tx in plan.transmissions] == [0]
             seen = stepped_slots(sim)
@@ -501,7 +501,7 @@ class TestBusySpans:
             sim.run(60)
             assert sim.vector_backend == "compiled"
             sim.step()
-            assert [tx.node for tx in sim._plan.transmissions] == [2]
+            assert [tx.node for tx in sim.pending_plan.transmissions] == [2]
             Simulation.run(sim, 129)
             fast = state(sim)
         (slow,), _ = play(config, [200], False)

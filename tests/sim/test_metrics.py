@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.messages import Message
 from repro.core.priorities import TrafficClass
-from repro.core.protocol import PlannedTransmission, SlotOutcome, SlotPlan
+from repro.core.protocol import PlannedTransmission
 from repro.sim.fault_models import FaultConfig
 from repro.sim.metrics import (
     ClassStats,
@@ -38,15 +38,25 @@ def tx(msg):
     return PlannedTransmission(node=msg.source, message=msg, links=1, destinations=msg.destinations)
 
 
-def outcome(slot, master=0, gap=0.0, transmitted=(), wasted=()):
-    return SlotOutcome(
-        slot=slot, master=master, gap_s=gap, transmitted=transmitted, wasted=wasted
-    )
-
-
-def plan(slot, master=0, gap=0.0, denied=()):
-    return SlotPlan(
-        transmit_slot=slot, master=master, gap_s=gap, denied_by_break=denied
+def on_slot(
+    c,
+    master=0,
+    gap=0.0,
+    transmitted=(),
+    wasted=(),
+    denied=(),
+    slot_length_s=2e-6,
+    handover_hops=0,
+):
+    """Feed ``c`` one slot the way the engine does: scalars only."""
+    c.on_slot(
+        master,
+        gap,
+        len(transmitted),
+        len(wasted),
+        len(denied),
+        slot_length_s,
+        handover_hops,
     )
 
 
@@ -136,9 +146,11 @@ class TestCollector:
     def test_slot_accounting(self):
         c = MetricsCollector(n_nodes=4)
         m1, m2 = rt_msg(10), rt_msg(20)
-        c.on_slot(
-            outcome(0, master=1, gap=1e-7, transmitted=(tx(m1), tx(m2))),
-            plan(0, master=1),
+        on_slot(
+            c,
+            master=1,
+            gap=1e-7,
+            transmitted=(tx(m1), tx(m2)),
             slot_length_s=2e-6,
             handover_hops=3,
         )
@@ -152,15 +164,13 @@ class TestCollector:
 
     def test_idle_slot_not_busy(self):
         c = MetricsCollector(n_nodes=4)
-        c.on_slot(outcome(0), plan(0), slot_length_s=2e-6, handover_hops=0)
+        on_slot(c, slot_length_s=2e-6, handover_hops=0)
         assert c.report.busy_slots == 0
 
     def test_break_denials_accumulate(self):
         c = MetricsCollector(n_nodes=4)
         denied = (tx(rt_msg(10)),)
-        c.on_slot(
-            outcome(0), plan(0, denied=denied), slot_length_s=2e-6, handover_hops=0
-        )
+        on_slot(c, denied=denied, slot_length_s=2e-6, handover_hops=0)
         assert c.report.break_denials == 1
 
 
@@ -169,9 +179,10 @@ class TestReportDerived:
         c = MetricsCollector(n_nodes=4)
         for slot in range(10):
             msgs = (tx(rt_msg(100, created=slot)),) if slot % 2 == 0 else ()
-            c.on_slot(
-                outcome(slot, gap=1e-7, transmitted=msgs),
-                plan(slot),
+            on_slot(
+                c,
+                gap=1e-7,
+                transmitted=msgs,
                 slot_length_s=1e-6,
                 handover_hops=slot % 4,
             )

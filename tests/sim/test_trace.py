@@ -97,7 +97,7 @@ class TestTraceConformance:
         # Drive a couple of hundred slots, checking each plan's packet
         # against its transmissions.
         for _ in range(200):
-            plan = sim._plan
+            plan = sim.pending_plan
             dist = plan.distribution_packet
             if dist is not None:
                 granted_nodes = {tx.node for tx in plan.transmissions}
@@ -112,7 +112,7 @@ class TestTraceConformance:
         trace = SlotTrace()
         sim = build(trace, trace_packets=True)
         for _ in range(100):
-            plan = sim._plan
+            plan = sim.pending_plan
             coll = plan.collection_packet
             if coll is not None:
                 n_requests = sum(

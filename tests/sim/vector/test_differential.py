@@ -70,7 +70,7 @@ def _loaded_config(n_nodes, utilisation, seed=1, **kwargs):
 
 
 def plan_state(sim):
-    plan = sim._plan
+    plan = sim.pending_plan
     return (
         plan.transmit_slot,
         plan.master,

@@ -16,7 +16,7 @@ from repro.core.connection import LogicalRealTimeConnection
 from repro.core.mapping import LinearMapping, LogarithmicMapping
 from repro.core.messages import Message
 from repro.core.priorities import TrafficClass
-from repro.core.protocol import PlannedTransmission, SlotPlan
+from repro.core.protocol import PlannedTransmission
 from repro.obs.events import BoundedEventRing, EventDispatcher
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 from repro.sim.vector import ckernel
@@ -76,17 +76,11 @@ def _plan_foreign_message(sim):
         deadline_slot=sim.current_slot + 50,
         connection_id=999_999,
     )
-    plan = sim._plan
+    plan = sim.pending_plan
     tx = PlannedTransmission(
         node=1, message=msg, links=0b110, destinations=msg.destinations
     )
-    sim._plan = SlotPlan(
-        transmit_slot=plan.transmit_slot,
-        master=plan.master,
-        gap_s=plan.gap_s,
-        transmissions=(tx,),
-        n_requests=1,
-    )
+    sim._pending = (plan.master, plan.gap_s, (tx,), (), 1)
 
 
 def _wide_ring():

@@ -196,6 +196,7 @@ class TestEngineLine:
             "requested": "vector",
             "backend": "compiled",
             "fallback_reason": None,
+            "numpy_reason": None,
         }
 
     def test_profile_keeps_the_compiled_tier(self, tmp_path, capsys):
@@ -213,8 +214,22 @@ class TestEngineLine:
         line, engine = self._run(
             tmp_path, capsys, "--engine", "vector", "--drop-late"
         )
-        assert line == "vector (numpy)"
+        assert line == "vector (numpy: drop-late)"
         assert engine["backend"] == "numpy"
+        assert engine["numpy_reason"] == "drop-late"
+
+    def test_events_run_names_the_numpy_refusal(self, tmp_path, capsys):
+        line, engine = self._run(
+            tmp_path,
+            capsys,
+            "--engine",
+            "vector",
+            "--events",
+            str(tmp_path / "run.events.jsonl"),
+        )
+        assert line == "vector (numpy: observer attached)"
+        assert engine["backend"] == "numpy"
+        assert engine["numpy_reason"] == "observer attached"
 
     def test_policy_falls_back_to_oracle(self, tmp_path, capsys):
         line, engine = self._run(
@@ -225,6 +240,7 @@ class TestEngineLine:
             "requested": "vector",
             "backend": "oracle",
             "fallback_reason": "policy",
+            "numpy_reason": None,
         }
 
     def test_python_engine(self, tmp_path, capsys):
@@ -234,6 +250,7 @@ class TestEngineLine:
             "requested": "python",
             "backend": "oracle",
             "fallback_reason": None,
+            "numpy_reason": None,
         }
 
 
