@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.core.protocol import MacProtocol, PlannedTransmission, SlotPlan
+from repro.core.protocol import MacProtocol, PlanFields, PlannedTransmission
 from repro.core.queues import NodeQueues
 from repro.ring.segments import masks_overlap
 from repro.ring.topology import RingTopology
@@ -59,12 +59,12 @@ class CcFprProtocol(MacProtocol):
 
     # ------------------------------------------------------------------
 
-    def plan_slot(
+    def arbitrate(
         self,
         current_slot: int,
         current_master: int,
         queues_by_node: Mapping[int, NodeQueues],
-    ) -> SlotPlan:
+    ) -> PlanFields:
         n = self.topology.n_nodes
         self._check_queues(queues_by_node)
 
@@ -114,12 +114,10 @@ class CcFprProtocol(MacProtocol):
         if gap_s is None:
             gap_s = self.topology.handover_delay_s(current_master, next_master)
             self._gap_cache[gap_key] = gap_s
-        return SlotPlan(
-            transmit_slot=current_slot + 1,
-            master=next_master,
-            gap_s=gap_s,
-            transmissions=tuple(transmissions),
-            denied_by_break=tuple(denied),
-            n_requests=n_requests,
-            arbitration=None,
+        return (
+            next_master,
+            gap_s,
+            tuple(transmissions),
+            tuple(denied),
+            n_requests,
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.core.protocol import MacProtocol, PlannedTransmission, SlotPlan
+from repro.core.protocol import MacProtocol, PlanFields, PlannedTransmission
 from repro.core.queues import NodeQueues
 from repro.ring.topology import RingTopology
 
@@ -30,12 +30,12 @@ class TdmaProtocol(MacProtocol):
     def __init__(self, topology: RingTopology):
         super().__init__(topology)
 
-    def plan_slot(
+    def arbitrate(
         self,
         current_slot: int,
         current_master: int,
         queues_by_node: Mapping[int, NodeQueues],
-    ) -> SlotPlan:
+    ) -> PlanFields:
         n = self.topology.n_nodes
         self._check_queues(queues_by_node)
 
@@ -61,12 +61,4 @@ class TdmaProtocol(MacProtocol):
         if gap_s is None:
             gap_s = self.topology.handover_delay_s(current_master, owner)
             self._gap_cache[gap_key] = gap_s
-        return SlotPlan(
-            transmit_slot=transmit_slot,
-            master=owner,
-            gap_s=gap_s,
-            transmissions=transmissions,
-            denied_by_break=(),
-            n_requests=n_requests,
-            arbitration=None,
-        )
+        return owner, gap_s, transmissions, (), n_requests

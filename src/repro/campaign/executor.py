@@ -208,8 +208,8 @@ def backoff_delay(policy: RetryPolicy, spec: RunSpec, attempt: int) -> float:
     Exponential in the attempt number, capped at ``backoff_max_s``, with
     a jitter fraction drawn from a :class:`numpy.random.SeedSequence`
     derived from the run's entropy and the attempt index -- two hosts
-    retrying the same spec back off identically, and the draw is
-    lint-clean under ``seed-provenance``.
+    retrying the same spec back off identically, and the draw follows
+    the master seed.
     """
     base = min(
         policy.backoff_max_s, policy.backoff_base_s * (2.0 ** (attempt - 1))

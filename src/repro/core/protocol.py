@@ -16,7 +16,7 @@ The simulator's per-slot path is record-free: :meth:`MacProtocol.arbitrate`
 returns the plan as a :data:`PlanFields` tuple and
 :meth:`MacProtocol.execute_grants` executes one.  :meth:`plan_slot` and
 :meth:`execute_plan` wrap them in :class:`SlotPlan` / :class:`SlotOutcome`
-records for callers that read those (traces, tests, the baselines).
+records for callers that read those (traces, tests).
 
 Baseline protocols (CC-FPR and variants, :mod:`repro.baselines`) implement
 the same :class:`MacProtocol` interface so the simulator is agnostic to
@@ -222,34 +222,27 @@ class MacProtocol(ABC):
         return cached
 
     @abstractmethod
-    def plan_slot(
-        self,
-        current_slot: int,
-        current_master: int,
-        queues_by_node: Mapping[int, NodeQueues],
-    ) -> SlotPlan:
-        """Arbitrate during ``current_slot`` and plan slot ``current_slot + 1``."""
-
     def arbitrate(
         self,
         current_slot: int,
         current_master: int,
         queues_by_node: Mapping[int, NodeQueues],
     ) -> PlanFields:
-        """:meth:`plan_slot` without the record: its :data:`PlanFields`.
+        """Arbitrate during ``current_slot``; the plan for ``current_slot + 1``.
 
-        The simulator's per-slot entry.  This default unpacks
-        :meth:`plan_slot`, so a protocol that only implements that one
-        (CC-FPR, TDMA) plans exactly as before.
+        The simulator's per-slot entry: the plan as :data:`PlanFields`,
+        with no record built.
         """
-        plan = self.plan_slot(current_slot, current_master, queues_by_node)
-        return (
-            plan.master,
-            plan.gap_s,
-            plan.transmissions,
-            plan.denied_by_break,
-            plan.n_requests,
-        )
+
+    def plan_slot(
+        self,
+        current_slot: int,
+        current_master: int,
+        queues_by_node: Mapping[int, NodeQueues],
+    ) -> SlotPlan:
+        """:meth:`arbitrate`, with the plan as a :class:`SlotPlan` record."""
+        plan = self.arbitrate(current_slot, current_master, queues_by_node)
+        return self.plan_record(current_slot + 1, plan)
 
     def plan_record(self, transmit_slot: int, plan: PlanFields) -> SlotPlan:
         """``plan``, pending for ``transmit_slot``, as a :class:`SlotPlan`.
@@ -502,15 +495,6 @@ class CcrEdfProtocol(MacProtocol):
         )
         self._compose_cache[node] = cached
         return cached
-
-    def plan_slot(
-        self,
-        current_slot: int,
-        current_master: int,
-        queues_by_node: Mapping[int, NodeQueues],
-    ) -> SlotPlan:
-        plan = self.arbitrate(current_slot, current_master, queues_by_node)
-        return self.plan_record(current_slot + 1, plan)
 
     def plan_record(self, transmit_slot: int, plan: PlanFields) -> SlotPlan:
         """``plan`` with the last round's arbitration record and wire

@@ -5,8 +5,8 @@ everywhere at once: bit-identical serial vs. sharded vs. resumed
 campaign runs, seed-ordered metric merges, the frozen ``RunOptions``
 surface, and the paper's protocol constants (the 5-bit Table 1 priority
 domain, monotone laxity mapping, arbitration-driven master hand-over).
-A single stray ``np.random.default_rng()`` default or an unsorted dict
-iteration in front of a JSON writer silently breaks them.
+A single stray host-clock read or an unsorted dict iteration in front
+of a JSON writer silently breaks them.
 
 This package is an AST-based lint engine with repo-specific rules that
 machine-check those invariants on every commit:

@@ -6,7 +6,7 @@ robustly against the usual import spellings::
     import time; time.perf_counter()
     import time as _time; _time.perf_counter()
     from time import perf_counter; perf_counter()
-    from numpy.random import default_rng as rng_ctor; rng_ctor()
+    from datetime import datetime as dt; dt.now()
 
 :class:`ImportMap` collects a module's import aliases once;
 :func:`resolve_call_target` then canonicalises any ``Name`` /
@@ -132,42 +132,3 @@ def module_constants(tree: ast.Module) -> dict[str, object]:
                 out[target.id] = value.value
     return out
 
-
-def fold_int(node: ast.expr, env: dict[str, int]) -> int | None:
-    """Evaluate a small integer expression statically.
-
-    Supports int constants, names bound in ``env``, unary ``-``, and
-    the binary operators ``+ - * // << >> | &`` — enough to resolve
-    constants like ``(1 << PRIORITY_FIELD_BITS) - 1`` without importing
-    the module under analysis.
-    """
-    if isinstance(node, ast.Constant):
-        return node.value if isinstance(node.value, int) else None
-    if isinstance(node, ast.Name):
-        return env.get(node.id)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = fold_int(node.operand, env)
-        return -inner if inner is not None else None
-    if isinstance(node, ast.BinOp):
-        left = fold_int(node.left, env)
-        right = fold_int(node.right, env)
-        if left is None or right is None:
-            return None
-        op = node.op
-        if isinstance(op, ast.Add):
-            return left + right
-        if isinstance(op, ast.Sub):
-            return left - right
-        if isinstance(op, ast.Mult):
-            return left * right
-        if isinstance(op, ast.FloorDiv):
-            return left // right if right else None
-        if isinstance(op, ast.LShift):
-            return left << right
-        if isinstance(op, ast.RShift):
-            return left >> right
-        if isinstance(op, ast.BitOr):
-            return left | right
-        if isinstance(op, ast.BitAnd):
-            return left & right
-    return None

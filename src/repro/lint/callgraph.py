@@ -1,7 +1,7 @@
 """Project-wide call graph: the inter-procedural layer under ``repro lint``.
 
 The file-scoped rules (PR 5) see one module at a time; the whole-program
-rules (seed provenance, asyncio safety) need to know *who calls whom*
+rules (asyncio safety) need to know *who calls whom*
 across the tree.  This module builds a conservative static call graph
 from the already-parsed :class:`~repro.lint.context.Project`:
 
@@ -27,6 +27,7 @@ module: rules that need the AST of a function read it off the graph.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -49,13 +50,11 @@ class FunctionInfo:
     #: Qualified name of the enclosing class for methods, else ``None``.
     cls: str | None
     lineno: int
-    col: int
     is_async: bool
     #: Parameter names, ``self``/``cls`` stripped for methods.
     params: tuple[str, ...]
     #: Resolved dotted annotation types, aligned with :attr:`params`.
     annotations: tuple[str | None, ...]
-    returns: str | None
     #: The def node (the ``ast.Module`` for a module body) and its module.
     node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module = field(
         repr=False, compare=False
@@ -300,10 +299,14 @@ class CallGraph:
 
     def reachable(self, roots: Iterable[str]) -> frozenset[str]:
         """Functions transitively callable from ``roots`` (inclusive)."""
-        from repro.lint.dataflow import propagate
-
-        edges = {q: self.project_callees(q) for q in self.functions}
-        return propagate(edges, [r for r in roots if r in self.functions])
+        reached: set[str] = set()
+        queue = deque(r for r in roots if r in self.functions)
+        while queue:
+            qname = queue.popleft()
+            if qname not in reached:
+                reached.add(qname)
+                queue.extend(self.project_callees(qname))
+        return frozenset(reached)
 
     def methods_of(self, class_suffix: str) -> tuple[str, ...]:
         """Method qnames of every class matching a dotted-name suffix."""
@@ -367,11 +370,9 @@ def build_call_graph(project: "Project") -> CallGraph:
                 name=node.name,
                 cls=cls,
                 lineno=node.lineno,
-                col=node.col_offset,
                 is_async=isinstance(node, ast.AsyncFunctionDef),
                 params=params,
                 annotations=annotations,
-                returns=resolve_annotation(node.returns, imports),
                 node=node,
                 source=module,
             )
@@ -482,11 +483,9 @@ class _Resolver:
             name=MODULE_BODY,
             cls=None,
             lineno=1,
-            col=0,
             is_async=False,
             params=(),
             annotations=(),
-            returns=None,
             node=self.module.tree,
             source=self.module,
         )

@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.timing import NetworkTiming
-from repro.phy.link import FibreRibbonLink
-from repro.ring.topology import RingTopology
+from tests import rng_audit
+
+# Before the first repro import: a module imported earlier would keep
+# the unwrapped constructors it bound.
+rng_audit.install()
+
+from repro.core.timing import NetworkTiming  # noqa: E402
+from repro.phy.link import FibreRibbonLink  # noqa: E402
+from repro.ring.topology import RingTopology  # noqa: E402
+from tests.rng_audit import rng_audit_guard  # noqa: E402,F401  (autouse)
 
 
 @pytest.fixture

@@ -1,8 +1,7 @@
 """Call-graph construction, resolution and the --graph CLI."""
 
-from repro.lint.callgraph import MODULE_BODY, build_call_graph
+from repro.lint.callgraph import MODULE_BODY, CallGraph, CallSite, build_call_graph
 from repro.lint.cli import main
-from repro.lint.dataflow import fixpoint, propagate
 from repro.lint.engine import load_project
 
 from tests.lint.conftest import materialise
@@ -34,17 +33,15 @@ class TestBuild:
         assert "toggle" in cls.methods
 
     def test_direct_call_resolution(self, tmp_path):
-        project = _project(tmp_path, "seedprov_literal_bad.py")
+        project = _project(tmp_path, "callgraph_bare_calls.py")
         graph = build_call_graph(project)
-        sites = graph.calls["repro.sim.badseed.indirect_fork"]
+        sites = graph.calls["repro.service.fire.go"]
         assert any(
-            s.kind == "project" and s.target == "repro.sim.badseed.make_rng"
+            s.kind == "project" and s.target == "repro.service.fire.ping"
             for s in sites
         )
-        sites = graph.calls["repro.sim.badseed.direct_fork"]
         assert any(
-            s.kind == "external" and s.target == "numpy.random.default_rng"
-            for s in sites
+            s.kind == "external" and s.target == "asyncio.sleep" for s in sites
         )
 
     def test_cross_module_import_resolution(self, tmp_path):
@@ -98,37 +95,23 @@ class TestGraphCli:
         assert main([str(tmp_path / "nope"), "--graph"]) == 2
 
 
-class TestDataflow:
-    def test_propagate_is_transitive_and_inclusive(self):
-        edges = {"a": ("b",), "b": ("c",), "c": (), "d": ("a",)}
-        assert propagate(edges, ["a"]) == frozenset({"a", "b", "c"})
-        assert propagate(edges, []) == frozenset()
+def _edges_graph(edges):
+    """A bare graph whose project calls are exactly ``edges``."""
+    return CallGraph(
+        functions=dict.fromkeys(edges),
+        calls={
+            caller: tuple(CallSite(c, "project", 1, 0) for c in callees)
+            for caller, callees in edges.items()
+        },
+    )
 
-    def test_propagate_handles_cycles(self):
-        edges = {"a": ("b",), "b": ("a", "c"), "c": ()}
-        assert propagate(edges, ["a"]) == frozenset({"a", "b", "c"})
 
-    def test_fixpoint_converges_through_a_cycle(self):
-        # f's summary feeds g and vice versa: union must stabilise.
-        deps = {"f": ("g",), "g": ("f",)}
-        facts = {"f": {1}, "g": {2}}
+class TestReachable:
+    def test_reachable_is_transitive_and_inclusive(self):
+        graph = _edges_graph({"a": ("b",), "b": ("c",), "c": (), "d": ("a",)})
+        assert graph.reachable(["a"]) == frozenset({"a", "b", "c"})
+        assert graph.reachable([]) == frozenset()
 
-        def compute(key, summaries):
-            out = set(facts[key])
-            for dep in deps[key]:
-                if summaries[dep] is not None:
-                    out |= summaries[dep]
-            return frozenset(out)
-
-        result = fixpoint(["f", "g"], lambda k: deps[k], compute)
-        assert result == {"f": frozenset({1, 2}), "g": frozenset({1, 2})}
-
-    def test_fixpoint_budget_stops_nonmonotone_transfer(self):
-        calls = {"n": 0}
-
-        def flapping(key, summaries):
-            calls["n"] += 1
-            return calls["n"] % 2  # never stabilises
-
-        fixpoint(["x"], lambda k: ("x",), flapping, max_recomputations=10)
-        assert calls["n"] == 10  # bounded, no hang
+    def test_reachable_handles_cycles(self):
+        graph = _edges_graph({"a": ("b",), "b": ("a", "c"), "c": ()})
+        assert graph.reachable(["a"]) == frozenset({"a", "b", "c"})

@@ -45,10 +45,10 @@ class TestExitCodes:
         assert "no-such-rule" in capsys.readouterr().err
 
     def test_select_limits_rules(self, tmp_path, capsys):
-        root = materialise(tmp_path, "wallclock_bad.py", "rng_bad.py")
-        assert main([str(root), "--select", "seed-provenance"]) == 1
+        root = materialise(tmp_path, "wallclock_bad.py", "frozen_bad.py")
+        assert main([str(root), "--select", "frozen-dataclass-mutation"]) == 1
         out = capsys.readouterr().out
-        assert "seed-provenance" in out
+        assert "frozen-dataclass-mutation" in out
         assert "no-wallclock-in-sim" not in out
 
     def test_json_format(self, tmp_path, capsys):
@@ -75,13 +75,12 @@ class TestListRules:
     def test_lists_the_full_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert len(out.splitlines()) == 7
+        assert len(out.splitlines()) == 6
         for name in (
             "no-wallclock-in-sim",
             "frozen-dataclass-mutation",
             "sorted-iteration-before-serialization",
             "event-metric-parity",
-            "seed-provenance",
             "async-blocking",
             "await-shared-state",
         ):
@@ -108,21 +107,20 @@ class TestRealTree:
         out = capsys.readouterr().out
         assert status == 0, f"examples/benchmarks must stay lint-clean:\n{out}"
 
-    def test_reintroduced_unseeded_rng_in_sim_fails(self, tmp_path, capsys):
+    def test_reintroduced_wallclock_in_sim_fails(self, tmp_path, capsys):
         """Regression pin: the exact hazard the suite exists to catch."""
         sim = tmp_path / "repro" / "sim"
         sim.mkdir(parents=True)
         (tmp_path / "repro" / "__init__.py").touch()
         (sim / "__init__.py").touch()
-        (sim / "noise.py").write_text(
-            '"""Noise source."""\n'
-            "import numpy as np\n\n"
-            "rng = np.random.default_rng()\n"
+        (sim / "clock.py").write_text(
+            '"""Slot clock."""\n'
+            "import time\n\n"
+            "now = time.time()\n"
         )
         assert main([str(tmp_path)]) == 1
-        # Same location the retired no-unseeded-rng rule reported.
         assert (
-            "sim/noise.py:4:6: seed-provenance"
+            "sim/clock.py:4:6: no-wallclock-in-sim"
             in capsys.readouterr().out
         )
 

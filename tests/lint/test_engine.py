@@ -66,7 +66,7 @@ class TestPragmas:
             "import time\n\n\n"
             "def f():\n"
             '    """Doc."""\n'
-            "    return time.time()  # repro-lint: disable=seed-provenance\n",
+            "    return time.time()  # repro-lint: disable=frozen-dataclass-mutation\n",
         )
         findings = run_rules(root, "no-wallclock-in-sim")
         assert [f.rule for f in findings] == ["no-wallclock-in-sim"]
@@ -82,19 +82,19 @@ class TestPragmas:
         assert "no-such-rule" in findings[0].message
 
     def test_pragma_naming_a_removed_rule_is_reported(self, tmp_path):
-        """The folded RNG rule names no longer suppress anything."""
+        """Removed rule names no longer suppress anything."""
         root = _write_tree(
             tmp_path,
             "repro/sim/engine.py",
-            "import numpy as np\n"
-            "rng = np.random.default_rng()"
-            "  # repro-lint: disable=no-unseeded-rng, rng-not-defaulted\n",
+            "import time\n"
+            "now = time.time()"
+            "  # repro-lint: disable=seed-provenance, no-unseeded-rng\n",
         )
         findings, _ = LintEngine().run([root], root=root)
         assert sorted(f.rule for f in findings) == [
             "invalid-pragma",
             "invalid-pragma",
-            "seed-provenance",
+            "no-wallclock-in-sim",
         ]
 
     def test_comma_separated_rule_list(self):
@@ -116,8 +116,10 @@ class TestEngine:
         assert any(f.rule == "syntax-error" for f in findings)
 
     def test_findings_sorted_and_paths_relative(self, tmp_path):
-        root = materialise(tmp_path, "wallclock_bad.py", "rng_bad.py")
-        findings = run_rules(root, "no-wallclock-in-sim", "seed-provenance")
+        root = materialise(tmp_path, "wallclock_bad.py", "frozen_bad.py")
+        findings = run_rules(
+            root, "no-wallclock-in-sim", "frozen-dataclass-mutation"
+        )
         assert findings == sorted(findings, key=lambda f: f.sort_key)
         assert all(not f.path.startswith("/") for f in findings)
 
@@ -162,7 +164,7 @@ class TestRegistry:
     def test_catalogue_is_sorted_and_complete(self):
         names = [r.name for r in all_rules()]
         assert names == sorted(names)
-        assert len(names) == 7
+        assert len(names) == 6
         assert rule_names() == set(names)
 
     def test_every_rule_declares_its_invariant(self):

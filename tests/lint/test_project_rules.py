@@ -1,9 +1,8 @@
-"""Whole-program rule self-tests: the three call-graph-backed rules.
+"""Whole-program rule self-tests: the two call-graph-backed rules.
 
 Each rule gets positive fixtures (fires, with the right location and
 message) and a negative fixture (stays quiet on the clean idiom), plus
-regression pins for the two hazards the ISSUE names: seeded-RNG
-laundering and an await-shared-state mutation outside ``_worker``.
+a regression pin for an await-shared-state mutation outside ``_worker``.
 """
 
 from pathlib import Path
@@ -11,58 +10,6 @@ from pathlib import Path
 from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-class TestSeedProvenance:
-    RULE = "seed-provenance"
-
-    def test_literal_forks_direct_and_interprocedural(self, lint_tree):
-        findings = lint_tree("seedprov_literal_bad.py", rules=(self.RULE,))
-        messages = [f.message for f in findings]
-        assert len(findings) == 2, messages
-        assert any("seeded from a literal" in m for m in messages)
-        assert any("literal seed passed to" in m for m in messages)
-        # The interprocedural finding points at the literal argument.
-        interproc = next(
-            f for f in findings if "literal seed passed" in f.message
-        )
-        assert "make_rng" in interproc.message
-        assert "'seed'" in interproc.message
-
-    def test_unseeded_constructor_in_helper(self, lint_tree):
-        findings = lint_tree("seedprov_unseeded_bad.py", rules=(self.RULE,))
-        assert len(findings) == 1
-        assert "constructed without entropy" in findings[0].message
-        assert "_fresh_generator" in findings[0].message
-
-    def test_laundering_regression(self, lint_tree):
-        """Regression pin: drawing from an untyped parameter is caught."""
-        findings = lint_tree("seedprov_launder_bad.py", rules=(self.RULE,))
-        assert len(findings) == 1
-        f = findings[0]
-        assert "'rng'" in f.message
-        assert "no generator annotation" in f.message
-        assert f.path.endswith("launder.py")
-
-    def test_quiet_on_provenance_preserving_chain(self, lint_tree):
-        assert lint_tree("seedprov_good.py", rules=(self.RULE,)) == []
-
-    def test_out_of_scope_module_is_ignored(self, lint_tree, tmp_path):
-        # Same laundering pattern, but in repro.report: out of scope.
-        from tests.lint.conftest import FIXTURES, run_rules
-
-        text = (FIXTURES / "seedprov_launder_bad.py").read_text()
-        text = text.replace(
-            "# lint-fixture-path: repro/traffic/launder.py",
-            "# lint-fixture-path: repro/report/launder.py",
-        )
-        root = tmp_path / "tree"
-        dest = root / "repro" / "report" / "launder.py"
-        dest.parent.mkdir(parents=True)
-        (root / "repro" / "__init__.py").touch()
-        (dest.parent / "__init__.py").touch()
-        dest.write_text(text)
-        assert run_rules(root, self.RULE) == []
 
 
 class TestAsyncBlocking:
@@ -128,7 +75,7 @@ class TestAwaitSharedState:
 
 
 class TestRealTree:
-    """The shipped source tree must be clean under the three whole-program
+    """The shipped source tree must be clean under the two whole-program
     rules — real findings were fixed in the code, not baselined away."""
 
     def test_src_repro_clean_under_whole_program_rules(self, capsys):
@@ -136,7 +83,7 @@ class TestRealTree:
             [
                 str(REPO_ROOT / "src" / "repro"),
                 "--select",
-                "seed-provenance,async-blocking,await-shared-state",
+                "async-blocking,await-shared-state",
             ]
         )
         out = capsys.readouterr().out

@@ -1,6 +1,6 @@
 """Fixture-driven self-tests: every rule fires on bad, stays quiet on good."""
 
-from tests.lint.conftest import FIXTURES, run_rules
+from tests.lint.conftest import FIXTURES
 
 
 class TestNoWallclockInSim:
@@ -34,67 +34,6 @@ class TestNoWallclockInSim:
         )
         assert len(findings) == 1
         assert "time.perf_counter()" in findings[0].message
-
-
-class TestNoUnseededRng:
-    """Fold equivalence: what ``no-unseeded-rng`` reported is reported by
-    ``seed-provenance`` at the same ``path:line:col``."""
-
-    RULE = "seed-provenance"
-
-    def test_fires_on_each_constructor_form(self, lint_tree):
-        findings = lint_tree("rng_bad.py", rules=(self.RULE,))
-        assert [(f.path, f.line, f.col) for f in findings] == [
-            ("repro/sim/noise.py", line, 8) for line in (9, 10, 11, 12)
-        ]
-        assert all(f.rule == self.RULE for f in findings)
-
-    def test_quiet_when_seeded_or_threaded(self, lint_tree):
-        # repro.sim is one of the five packages, so the two literal
-        # seeds are (as on the parent) literal forks; nothing is unseeded.
-        findings = lint_tree("rng_good.py", rules=(self.RULE,))
-        assert [(f.line, f.col) for f in findings] == [(10, 8), (11, 8)]
-        assert all("seeded from a literal" in f.message for f in findings)
-
-    def test_cli_module_may_mint_entropy(self, lint_tree):
-        assert lint_tree("rng_cli_allowed.py", rules=(self.RULE,)) == []
-
-    def test_unseeded_stdlib_random_outside_the_five_packages(self, tmp_path):
-        """New coverage: ``random.Random`` is in the one constructor
-        table, and the entropy-less check covers every linted module."""
-        script = tmp_path / "sweep.py"
-        script.write_text(
-            "import random\n"
-            "import numpy as np\n\n"
-            "SEEDED = np.random.default_rng(7)  # examples/-style: legal\n"
-            "ALSO = random.Random(7)\n"
-            "FRESH = random.Random()\n"
-        )
-        findings = run_rules(tmp_path, self.RULE)
-        assert [(f.path, f.line, f.col) for f in findings] == [
-            ("sweep.py", 6, 8)
-        ]
-        assert "Random() with no entropy" in findings[0].message
-
-
-class TestRngNotDefaulted:
-    """Fold equivalence for the retired ``rng-not-defaulted`` rule."""
-
-    RULE = "seed-provenance"
-
-    def test_fires_on_positional_and_kwonly_defaults(self, lint_tree):
-        findings = [
-            f
-            for f in lint_tree("rng_default_bad.py", rules=(self.RULE,))
-            if "parameter default" in f.message
-        ]
-        assert [(f.path, f.line, f.col) for f in findings] == [
-            ("repro/traffic/gen.py", 7, 21),
-            ("repro/traffic/gen.py", 11, 16),
-        ]
-
-    def test_quiet_on_none_default(self, lint_tree):
-        assert lint_tree("rng_default_good.py", rules=(self.RULE,)) == []
 
 
 class TestFrozenDataclassMutation:
@@ -157,7 +96,6 @@ def test_every_rule_has_a_fixture():
         "frozen-dataclass-mutation": "frozen",
         "sorted-iteration-before-serialization": "serialization",
         "event-metric-parity": "parity",
-        "seed-provenance": "seedprov",
         "async-blocking": "asyncblock",
         "await-shared-state": "awaitstate",
     }

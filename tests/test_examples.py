@@ -4,7 +4,9 @@ The examples are user-facing deliverables with their own internal
 assertions (zero-miss guarantees, reduction correctness, admission
 outcomes); running them end to end is the cheapest full-stack test the
 repository has.  Each runs as a subprocess so import-time and
-``__main__`` behaviour are covered too.
+``__main__`` behaviour are covered too, under the RNG audit
+(``tests/rng_audit.py``): a ``-c`` bootstrap installs it, then runs the
+script as ``__main__``.
 """
 
 import subprocess
@@ -13,7 +15,15 @@ from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
+
+#: ``python -c`` bootstrap: ``argv[1]`` is the repo root, ``argv[2]`` the
+#: script to run under the RNG audit.
+BOOTSTRAP = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from tests.rng_audit import run_script; run_script(sys.argv[2])"
+)
 
 #: (script, substrings that must appear in its stdout)
 EXAMPLES = [
@@ -53,7 +63,7 @@ def test_example_runs_clean(script, expected):
     path = EXAMPLES_DIR / script
     assert path.exists(), f"missing example {script}"
     result = subprocess.run(
-        [sys.executable, str(path)],
+        [sys.executable, "-c", BOOTSTRAP, str(REPO_ROOT), str(path)],
         capture_output=True,
         text=True,
         timeout=300,
