@@ -109,14 +109,9 @@ class CcFprProtocol(MacProtocol):
             booked |= links
             transmissions.append(tx)
 
-        gap_key = (current_master, next_master)
-        gap_s = self._gap_cache.get(gap_key)
-        if gap_s is None:
-            gap_s = self.topology.handover_delay_s(current_master, next_master)
-            self._gap_cache[gap_key] = gap_s
         return (
             next_master,
-            gap_s,
+            self.topology.handover_gap_table[current_master * n + next_master],
             tuple(transmissions),
             tuple(denied),
             n_requests,

@@ -56,9 +56,5 @@ class TdmaProtocol(MacProtocol):
                 ),
             )
 
-        gap_key = (current_master, owner)
-        gap_s = self._gap_cache.get(gap_key)
-        if gap_s is None:
-            gap_s = self.topology.handover_delay_s(current_master, owner)
-            self._gap_cache[gap_key] = gap_s
+        gap_s = self.topology.handover_gap_table[current_master * n + owner]
         return owner, gap_s, transmissions, (), n_requests

@@ -38,12 +38,6 @@ class ClockHandoverStrategy(ABC):
     ) -> int:
         """Node that assumes clocking responsibility for the next slot."""
 
-    def gap_s(
-        self, topology: RingTopology, current_master: int, next_master: int
-    ) -> float:
-        """Inter-slot clock gap for this hand-over [s] (Equation 1)."""
-        return topology.handover_delay_s(current_master, next_master)
-
 
 class EdfHandover(ClockHandoverStrategy):
     """CCR-EDF hand-over: mastership follows the highest-priority message.

@@ -140,8 +140,6 @@ class MacProtocol(ABC):
         # hot path, and sharing the cache per ring takes it off every
         # fresh run on an equal topology.
         self._route_cache = _route_table(topology)
-        # Hand-over gaps per (master, next master) pair on the fixed ring.
-        self._gap_cache: dict[tuple[int, int], float] = {}
 
     @property
     def queue_policy(self) -> "SchedulingPolicy | None":
@@ -159,13 +157,17 @@ class MacProtocol(ABC):
 
         True only for protocols whose plan, when every queue is empty, is
         a fixed point: same master, zero gap, no grants -- and whose busy
-        plan (master unchanged, zero gap, no break denial, at least one
-        grant) is re-planned identically for as long as every request in
-        it keeps its priority, up to the slot
-        :meth:`busy_plan_repeats_until` names.  The simulator's
-        fast-forward (idle and busy spans) is sound exactly under this
-        property; rotating-master protocols (TDMA, CC-FPR, round-robin
-        hand-over) must return False.
+        plan (at least one grant) is re-planned identically for as long
+        as every request in it keeps its priority, up to the slot
+        :meth:`busy_plan_repeats_until` names.  Re-planned identically
+        means the same grants and break denials, with the plan's master
+        keeping the clock at the diagonal gap of the ring's
+        :attr:`~repro.ring.topology.RingTopology.handover_gap_table` --
+        also in the slot the plan hands the clock over, whose own
+        arbitration must not depend on the master that ran the last one.
+        The simulator's fast-forward (idle and busy spans) is sound
+        exactly under this property; rotating-master protocols (TDMA,
+        CC-FPR, round-robin hand-over) must return False.
         """
         return False
 
@@ -180,11 +182,13 @@ class MacProtocol(ABC):
         Asked by the simulator's fast-forward about the plan pending for
         ``transmit_slot``, with at least one grant, once it has ruled out
         every other change before the answer: no release, drop or
-        delivery, master and gap unchanged, no break denial.  What is left
-        is priorities moving; ``None`` means they never change the plan,
-        and ``transmit_slot`` means no slot is guaranteed.  This default
-        spans only a lone requester that is the master and granted: with
-        one request its priority decides nothing, whatever the policy.
+        delivery.  The plan may hand the clock over in ``transmit_slot``
+        and may carry break denials (see :attr:`idle_plan_is_stationary`).
+        What is left is priorities moving; ``None`` means they never
+        change the plan, and ``transmit_slot`` means no slot is
+        guaranteed.  This default spans only a lone requester that is the
+        master and granted: with one request its priority decides
+        nothing, whatever the policy.
         """
         master, _, transmissions, _, n_requests = plan
         if n_requests == 1 and transmissions[0].node == master:
@@ -376,10 +380,21 @@ class CcrEdfProtocol(MacProtocol):
         mapped priority moves only when the laxity drops below its
         bucket's lower end: a head planned at laxity ``x`` in a bucket
         starting at ``lo`` keeps its priority through ``x - lo`` more
-        arbitrations.  Non-real-time heads never move.  Other policies
-        keep the lone-requester rule: FIFO's age-based priority moves the
-        granted heads too.
+        arbitrations; a break-denied head is such a waiting head.
+        Non-real-time heads never move.  Other policies keep the
+        lone-requester rule: FIFO's age-based priority moves the granted
+        heads too.
+
+        A traced round records the master that ran it, so under
+        ``trace_packets`` a plan handing the clock over is not spanned:
+        its hand-over slot's record would differ from the last round's.
         """
+        if (
+            self._traced is not None
+            and self.trace_packets
+            and self._traced[0].master != plan[0]
+        ):
+            return transmit_slot
         if not self._edf_policy:
             return super().busy_plan_repeats_until(
                 transmit_slot, plan, queues_by_node
@@ -563,7 +578,7 @@ class CcrEdfProtocol(MacProtocol):
                 )
             return (
                 next_master,
-                self._handover_gap(current_master, next_master),
+                self.topology.handover_gap_table[current_master * n + next_master],
                 (),
                 (),
                 0,
@@ -588,20 +603,11 @@ class CcrEdfProtocol(MacProtocol):
             )
         return (
             next_master,
-            self._handover_gap(current_master, next_master),
+            self.topology.handover_gap_table[current_master * n + next_master],
             transmissions,
             denied_txs,
             len(keys),
         )
-
-    def _handover_gap(self, current_master: int, next_master: int) -> float:
-        """The hand-over gap of one (master, next master) pair, memoised."""
-        gap_key = (current_master, next_master)
-        gap_s = self._gap_cache.get(gap_key)
-        if gap_s is None:
-            gap_s = self.handover.gap_s(self.topology, current_master, next_master)
-            self._gap_cache[gap_key] = gap_s
-        return gap_s
 
     def _trace(
         self,

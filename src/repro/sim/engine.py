@@ -26,10 +26,12 @@ fast-forwards over slots that provably repeat the last one
 (see :meth:`Simulation._try_fast_forward`): *idle* spans, where nobody
 requests, and *busy* spans, where the same grants repeat until the
 first delivery, which is stepped -- under EDF with any number of grants
-and waiting requesters, until a waiting head's laxity leaves its mapping
-bucket; under other policies for a lone granted master.  Both end at
-the next release the calendar names.  A span's float time totals are
-summed a binade at a time (:func:`_repeated_sum`), not a slot at a time.
+and waiting requesters (break denials included), until a waiting head's
+laxity leaves its mapping bucket; under other policies for a lone
+granted master.  A busy span may start at the slot that pays a clock
+hand-over.  Both end at the next release the calendar names.  A span's
+float time totals are summed a binade at a time
+(:func:`_repeated_sum`), not a slot at a time.
 
 Fault semantics (experiments S9/S12): a failed node is fail-stop with
 passive optical pass-through -- it stops releasing, requesting,
@@ -74,6 +76,7 @@ from repro.core.protocol import (
 from repro.core.queues import NodeQueues
 from repro.core.timing import NetworkTiming
 from repro.obs.events import (
+    ArbitrationDenied,
     EventDispatcher,
     FastForwardSpan,
     FaultInjected,
@@ -334,8 +337,6 @@ class Simulation:
         self._queues_view: Mapping[int, NodeQueues] = (
             self.queues if self.faults is None else dict(self.queues)
         )
-        # Hand-over hop distances on the fixed ring, memoised per pair.
-        self._hops_cache: dict[tuple[int, int], int] = {}
         self.profiler = profiler
         # Fast-forward is sound only when each skipped slot is an exact
         # repetition: a stationary idle plan (protocol property, which
@@ -778,11 +779,7 @@ class Simulation:
 
         # --- accounting --------------------------------------------------
         prev_master = self._prev_master
-        hops_key = (prev_master, master)
-        hops = self._hops_cache.get(hops_key)
-        if hops is None:
-            hops = self.topology.distance(prev_master, master)
-            self._hops_cache[hops_key] = hops
+        hops = (master - prev_master) % self.topology.n_nodes
         self.metrics.on_slot(
             master,
             gap_s,
@@ -796,7 +793,7 @@ class Simulation:
             profiler.lap("metrics", t_phase)
         outcome = SlotOutcome(slot, master, gap_s, transmitted, wasted)
         if observer is not None:
-            if hops and prev_master != master:
+            if hops:
                 observer.emit_fields(
                     HandoverOccurred, slot, prev_master, master, hops, gap_s
                 )
@@ -818,34 +815,42 @@ class Simulation:
     def _try_fast_forward(self, end: int) -> int:
         """Skip a run of provably repeating slots; returns how many.
 
-        Sound only when the pending plan is *stationary* -- the master
-        keeps the clock with a zero hand-over gap, nothing is denied at
-        the break -- and no traffic source can release before the skip
+        Sound only when every slot of the span re-plans the pending plan
+        unchanged and no traffic source can release before the skip
         target.  Two plans are stationary:
 
-        * the *idle* plan: no requests anywhere;
+        * the *idle* plan: no requests anywhere, and the master keeps the
+          clock with a zero hand-over gap;
         * a *busy* plan: at least one grant, re-planned identically while
           every request in it keeps its priority -- queue heads cannot
           change before a release or a delivery, so the protocol's answer
           (:meth:`~repro.core.protocol.MacProtocol.busy_plan_repeats_until`)
           bounds the span.  Under EDF a granted message keeps a constant
-          laxity and a waiting head keeps its priority until its laxity
-          leaves its mapping bucket, so several grants and losing
-          requesters span too; other policies span a lone requester that
-          is the master and granted.  The span stops one slot short of
-          the first delivery, which is stepped.  Not under drop-late,
-          where the slot's drop sweep could take a message off a queue.
+          laxity and a waiting head -- a losing or a break-denied
+          requester -- keeps its priority until its laxity leaves its
+          mapping bucket, so several grants and waiting requesters span
+          too; other policies span a lone requester that is the master
+          and granted.  The span stops one slot short of the first
+          delivery, which is stepped.  Not under drop-late, where the
+          slot's drop sweep could take a message off a queue.
 
-        Each skipped slot is then an exact repetition of the last executed
-        one: the batch accounting below reproduces slot-by-slot stepping
-        bit-for-bit (float totals are what repeated addition gives, see
+        A busy plan may hand the clock over: the EDF sweep does not read
+        the current master, so the hand-over slot's own arbitration
+        returns the same grants and denials with the master kept and the
+        diagonal gap of the ring's hand-over table (zero, Eq. 1).  The
+        span's first slot then pays the pending gap and hops once, and
+        the rest repeat as above.
+
+        Each spanned slot then books what stepping would: the batch
+        accounting below reproduces slot-by-slot stepping bit-for-bit
+        (float totals are what repeated addition gives, see
         :func:`_repeated_sum`), and a busy span hands event sinks the
-        same per-slot records stepping would have.
+        same per-slot events, in stepping's order.
         """
         plan = self._pending
         master, gap_s, busy, denied, n_requests = plan
-        if denied or gap_s != 0.0 or master != self._prev_master:
-            return 0
+        prev_master = self._prev_master
+        handover = master != prev_master or gap_s != 0.0
         slot = self.current_slot
         target = end
         if busy:
@@ -858,7 +863,7 @@ class Simulation:
                     target = delivers
             if target <= slot:
                 return 0
-        elif n_requests:
+        elif n_requests or handover:
             return 0
         calendar = self._calendar
         if calendar is None:
@@ -890,6 +895,12 @@ class Simulation:
                 heapreplace(calendar, (nxt, seq, src))
         if calendar and calendar[0][0] < target:
             target = calendar[0][0]
+        if handover:
+            # The gap of a master keeping the clock: the table's diagonal.
+            n = self.topology.n_nodes
+            kept_gap = self.topology.handover_gap_table[master * (n + 1)]
+            if kept_gap != 0.0:
+                return 0
         if busy:
             # Asked last: the protocol's answer is the costliest bound.
             repeats = self.protocol.busy_plan_repeats_until(
@@ -902,14 +913,28 @@ class Simulation:
             return 0
         r = self.metrics.report
         slot_length = self.timing.slot_length_s
-        r.wall_time_s = _repeated_sum(r.wall_time_s, slot_length, k)
-        r.slot_time_s = _repeated_sum(r.slot_time_s, slot_length, k)
+        rest = k
+        hops = 0
+        if handover:
+            # The first slot books its gap and hops as step() does.
+            hops = (master - prev_master) % n
+            r.wall_time_s += slot_length + gap_s
+            r.slot_time_s += slot_length
+            r.gap_time_s += gap_s
+            r.handover_hops[hops] += 1
+            rest -= 1
+            self._prev_master = master
+            self._pending = (master, kept_gap, busy, denied, n_requests)
+        r.wall_time_s = _repeated_sum(r.wall_time_s, slot_length, rest)
+        r.slot_time_s = _repeated_sum(r.slot_time_s, slot_length, rest)
         r.slots_simulated += k
         r.master_slots[master] += k
-        r.handover_hops[0] += k
+        if rest:
+            r.handover_hops[0] += rest
         if busy:
             r.busy_slots += k
             r.packets_sent += k * len(busy)
+            r.break_denials += k * len(denied)
             for tx in busy:
                 msg = tx.message
                 msg.sent_slots += k
@@ -927,10 +952,25 @@ class Simulation:
             observer.emit_fields(
                 FastForwardSpan, slot, self.current_slot, k, master
             )
-        elif observer.wants_slot_events:
-            dispatch_slot = observer.dispatch_slot
-            for t in range(slot, self.current_slot):
-                dispatch_slot(t, master, 0.0, busy, n_requests, 0, 0, 0, 0)
+            return k
+        # Stepping's order per slot: the slot's arbitration denies (the
+        # protocol emits through this observer), the hand-over is
+        # logged, then the slot record.
+        nodes = tuple([tx.node for tx in denied])
+        dispatch_slot = (
+            observer.dispatch_slot if observer.wants_slot_events else None
+        )
+        for t in range(slot, self.current_slot):
+            if nodes:
+                observer.emit_fields(ArbitrationDenied, t + 1, nodes)
+            if hops:
+                observer.emit_fields(
+                    HandoverOccurred, t, prev_master, master, hops, gap_s
+                )
+                hops = 0
+            if dispatch_slot is not None:
+                dispatch_slot(t, master, gap_s, busy, n_requests, 0, 0, 0, 0)
+            gap_s = 0.0
         return k
 
     def run_until(self, done: Callable[[], bool], max_slots: int) -> bool:

@@ -31,20 +31,21 @@ class TestEdfHandover:
     def test_gap_is_propagation_delay(self):
         ring = RingTopology.uniform(8, link_length_m=10.0)
         strategy = EdfHandover()
-        assert strategy.gap_s(ring, 2, 5) == pytest.approx(
+        nxt = strategy.next_master(ring, 2, result(2, 5))
+        assert ring.handover_delay_s(2, nxt) == pytest.approx(
             ring.propagation_delay_s(2, 5)
         )
 
     def test_gap_zero_when_master_kept(self):
         ring = RingTopology.uniform(8)
-        assert EdfHandover().gap_s(ring, 4, 4) == 0.0
+        nxt = EdfHandover().next_master(ring, 4, result(4, 4))
+        assert ring.handover_delay_s(4, nxt) == 0.0
 
     def test_gap_varies_with_distance(self):
         # "The size of the gap between slots depends on the distance to
         # the next master, which will vary between 1 and N-1."
         ring = RingTopology.uniform(8, link_length_m=10.0)
-        strategy = EdfHandover()
-        gaps = [strategy.gap_s(ring, 0, d) for d in range(1, 8)]
+        gaps = [ring.handover_delay_s(0, d) for d in range(1, 8)]
         assert gaps == sorted(gaps)
         assert gaps[-1] == pytest.approx(7 * gaps[0])
 
@@ -70,7 +71,7 @@ class TestRoundRobinHandover:
         one_link = ring.segments[0].propagation_delay_s
         for master in range(8):
             nxt = strategy.next_master(ring, master, result(master, 0))
-            assert strategy.gap_s(ring, master, nxt) == pytest.approx(one_link)
+            assert ring.handover_delay_s(master, nxt) == pytest.approx(one_link)
 
     def test_full_rotation_visits_every_node(self):
         ring = RingTopology.uniform(5)

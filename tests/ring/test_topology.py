@@ -151,6 +151,20 @@ class TestDelays:
         assert other.handover_gap_table != table
 
     @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e4), min_size=2, max_size=16
+        )
+    )
+    def test_handover_gap_table_diagonal_is_zero(self, lengths):
+        """A master keeping the clock pays no gap (Eq. 1): the simulator's
+        busy spans from a hand-over slot rely on the diagonal being 0.0."""
+        segs = tuple(FibreSegment(l) for l in lengths)
+        ring = RingTopology(n_nodes=len(segs), segments=segs)
+        table = ring.handover_gap_table
+        n = ring.n_nodes
+        assert [table[node * (n + 1)] for node in range(n)] == [0.0] * n
+
+    @given(
         st.integers(min_value=2, max_value=16),
         st.integers(min_value=0, max_value=15),
         st.integers(min_value=0, max_value=15),

@@ -10,13 +10,15 @@ suppress skipping entirely -- either way the report must not change.
 Busy spans: while the pending plan's requests all keep their priorities,
 each slot repeats the last until a release or the first delivery -- under
 EDF with several grants and waiting requesters (until a waiting head's
-laxity leaves its mapping bucket), under RM and FIFO for a lone granted
-master.  The property below draws multi-slot, multicast and D<P
-connections under every policy and both built-in mappings, with and
-without spatial reuse, advances in uneven ``run()`` chunks, and compares
-report, queue state and pending plan with stepping after every chunk --
-and checks that busy spans, also with a waiting requester, were actually
-taken.  The pins fix the exact slots a span ends at.
+laxity leaves its mapping bucket), break-denied ones included, under RM
+and FIFO for a lone granted master.  A span may start at the slot that
+pays a clock hand-over.  The property below draws multi-slot, multicast
+and D<P connections under every policy and both built-in mappings, with
+and without spatial reuse, advances in uneven ``run()`` chunks, and
+compares report, queue state and pending plan with stepping after every
+chunk -- and checks that busy spans, also with a waiting requester, from
+a hand-over slot and through break denials, were actually taken.  The
+pins fix the exact slots a span starts and ends at.
 
 Span time: the float totals a span adds are computed a binade at a time
 (``_repeated_sum``); a property pins them to the plain loop bit for bit.
@@ -216,18 +218,52 @@ def state(sim):
     return sim.current_slot, copy.deepcopy(sim.report), queues, pending
 
 
-def busy_spans(sim, spans=None) -> list[tuple[int, int, int]]:
-    """Record ``(n_requests, n_grants, slots)`` of every busy span the
-    engine takes from now on, into ``spans`` (a new list by default)."""
+@dataclass(frozen=True)
+class BusySpan:
+    n_requests: int
+    n_grants: int
+    n_denied: int
+    #: Whether the span's first slot paid a clock hand-over.
+    handover: bool
+    slots: int
+
+
+def plan_fields(plan) -> tuple:
+    """Every field of a pending plan, messages by identity."""
+    return (
+        plan.transmit_slot,
+        plan.master,
+        plan.gap_s,
+        plan.n_requests,
+        [(tx.node, tx.message.msg_id) for tx in plan.transmissions],
+        [(tx.node, tx.message.msg_id) for tx in plan.denied_by_break],
+        plan.arbitration,
+        plan.collection_packet,
+        plan.distribution_packet,
+    )
+
+
+def busy_spans(sim, spans=None) -> list[BusySpan]:
+    """Record every busy span the engine takes from now on, into
+    ``spans`` (a new list by default)."""
     if spans is None:
         spans = []
     forward = sim._try_fast_forward
 
     def recorded(end):
         plan = sim.pending_plan
+        handover = plan.master != sim._prev_master or plan.gap_s != 0.0
         k = forward(end)
         if k and plan.transmissions:
-            spans.append((plan.n_requests, len(plan.transmissions), k))
+            spans.append(
+                BusySpan(
+                    plan.n_requests,
+                    len(plan.transmissions),
+                    len(plan.denied_by_break),
+                    handover,
+                    k,
+                )
+            )
         return k
 
     sim._try_fast_forward = recorded
@@ -256,12 +292,22 @@ def play(config, chunks, fast_forward, spans=None, **options):
 
 def waits(spans) -> bool:
     """Whether any of ``spans`` had a requester that was not granted."""
-    return any(n_requests > n_grants for n_requests, n_grants, _ in spans)
+    return any(span.n_requests > span.n_grants for span in spans)
 
 
-def spans_of(workload: BusyWorkload) -> list[tuple[int, int, int]]:
+def hands_over(spans) -> bool:
+    """Whether any of ``spans`` started at a slot paying a hand-over."""
+    return any(span.handover for span in spans)
+
+
+def denies(spans) -> bool:
+    """Whether any of ``spans`` carried a break denial."""
+    return any(span.n_denied for span in spans)
+
+
+def spans_of(workload: BusyWorkload) -> list[BusySpan]:
     """Assert one workload spans invisibly; returns its busy spans."""
-    spans: list[tuple[int, int, int]] = []
+    spans: list[BusySpan] = []
     fast, _ = play(
         workload.config, workload.chunks, True, spans, mapping=workload.mapping
     )
@@ -296,20 +342,24 @@ WAITING = ScenarioConfig(
 
 class TestBusySpans:
     def test_busy_spans_match_stepping(self):
-        spanned: list[list[tuple[int, int, int]]] = []
+        spanned: list[list[BusySpan]] = []
 
-        # 300 examples: about one in eight takes a span with a waiting
-        # requester, so the count below has a wide margin.
-        @settings(max_examples=300, deadline=None)
+        # 600 examples: about one in ten takes a span with a waiting
+        # requester and one in twenty a span through a break denial, so
+        # the counts below have a wide margin.
+        @settings(max_examples=600, deadline=None)
         @given(busy_workloads())
         def check(workload):
             spanned.append(spans_of(workload))
 
         check()
         # Not vacuous: the drawn workloads did take busy spans, also
-        # spans that a losing requester waited through.
+        # spans that a losing requester waited through, spans from a
+        # hand-over slot and spans through break denials.
         assert sum(1 for spans in spanned if spans) >= 10
         assert sum(1 for spans in spanned if waits(spans)) >= 10
+        assert sum(1 for spans in spanned if hands_over(spans)) >= 10
+        assert sum(1 for spans in spanned if denies(spans)) >= 10
 
     def test_lone_master_repeats_until_the_slot_before_delivery(self):
         config = ScenarioConfig(
@@ -319,38 +369,55 @@ class TestBusySpans:
         (fast,), sim = play(config, [400], True, profiler=profiler)
         (slow,), _ = play(config, [400], False)
         assert fast == slow
-        # Released at 5, the clock moves to node 1 for slot 6, and slots
-        # 7..124 repeat; 125 delivers the last packet and is stepped.
-        assert profiler.counters["busy_forwarded_slots"] == 118
+        # Released at 5, the clock moves to node 1 for slot 6, which
+        # pays the hand-over and starts the span; slots 7..124 repeat
+        # and 125 delivers the last packet and is stepped.
+        assert profiler.counters["busy_forwarded_slots"] == 119
         assert sim.report.class_stats(TrafficClass.RT_CONNECTION).delivered == 1
         assert sim.report.busy_slots == sim.report.packets_sent == 120
 
     def test_spanned_plan_keeps_every_field(self):
-        """A span re-dates the pending plan and keeps everything else,
-        the traced arbitration record and packets included."""
+        """A busy span leaves the pending plan stepping leaves, the traced
+        arbitration record and packets included: re-dated, and after a
+        span from a hand-over slot with the kept master's zero gap.  A
+        traced plan that hands over is stepped, since the hand-over
+        slot's round records a different master."""
         config = ScenarioConfig(
             n_nodes=4, connections=(conn(1, [3], 400, 120, phase=5),)
         )
-        sim = build_simulation(config, RunOptions(engine="python"))
-        sim.protocol.trace_packets = True
-        forward = sim._try_fast_forward
-        spans = []
+        for trace_packets in (False, True):
+            spanned: dict[int, tuple] = {}
+            handovers = []
+            with fresh_message_ids():
+                sim = build_simulation(config, RunOptions(engine="python"))
+                sim.protocol.trace_packets = trace_packets
+                forward = sim._try_fast_forward
 
-        def recorded(end):
-            before = sim.pending_plan
-            k = forward(end)
-            if k and before.transmissions:
-                spans.append((before, sim.pending_plan))
-            return k
+                def recorded(end, sim=sim, forward=forward):
+                    before = sim.pending_plan
+                    k = forward(end)
+                    if k and before.transmissions:
+                        handovers.append(before.gap_s != 0.0)
+                        after = sim.pending_plan
+                        assert after.gap_s == 0.0
+                        spanned[after.transmit_slot] = plan_fields(after)
+                    return k
 
-        sim._try_fast_forward = recorded
-        sim.run(200)
-        assert spans
-        for before, after in spans:
-            assert before.arbitration is not None
-            assert after == dataclasses.replace(
-                before, transmit_slot=after.transmit_slot
-            )
+                sim._try_fast_forward = recorded
+                sim.run(200)
+            stepped = {}
+            with fresh_message_ids():
+                slow = build_simulation(
+                    config, RunOptions(engine="python", fast_forward=False)
+                )
+                slow.protocol.trace_packets = trace_packets
+                for _ in range(200):
+                    slow.step()
+                    if slow.current_slot in spanned:
+                        plan = slow.pending_plan
+                        stepped[slow.current_slot] = plan_fields(plan)
+            assert spanned and stepped == spanned
+            assert any(handovers) is not trace_packets
 
     def test_two_grant_plan_spans_until_the_slot_before_delivery(self):
         # Two nodes sharing the ring through spatial reuse, both granted
@@ -390,14 +457,17 @@ class TestBusySpans:
             # Logarithmic: laxity 991 sits in [511, 1022]; slot 481
             # arbitrates laxity 510 and is stepped.  [255, 510] outlasts
             # node 0's delivery in slot 600, after which node 1 takes the
-            # clock (a gap: stepped).
-            (None, [0, 481, 600, 601]),
+            # clock: the hand-over slot 601 starts a span, and slot 610
+            # delivers node 1's message.
+            (None, [0, 481, 600, 610]),
             # Linear over 1 500 slots: buckets of 100 laxities, left in
             # slots 92, 192, ..., 592 -- where node 1's level overtakes
-            # node 0's and the clock moves.
+            # node 0's and the clock moves.  The hand-over slot 593 is
+            # spanned alone: node 0, denied at the break from then on,
+            # leaves its bucket in the next arbitration.
             (
                 LinearMapping(horizon_slots=1500),
-                [0, 92, 192, 292, 392, 492, 592, 593],
+                [0, 92, 192, 292, 392, 492, 592, 594],
             ),
         ]
         for mapping, expected in cases:
@@ -413,6 +483,41 @@ class TestBusySpans:
             assert fast == slow
             assert seen[: len(expected)] == expected
             assert waits(spans)
+
+    def test_span_from_a_handover_slot_matches_stepping(self, tmp_path):
+        # Released at 0, the clock moves to node 1 for slot 1, which pays
+        # the gap and starts the span; 120 delivers and is stepped.
+        config = ScenarioConfig(
+            n_nodes=4, connections=(conn(1, [3], 400, 120),)
+        )
+        spans: list[BusySpan] = []
+        fast, fast_log = logged_play(tmp_path, config, 121, True, spans)
+        slow, slow_log = logged_play(tmp_path, config, 121, False)
+        assert fast == slow
+        assert fast_log == slow_log
+        assert spans == [BusySpan(1, 1, 0, True, 119)]
+        report = fast[1]
+        assert report.gap_time_s > 0.0
+        assert report.handover_hops == {0: 120, 1: 1}
+        assert b'"handover"' in fast_log
+
+    def test_span_through_break_denials_matches_stepping(self, tmp_path):
+        # Node 0 holds the clock for its 600-slot message; node 3's path
+        # 3->0->1 crosses node 0's clock break, so every arbitration
+        # denies it until node 0 delivers in slot 600.
+        config = ScenarioConfig(
+            n_nodes=4,
+            connections=(conn(0, [2], 1000, 600), conn(3, [1], 1000, 10)),
+        )
+        spans: list[BusySpan] = []
+        fast, fast_log = logged_play(tmp_path, config, 601, True, spans)
+        slow, slow_log = logged_play(tmp_path, config, 601, False)
+        assert fast == slow
+        assert fast_log == slow_log
+        assert denies(spans)
+        assert sum(span.slots for span in spans) > 590
+        assert fast[1].break_denials == 600
+        assert fast_log.count(b'"arbitration"') == 600
 
     def test_release_landing_mid_span_is_stepped(self):
         config = ScenarioConfig(
@@ -481,8 +586,9 @@ class TestBusySpans:
         (slow,), _ = play(WAITING, [1000], False)
         assert fast == slow
         # The kernel arbitrated slot 99 at node 1's laxity 892, still in
-        # [511, 1022]: the oracle spans 100..480 and steps the crossing.
-        assert seen[:3] == [481, 600, 601]
+        # [511, 1022]: the oracle spans 100..480 and steps the crossing,
+        # then spans node 1's message from its hand-over slot 601.
+        assert seen[:3] == [481, 600, 610]
 
     def test_compiled_fold_refill_is_collected_on_the_next_step(self):
         if ckernel._kernel_fn() is None:
@@ -535,13 +641,23 @@ class TestBusySpans:
             connections=WAITING.connections
             + (conn(3, [4], 500, 100, phase=20),),
         )
-        spans: list[tuple[int, int, int]] = []
+        spans: list[BusySpan] = []
         chunks = [173, 400, 427]
         fast = event_log(tmp_path, config, chunks, True, spans=spans)
         slow = event_log(tmp_path, config, chunks, False)
         assert waits(spans)
-        assert any(n_grants > 1 for _, n_grants, _ in spans)
+        assert any(span.n_grants > 1 for span in spans)
         assert spelled_out(fast) == slow
+
+
+def logged_play(tmp_path, config, n_slots, fast_forward: bool, spans=None):
+    """State after ``n_slots`` of ``config`` and the JSONL bytes logged."""
+    path = tmp_path / f"ff{int(fast_forward)}.jsonl"
+    observer = EventDispatcher()
+    observer.add_sink(JsonlEventLog(path))
+    (after,), _ = play(config, [n_slots], fast_forward, spans, observer=observer)
+    observer.close()
+    return after, path.read_bytes()
 
 
 def event_log(tmp_path, config, chunks, fast_forward: bool, **play_options):
