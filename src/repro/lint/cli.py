@@ -7,7 +7,7 @@ import os
 import sys
 from pathlib import Path
 
-from repro.lint.engine import LintEngine, load_project
+from repro.lint.engine import LintEngine
 from repro.lint.registry import all_rules, rule_names
 from repro.lint.reporters import render_json, render_text
 
@@ -50,21 +50,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--graph",
-        action="store_true",
-        help=(
-            "print the whole-program call graph instead of linting "
-            "(debug aid for the project-scoped rules)"
-        ),
-    )
 
 
 def _print_report(text: str) -> None:
     """Print a (possibly large) report, tolerating a closed pipe.
 
-    ``repro lint --graph | head`` closes stdout early; that is normal
-    use of a debug dump, not an error worth a traceback.
+    ``repro lint | head`` closes stdout early; that is normal use of a
+    long report, not an error worth a traceback.
     """
     try:
         print(text)
@@ -95,18 +87,10 @@ def run(args: argparse.Namespace) -> int:
             return 2
         rules = tuple(r for r in rules if r.name in wanted)
 
-    paths = args.paths or default_paths()
-    if args.graph:
-        try:
-            project, _ = load_project(paths)
-        except (FileNotFoundError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        _print_report(project.call_graph().render())
-        return 0
-
     try:
-        findings, n_files = LintEngine(rules).run(paths)
+        findings, n_files = LintEngine(rules).run(
+            args.paths or default_paths()
+        )
     except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

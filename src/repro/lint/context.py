@@ -18,13 +18,9 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.lint.asthelpers import has_dotted_suffix
 from repro.lint.findings import Finding
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.lint.callgraph import CallGraph
 
 _PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_\-, ]+)")
 
@@ -153,17 +149,6 @@ class Project:
 
     root: Path
     modules: tuple[ModuleInfo, ...]
-    _graph: "CallGraph | None" = field(
-        default=None, repr=False, compare=False
-    )
-
-    def call_graph(self) -> "CallGraph":
-        """The project call graph, built lazily once per invocation."""
-        if self._graph is None:
-            from repro.lint.callgraph import build_call_graph
-
-            self._graph = build_call_graph(self)
-        return self._graph
 
     def find(self, suffix: str) -> ModuleInfo | None:
         """The unique module whose dotted name ends with ``suffix``.

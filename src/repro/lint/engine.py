@@ -71,10 +71,26 @@ class LintEngine:
         files yield a ``syntax-error`` finding instead of aborting the
         whole run.
         """
-        project, findings = load_project(
-            paths, known_rules=self.known_rules, root=root
-        )
-        modules = project.modules
+        files = discover_files(paths)
+        resolved_root = (root or _common_root(files)).resolve()
+        modules: list[ModuleInfo] = []
+        findings: list[Finding] = []
+        for path in files:
+            try:
+                modules.append(
+                    load_module(path, resolved_root, self.known_rules)
+                )
+            except SyntaxError as exc:
+                findings.append(
+                    Finding(
+                        rule="syntax-error",
+                        path=_relative(path, resolved_root),
+                        line=exc.lineno or 1,
+                        col=(exc.offset or 1) - 1,
+                        message=f"cannot parse: {exc.msg}",
+                    )
+                )
+        project = Project(root=resolved_root, modules=tuple(modules))
 
         for module in modules:
             findings.extend(module.pragmas.invalid)
@@ -95,44 +111,7 @@ class LintEngine:
             )
         ]
         kept.sort(key=lambda f: f.sort_key)
-        return kept, len(modules) + sum(
-            1 for f in findings if f.rule == "syntax-error"
-        )
-
-
-def load_project(
-    paths: Sequence[str | Path],
-    *,
-    known_rules: frozenset[str] | None = None,
-    root: Path | None = None,
-) -> tuple[Project, list[Finding]]:
-    """Discover and parse a tree into a :class:`Project`.
-
-    Shared by :meth:`LintEngine.run` and ``repro lint --graph``.
-    Returns the project plus ``syntax-error`` findings for files that
-    would not parse (those are excluded from the project's modules).
-    """
-    if known_rules is None:
-        known_rules = rule_names()
-    files = discover_files(paths)
-    resolved_root = (root or _common_root(files)).resolve()
-    modules: list[ModuleInfo] = []
-    findings: list[Finding] = []
-    for path in files:
-        try:
-            modules.append(load_module(path, resolved_root, known_rules))
-        except SyntaxError as exc:
-            rel = _relative(path, resolved_root)
-            findings.append(
-                Finding(
-                    rule="syntax-error",
-                    path=rel,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    message=f"cannot parse: {exc.msg}",
-                )
-            )
-    return Project(root=resolved_root, modules=tuple(modules)), findings
+        return kept, len(files)
 
 
 def _relative(path: Path, root: Path) -> str:

@@ -1,4 +1,4 @@
-"""Asyncio-safety rules over the call graph (PR 9 service invariants).
+"""Asyncio-safety rules over every ``repro`` coroutine (service invariants).
 
 The admission service's correctness argument is *serialisation by
 construction*: one worker coroutine is the designated admission node
@@ -6,10 +6,10 @@ construction*: one worker coroutine is the designated admission node
 argument holds only while two properties do:
 
 * ``async-blocking`` — no blocking call (``time.sleep``, file or
-  subprocess I/O, process-pool waits) inside any ``async def`` reachable
-  from :class:`AdmissionService`/:class:`AdmissionClient`.  One blocking
-  call stalls the event loop and with it *every* pending client; the
-  latency SLO the churn harness measures becomes fiction.
+  subprocess I/O, process-pool waits) inside any ``async def`` of a
+  ``repro`` module.  One blocking call stalls the event loop and with it
+  *every* pending client; the latency SLO the churn harness measures
+  becomes fiction.
 * ``await-shared-state`` — the race detector.  A coroutine that touches
   ``self.*`` or module-global state on *both sides* of an ``await`` has
   opened a lost-update window: another task interleaves at the await and
@@ -20,26 +20,25 @@ argument holds only while two properties do:
   branches do not cross-contaminate) and loop bodies are analysed twice
   to catch loop-carried read-await-write cycles.
 
-Both resolve targets through the project call graph, so they see
-through method calls on annotated attributes and re-exported names.
+Both are file-scoped: each coroutine is checked where it is defined,
+nested ones included, so a blocking call in a helper module fires
+there rather than only when a service method is seen to call it.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
-from repro.lint.asthelpers import has_dotted_suffix
-from repro.lint.context import ModuleInfo, Project
+from repro.lint.asthelpers import (
+    ImportMap,
+    has_dotted_suffix,
+    resolve_call_target,
+)
+from repro.lint.context import ModuleInfo
 from repro.lint.findings import Finding
 from repro.lint.registry import LintRule, register
-
-#: Class-qname suffixes whose methods root the service reachability set.
-SERVICE_ROOTS = (
-    "service.server.AdmissionService",
-    "service.client.AdmissionClient",
-)
 
 #: Fully-qualified blocking calls banned on the event loop.
 BLOCKING_CALLS = frozenset(
@@ -74,12 +73,45 @@ BLOCKING_METHOD_NAMES = frozenset(
 #: point, so its state transitions cannot interleave with themselves.
 SERIALISATION_POINTS = ("service.server.AdmissionService._worker",)
 
-def _in_repro(module: str) -> bool:
-    return module == "repro" or module.startswith("repro.")
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _service_module(module: str) -> bool:
-    return ".service" in f".{module}" and _in_repro(module)
+def _coroutines(
+    module: ModuleInfo,
+) -> Iterator[tuple[str, ast.AsyncFunctionDef]]:
+    """Every ``async def`` of a ``repro`` module, nested ones included,
+    with its lexical qualified name (``<module>.<Class>.<func>``)."""
+    if module.module != "repro" and not module.module.startswith("repro."):
+        return
+
+    def rec(
+        node: ast.AST, prefix: str
+    ) -> Iterator[tuple[str, ast.AsyncFunctionDef]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _SCOPES):
+                qname = f"{prefix}.{child.name}"
+                if isinstance(child, ast.AsyncFunctionDef):
+                    yield qname, child
+                yield from rec(child, qname)
+            else:
+                yield from rec(child, prefix)
+
+    yield from rec(module.tree, module.module)
+
+
+def _own_calls(func: ast.AsyncFunctionDef) -> Iterator[ast.Call]:
+    """Calls in a function's body, not in nested def/class bodies."""
+
+    def rec(node: ast.AST) -> Iterator[ast.Call]:
+        if isinstance(node, _SCOPES):
+            return
+        if isinstance(node, ast.Call):
+            yield node
+        for child in ast.iter_child_nodes(node):
+            yield from rec(child)
+
+    for stmt in func.body:
+        yield from rec(stmt)
 
 
 # ---------------------------------------------------------------------
@@ -89,51 +121,38 @@ def _service_module(module: str) -> bool:
 
 @register
 class AsyncBlocking(LintRule):
-    """Blocking calls inside service-reachable coroutines."""
+    """Blocking calls inside ``repro`` coroutines."""
 
     name = "async-blocking"
     summary = (
         "blocking calls (sleep/file/subprocess/pool) in async defs "
-        "reachable from the admission service"
+        "of repro modules"
     )
     invariant = (
         "the admission service event loop never blocks: one stalled "
         "coroutine would freeze every pending client and the latency "
         "SLO (paper Section 6 serialisation-by-construction)"
     )
-    scope = "project"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        graph = project.call_graph()
-        roots: list[str] = []
-        for suffix in SERVICE_ROOTS:
-            roots.extend(graph.methods_of(suffix))
-        reachable = graph.reachable(roots)
-        for qname in sorted(graph.functions):
-            info = graph.functions[qname]
-            if not info.is_async:
-                continue
-            if qname not in reachable and not _service_module(info.module):
-                continue
-            for site in graph.calls.get(qname, ()):
-                if site.kind != "external":
+    def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
+        imports = ImportMap(module.tree)
+        for _, func in _coroutines(module):
+            for call in _own_calls(func):
+                target = resolve_call_target(call.func, imports)
+                if target is None:
                     continue
-                leaf = site.target.rsplit(".", 1)[-1]
-                if (
-                    site.target in BLOCKING_CALLS
-                    or leaf in BLOCKING_METHOD_NAMES
-                ):
+                leaf = target.rsplit(".", 1)[-1]
+                if target in BLOCKING_CALLS or leaf in BLOCKING_METHOD_NAMES:
                     yield Finding(
                         rule=self.name,
-                        path=info.rel,
-                        line=site.line,
-                        col=site.col,
+                        path=module.rel,
+                        line=call.lineno,
+                        col=call.col_offset,
                         message=(
-                            f"blocking call {site.target}() inside async "
-                            f"def {info.name} (reachable from the "
-                            "admission service); it stalls the event "
-                            "loop for every pending client — use the "
-                            "asyncio equivalent or move it off-loop"
+                            f"blocking call {target}() inside async "
+                            f"def {func.name}; it stalls the event loop "
+                            "for every pending client — use the asyncio "
+                            "equivalent or move it off-loop"
                         ),
                     )
 
@@ -414,36 +433,22 @@ class AwaitSharedState(LintRule):
         "worker coroutine; any other read-await-write window is a "
         "lost-update race under churn storms (paper Section 6)"
     )
-    scope = "project"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        graph = project.call_graph()
-        global_names: dict[str, frozenset[str]] = {}
-        for qname in sorted(graph.functions):
-            info = graph.functions[qname]
-            if not info.is_async:
-                continue
-            if not _in_repro(info.module):
-                continue
+    def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
+        global_names = _module_global_names(module)
+        for qname, func in _coroutines(module):
             if has_dotted_suffix(qname, *SERIALISATION_POINTS):
                 continue
-            assert isinstance(info.node, ast.AsyncFunctionDef)
-            if info.module not in global_names:
-                global_names[info.module] = _module_global_names(
-                    info.source
-                )
-            analysis = _SharedStateAnalysis(
-                info.node, global_names[info.module]
-            )
+            analysis = _SharedStateAnalysis(func, global_names)
             for location, line, col in analysis.run():
                 yield Finding(
                     rule=self.name,
-                    path=info.rel,
+                    path=module.rel,
                     line=line,
                     col=col,
                     message=(
                         f"{location} is accessed before an await and "
-                        f"written after it in coroutine {info.name}; "
+                        f"written after it in coroutine {func.name}; "
                         "another task can interleave at the await, so "
                         "this write can lose its update — serialise "
                         "through the designated worker or restructure "

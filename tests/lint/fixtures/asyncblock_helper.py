@@ -1,5 +1,5 @@
 # lint-fixture-path: repro/ioutil.py
-"""Helper coroutine outside repro.service, reached only via the graph."""
+"""BAD: a helper coroutine outside repro.service still runs on the loop."""
 import subprocess
 
 

@@ -60,8 +60,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "removed",
-        [["--baseline", "x"], ["--update-baseline"], ["--graph-cache", "x"]],
-        ids=["baseline", "update-baseline", "graph-cache"],
+        [
+            ["--baseline", "x"],
+            ["--update-baseline"],
+            ["--graph-cache", "x"],
+            ["--graph"],
+        ],
+        ids=["baseline", "update-baseline", "graph-cache", "graph"],
     )
     def test_removed_flags_are_usage_errors(self, tmp_path, capsys, removed):
         root = materialise(tmp_path, "wallclock_good.py")
