@@ -100,7 +100,7 @@ class RunTimeoutError(RuntimeError):
 def _now() -> float:
     """Host monotonic clock for supervision deadlines and backoff --
     never a result-bearing value."""
-    return time.monotonic()  # repro-lint: disable=no-wallclock-in-sim
+    return time.monotonic()
 
 
 def _build_run(
@@ -146,7 +146,7 @@ def execute_run(spec: RunSpec) -> dict[str, Any]:
     """
     # Host wall-time feeds only the ``meta`` side of the document, never
     # the deterministic ``row``.
-    t0 = time.perf_counter()  # repro-lint: disable=no-wallclock-in-sim
+    t0 = time.perf_counter()
     seed = np.random.SeedSequence(entropy=spec.seed_entropy)
 
     def build(
@@ -155,7 +155,7 @@ def execute_run(spec: RunSpec) -> dict[str, Any]:
         return _build_run(spec, rng, engine)
 
     report = run_one(build, seed, spec.point.n_slots, engine=spec.engine)
-    elapsed = time.perf_counter() - t0  # repro-lint: disable=no-wallclock-in-sim
+    elapsed = time.perf_counter() - t0
     row: dict[str, Any] = {
         "point": spec.point.index,
         "replication": spec.replication,

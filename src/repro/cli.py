@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three subcommands cover the common workflows without writing a script:
+Subcommands cover the common workflows without writing a script:
 
 * ``info``     -- print the analytical model of a network configuration
   (Equations 1-6) for given N / link length / payload;
@@ -17,9 +17,10 @@ Three subcommands cover the common workflows without writing a script:
 * ``serve``    -- stand the live asyncio admission service up over a
   hosted ring and probe it (see ``docs/SERVICE.md``);
 * ``churn``    -- the service load harness: concurrent churn clients
-  playing arrival/departure/fault storms against one service;
-* ``lint``     -- run the determinism / protocol-invariant static
-  analysis suite over a source tree (see ``docs/LINTING.md``).
+  playing arrival/departure/fault storms against one service.
+
+The repo's determinism and event-loop invariants are checked by the test
+suite, not by a subcommand (see ``docs/LINTING.md``).
 
 Examples::
 
@@ -33,7 +34,6 @@ Examples::
     python -m repro campaign report --store results/ --csv sweep.csv
     python -m repro serve --nodes 8 --probes 3
     python -m repro churn --nodes 8 --ops 10000 --clients 4 --verify-replay
-    python -m repro lint src/repro examples benchmarks
 """
 
 from __future__ import annotations
@@ -1406,21 +1406,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0)",
     )
     p_churn.set_defaults(func=cmd_churn)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="static analysis for determinism / protocol invariants",
-    )
-
-    def cmd_lint(args: argparse.Namespace) -> int:
-        from repro.lint.cli import run as lint_run
-
-        return lint_run(args)
-
-    from repro.lint.cli import add_arguments as _add_lint_arguments
-
-    _add_lint_arguments(p_lint)
-    p_lint.set_defaults(func=cmd_lint)
 
     p_ins = sub.add_parser(
         "inspect",

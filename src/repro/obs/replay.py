@@ -62,11 +62,6 @@ class LogSummary:
         """Slots accounted for: stepped slots plus fast-forwarded spans."""
         return self.slots_executed + self.slots_fast_forwarded
 
-    @property
-    def total_events(self) -> int:
-        """All events in the log, any kind."""
-        return sum(self.events_by_kind.values())
-
 
 def replay_events(events: Iterable[dict]) -> LogSummary:
     """Fold parsed event dicts (e.g. one per JSONL line) into a summary."""

@@ -233,7 +233,7 @@ class AdmissionService:
         # Submission timestamp for host-side service latency -- a
         # property of the event loop, deliberately off the slot domain.
         queue.put_nowait(
-            (request, future, time.perf_counter())  # repro-lint: disable=no-wallclock-in-sim (host-side latency measurement)
+            (request, future, time.perf_counter())
         )
         return await future
 
@@ -339,7 +339,7 @@ class AdmissionService:
         except (KeyError, ValueError, TimeoutError) as exc:
             outcome = "error"
             error = f"{type(exc).__name__}: {exc}"
-        latency_s = time.perf_counter() - submitted_at  # repro-lint: disable=no-wallclock-in-sim (host-side latency measurement)
+        latency_s = time.perf_counter() - submitted_at
         utilisation = self.controller.utilisation
         self.request_totals[f"{request.op}:{outcome}"] += 1
         self.latencies_s.append(latency_s)

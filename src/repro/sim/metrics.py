@@ -234,13 +234,6 @@ class SimulationReport:
         return self.slot_time_s / self.wall_time_s
 
     @property
-    def effective_utilisation(self) -> float:
-        """Fraction of wall time carrying at least one data packet."""
-        if self.wall_time_s == 0 or self.slots_simulated == 0:
-            return float("nan")
-        return (self.busy_slots / self.slots_simulated) * self.utilisation
-
-    @property
     def mean_gap_s(self) -> float:
         """Mean inter-slot hand-over gap across the run."""
         if self.slots_simulated == 0:

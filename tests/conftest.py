@@ -5,16 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests import rng_audit
+from tests import runtime_audit
 
 # Before the first repro import: a module imported earlier would keep
-# the unwrapped constructors it bound.
-rng_audit.install()
+# the unaudited originals it bound.
+runtime_audit.install()
 
 from repro.core.timing import NetworkTiming  # noqa: E402
 from repro.phy.link import FibreRibbonLink  # noqa: E402
 from repro.ring.topology import RingTopology  # noqa: E402
-from tests.rng_audit import rng_audit_guard  # noqa: E402,F401  (autouse)
+from tests.runtime_audit import runtime_audit_guard  # noqa: E402,F401  (autouse)
 
 
 @pytest.fixture

@@ -10,6 +10,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_lint_is_a_usage_error(self, capsys):
+        """The invariants are test-suite checks now; no ``lint`` command."""
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "src/repro"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'lint'" in err
+        assert "Traceback" not in err
+
     def test_info_defaults(self):
         args = build_parser().parse_args(["info"])
         assert args.nodes == 8

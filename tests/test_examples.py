@@ -4,8 +4,8 @@ The examples are user-facing deliverables with their own internal
 assertions (zero-miss guarantees, reduction correctness, admission
 outcomes); running them end to end is the cheapest full-stack test the
 repository has.  Each runs as a subprocess so import-time and
-``__main__`` behaviour are covered too, under the RNG audit
-(``tests/rng_audit.py``): a ``-c`` bootstrap installs it, then runs the
+``__main__`` behaviour are covered too, under the runtime audit
+(``tests/runtime_audit.py``): a ``-c`` bootstrap installs it, then runs the
 script as ``__main__``.
 """
 
@@ -19,10 +19,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES_DIR = REPO_ROOT / "examples"
 
 #: ``python -c`` bootstrap: ``argv[1]`` is the repo root, ``argv[2]`` the
-#: script to run under the RNG audit.
+#: script to run under the runtime audit.
 BOOTSTRAP = (
     "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from tests.rng_audit import run_script; run_script(sys.argv[2])"
+    "from tests.runtime_audit import run_script; run_script(sys.argv[2])"
 )
 
 #: (script, substrings that must appear in its stdout)

@@ -1,4 +1,4 @@
-"""The runtime RNG audit (``tests/rng_audit.py``) and the seed-fork check.
+"""The RNG audit of ``tests/runtime_audit.py`` and the seed-fork check.
 
 The unit tests run small probe modules compiled under a repo path, so
 their frames are judged like real ``src/`` or ``examples/`` code.  Each
@@ -25,8 +25,8 @@ from repro.sim.fault_models import FaultConfig
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 from repro.traffic.periodic import random_connection_set
 
-from tests import rng_audit
-from tests.rng_audit import RngAuditError
+from tests import runtime_audit
+from tests.runtime_audit import RngAuditError
 
 #: Packages whose streams must all follow the master seed.
 SEEDED_PACKAGES = (
@@ -46,7 +46,7 @@ def probe(source: str, module: str = "repro.sim.probe", path: str = ""):
     """
     path = path or "src/" + module.replace(".", "/") + ".py"
     namespace = {"__name__": module, "np": np, "random": random}
-    code = compile(source, str(rng_audit.REPO_ROOT / path), "exec")
+    code = compile(source, str(runtime_audit.REPO_ROOT / path), "exec")
     exec(code, namespace)
     return SimpleNamespace(**namespace)
 
@@ -71,16 +71,16 @@ def under_two_seeds(entry):
     """The constructions ``entry(master)`` makes under master seeds 1 and 2."""
     recordings = []
     for master in (1, 2):
-        with rng_audit.recording() as built:
+        with runtime_audit.recording() as built:
             entry(master)
         recordings.append(built)
     return recordings
 
 
 def test_installed_before_any_repro_import():
-    assert rng_audit.PREINSTALLED == ()
-    assert np.random.default_rng is rng_audit.default_rng
-    assert isinstance(random.Random(1), rng_audit.Random)
+    assert runtime_audit.PREINSTALLED == ()
+    assert np.random.default_rng is runtime_audit.default_rng
+    assert isinstance(random.Random(1), runtime_audit.Random)
     assert isinstance(np.random.SeedSequence(1), np.random.bit_generator.SeedSequence)
 
 
@@ -96,7 +96,7 @@ class TestUnseeded:
         for ctor in (m.rng, m.rng_none, m.seq, m.state, m.stdlib):
             with pytest.raises(RngAuditError, match="has no entropy"):
                 ctor()
-        found = rng_audit.take_violations()
+        found = runtime_audit.take_violations()
         assert [v.split("()")[0] for v in found] == [
             "default_rng",
             "default_rng",
@@ -115,7 +115,7 @@ class TestUnseeded:
             "            np.random.RandomState(seed=seed))\n"
         )
         m.build(7, np.random.default_rng(1))
-        assert rng_audit.VIOLATIONS == []
+        assert runtime_audit.VIOLATIONS == []
 
     def test_cli_module_may_mint_entropy(self):
         m = probe(
@@ -123,7 +123,7 @@ class TestUnseeded:
             module="repro.cli",
         )
         m.main()
-        assert rng_audit.VIOLATIONS == []
+        assert runtime_audit.VIOLATIONS == []
 
     def test_unseeded_stdlib_random_outside_the_five_packages(self):
         m = probe(
@@ -135,7 +135,7 @@ class TestUnseeded:
         )
         with pytest.raises(RngAuditError, match="has no entropy"):
             m.sweep()
-        (found,) = rng_audit.take_violations()
+        (found,) = runtime_audit.take_violations()
         assert found.startswith("Random() at ")
         assert "examples/sweep.py:3" in found
 
@@ -148,7 +148,7 @@ class TestUnseeded:
         )
         with pytest.raises(RngAuditError):
             m.build(2)
-        (found,) = rng_audit.take_violations()
+        (found,) = runtime_audit.take_violations()
         assert "probe.py:2" in found
 
     def test_a_caught_violation_is_still_recorded(self):
@@ -160,7 +160,7 @@ class TestUnseeded:
             "        return None\n"
         )
         assert m.tolerant() is None
-        assert len(rng_audit.take_violations()) == 1
+        assert len(runtime_audit.take_violations()) == 1
 
 
 class TestImportTime:
@@ -172,7 +172,7 @@ class TestImportTime:
         ):
             with pytest.raises(RngAuditError, match="repro.traffic.gen is imported"):
                 probe(source, module="repro.traffic.gen")
-        assert len(rng_audit.take_violations()) == 3
+        assert len(runtime_audit.take_violations()) == 3
 
     def test_quiet_on_none_default(self):
         m = probe(
@@ -181,7 +181,7 @@ class TestImportTime:
             module="repro.traffic.gen",
         )
         m.f(3)
-        assert rng_audit.VIOLATIONS == []
+        assert runtime_audit.VIOLATIONS == []
 
     def test_script_body_is_not_an_import(self):
         probe(
@@ -189,7 +189,7 @@ class TestImportTime:
             module="__main__",
             path="examples/script.py",
         )
-        assert rng_audit.VIOLATIONS == []
+        assert runtime_audit.VIOLATIONS == []
 
 
 class TestScope:
@@ -197,9 +197,9 @@ class TestScope:
         np.random.default_rng()
         random.Random()
         probe("rng = np.random.default_rng()\n", module="t", path="tests/t.py")
-        assert rng_audit.VIOLATIONS == []
-        assert not rng_audit._is_repo(np.__file__)
-        assert rng_audit._is_repo(cli.__file__)
+        assert runtime_audit.VIOLATIONS == []
+        assert not runtime_audit._is_repo(np.__file__)
+        assert runtime_audit._is_repo(cli.__file__)
 
 
 class TestLiteralFork:
