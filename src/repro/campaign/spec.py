@@ -29,7 +29,7 @@ from typing import Any
 from repro.core.connection import LogicalRealTimeConnection
 from repro.core.policy import POLICIES
 from repro.sim.fault_models import FaultConfig
-from repro.sim.runner import ENGINES, PROTOCOLS, ScenarioConfig
+from repro.sim.runner import ENGINES, PROTOCOLS, ScenarioConfig, make_timing
 from repro.traffic.sweeps import WORKLOAD_PROFILES
 
 
@@ -67,9 +67,9 @@ class WorkloadSpec:
             raise ValueError(
                 f"need at least one connection, got {self.n_connections}"
             )
-        if not 0.0 < self.utilisation:
+        if not 0.0 < self.utilisation < math.inf:
             raise ValueError(
-                f"utilisation must be positive, got {self.utilisation}"
+                f"utilisation must be finite and positive, got {self.utilisation}"
             )
         if not 1 <= self.period_min <= self.period_max:
             raise ValueError(
@@ -134,7 +134,7 @@ class RetryPolicy:
             )
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.run_timeout_s is not None and self.run_timeout_s <= 0:
+        if self.run_timeout_s is not None and not self.run_timeout_s > 0:
             raise ValueError(
                 f"run_timeout_s must be positive, got {self.run_timeout_s}"
             )
@@ -212,6 +212,8 @@ class Campaign:
             raise ValueError(
                 f"need at least one replication, got {self.n_replications}"
             )
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
         axes = self.axes
         if isinstance(axes, Mapping):
             axes = tuple(axes.items())
@@ -256,6 +258,19 @@ class Campaign:
                             f"axis 'profile' value {v!r} not in "
                             f"{WORKLOAD_PROFILES}"
                         )
+            if axis == "n_slots":
+                for v in values:
+                    if int(v) < 0:
+                        raise ValueError(
+                            f"axis 'n_slots' value {v!r} must be >= 0"
+                        )
+        # Every grid point must lie in the model's domain: a deterministic
+        # configuration error fails the load, instead of being spent as
+        # retries by each of its runs.  (Imported here: grid imports spec.)
+        from repro.campaign.grid import expand_grid
+
+        for point in expand_grid(self):
+            make_timing(point.config)
 
     # ------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ a small value object describing one ring segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.phy.constants import FIBRE_PROPAGATION_DELAY_S_PER_M
@@ -57,8 +58,10 @@ class FibreSegment:
     delay_s_per_m: float = FIBRE_PROPAGATION_DELAY_S_PER_M
 
     def __post_init__(self) -> None:
-        if self.length_m < 0:
-            raise ValueError(f"segment length must be non-negative, got {self.length_m}")
+        if not 0 <= self.length_m < math.inf:
+            raise ValueError(
+                f"segment length must be finite and non-negative, got {self.length_m}"
+            )
         if self.delay_s_per_m < 0:
             raise ValueError(
                 f"per-metre delay must be non-negative, got {self.delay_s_per_m}"

@@ -107,6 +107,14 @@ class ChurnDriver:
         period_range: tuple[int, int] = (20, 200),
         size_range: tuple[int, int] = (1, 2),
     ) -> None:
+        if burst < 1:
+            raise ValueError(f"burst must be >= 1, got {burst}")
+        if not 0.0 <= close_fraction <= 1.0:
+            raise ValueError(
+                f"close_fraction must be in [0, 1], got {close_fraction}"
+            )
+        if fault_every < 0:
+            raise ValueError(f"fault_every must be >= 0, got {fault_every}")
         self.client = client
         self.rng = random.Random(seed)
         self.n_nodes = n_nodes

@@ -57,7 +57,12 @@ from repro.service.messages import (
 )
 from repro.services.api import ConnectionClient, MessageInjector
 from repro.sim.engine import Simulation
-from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
+from repro.sim.runner import (
+    RunOptions,
+    ScenarioConfig,
+    build_simulation,
+    make_timing,
+)
 
 #: One queued request: (request, reply future, submission timestamp).
 _QueueItem = tuple[ServiceRequest, "asyncio.Future[ServiceReply]", float]
@@ -104,6 +109,14 @@ class AdmissionService:
     ) -> None:
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
+        # Reject a ring outside the model's domain here, not when start()
+        # builds the hosted simulation inside a running event loop.
+        make_timing(config)
+        if not 0 <= admission_node < config.n_nodes:
+            raise ValueError(
+                f"admission node {admission_node} out of range for "
+                f"N={config.n_nodes}"
+            )
         self.config = config
         self.admission_node = admission_node
         self.queue_depth = queue_depth
@@ -253,20 +266,20 @@ class AdmissionService:
             if item is None:
                 break
             request, future, submitted_at = item
-            depth = queue.qsize()
             try:
-                reply = self._serve(request, submitted_at, depth)
+                reply = self._serve(request, submitted_at, queue.qsize())
+                if not future.done():
+                    future.set_result(reply)
+                # Yield so replies interleave with new submissions even
+                # when the queue never empties under sustained load.
+                await asyncio.sleep(0)
             except Exception as exc:
-                # Not one of the errors _serve answers with a reply: the
-                # hosted ring can no longer be trusted, so serve nothing
-                # further and leave no caller awaiting.
+                # Not one of the errors _serve answers with a reply, or a
+                # fault in the loop around it: the hosted ring can no
+                # longer be trusted, so serve nothing further and leave
+                # no caller awaiting.
                 self._abandon(queue, future, exc)
                 return
-            if not future.done():
-                future.set_result(reply)
-            # Yield so replies interleave with new submissions even when
-            # the queue never empties under sustained load.
-            await asyncio.sleep(0)
 
     def _abandon(
         self,

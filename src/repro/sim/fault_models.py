@@ -85,9 +85,10 @@ class RecoveryPolicy:
     max_backoff: float = 32.0
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
+        if not 0 < self.timeout_s < math.inf:
             raise ValueError(
-                f"recovery timeout must be positive, got {self.timeout_s}"
+                "recovery timeout must be finite and positive, got "
+                f"{self.timeout_s}"
             )
         if self.backoff_factor < 1.0:
             raise ValueError(
@@ -442,10 +443,10 @@ class TransientNodeFaults(FaultModel):
     ):
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
-        if mttf_slots <= 0:
-            raise ValueError(f"MTTF must be positive, got {mttf_slots}")
-        if mttr_slots <= 0:
-            raise ValueError(f"MTTR must be positive, got {mttr_slots}")
+        if not 0 < mttf_slots < math.inf:
+            raise ValueError(f"MTTF must be finite and positive, got {mttf_slots}")
+        if not 0 < mttr_slots < math.inf:
+            raise ValueError(f"MTTR must be finite and positive, got {mttr_slots}")
         self.n_nodes = n_nodes
         self.mttf_slots = mttf_slots
         self.mttr_slots = mttr_slots
@@ -621,6 +622,15 @@ class FaultConfig:
     max_backoff: float = 32.0
     #: Seed of the fault randomness (independent of the workload seed).
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # any_active() reads these: a value outside [0, 1], NaN included,
+        # must not switch its fault source off without a word.
+        for name in ("p_collection_loss", "p_distribution_loss",
+                     "ge_p_good_to_bad", "p_clock_glitch"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
 
     def any_active(self) -> bool:
         """Whether this configuration produces any fault source."""

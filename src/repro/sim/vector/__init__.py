@@ -23,18 +23,12 @@ from repro.sim.vector.soa import (
     PACKED_PRIO_SHIFT,
     SoAState,
     arbitration_order,
-    pack_request,
-    packed_node,
-    packed_priority,
 )
 
 __all__ = [
     "VectorSimulation",
     "SoAState",
     "arbitration_order",
-    "pack_request",
-    "packed_node",
-    "packed_priority",
     "PACKED_MAX",
     "PACKED_NODE_BITS",
     "PACKED_NODE_MASK",

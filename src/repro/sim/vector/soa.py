@@ -59,21 +59,6 @@ PRIO_UNTIL_FOREVER: int = 1 << 62
 VECTOR_SWEEP_MIN_NODES: int = 64
 
 
-def pack_request(priority: int, node: int) -> int:
-    """Pack a (priority, node) request into one comparable integer."""
-    return (priority << PACKED_PRIO_SHIFT) | (PACKED_NODE_MASK - node)
-
-
-def packed_priority(packed: int) -> int:
-    """Priority field of a packed request."""
-    return packed >> PACKED_PRIO_SHIFT
-
-
-def packed_node(packed: int) -> int:
-    """Node id of a packed request."""
-    return PACKED_NODE_MASK - (packed & PACKED_NODE_MASK)
-
-
 @dataclass
 class SoAState:
     """Per-node arrays the kernel reduces over.

@@ -8,6 +8,8 @@ generate unbiased periodic task sets for schedulability experiments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.connection import LogicalRealTimeConnection
@@ -67,8 +69,10 @@ def uunifast(rng: np.random.Generator, n: int, total_utilisation: float) -> list
     """
     if n < 1:
         raise ValueError(f"need at least one connection, got {n}")
-    if total_utilisation <= 0:
-        raise ValueError(f"total utilisation must be positive, got {total_utilisation}")
+    if not 0 < total_utilisation < math.inf:
+        raise ValueError(
+            f"total utilisation must be finite and positive, got {total_utilisation}"
+        )
     utilisations = []
     remaining = total_utilisation
     for i in range(n - 1):

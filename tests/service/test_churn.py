@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.service import AdmissionClient, AdmissionService, ChurnDriver, ChurnStats
 from repro.sim.runner import ScenarioConfig
 
@@ -103,6 +105,27 @@ class TestChurnStorm:
                 return await driver.run(20)
 
         assert asyncio.run(chunked()).as_dict() == asyncio.run(single()).as_dict()
+
+
+class TestDriverArguments:
+    """A driver rejects knobs outside their domain when it is built,
+    before any storm runs."""
+
+    def driver(self, **knobs):
+        service = AdmissionService(config())
+        return ChurnDriver(AdmissionClient(service), seed=0, n_nodes=8, **knobs)
+
+    def test_burst_below_one_rejected(self):
+        with pytest.raises(ValueError, match="burst must be >= 1, got 0"):
+            self.driver(burst=0)
+
+    def test_close_fraction_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="close_fraction must be in"):
+            self.driver(close_fraction=3.0)
+
+    def test_negative_fault_every_rejected(self):
+        with pytest.raises(ValueError, match="fault_every must be >= 0"):
+            self.driver(fault_every=-1)
 
 
 class TestChurnStats:

@@ -403,3 +403,30 @@ class TestWorkerCrash:
             await asyncio.wait_for(service.stop(), 1)
 
         asyncio.run(scenario())
+
+    def test_crash_outside_serve_fails_every_waiter(self):
+        """A fault in the worker loop around ``_serve`` (here the queue
+        depth read) fails the current and the queued submissions too."""
+
+        def broken_qsize():
+            raise RuntimeError("queue state corrupted")
+
+        async def scenario():
+            service = AdmissionService(config())
+            await service.start()
+            queue = service._queue
+            queue.full = lambda: False  # keeps submit() off qsize()
+            queue.qsize = broken_qsize
+            results = await asyncio.wait_for(
+                asyncio.gather(
+                    *(service.submit("status") for _ in range(3)),
+                    return_exceptions=True,
+                ),
+                1,
+            )
+            assert [type(r) for r in results] == [ServiceFailed] * 3
+            assert all(isinstance(r.__cause__, RuntimeError) for r in results)
+            assert not service.running
+            await asyncio.wait_for(service.stop(), 1)
+
+        asyncio.run(scenario())
