@@ -676,7 +676,8 @@ def run_campaign(
         Attempt at most this many *new* runs, then stop -- cached runs
         do not count.  This is the deterministic stand-in for an
         interrupt (CI smoke and the resume tests use it), and a way to
-        chip at long campaigns in bounded sessions.
+        chip at long campaigns in bounded sessions.  A negative limit
+        is a ``ValueError``.
     observer:
         Optional :class:`~repro.obs.events.EventDispatcher` receiving
         the host-side supervision events (``run_retry``,
@@ -686,6 +687,8 @@ def run_campaign(
         :func:`execute_run` by default.  The chaos test harness
         substitutes a failure-injecting wrapper here.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     store.save_campaign(campaign)
     registry = MetricRegistry()
     pending: list[tuple[str, RunSpec]] = []

@@ -119,6 +119,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse ``type=`` of a count that may be zero (``--limit``)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_network_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--nodes", type=int, default=8, help="ring size N (default 8)"
@@ -333,15 +341,36 @@ def _build_config(
     )
 
 
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Reject an ``--events`` or ``--manifest`` path whose directory does
+    not exist, before a build phase creates anything."""
+    from pathlib import Path
+
+    for flag, path in (
+        ("--events", getattr(args, "events", None)),
+        ("--manifest", getattr(args, "manifest", None)),
+    ):
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(
+                f"{flag} {path}: directory {Path(path).parent} does not exist"
+            )
+
+
 def _event_log(args: argparse.Namespace):
-    """(observer, event_log) for ``--events``; (None, None) without."""
+    """(observer, event_log) for ``--events``; (None, None) without.  A
+    log that cannot be opened is a ``ValueError``."""
     if not args.events:
         return None, None
     from repro.obs.events import EventDispatcher, JsonlEventLog
 
+    try:
+        log = JsonlEventLog(args.events)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot open --events {args.events}: {exc.strerror or exc}"
+        ) from exc
     observer = EventDispatcher()
-    event_log = observer.add_sink(JsonlEventLog(args.events))
-    return observer, event_log
+    return observer, observer.add_sink(log)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -468,6 +497,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     import time as _time
 
     with _building():
+        _check_output_dirs(args)
         if args.replications > 1 and (args.events or args.trace):
             raise ValueError(
                 "--events and --trace record one run; they cannot be "
@@ -645,25 +675,38 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_for(args: argparse.Namespace):
+def _campaign_for(args: argparse.Namespace, create: bool = False):
     """Resolve (campaign, store) for the campaign subcommands.
 
     ``--spec`` loads a JSON campaign spec; without it the spec snapshot
     saved in the store directory by a previous ``run`` is used.  A spec
     that cannot be loaded, or that describes a point outside the
-    model's domain, is a ``ValueError``.
+    model's domain, is a ``ValueError``, and so is a ``--store``
+    directory that does not exist -- unless ``create`` (``campaign
+    run``) may make it for a spec that loaded, so a rejected input
+    creates no store.
     """
     from repro.campaign import Campaign, ResultStore
 
-    store = ResultStore(args.store)
     try:
-        if args.spec:
-            campaign = Campaign.from_json_file(args.spec)
-        else:
+        campaign = Campaign.from_json_file(args.spec) if args.spec else None
+        if not (create and campaign is not None):
+            _check_store_exists(args)
+        store = ResultStore(args.store)
+        if campaign is None:
             campaign = store.load_campaign()
     except (FileNotFoundError, ValueError, RuntimeError) as exc:
         raise ValueError(f"cannot load campaign: {exc}") from exc
     return campaign, store
+
+
+def _check_store_exists(args: argparse.Namespace) -> None:
+    """A ``--store`` that names no directory is a ``ValueError`` for the
+    commands that only read a store (opening one would create it)."""
+    from pathlib import Path
+
+    if not Path(args.store).is_dir():
+        raise ValueError(f"no store at {args.store}")
 
 
 #: ``campaign run`` exit code: runs remain (limit / drain); resumable.
@@ -685,7 +728,8 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import run_campaign
 
     with _building():
-        campaign, store = _campaign_for(args)
+        _check_output_dirs(args)
+        campaign, store = _campaign_for(args, create=True)
         retry = campaign.retry
         if args.max_attempts is not None:
             retry = _dataclasses.replace(retry, max_attempts=args.max_attempts)
@@ -747,6 +791,8 @@ def cmd_campaign_fsck(args: argparse.Namespace) -> int:
     damaged records (exit 0 = clean / repaired, 1 = damage remains)."""
     from repro.campaign import ResultStore
 
+    with _building():
+        _check_store_exists(args)
     store = ResultStore(args.store)
     report = store.fsck(repair=args.repair)
     print(f"store {store.root}: {report.scanned} records scanned, "
@@ -878,6 +924,7 @@ def _run_service(
     from repro.service import AdmissionService
 
     with _building():
+        _check_output_dirs(args)
         if args.verify_replay and not args.events:
             raise ValueError("--verify-replay requires --events")
         service = AdmissionService(
@@ -1199,7 +1246,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p_crun, "the pending runs")
     p_crun.add_argument(
         "--limit",
-        type=int,
+        type=non_negative_int,
         default=None,
         metavar="N",
         help="execute at most N new runs then stop (resume later; "

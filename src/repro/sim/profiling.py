@@ -8,9 +8,9 @@ execution, arbitration, metrics), plus free-form event counters:
 many of the polled sources the calendar named, the rest being the
 always-poll list).  The ``release`` lap count is the number of executed
 slots, so polls per slot can be read off the table.  The vector engine
-keeps the tier an unprofiled run would use and laps per ``run()`` call:
-``ingest`` / ``kernel`` / ``fold`` on the compiled tier, one ``kernel``
-on the numpy tier.  The engine only
+keeps the tier an unprofiled run would use: ``ingest`` / ``kernel`` /
+``fold`` per release window on the compiled tier (a call runs in one or
+more windows), one ``kernel`` lap per ``run()`` call on the numpy tier.  The engine only
 touches the profiler when one is attached, so profiling costs nothing
 when off; when on, the overhead is one ``perf_counter()`` call per phase
 boundary.

@@ -19,22 +19,29 @@ semantics the C loop replicates *bit-identically*:
   has already excluded faults, loss and tracing);
 * the ring fits the kernel's 64-bit link masks.
 
-One call marshals one workspace: a single int64 buffer whose header
-holds the word offset of every field of :data:`WORKSPACE`, the table
-both this module and ``_ckernel.c`` derive their layout from.  The
-kernel walks the release calendar itself from per-connection columns
-(first release in the call, period, window end), so no release schedule
-is materialised.  Bit-identity is preserved by construction: wall/slot/
-gap times advance by the oracle's exact double additions in the
-oracle's order, message ids are reserved from the global counter before
-the call (one per release, counted arithmetically) so later Python-side
-allocations continue the same sequence, a head's priority is read off
+A call runs in windows of at most about :data:`_WINDOW_RELEASES`
+releases each, and one window marshals one workspace: an int64 buffer
+whose header holds the word offset of every field of :data:`WORKSPACE`,
+the table both this module and ``_ckernel.c`` derive their layout from.
+Every window of a call is carved from the same buffer, so a call's
+memory is bounded by the window and the backlog it carries, not by the
+call's length.  Live messages and
+the pending plan cross a window boundary the way they cross two calls:
+the window's fold hands them back to the Python objects and the next
+window ingests them.  The kernel walks the release calendar itself from
+per-connection columns (first release in the window, period, window
+end), so no release schedule is materialised.  Bit-identity is
+preserved by construction: wall/slot/gap times advance by the oracle's
+exact double additions in the oracle's order, message ids are reserved
+from the global counter before each window (one per release, counted
+arithmetically) so later windows and Python-side allocations continue
+the same sequence, a head's priority is read off
 the mapping's level-start table (``core.mapping.level_starts``, so any
 laxity mapping runs here), the kernel's delivery
 aggregates are folded into the metrics column by column in delivery
 order (see "The compiled tier's exit fold" in ``DESIGN.md``).
 
-An attached profiler does not change the tier: each call records one
+An attached profiler does not change the tier: each window records one
 ``ingest``, one ``kernel`` and one ``fold`` lap.
 """
 
@@ -55,6 +62,7 @@ from typing import TYPE_CHECKING, cast
 import numpy as np
 
 from repro.core import messages as _messages
+from repro.core.connection import LogicalRealTimeConnection
 from repro.core.mapping import level_starts
 from repro.core.messages import Message, MessageStatus
 from repro.core.priorities import TrafficClass, class_priority_range
@@ -65,9 +73,10 @@ from repro.traffic.periodic import ConnectionSource
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulation
 
-#: Refuse calls beyond this many releases (memory guard; the
-#: pure-Python kernel chunks its schedule instead).
-_MAX_RELEASES = 4_000_000
+#: Release budget of one kernel window (about 3.7 MB of message rows):
+#: a call runs in windows of this many releases' worth of slots, so its
+#: workspace stays bounded however long the call.
+_WINDOW_RELEASES = 2**15
 
 #: Ring width limit: link masks are 64-bit in the C kernel.
 _MAX_NODES = 62
@@ -172,18 +181,31 @@ assert [n for n, _, _ in WORKSPACE[:_N_SCALARS]] == _INT_SCALARS + _FLOAT_SCALAR
 
 
 class _Workspace:
-    """One call's buffer, carved per :data:`WORKSPACE`."""
+    """One call's buffer, carved per :data:`WORKSPACE` for each window.
 
-    __slots__ = ("words", "floats", "offsets")
+    The constructor allocates the buffer for the sizes it is given and
+    carves it; :meth:`carve` lays a window out from the buffer's front.
+    """
+
+    __slots__ = ("buf", "words", "floats", "offsets")
 
     def __init__(
         self, n: int, n_conns: int, n_cids: int, n_rows: int, n_levels: int
     ):
+        self.buf = np.empty(0, dtype=np.int64)
+        self.carve(n, n_conns, n_cids, n_rows, n_levels)
+
+    def carve(
+        self, n: int, n_conns: int, n_cids: int, n_rows: int, n_levels: int
+    ) -> None:
+        """Lay out one window, growing the buffer if it needs more words."""
         sizes = (1, n, n * n, n_conns, n_cids, n_rows, n_levels)
         offsets = list(
             itertools.accumulate([sizes[r] for r in _FIELD_RULE], initial=_HEADER)
         )
-        words = np.empty(offsets[-1], dtype=np.int64)
+        if offsets[-1] > len(self.buf):
+            self.buf = np.empty(offsets[-1], dtype=np.int64)
+        words = self.buf[: offsets[-1]]
         words[:_HEADER] = offsets[:-1]
         self.words = words
         self.floats = words.view(np.float64)
@@ -277,50 +299,28 @@ def _kernel_fn() -> object | None:
     return _fn  # type: ignore[return-value]
 
 
-def try_run(sim: Simulation, n_slots: int) -> str | None:
-    """Run ``n_slots`` on the compiled kernel if eligible.
+def _window_slots(conns: Sequence[LogicalRealTimeConnection], n_slots: int) -> int:
+    """Slots per window: :data:`_WINDOW_RELEASES` over the sources'
+    release rate (sum of 1/period), at least one slot, at most the call."""
+    rate = sum(1 / c.period_slots for c in conns)
+    if rate == 0:
+        return n_slots
+    return max(1, min(n_slots, int(_WINDOW_RELEASES / rate)))
 
-    Returns ``None`` only after the simulation has been advanced (state,
-    metrics and pending plan identical to the oracle), and
-    otherwise the reason the compiled tier refused the call.  All
-    eligibility checks happen *before* any mutation, so a refusal always
-    leaves the simulation untouched for the Python kernel.
-    """
-    fn = _kernel_fn()
-    if fn is None:
-        return "no compiled kernel"
-    if sim.observer is not None:
-        return "observer attached"
-    if sim.drop_late:
-        return "drop-late"
-    profiler = sim.profiler
-    if profiler is not None:
-        t_phase = profiler.clock()
-    metrics = sim.metrics
-    if metrics.fault_window_active:
-        return "fault window open"
-    n = sim.topology.n_nodes
-    if n > _MAX_NODES:
-        return f"ring wider than {_MAX_NODES} nodes"
-    sources = sim.sources
-    for src in sources:
-        if type(src) is not ConnectionSource:
-            return f"source {type(src).__name__} is not a ConnectionSource"
 
+def _ingest(sim: Simulation) -> tuple[list[Message], list[int], list[int]] | str:
+    """The live queue state as message rows, and the pending plan's
+    transmissions and break denials as row indices; or why the compiled
+    tier cannot take them."""
     RT = TrafficClass.RT_CONNECTION
     DELIVERED = MessageStatus.DELIVERED
     DROPPED = MessageStatus.DROPPED
     PENDING = MessageStatus.PENDING
     IN_TRANSIT = MessageStatus.IN_TRANSIT
     queues = sim.queues
-    protocol = sim.protocol
-    route_masks = protocol.route_masks
-
-    # --- ingest the live queue state (no BE/NRT backlog allowed) -------
     pre_objs: list[Message] = []
-    pre_cids: list[int] = []
     row_of: dict[int, int] = {}
-    for i in range(n):
+    for i in range(sim.topology.n_nodes):
         q = queues[i]
         for heap in (q._be, q._nrt):
             for entry in heap:
@@ -332,37 +332,117 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
             st = msg.status
             if st is DELIVERED or st is DROPPED:
                 continue
-            cid = msg.connection_id
             if (
                 msg.traffic_class is not RT
                 or msg.deadline_slot is None
-                or cid is None
+                or msg.connection_id is None
             ):
                 return "live message outside an RT connection"
             row_of[id(msg)] = len(pre_objs)
             pre_objs.append(msg)
-            pre_cids.append(cid)
 
-    p_master, p_gap, p_txs, p_denied, p_nreq = sim._pending
-    plan_tx_rows: list[int] = []
-    for tx in p_txs:
-        row = row_of.get(id(tx.message))
-        if row is None:
+    plan_rows: list[list[int]] = []
+    for planned in sim._pending[2:4]:
+        rows = [row_of.get(id(tx.message)) for tx in planned]
+        if None in rows:
             return "planned message not queued"
-        plan_tx_rows.append(row)
-    plan_den_rows: list[int] = []
-    for tx in p_denied:
-        row = row_of.get(id(tx.message))
-        if row is None:
-            return "planned message not queued"
-        plan_den_rows.append(row)
+        plan_rows.append(cast("list[int]", rows))
+    return pre_objs, plan_rows[0], plan_rows[1]
+
+
+def try_run(sim: Simulation, n_slots: int) -> str | None:
+    """Run ``n_slots`` on the compiled kernel if eligible.
+
+    Returns ``None`` only after the simulation has been advanced (state,
+    metrics and pending plan identical to the oracle), and
+    otherwise the reason the compiled tier refused the call.  All
+    eligibility checks happen *before* any mutation, so a refusal always
+    leaves the simulation untouched for the Python kernel.
+
+    The call then runs in windows of :func:`_window_slots` slots, each
+    marshalled, run and folded on its own; live messages and the pending
+    plan cross a window boundary as they cross two calls.  Every window
+    is carved from one buffer, sized by the most releases a window can
+    hold.
+    """
+    fn = _kernel_fn()
+    if fn is None:
+        return "no compiled kernel"
+    if sim.observer is not None:
+        return "observer attached"
+    if sim.drop_late:
+        return "drop-late"
+    profiler = sim.profiler
+    t_phase = profiler.clock() if profiler is not None else 0.0
+    if sim.metrics.fault_window_active:
+        return "fault window open"
+    n = sim.topology.n_nodes
+    if n > _MAX_NODES:
+        return f"ring wider than {_MAX_NODES} nodes"
+    sources = sim.sources
+    for src in sources:
+        if type(src) is not ConnectionSource:
+            return f"source {type(src).__name__} is not a ConnectionSource"
+    ingested = _ingest(sim)
+    if isinstance(ingested, str):
+        return ingested
+
+    conns = [cast("ConnectionSource", src).connection for src in sources]
+    window = _window_slots(conns, n_slots)
+    # A source releases at most ``window // period + 1`` times in any
+    # window, and the dense ids are the connections' plus at most one per
+    # live message; the buffer grows only if a carried backlog outgrows
+    # the one the call starts with.
+    n_pre = len(ingested[0])
+    ws = _Workspace(
+        n,
+        len(conns),
+        len(conns) + n_pre,
+        n_pre + sum(window // c.period_slots + 1 for c in conns),
+        len(level_starts(sim.protocol.mapping, TrafficClass.RT_CONNECTION)) - 1,
+    )
+    end = sim.current_slot + n_slots
+    while True:
+        w_end = min(sim.current_slot + window, end)
+        t_phase = _run_window(fn, sim, ws, ingested, w_end, t_phase)
+        if sim.current_slot == end:
+            return None
+        ingested = _ingest(sim)
+        if isinstance(ingested, str):
+            # The kernel hands back RT-connection rows only.
+            raise RuntimeError(f"compiled window hand-over refused: {ingested}")
+
+
+def _run_window(
+    fn: object,
+    sim: Simulation,
+    ws: _Workspace,
+    ingested: tuple[list[Message], list[int], list[int]],
+    end: int,
+    t_phase: float,
+) -> float:
+    """Advance ``sim`` to slot ``end`` in one kernel call: marshal the
+    window into ``ws``, run it and fold it back.  Returns the profiler
+    clock after the window's ``fold`` lap (``t_phase`` unchanged without
+    a profiler)."""
+    profiler = sim.profiler
+    RT = TrafficClass.RT_CONNECTION
+    PENDING = MessageStatus.PENDING
+    IN_TRANSIT = MessageStatus.IN_TRANSIT
+    DELIVERED = MessageStatus.DELIVERED
+    n = sim.topology.n_nodes
+    queues = sim.queues
+    protocol = sim.protocol
+    route_masks = protocol.route_masks
+    sources = cast("Sequence[ConnectionSource]", sim.sources)
+    pre_objs, plan_tx_rows, plan_den_rows = ingested
 
     # --- the release calendar over [s, end), counted arithmetically ----
     # Each source's first release is the one the oracle's calendar files
     # it under (``next_release_slot``); its window ends at active_until
-    # or at the call's end, whichever comes first.
+    # or at the window's end, whichever comes first.
     s = sim.current_slot
-    end = s + n_slots
+    n_slots = end - s
     conns = [src.connection for src in sources]
     conn_first: list[int] = []
     conn_stop: list[int] = []
@@ -383,8 +463,6 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
         conn_stop.append(stop)
         rel_counts.append(k)
     n_rel = sum(rel_counts)
-    if n_rel > _MAX_RELEASES:
-        return f"more than {_MAX_RELEASES} releases"
 
     # Dense connection-id space: connections first, then any live
     # message whose connection is no longer sourced (admission churn).
@@ -399,24 +477,24 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
         return di
 
     conn_cid = [_dense(c.connection_id) for c in conns]
-    pre_dense = [_dense(cid) for cid in pre_cids]
+    pre_dense = [_dense(cast(int, m.connection_id)) for m in pre_objs]
     n_cids = len(cid_list)
     n_pre = len(pre_objs)
-    n_rows = n_pre + n_rel
 
-    # --- marshal: one workspace ----------------------------------------
+    # --- marshal: carve the window from the call's buffer ---------------
     rt_lo, rt_hi = class_priority_range(RT)
     # Entry 0 of the table, the most urgent level, is unbounded below
     # (None); every level under it starts at an int.
     rt_lower = cast("tuple[int, ...]", level_starts(protocol.mapping, RT)[1:])
-    ws = _Workspace(n, len(conns), n_cids, n_rows, len(rt_lower))
+    ws.carve(n, len(conns), n_cids, n_pre + n_rel, len(rt_lower))
     arbiter = protocol.arbiter
-    report = metrics.report
+    report = sim.metrics.report
     # The constructor's default factory resolves the module-level counter
     # at call time, so rebinding it hands the kernel a contiguous id
     # block while later Python-side constructions continue the sequence.
     id0 = next(_messages._message_ids)
-    _messages._message_ids = itertools.count(id0 + n_rel if n_rel else id0)
+    _messages._message_ids = itertools.count(id0 + n_rel)
+    p_master, p_gap, _, _, p_nreq = sim._pending
     ws.set_scalars(
         n=n,
         start_slot=s,
@@ -624,5 +702,5 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
         ),
     )
     if profiler is not None:
-        profiler.lap("fold", t_phase)
-    return None
+        t_phase = profiler.lap("fold", t_phase)
+    return t_phase

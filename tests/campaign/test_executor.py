@@ -150,6 +150,14 @@ class TestInterruptAndResume:
         assert summary.executed == 0
         assert summary.remaining == c.total_runs
 
+    def test_negative_limit_is_rejected_before_the_store_changes(self, tmp_path):
+        # ``pending[:-1]`` used to run every pending run but the last.
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+            run_campaign(_campaign(), store, limit=-1)
+        assert len(store) == 0
+        assert not store.spec_path.exists()
+
 
 class TestReport:
     def test_marginals_average_over_other_axes(self, tmp_path):

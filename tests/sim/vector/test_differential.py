@@ -435,7 +435,8 @@ def test_fold_chunk_edges(backend):
 def test_profiler_does_not_change_the_tier():
     """A profiled closed-world run stays on the compiled tier, produces
     the unprofiled run's report, and records one ``ingest`` / ``kernel``
-    / ``fold`` lap per ``run()`` call and nothing else."""
+    / ``fold`` lap per ``run()`` call (each is one release window) and
+    nothing else."""
     if ckernel._kernel_fn() is None:
         pytest.skip("no C toolchain; compiled tier unavailable")
     config = _loaded_config(8, 0.75)

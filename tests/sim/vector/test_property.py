@@ -12,6 +12,7 @@ pins the known-interesting corners, this one searches for new ones.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.connection import LogicalRealTimeConnection
 from repro.core.mapping import LinearMapping
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
+from repro.sim.vector import ckernel
 from repro.sim.vector.soa import release_schedule
 from repro.traffic.periodic import ConnectionSource, random_connection_set
 from repro.traffic.sweeps import scale_connections_to_utilisation
@@ -82,6 +84,23 @@ def scenarios(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_random_scenarios_match(case):
+    assert_scenario_matches(case)
+
+
+@given(scenarios())
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_random_scenarios_match_in_tiny_windows(case):
+    """The same search with a compiled window budget of two releases, so
+    a call crosses a window boundary every few slots."""
+    with mock.patch.object(ckernel, "_WINDOW_RELEASES", 2):
+        assert_scenario_matches(case)
+
+
+def assert_scenario_matches(case):
     config, mapping, n_slots = case
 
     def make_sim(engine):

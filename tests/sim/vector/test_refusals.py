@@ -4,7 +4,9 @@
 returns why; :class:`VectorSimulation` then runs the numpy SoA kernel
 and records the reason in ``vector_numpy_reason``.  One test per
 refusal: the reason is recorded, the numpy tier ran, and the result is
-still the oracle's (the refusal left the simulation untouched).
+still the oracle's (the refusal left the simulation untouched).  What is
+no refusal stays compiled: any laxity mapping, and any number of
+releases (a long call runs in release windows).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.core.messages import Message
 from repro.core.priorities import TrafficClass
 from repro.core.protocol import PlannedTransmission
 from repro.obs.events import BoundedEventRing, EventDispatcher
+from repro.sim.profiling import PhaseProfiler
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 from repro.sim.vector import ckernel
 from repro.traffic.poisson import PoissonSource
@@ -135,7 +138,6 @@ def _cases():
             (_inject(TrafficClass.RT_CONNECTION, 999_998, orphan=True),),
         ),
         "planned message not queued": (_make(config), (_plan_foreign_message,)),
-        "more than 10 releases": (_make(config), ()),
     }
 
 
@@ -154,8 +156,6 @@ def test_refusal_is_named(reason, monkeypatch):
         monkeypatch.setattr(ckernel, "_fn", None)
     elif ckernel._kernel_fn() is None:
         pytest.skip("no C toolchain; compiled tier unavailable")
-    if reason.startswith("more than"):
-        monkeypatch.setattr(ckernel, "_MAX_RELEASES", 10)
     make_sim, setup = _cases()[reason]
     sim = assert_engines_match(
         make_sim, warm=5, chunks=(*setup, 300), extra_steps=10
@@ -186,3 +186,76 @@ def test_any_mapping_runs_compiled(mapping):
     make_sim = _make(_loaded_config(8, 0.6), mapping=mapping)
     sim = assert_engines_match(make_sim, warm=5, chunks=(300,), extra_steps=10)
     assert (sim.vector_backend, sim.vector_numpy_reason) == ("compiled", None)
+
+
+def test_release_count_is_no_refusal(monkeypatch):
+    """A call longer than one window's release budget stays compiled: it
+    runs in windows, and a budget of three releases (a window of a few
+    slots) still matches the oracle bit for bit.  The windows end
+    mid-message, with a hand-over pending and with a break denial
+    pending; each records one profiler lap triple; and the message ids
+    the windows reserve run on without a gap."""
+    if ckernel._kernel_fn() is None:
+        pytest.skip("no C toolchain; compiled tier unavailable")
+    monkeypatch.setattr(ckernel, "_WINDOW_RELEASES", 3)
+    boundaries = []
+    run_window = ckernel._run_window
+
+    def spy(fn, sim, *args):
+        t_phase = run_window(fn, sim, *args)
+        master, _, _, denied, _ = sim._pending
+        boundaries.append(
+            (
+                any(
+                    0 < m.sent_slots < m.size_slots
+                    for q in sim.queues.values()
+                    for m in q.pending_messages()
+                ),
+                master != sim._prev_master,
+                bool(denied),
+            )
+        )
+        return t_phase
+
+    monkeypatch.setattr(ckernel, "_run_window", spy)
+    config = _loaded_config(8, 0.9)
+    profilers = {}
+    ids = {}
+
+    def make_sim(engine):
+        profilers[engine] = PhaseProfiler()
+        return build_simulation(
+            config, RunOptions(engine=engine, profiler=profilers[engine])
+        )
+
+    def probe(key):
+        def setup(sim):
+            msg = Message(
+                source=0,
+                destinations=frozenset([2]),
+                traffic_class=TrafficClass.NON_REAL_TIME,
+                size_slots=1,
+                created_slot=sim.current_slot,
+            )
+            released = sim.report.per_class[TrafficClass.RT_CONNECTION].released
+            ids[type(sim).__name__, key] = (msg.msg_id, released)
+
+        return setup
+
+    sim = assert_engines_match(
+        make_sim,
+        warm=5,
+        chunks=(probe("before"), 400, probe("after")),
+        extra_steps=10,
+    )
+    assert (sim.vector_backend, sim.vector_numpy_reason) == ("compiled", None)
+    windows = len(boundaries)
+    assert windows > 50
+    assert all(map(any, zip(*boundaries))), "a boundary kind never occurred"
+    # (The warm-up and trailing oracle steps record their own phases.)
+    laps = profilers["vector"].calls
+    assert [laps[phase] for phase in ("ingest", "kernel", "fold")] == [windows] * 3
+    id_before, released_before = ids["VectorSimulation", "before"]
+    id_after, released_after = ids["VectorSimulation", "after"]
+    # The call's first window reserves ids from ``id_before + 1`` on.
+    assert id_after == id_before + 1 + (released_after - released_before)

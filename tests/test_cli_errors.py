@@ -83,6 +83,16 @@ USAGE_ERRORS = [
     "churn --ops 0",
     "churn --clients 0",
     "churn --verify-replay",
+    "simulate --events missing/run.jsonl",
+    "simulate --manifest missing/run.manifest.json",
+    "churn --events missing/run.jsonl",
+    "campaign run --store store --events missing/run.jsonl",
+    "campaign run --store store --limit -1",
+    "campaign run --store store",
+    "campaign run --store store --spec missing.json",
+    "campaign status --store store",
+    "campaign report --store store",
+    "campaign fsck --store store",
 ]
 
 
@@ -90,7 +100,27 @@ USAGE_ERRORS = [
 def test_usage_error_is_exit_2_and_one_line(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert assert_clean_exit(command.split(), allowed=(2,)) == 2
-    assert not (tmp_path / "run.jsonl").exists()
+    # A rejected input leaves no log, manifest or store behind.
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    ("command", "with_spec"),
+    [("status", False), ("status", True), ("report", False),
+     ("report", True), ("fsck", False)],
+)
+def test_read_only_campaign_command_creates_no_store(
+    command, with_spec, tmp_path
+):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    store = tmp_path / "store"
+    extra = ["--spec", str(spec)] if with_spec else []
+    code, out, err = run(["campaign", command, "--store", str(store), *extra])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"repro campaign {command}: error: ")
+    assert err.endswith(f"no store at {store}\n")
+    assert not store.exists()
 
 
 def test_verify_replay_without_events_fails_before_the_run():
