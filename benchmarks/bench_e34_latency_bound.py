@@ -164,7 +164,7 @@ def test_e34_wcrt_per_connection(run_once, benchmark):
                     f"{c.period_slots}:{c.size_slots}",
                     c.size_slots + 1,
                     wcrt,
-                    max(observed.latencies_slots),
+                    max(observed.latency_counts),
                     c.period_slots + 1,
                     observed.deadline_missed,
                 )

@@ -64,15 +64,15 @@ class Histogram:
         self.max = -math.inf
         self.buckets: Counter = Counter()
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``."""
+        self.count += count
+        self.total += value * count
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        self.buckets[self._bucket(value)] += 1
+        self.buckets[self._bucket(value)] += count
 
     @staticmethod
     def _bucket(value: float) -> int:
@@ -140,12 +140,12 @@ class MetricRegistry:
         """Add ``k`` to counter ``name`` (created at zero on first use)."""
         self.counters[name] += k
 
-    def observe(self, name: str, value: float) -> None:
-        """Record ``value`` into histogram ``name``."""
+    def observe(self, name: str, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` into histogram ``name``."""
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram()
-        hist.observe(value)
+        hist.observe(value, count)
 
     def histogram(self, name: str) -> Histogram:
         """The histogram registered under ``name`` (created empty)."""

@@ -168,10 +168,6 @@ class FaultModel:
                 return node
         raise RuntimeError("all nodes have failed; the network is dead")
 
-    def any_faults_configured(self) -> bool:
-        """Whether this model can produce any fault at all."""
-        return True
-
 
 class ScriptedFaultModel(FaultModel):
     """A scripted set of permanent node failures and control losses.
@@ -210,10 +206,6 @@ class ScriptedFaultModel(FaultModel):
     def distribution_lost(self, slot: int) -> bool:
         """Whether the scripted fault set loses slot's distribution packet."""
         return slot in self.control_loss_slots
-
-    def any_faults_configured(self) -> bool:
-        """Whether the script holds any fault at all."""
-        return bool(self.node_failures) or bool(self.control_loss_slots)
 
 
 class ScriptedNodeOutages(FaultModel):
@@ -264,10 +256,6 @@ class ScriptedNodeOutages(FaultModel):
                 break
         return True
 
-    def any_faults_configured(self) -> bool:
-        """Whether any outage window is scripted."""
-        return any(self._outages.values())
-
 
 class BernoulliControlLoss(FaultModel):
     """Independent per-slot loss of collection/distribution packets.
@@ -313,10 +301,6 @@ class BernoulliControlLoss(FaultModel):
         """Whether slot's distribution packet is lost (cached draw)."""
         self._ensure(slot)
         return self._draws[slot][1]
-
-    def any_faults_configured(self) -> bool:
-        """Whether either phase has a non-zero loss probability."""
-        return self.p_collection > 0.0 or self.p_distribution > 0.0
 
 
 #: Gilbert-Elliott channel states.
@@ -391,16 +375,6 @@ class GilbertElliottControlLoss(FaultModel):
         """The channel state (:data:`GE_GOOD` / :data:`GE_BAD`) at ``slot``."""
         self._ensure(slot)
         return GE_BAD if self._draws[slot][2] else GE_GOOD
-
-    def any_faults_configured(self) -> bool:
-        """Whether any state/transition can actually lose a packet."""
-        can_reach_bad = self.p_good_to_bad > 0.0 or self._relevant_start_bad()
-        return self.loss_good > 0.0 or (can_reach_bad and self.loss_bad > 0.0)
-
-    def _relevant_start_bad(self) -> bool:
-        if self._draws:
-            return self._draws[0][2]
-        return self._bad
 
 
 class TransientNodeFaults(FaultModel):
@@ -480,10 +454,6 @@ class TransientNodeFaults(FaultModel):
         # Alive iff an even number of toggles happened at or before slot.
         return bisect_right(self._toggles[node], slot) % 2 == 0
 
-    def any_faults_configured(self) -> bool:
-        """Whether at least one node is mortal."""
-        return len(self.immortal) < self.n_nodes
-
 
 class ClockGlitchFaults(FaultModel):
     """Transient clock glitches that void one hand-over each.
@@ -522,10 +492,6 @@ class ClockGlitchFaults(FaultModel):
         while len(self._draws) <= slot:
             self._draws.append(bool(self.rng.random() < self.p_glitch))
         return self._draws[slot]
-
-    def any_faults_configured(self) -> bool:
-        """Whether any glitch can occur."""
-        return bool(self.glitch_slots) or self.p_glitch > 0.0
 
 
 class CompositeFaultModel(FaultModel):
@@ -580,10 +546,6 @@ class CompositeFaultModel(FaultModel):
         for m in self.models:
             glitch |= m.clock_glitch(slot)
         return glitch
-
-    def any_faults_configured(self) -> bool:
-        """Whether any component can produce a fault."""
-        return any(m.any_faults_configured() for m in self.models)
 
 
 @dataclass(frozen=True)

@@ -7,86 +7,40 @@ the object all experiments read their numbers from.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 from repro.core.messages import Message
 from repro.core.priorities import TrafficClass
 from repro.obs.registry import MetricRegistry
 
 
-@dataclass
-class ConnectionStats:
-    """Aggregates for one logical real-time connection.
+@dataclass(kw_only=True)
+class MessageStats:
+    """Message totals and delivery latencies of one class or connection.
 
-    Latency *jitter* (the spread between fastest and slowest delivery)
-    matters to streaming applications at least as much as the mean; both
-    are derived here per connection.
+    Latencies are kept as an exact histogram, deliveries per latency
+    value, so a report's size does not grow with the run.  Every
+    statistic below is exact from the counts.
     """
 
-    connection_id: int
     released: int = 0
     delivered: int = 0
     dropped: int = 0
     deadline_met: int = 0
     deadline_missed: int = 0
-    latencies_slots: list[int] = field(default_factory=list)
-
-    @property
-    def deadline_miss_ratio(self) -> float:
-        """Missed deadlines (incl. drops) over all decided messages."""
-        denom = self.deadline_met + self.deadline_missed
-        if denom == 0:
-            return 0.0
-        return self.deadline_missed / denom
-
-    @property
-    def mean_latency_slots(self) -> float:
-        """Mean delivery latency in slots (NaN before any delivery)."""
-        if not self.latencies_slots:
-            return float("nan")
-        return float(np.mean(self.latencies_slots))
-
-    @property
-    def jitter_slots(self) -> int:
-        """Peak-to-peak delivery latency spread."""
-        if len(self.latencies_slots) < 2:
-            return 0
-        return int(max(self.latencies_slots) - min(self.latencies_slots))
-
-    @property
-    def latency_std_slots(self) -> float:
-        """Standard deviation of delivery latencies, in slots."""
-        if len(self.latencies_slots) < 2:
-            return 0.0
-        return float(np.std(self.latencies_slots))
-
-
-@dataclass
-class ClassStats:
-    """Aggregates for one traffic class."""
-
-    released: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    deadline_met: int = 0
-    deadline_missed: int = 0
-    #: Subset of :attr:`deadline_missed` recorded while the engine was
-    #: inside a fault window (recovering from a fault, or purging the
-    #: queue of a rejoining node) -- misses attributable to faults
-    #: rather than to ordinary overload.
-    deadline_missed_in_fault_window: int = 0
     #: Delivery latencies in slots (completion - creation + 1, i.e. the
-    #: number of slots the message spanned).
-    latencies_slots: list[int] = field(default_factory=list)
+    #: number of slots the message spanned): deliveries per latency.
+    latency_counts: Counter[int] = field(default_factory=Counter)
 
     @property
     def deadline_miss_ratio(self) -> float:
-        """Missed deadlines (incl. drops of deadline traffic) / released.
+        """Missed deadlines (incl. drops) over all decided messages.
 
-        0.0 when nothing with a deadline was released.
+        0.0 when nothing with a deadline was decided.
         """
         denom = self.deadline_met + self.deadline_missed
         if denom == 0:
@@ -94,11 +48,23 @@ class ClassStats:
         return self.deadline_missed / denom
 
     @property
+    def latencies_slots(self) -> list[int]:
+        """Every delivery latency, ascending, expanded from
+        :attr:`latency_counts` (a read-only copy that grows with the
+        run; no slot loop or report reads it)."""
+        return sorted(self.latency_counts.elements())
+
+    @property
     def mean_latency_slots(self) -> float:
-        """Mean delivery latency in slots (NaN before any delivery)."""
-        if not self.latencies_slots:
+        """Mean delivery latency in slots (NaN before any delivery).
+
+        The integer sum over the count, correctly rounded: equal to
+        ``np.mean`` of the latencies while their sum is below 2**53.
+        """
+        counts = self.latency_counts
+        if not counts:
             return float("nan")
-        return float(np.mean(self.latencies_slots))
+        return sum(v * k for v, k in counts.items()) / counts.total()
 
     @property
     def max_latency_slots(self) -> float:
@@ -108,24 +74,88 @@ class ClassStats:
         impossible (latency counts at least the delivery slot itself), so
         the old ``0`` sentinel silently read as a perfect latency.
         """
-        if not self.latencies_slots:
+        if not self.latency_counts:
             return float("nan")
-        return float(max(self.latencies_slots))
+        return float(max(self.latency_counts))
+
+    @property
+    def jitter_slots(self) -> int:
+        """Peak-to-peak delivery latency spread."""
+        counts = self.latency_counts
+        if not counts:
+            return 0
+        return max(counts) - min(counts)
+
+    @property
+    def latency_std_slots(self) -> float:
+        """Standard deviation of delivery latencies, in slots (``np.std``'s
+        population form; 0.0 before two deliveries).
+
+        The correctly rounded root of the variance from exact integer
+        moments; ``np.std`` sums floats, so the two may differ in the
+        last bits.
+        """
+        counts = self.latency_counts
+        n = counts.total()
+        if n < 2:
+            return 0.0
+        s1 = sum(v * k for v, k in counts.items())
+        s2 = sum(v * v * k for v, k in counts.items())
+        return math.sqrt((n * s2 - s1 * s1) / (n * n))
 
     def latency_percentile(self, q: float) -> float:
         """The ``q``-th percentile of delivery latencies, in slots.
 
         ``q`` follows :func:`numpy.percentile`'s convention: a percentage
         in ``[0, 100]`` (so the median is ``q=50``, not ``q=0.5``).
-        NaN before any delivery.
+        NaN before any delivery.  The value is ``np.percentile``'s over
+        the latencies: its default linear rule, read off the two ranks it
+        interpolates between and blended in its order of operations.
         """
         if not 0 <= q <= 100:
             raise ValueError(
                 f"q is a percentage in [0, 100] (the median is q=50), got {q}"
             )
-        if not self.latencies_slots:
+        counts = self.latency_counts
+        if not counts:
             return float("nan")
-        return float(np.percentile(self.latencies_slots, q))
+        values = sorted(counts)
+        n = counts.total()
+        rank = (n - 1) * (q / 100)
+        if rank >= n - 1:
+            return float(values[-1])
+        lo = math.floor(rank)
+        # ends[i]: how many latencies are at most values[i].
+        ends = list(accumulate(counts[v] for v in values))
+        a = values[bisect_right(ends, lo)]
+        b = values[bisect_right(ends, lo + 1)]
+        t = rank - lo
+        if t >= 0.5:
+            return b - (b - a) * (1 - t)
+        return a + (b - a) * t
+
+
+@dataclass
+class ConnectionStats(MessageStats):
+    """Aggregates for one logical real-time connection.
+
+    Latency *jitter* (the spread between fastest and slowest delivery)
+    matters to streaming applications at least as much as the mean; both
+    are derived per connection.
+    """
+
+    connection_id: int
+
+
+@dataclass
+class ClassStats(MessageStats):
+    """Aggregates for one traffic class."""
+
+    #: Subset of :attr:`deadline_missed` recorded while the engine was
+    #: inside a fault window (recovering from a fault, or purging the
+    #: queue of a rejoining node) -- misses attributable to faults
+    #: rather than to ordinary overload.
+    deadline_missed_in_fault_window: int = 0
 
 
 @dataclass
@@ -301,7 +331,8 @@ def registry_of(report: SimulationReport) -> MetricRegistry:
     A view of ``report``, nothing more: message totals summed over the
     traffic classes, one ``sim:fault:<kind>`` counter per injected fault
     kind, the recovery count, and every delivery latency observed into
-    ``sim:latency_slots``.  A zero total leaves no counter.
+    ``sim:latency_slots`` (each distinct value once, with its count).  A
+    zero total leaves no counter.
     """
     registry = MetricRegistry()
     classes = report.per_class.values()
@@ -314,8 +345,8 @@ def registry_of(report: SimulationReport) -> MetricRegistry:
     for kind, total in availability.fault_events.items():
         registry.inc(f"sim:fault:{kind}", total)
     for stats in classes:
-        for latency in stats.latencies_slots:
-            registry.observe("sim:latency_slots", latency)
+        for latency, k in stats.latency_counts.items():
+            registry.observe("sim:latency_slots", latency, k)
     # Unary plus keeps the positive counts: no counter at zero.
     registry.counters = +registry.counters
     return registry
@@ -357,7 +388,7 @@ class MetricsCollector:
         completed = message.completed_slot
         assert completed is not None
         latency = completed - message.created_slot + 1
-        stats.latencies_slots.append(latency)
+        stats.latency_counts[latency] += 1
         deadline = message.deadline_slot
         met = None if deadline is None else completed <= deadline
         if met is True:
@@ -369,7 +400,7 @@ class MetricsCollector:
         conn = self._connection_stats(message)
         if conn is not None:
             conn.delivered += 1
-            conn.latencies_slots.append(latency)
+            conn.latency_counts[latency] += 1
             if met is True:
                 conn.deadline_met += 1
             elif met is False:

@@ -106,10 +106,6 @@ class PhaseProfiler:
         """Sum of all phase timers."""
         return sum(self.seconds.values())
 
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's accumulations into this one."""
-        self.registry.merge(other.registry)
-
     def summary(self) -> dict[str, dict[str, float]]:
         """Phase table as plain data: seconds, calls, share of total."""
         seconds = self.seconds

@@ -99,8 +99,8 @@ enum ws_field {
     W_M_COMPLETED,
     W_M_CONN,
     W_LAT,
-    W_LAT_BY_CID,
-    W_ROW_LOG,
+    W_DEL_CID,
+    W_LIVE_ROWS,
     W_NFIELDS
 };
 
@@ -209,10 +209,10 @@ int64_t repro_run_ckernel(int64_t *ws) {
     int64_t *m_status = I64(W_M_STATUS);
     int64_t *m_completed = I64(W_M_COMPLETED);
     int64_t *m_conn = I64(W_M_CONN);
+    /* Per delivery, in delivery order: latency and dense connection id. */
     int64_t *lat = I64(W_LAT);
-    int64_t *lat_by_cid = I64(W_LAT_BY_CID);
-    /* Delivered rows while the loop runs; live release rows at exit. */
-    int64_t *row_log = I64(W_ROW_LOG);
+    int64_t *del_cid = I64(W_DEL_CID);
+    int64_t *live_rows = I64(W_LIVE_ROWS);
     int64_t n_rows = n_pre + n_rel;
 
     /* Scratch: per-node heap arena, node tables, grant lists, calendar. */
@@ -223,7 +223,7 @@ int64_t repro_run_ckernel(int64_t *ws) {
     Ent *arena = (Ent *)malloc((size_t)(total_cap > 0 ? total_cap : 1) *
                                sizeof(Ent));
     int64_t *scratch = (int64_t *)malloc(
-        (size_t)(n * 9 + n_cids + n_conns + 1) * sizeof(int64_t));
+        (size_t)(n * 9 + n_conns + 1) * sizeof(int64_t));
     if (arena == NULL || scratch == NULL) {
         free(arena);
         free(scratch);
@@ -238,8 +238,7 @@ int64_t repro_run_ckernel(int64_t *ws) {
     int64_t *cur_den = cur_tx + n;
     int64_t *nxt_tx = cur_den + n;
     int64_t *nxt_den = nxt_tx + n;
-    int64_t *cid_cursor = nxt_den + n;
-    int64_t *conn_due = cid_cursor + n_cids;
+    int64_t *conn_due = nxt_den + n;
     int64_t ret = 0;
 
     int64_t off = 0;
@@ -363,7 +362,7 @@ int64_t repro_run_ckernel(int64_t *ws) {
                 int64_t latency = s - m_created[row] + 1;
                 int64_t ci = m_cid[row];
                 lat[n_del] = latency;
-                row_log[n_del] = row;
+                del_cid[n_del] = ci;
                 n_del++;
                 cid_delivered[ci]++;
                 if (s > m_deadline[row]) {
@@ -497,21 +496,11 @@ int64_t repro_run_ckernel(int64_t *ws) {
         goto done;
     }
 
-    /* Exit aggregates.  Latencies grouped by connection id, each group in
-     * delivery order (a counting sort over the delivery log). */
-    int64_t pos = 0;
-    for (int64_t ci = 0; ci < n_cids; ci++) {
-        cid_cursor[ci] = pos;
-        pos += cid_delivered[ci];
-    }
-    for (int64_t k = 0; k < n_del; k++) {
-        lat_by_cid[cid_cursor[m_cid[row_log[k]]]++] = lat[k];
-    }
     /* Release rows still live, in row order. */
     int64_t n_live = 0;
     for (int64_t row = n_pre; row < n_rows; row++) {
         if (m_status[row] != ST_DELIVERED) {
-            row_log[n_live++] = row;
+            live_rows[n_live++] = row;
         }
     }
 

@@ -37,9 +37,12 @@ from the global counter before each window (one per release, counted
 arithmetically) so later windows and Python-side allocations continue
 the same sequence, a head's priority is read off
 the mapping's level-start table (``core.mapping.level_starts``, so any
-laxity mapping runs here), the kernel's delivery
-aggregates are folded into the metrics column by column in delivery
-order (see "The compiled tier's exit fold" in ``DESIGN.md``).
+laxity mapping runs here), and the kernel counts deliveries and misses
+per connection and logs each delivery's latency and dense connection
+id, which the exit fold turns into the latency histograms with one
+``np.unique`` (see "The compiled tier's exit fold" in ``DESIGN.md``).
+The fold's Python loops run over connections, distinct latencies, nodes
+and still-live messages, never over deliveries.
 
 An attached profiler does not change the tier: each window records one
 ``ingest``, one ``kernel`` and one ``fold`` lap.
@@ -161,11 +164,11 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("m_status", "i8", "rows"),
     ("m_completed", "i8", "rows"),
     ("m_conn", "i8", "rows"),
-    # per delivery, in delivery order / grouped by connection id
+    # per delivery, in delivery order: latency and dense connection id
     ("lat", "i8", "rows"),
-    ("lat_by_cid", "i8", "rows"),
-    # delivered rows while the loop runs; live release rows at exit
-    ("row_log", "i8", "rows"),
+    ("del_cid", "i8", "rows"),
+    # release rows still live at exit
+    ("live_rows", "i8", "rows"),
 )
 
 _RULES = ("1", "n", "n*n", "conns", "cids", "rows", "levels")
@@ -555,10 +558,10 @@ def _run_window(
         t_phase = profiler.lap("kernel", t_phase)
 
     # --- fold the outputs back into the Python object graph ------------
-    # The kernel wrote every per-delivery aggregate (latencies in delivery
-    # order and grouped by connection, per-connection delivered/missed
-    # counts), so Python loops run over connections, nodes and still-live
-    # messages only.
+    # The kernel counted deliveries and misses per connection and logged
+    # each delivery's (latency, dense id); one ``np.unique`` turns the log
+    # into histogram buckets, so Python loops run over connections,
+    # distinct latencies, nodes and still-live messages only.
     out = words[_HEADER : _HEADER + _N_SCALARS].tolist()
     fout = ws.floats[_HEADER : _HEADER + _N_SCALARS].tolist()
     F = _FIELD
@@ -584,10 +587,6 @@ def _run_window(
         rt_stats.delivered += n_del
         rt_stats.deadline_missed += missed_total
         rt_stats.deadline_met += n_del - missed_total
-        rt_stats.latencies_slots.extend(ws.col("lat")[:n_del].tolist())
-        # Per connection, each group in delivery order (report content).
-        grouped = ws.col("lat_by_cid")[:n_del].tolist()
-        lo = 0
         for cid, k, k_missed in zip(
             cid_list,
             ws.col("cid_delivered").tolist(),
@@ -598,8 +597,16 @@ def _run_window(
                 cstat.delivered += k
                 cstat.deadline_missed += k_missed
                 cstat.deadline_met += k - k_missed
-                cstat.latencies_slots.extend(grouped[lo : lo + k])
-                lo += k
+        lat = ws.col("lat")[:n_del]
+        span = int(lat.max()) + 1
+        pairs, counts = np.unique(
+            ws.col("del_cid")[:n_del] * span + lat, return_counts=True
+        )
+        rt_counts = rt_stats.latency_counts
+        for pair, k in zip(pairs.tolist(), counts.tolist()):
+            di, latency = divmod(pair, span)
+            rt_counts[latency] += k
+            per_connection[cid_list[di]].latency_counts[latency] += k
 
     report.wall_time_s = fout[F["wall"]]
     report.slot_time_s = fout[F["slot_time"]]
@@ -640,7 +647,7 @@ def _run_window(
                 live_by_node[msg.source].append(
                     (msg.deadline_slot, msg.msg_id, msg)
                 )
-    live_rows = ws.col("row_log")[: out[F["n_live"]]]
+    live_rows = ws.col("live_rows")[: out[F["n_live"]]]
     new_objs: dict[int, Message] = {}
     if len(live_rows):
         for row, c, created, deadline, mid, sent, st in zip(

@@ -148,7 +148,6 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     # constants; non-connection heads fall back to the shared cache).
     route_by_cid: dict[int, int] = {}
     rt_stats = per_class[RT]
-    rt_lat_append = rt_stats.latencies_slots.append
 
     def _deliver(msg: Message, completed: int) -> bool:
         """Fold one delivery into the metrics (the oracle's
@@ -158,10 +157,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
         cls_stats = rt_stats if tc is RT else per_class[tc]
         cls_stats.delivered += 1
         latency = completed - msg.created_slot + 1
-        if cls_stats is rt_stats:
-            rt_lat_append(latency)
-        else:
-            cls_stats.latencies_slots.append(latency)
+        cls_stats.latency_counts[latency] += 1
         deadline = msg.deadline_slot
         missed = False
         if deadline is not None:
@@ -178,7 +174,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
             if cstat is None:
                 cstat = per_connection[cid] = ConnectionStats(cid)
             cstat.delivered += 1
-            cstat.latencies_slots.append(latency)
+            cstat.latency_counts[latency] += 1
             if deadline is not None:
                 if missed:
                     cstat.deadline_missed += 1

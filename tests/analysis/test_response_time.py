@@ -152,4 +152,4 @@ class TestWcrt:
             observed = report.connection_stats(c.connection_id)
             assert observed.deadline_missed == 0
             # The hard guarantee: latency never exceeds the window.
-            assert max(observed.latencies_slots) <= c.period_slots + 1
+            assert max(observed.latency_counts) <= c.period_slots + 1

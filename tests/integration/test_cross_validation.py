@@ -98,5 +98,5 @@ def test_all_layers_agree(case):
         # Simulated latencies stay inside the deadline window; the ideal
         # WCRT may be exceeded only through priority-bucket quantisation,
         # never past the window.
-        if stats.latencies_slots:
-            assert max(stats.latencies_slots) <= c.period_slots + 1
+        if stats.latency_counts:
+            assert max(stats.latency_counts) <= c.period_slots + 1

@@ -1,6 +1,7 @@
 """Tests for per-connection statistics and jitter accounting."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -29,7 +30,7 @@ class TestConnectionStatsObject:
         assert s.latency_std_slots == 0.0
 
     def test_jitter_is_peak_to_peak(self):
-        s = ConnectionStats(connection_id=1, latencies_slots=[3, 7, 5])
+        s = ConnectionStats(connection_id=1, latency_counts=Counter([3, 7, 5]))
         assert s.jitter_slots == 4
         assert s.mean_latency_slots == pytest.approx(5.0)
         assert s.latency_std_slots > 0
@@ -80,7 +81,7 @@ class TestPerConnectionAccounting:
         sb = sim.report.connection_stats(b.connection_id)
         assert sb.deadline_missed == 0
         assert sb.jitter_slots >= 0
-        assert len(sb.latencies_slots) == sb.delivered
+        assert sb.latency_counts.total() == sb.delivered
 
     def test_isolated_connection_has_constant_latency(self):
         """A lone connection on an idle ring sees zero jitter: every

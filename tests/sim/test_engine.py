@@ -53,7 +53,7 @@ class TestBasicOperation:
         rt = report.class_stats(TrafficClass.RT_CONNECTION)
         # Released at slot 0, arbitrated during slot 0, sent in slot 1:
         # latency = completed - created + 1 = 2 slots.
-        assert rt.latencies_slots[0] == 2
+        assert rt.latency_counts == {2: 2}
 
     def test_run_returns_cumulative_report(self):
         sim = build(sources=[ConnectionSource(conn(period=5))])

@@ -72,7 +72,6 @@ class TestScriptedFaultModel:
         # The script never loses the collection packet.
         assert not any(model.collection_lost(s) for s in range(100))
         assert model.recovery.timeout_s == 3e-6
-        assert model.any_faults_configured()
 
     def test_coerce_wraps_injector(self):
         """No adapter: the engine drives the scripted model itself."""
@@ -105,9 +104,9 @@ class TestScriptedNodeOutages:
         with pytest.raises(ValueError, match="bad outage interval"):
             ScriptedNodeOutages({0: [(10, 10)]})
 
-    def test_any_faults_configured(self):
-        assert not ScriptedNodeOutages({}).any_faults_configured()
-        assert ScriptedNodeOutages({0: [(1, 2)]}).any_faults_configured()
+    def test_empty_script_keeps_every_node_alive(self):
+        model = ScriptedNodeOutages({})
+        assert all(model.is_alive(n, s) for n in range(4) for s in range(100))
 
 
 class TestBernoulliControlLoss:
@@ -120,7 +119,6 @@ class TestBernoulliControlLoss:
     def test_zero_probability_never_loses(self):
         model = BernoulliControlLoss(np.random.default_rng(0))
         assert not any(model.collection_lost(s) for s in range(500))
-        assert not model.any_faults_configured()
 
     def test_query_order_does_not_change_answers(self):
         a = BernoulliControlLoss(
@@ -190,13 +188,15 @@ class TestGilbertElliottControlLoss:
             start_bad=True,
         )
         assert model.distribution_lost(0)
-        assert model.any_faults_configured()
 
     def test_unreachable_bad_state_is_fault_free(self):
         model = GilbertElliottControlLoss(
             np.random.default_rng(0), p_good_to_bad=0.0, p_bad_to_good=0.1
         )
-        assert not model.any_faults_configured()
+        assert not any(
+            model.collection_lost(s) or model.distribution_lost(s)
+            for s in range(1000)
+        )
 
 
 class TestTransientNodeFaults:
@@ -260,7 +260,6 @@ class TestClockGlitchFaults:
         model = ClockGlitchFaults(glitch_slots={3, 8}, recovery=RECOVERY)
         assert model.clock_glitch(3) and model.clock_glitch(8)
         assert not model.clock_glitch(4)
-        assert model.any_faults_configured()
 
     def test_stochastic_needs_rng(self):
         with pytest.raises(ValueError, match="rng"):
@@ -276,7 +275,8 @@ class TestClockGlitchFaults:
         assert any(first) and not all(first)
 
     def test_no_glitches_configured(self):
-        assert not ClockGlitchFaults().any_faults_configured()
+        model = ClockGlitchFaults()
+        assert not any(model.clock_glitch(s) for s in range(100))
 
 
 class TestCompositeFaultModel:
@@ -330,8 +330,9 @@ class TestCompositeFaultModel:
 
     def test_empty_composite_is_fault_free(self):
         model = CompositeFaultModel([])
-        assert not model.any_faults_configured()
         assert model.is_alive(0, 0)
+        assert not model.collection_lost(0) and not model.distribution_lost(0)
+        assert not model.clock_glitch(0)
 
 
 def solo_draws(model, horizon):
@@ -421,9 +422,6 @@ class _ScriptedCollectionLoss(FaultModel):
 
     def collection_lost(self, slot):
         return slot in self.slots
-
-    def any_faults_configured(self):
-        return bool(self.slots)
 
 
 @st.composite

@@ -2,13 +2,17 @@
 
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.messages import Message
 from repro.core.priorities import TrafficClass
 from repro.core.protocol import PlannedTransmission
+from repro.obs.registry import Histogram
 from repro.sim.fault_models import FaultConfig
 from repro.sim.metrics import (
     ClassStats,
@@ -69,7 +73,7 @@ class TestClassStats:
         assert s.deadline_miss_ratio == pytest.approx(0.2)
 
     def test_latency_stats(self):
-        s = ClassStats(latencies_slots=[2, 4, 6])
+        s = ClassStats(latency_counts=Counter([2, 4, 6]))
         assert s.mean_latency_slots == pytest.approx(4.0)
         assert s.max_latency_slots == 6
         assert s.latency_percentile(50) == pytest.approx(4.0)
@@ -86,7 +90,7 @@ class TestClassStats:
         # q is a percentage in [0, 100]; q=0.5 almost always means the
         # caller wanted the median (q=50), so out-of-convention values
         # are rejected rather than silently computed.
-        s = ClassStats(latencies_slots=[2, 4, 6])
+        s = ClassStats(latency_counts=Counter([2, 4, 6]))
         assert s.latency_percentile(50) == pytest.approx(4.0)
         assert s.latency_percentile(0) == pytest.approx(2.0)
         assert s.latency_percentile(100) == pytest.approx(6.0)
@@ -94,6 +98,62 @@ class TestClassStats:
             s.latency_percentile(101)
         with pytest.raises(ValueError, match="percentage"):
             s.latency_percentile(-1)
+
+
+#: Latency multisets: mostly small slot counts with many repeats, as a
+#: loaded ring produces, plus the occasional large outlier.
+latency_lists = st.lists(
+    st.one_of(st.integers(1, 40), st.integers(1, 10**6)), min_size=1, max_size=300
+)
+
+
+class TestLatencyHistogram:
+    """Every statistic of the latency histogram equals numpy's over the
+    expanded list of latencies; std is within one ulp of the exact root."""
+
+    @given(
+        latencies=latency_lists,
+        q=st.one_of(st.integers(0, 100), st.floats(0, 100)),
+    )
+    def test_statistics_equal_numpy(self, latencies, q):
+        s = ClassStats(latency_counts=Counter(latencies))
+        assert s.latencies_slots == sorted(latencies)
+        assert s.mean_latency_slots == np.mean(latencies)
+        assert s.max_latency_slots == np.max(latencies)
+        assert s.latency_percentile(0) == np.min(latencies)
+        assert s.jitter_slots == np.max(latencies) - np.min(latencies)
+        assert s.latency_percentile(q) == np.percentile(latencies, q)
+        # std: within one ulp of the exact root.  ``np.std`` sums floats
+        # and is itself up to 2 ulps off it on such lists, so against
+        # numpy only a relative tolerance holds.
+        n, s1 = len(latencies), sum(latencies)
+        s2 = sum(x * x for x in latencies)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = float((Decimal(n * s2 - s1 * s1) / (n * n)).sqrt())
+        assert abs(s.latency_std_slots - exact) <= math.ulp(exact)
+        assert math.isclose(s.latency_std_slots, np.std(latencies), rel_tol=1e-14)
+
+    def test_mean_is_exact_at_the_float_limit(self):
+        # Below 2**53 numpy's float sum is exact too, so the two agree ...
+        below = [2**52 - 1, 2**52 - 2, 2]
+        s = ClassStats(latency_counts=Counter(below))
+        assert s.mean_latency_slots == np.mean(below)
+        # ... and past it the integer sum stays exact where floats round.
+        above = ClassStats(latency_counts=Counter([2**53, 1, 1, 1]))
+        assert above.mean_latency_slots == (2**53 + 3) / 4
+
+    @given(st.lists(latency_lists, min_size=1, max_size=len(TrafficClass)))
+    def test_registry_histogram_equals_observing_the_list(self, per_class):
+        report = SimulationReport(n_nodes=4)
+        expected = Histogram()
+        for tc, latencies in zip(TrafficClass, per_class):
+            report.per_class[tc].latency_counts.update(latencies)
+            for latency in latencies:
+                expected.observe(latency)
+        hist = registry_of(report).histograms["sim:latency_slots"]
+        assert hist == expected
+        assert hist.as_dict() == expected.as_dict()
 
 
 class TestCollector:
@@ -107,7 +167,7 @@ class TestCollector:
         assert stats.released == 1
         assert stats.delivered == 1
         assert stats.deadline_met == 1
-        assert stats.latencies_slots == [4]  # slots 0..3 inclusive
+        assert stats.latency_counts == {4: 1}  # slots 0..3 inclusive
 
     def test_missed_delivery_counted(self):
         c = MetricsCollector(n_nodes=4)
@@ -259,7 +319,7 @@ def _by_hand(report):
         "sim:recoveries": a.recoveries,
         **{f"sim:fault:{kind}": n for kind, n in a.fault_events.items()},
     }
-    latencies = [x for c in classes for x in c.latencies_slots]
+    latencies = [x for c in classes for x in c.latency_counts.elements()]
     buckets = Counter(x.bit_length() for x in latencies)
     return {
         "counters": {k: v for k, v in counters.items() if v},

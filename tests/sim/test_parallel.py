@@ -119,7 +119,7 @@ class TestParallelBitIdentity:
                 sa, sb = a.class_stats(tc), b.class_stats(tc)
                 assert sa.released == sb.released
                 assert sa.deadline_missed == sb.deadline_missed
-                assert sa.latencies_slots == sb.latencies_slots
+                assert sa.latency_counts == sb.latency_counts
 
 
 class TestParallelValidation:

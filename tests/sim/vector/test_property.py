@@ -11,7 +11,6 @@ pins the known-interesting corners, this one searches for new ones.
 
 from __future__ import annotations
 
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -27,10 +26,7 @@ from repro.traffic.periodic import ConnectionSource, random_connection_set
 from repro.traffic.sweeps import scale_connections_to_utilisation
 
 from tests.core.test_mapping import SQUARE_STEPS
-from tests.sim.vector.test_differential import (
-    fresh_message_ids,
-    run_engine,
-)
+from tests.sim.vector.test_differential import run_engine
 
 
 @st.composite
