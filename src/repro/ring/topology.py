@@ -166,10 +166,6 @@ class RingTopology:
         """Iterate over node ids."""
         return range(self.n_nodes)
 
-    def links(self) -> range:
-        """Iterate over link ids."""
-        return range(self.n_nodes)
-
 
 @lru_cache(maxsize=16)
 def _handover_gap_table(topology: RingTopology) -> tuple[float, ...]:

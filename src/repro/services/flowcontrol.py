@@ -55,11 +55,6 @@ class ReceiverBuffer:
         self.consumed = 0
         self._last_drain_slot = -1
 
-    @property
-    def free(self) -> int:
-        """Buffer slots currently available."""
-        return self.capacity - self.occupied
-
     def accept(self) -> None:
         """A message arrived into the buffer."""
         if self.occupied >= self.capacity:

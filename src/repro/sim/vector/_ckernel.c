@@ -17,9 +17,25 @@
  * fields in the order of ckernel.WORKSPACE (enum ws_field below).  It
  * carries a message table (pre-existing live messages first, one row
  * per scheduled release after), per-connection release calendar
- * columns, and every output the exit fold reads.  Per-node EDF heaps
- * keyed (deadline, msg_id) and the calendar's due slots are kernel
- * scratch.
+ * columns, and every output the exit fold reads.
+ *
+ * Kernel scratch, rebuilt at each entry so each slot's work scales
+ * with what is queued or due, not with the ring width or the
+ * connection count:
+ *   - per-node EDF heaps keyed (deadline, msg_id), and an occupancy
+ *     mask with bit i set while node i's heap is non-empty; planning
+ *     walks its set bits in ascending node order;
+ *   - prio_of_lax, the laxity -> priority table filled once per level
+ *     from the level-start column, over the laxities a head can reach
+ *     in the window (every level start is positive, so laxity <= 0
+ *     reads entry 0, the most urgent level);
+ *   - the release wheel: W slots (a power of two above the largest
+ *     period, at most 2^16) of connection bitmasks.  A connection's bit
+ *     sits in the slot of its next due time modulo W; walking a slot's
+ *     bits in ascending connection index is the oracle's (due, attach
+ *     order) release order.  A bit whose connection is not due yet (a
+ *     first release or a period W or more slots ahead) stays where it
+ *     is for a later lap.
  */
 
 #include <stdint.h>
@@ -29,6 +45,9 @@
 #define ST_PENDING 0
 #define ST_IN_TRANSIT 1
 #define ST_DELIVERED 2
+
+/* Release wheel size cap: 2^16 slots of ceil(n_conns/64) words each. */
+#define WHEEL_MAX_SLOTS ((int64_t)1 << 16)
 
 /* Workspace fields, in the order of ckernel.WORKSPACE (pinned by
  * tests/sim/vector/test_soa.py).  ws[field] is the field's word offset. */
@@ -215,15 +234,53 @@ int64_t repro_run_ckernel(int64_t *ws) {
     int64_t *live_rows = I64(W_LIVE_ROWS);
     int64_t n_rows = n_pre + n_rel;
 
-    /* Scratch: per-node heap arena, node tables, grant lists, calendar. */
+    /* The largest laxity a head can have in the window: a release's is
+     * at most its relative deadline, a carried row's at most its
+     * deadline - start + 1.  Laxities at or above the last level start
+     * all map to the least urgent level, so the table stops there. */
+    int64_t lax_cap = 0;
+    for (int64_t c = 0; c < n_conns; c++) {
+        if (conn_deadline[c] > lax_cap) {
+            lax_cap = conn_deadline[c];
+        }
+    }
+    for (int64_t row = 0; row < n_pre; row++) {
+        if (m_deadline[row] - start_slot + 1 > lax_cap) {
+            lax_cap = m_deadline[row] - start_slot + 1;
+        }
+    }
+    if (n_lower == 0) {
+        lax_cap = 0;
+    } else if (lax_cap > rt_level_start[n_lower - 1]) {
+        lax_cap = rt_level_start[n_lower - 1];
+    }
+
+    /* Wheel size: the next power of two above the largest period, so a
+     * re-armed connection never lands in the slot being walked, but at
+     * most WHEEL_MAX_SLOTS: a longer period keeps its bit through the
+     * laps before it is due, like a late first release. */
+    int64_t wheel_slots = 1;
+    for (int64_t c = 0; c < n_conns; c++) {
+        while (wheel_slots <= conn_period[c] &&
+               wheel_slots < WHEEL_MAX_SLOTS) {
+            wheel_slots <<= 1;
+        }
+    }
+    const int64_t wheel_mask = wheel_slots - 1;
+    const int64_t n_words = (n_conns + 63) / 64;
+
+    /* Scratch: per-node heap arena, node tables, grant lists, calendar,
+     * priority table and release wheel (zeroed: the wheel starts
+     * empty). */
     int64_t total_cap = 0;
     for (int64_t i = 0; i < n; i++) {
         total_cap += heap_cap[i];
     }
     Ent *arena = (Ent *)malloc((size_t)(total_cap > 0 ? total_cap : 1) *
                                sizeof(Ent));
-    int64_t *scratch = (int64_t *)malloc(
-        (size_t)(n * 9 + n_conns + 1) * sizeof(int64_t));
+    int64_t *scratch = (int64_t *)calloc(
+        (size_t)(n * 9 + n_conns + lax_cap + 1 + wheel_slots * n_words),
+        sizeof(int64_t));
     if (arena == NULL || scratch == NULL) {
         free(arena);
         free(scratch);
@@ -239,7 +296,24 @@ int64_t repro_run_ckernel(int64_t *ws) {
     int64_t *nxt_tx = cur_den + n;
     int64_t *nxt_den = nxt_tx + n;
     int64_t *conn_due = nxt_den + n;
+    int64_t *prio_of_lax = conn_due + n_conns;
+    uint64_t *wheel = (uint64_t *)(prio_of_lax + lax_cap + 1);
+    uint64_t occupied_nodes = 0;
     int64_t ret = 0;
+
+    /* prio_of_lax[lax] = rt_hi - (level starts <= lax), one fill per
+     * level; every start is positive, so entry 0 is rt_hi. */
+    {
+        int64_t lax = 0;
+        for (int64_t k = 0; k <= n_lower; k++) {
+            int64_t stop = k < n_lower && rt_level_start[k] <= lax_cap
+                               ? rt_level_start[k]
+                               : lax_cap + 1;
+            for (; lax < stop; lax++) {
+                prio_of_lax[lax] = rt_hi - k;
+            }
+        }
+    }
 
     int64_t off = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -263,17 +337,17 @@ int64_t repro_run_ckernel(int64_t *ws) {
             goto done;
         }
         heap_push(arena + hoff[node], &hsz[node], e);
+        occupied_nodes |= (uint64_t)1 << node;
     }
 
-    /* The release calendar: each connection's next due slot (INT64_MAX
-     * once its window is spent), and the earliest of them. */
-    int64_t next_due = INT64_MAX;
+    /* The release calendar: each connection's next due slot, its bit
+     * filed in the wheel until its window is spent. */
     for (int64_t c = 0; c < n_conns; c++) {
-        int64_t due =
-            conn_first[c] < conn_stop[c] ? conn_first[c] : INT64_MAX;
+        int64_t due = conn_first[c];
         conn_due[c] = due;
-        if (due < next_due) {
-            next_due = due;
+        if (due < conn_stop[c]) {
+            wheel[(due & wheel_mask) * n_words + c / 64] |=
+                (uint64_t)1 << (c % 64);
         }
     }
 
@@ -306,11 +380,13 @@ int64_t repro_run_ckernel(int64_t *ws) {
     while (s < end) {
         /* (a) traffic release: every connection due at s, in the
          * oracle's (slot, source index) polling order. */
-        if (s == next_due) {
-            next_due = INT64_MAX;
-            for (int64_t c = 0; c < n_conns; c++) {
-                int64_t due = conn_due[c];
-                if (due == s) {
+        uint64_t *wheel_slot = wheel + (s & wheel_mask) * n_words;
+        for (int64_t w = 0; w < n_words; w++) {
+            uint64_t bits = wheel_slot[w];
+            while (bits) {
+                int64_t c = w * 64 + __builtin_ctzll(bits);
+                bits &= bits - 1;
+                if (conn_due[c] == s) {
                     int64_t row = n_pre + n_released;
                     int64_t node = conn_node[c];
                     int64_t deadline = s + conn_deadline[c];
@@ -331,15 +407,15 @@ int64_t repro_run_ckernel(int64_t *ws) {
                     m_conn[row] = c;
                     Ent e = {deadline, msg_id, row};
                     heap_push(arena + hoff[node], &hsz[node], e);
+                    occupied_nodes |= (uint64_t)1 << node;
                     n_released++;
-                    due = s + conn_period[c];
-                    if (due >= conn_stop[c]) {
-                        due = INT64_MAX;
-                    }
+                    uint64_t bit = (uint64_t)1 << (c % 64);
+                    wheel_slot[w] &= ~bit;
+                    int64_t due = s + conn_period[c];
                     conn_due[c] = due;
-                }
-                if (due < next_due) {
-                    next_due = due;
+                    if (due < conn_stop[c]) {
+                        wheel[(due & wheel_mask) * n_words + w] |= bit;
+                    }
                 }
             }
         }
@@ -402,26 +478,23 @@ int64_t repro_run_ckernel(int64_t *ws) {
         /* (e) plan the next slot: EDF heads, mapped priorities, grant
          * sweep in (priority desc, node asc) order. */
         int64_t n_active = 0;
-        for (int64_t i = 0; i < n; i++) {
+        for (uint64_t pend = occupied_nodes; pend; pend &= pend - 1) {
+            int64_t i = __builtin_ctzll(pend);
             Ent *heap = arena + hoff[i];
             while (hsz[i] > 0 && m_status[heap[0].row] == ST_DELIVERED) {
                 heap_pop(heap, &hsz[i]);
             }
             if (hsz[i] == 0) {
-                head_row[i] = -1;
+                occupied_nodes &= ~((uint64_t)1 << i);
                 continue;
             }
             int64_t row = heap[0].row;
             head_row[i] = row;
             int64_t lax =
                 m_deadline[row] - s - (m_size[row] - m_sent[row]) + 1;
-            /* Levels whose start the laxity reaches; every start is
-             * positive, so a late head stays at rt_hi. */
-            int64_t k = 0;
-            while (k < n_lower && lax >= rt_level_start[k]) {
-                k++;
-            }
-            int64_t prio = rt_hi - k;
+            int64_t prio = prio_of_lax[lax <= 0         ? 0
+                                       : lax >= lax_cap ? lax_cap
+                                                        : lax];
             /* Packed key: descending == (priority desc, node asc). */
             okey[i] = ((uint64_t)prio << 16) | (uint64_t)(0xFFFF - i);
             order[n_active++] = i;

@@ -30,16 +30,18 @@ the pending plan cross a window boundary the way they cross two calls:
 the window's fold hands them back to the Python objects and the next
 window ingests them.  The kernel walks the release calendar itself from
 per-connection columns (first release in the window, period, window
-end), so no release schedule is materialised.  Bit-identity is
+end), filing each connection in a release wheel of bitmasks, so no
+release schedule is materialised.  Bit-identity is
 preserved by construction: wall/slot/gap times advance by the oracle's
 exact double additions in the oracle's order, message ids are reserved
 from the global counter before each window (one per release, counted
 arithmetically) so later windows and Python-side allocations continue
-the same sequence, a head's priority is read off
-the mapping's level-start table (``core.mapping.level_starts``, so any
-laxity mapping runs here), and the kernel counts deliveries and misses
-per connection and logs each delivery's latency and dense connection
-id, which the exit fold turns into the latency histograms with one
+the same sequence, a head's priority is read off a laxity -> priority
+table the kernel fills at entry from the mapping's level starts
+(``core.mapping.level_starts``, so any laxity mapping runs here, and
+Python does no per-call work for it), and the kernel counts deliveries
+and misses per connection and logs each delivery's latency and dense
+connection id, which the exit fold turns into the latency histograms with one
 ``np.unique`` (see "The compiled tier's exit fold" in ``DESIGN.md``).
 The fold's Python loops run over connections, distinct latencies, nodes
 and still-live messages, never over deliveries.

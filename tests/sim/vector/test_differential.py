@@ -247,6 +247,48 @@ def _scenario_constrained_deadlines():
     return _simple(config), {}
 
 
+def _scenario_wide_ring_n62():
+    # The widest ring the kernel's 64-bit node and link masks take, with
+    # more than 64 sourced connections: the release wheel's bitmasks span
+    # two words.
+    config = _loaded_config(62, 0.8)
+    assert len(config.connections) > 64
+    return _simple(config), {}
+
+
+def _scenario_long_periods():
+    # Periods 2 000-20 000 with random phases (the oracle_sparse_n16
+    # shape): heads whose laxity passes the log mapping's last level
+    # start (16 383), where the compiled tier's laxity -> priority table
+    # clamps.  One period is longer than the release wheel's 2^16-slot
+    # cap, so its bit waits through a lap before it is due.
+    rng = np.random.default_rng(3)
+    conns = random_connection_set(
+        rng, 16, 40, 0.3, period_range=(2_000, 20_000)
+    )
+    assert max(c.relative_deadline_slots for c in conns) > 2**14
+    conns.append(_conn(700, 3, 9, 70_000, 40, phase=1_000))
+    config = ScenarioConfig(n_nodes=16, connections=tuple(conns))
+    return _simple(config), {"chunks": (100_000, 50_000)}
+
+
+def _scenario_detached_long_deadline():
+    # A long message whose connection is detached mid-transfer: the
+    # carried head's laxity passes every still-sourced relative deadline,
+    # so the compiled tier's laxity table must reach carried rows too
+    # (clamped there, the head would tie the short connection's level and
+    # win the grant on its lower node index).
+    config = ScenarioConfig(
+        n_nodes=8,
+        connections=(_conn(600, 0, 4, 1000, 300), _conn(601, 1, 2, 8, 1)),
+    )
+
+    def detach(sim):
+        assert sim.detach_connection_source(600) == 1
+
+    return _simple(config), {"chunks": (5, detach, 1000)}
+
+
 SCENARIOS = {
     "loaded_n8": _scenario_loaded_n8,
     "loaded_n32": _scenario_loaded_n32,
@@ -261,6 +303,9 @@ SCENARIOS = {
     "multicast_multislot": _scenario_multicast_multislot,
     "initial_master": _scenario_initial_master,
     "constrained_deadlines": _scenario_constrained_deadlines,
+    "wide_ring_n62": _scenario_wide_ring_n62,
+    "long_periods": _scenario_long_periods,
+    "detached_long_deadline": _scenario_detached_long_deadline,
 }
 
 
