@@ -6,8 +6,9 @@ a fresh child process, and reads the child's peak RSS (``ru_maxrss``).
 Exit 1 when the longer call's peak exceeds the shorter one's by more
 than ``MAX_GROWTH_MB``, or when a call did not run on the compiled
 tier; exit 0 otherwise.  Nothing a call keeps may grow
-with its length: the kernel runs in bounded release windows and the
-report holds latency histograms, not per-delivery lists.
+with its length: the kernel compacts a bounded message table in place,
+counts latencies in a narrow table, and the report holds latency
+histograms, not per-delivery lists.
 
 Usage::
 

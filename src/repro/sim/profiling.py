@@ -8,9 +8,11 @@ execution, arbitration, metrics), plus free-form event counters:
 many of the polled sources the calendar named, the rest being the
 always-poll list).  The ``release`` lap count is the number of executed
 slots, so polls per slot can be read off the table.  The vector engine
-keeps the tier an unprofiled run would use: ``ingest`` / ``kernel`` /
-``fold`` per release window on the compiled tier (a call runs in one or
-more windows), one ``kernel`` lap per ``run()`` call on the numpy tier.  The engine only
+keeps the tier an unprofiled run would use: one ``ingest`` / ``kernel`` /
+``fold`` lap each per ``run()`` call on the compiled tier, plus the
+``compiled_windows`` counter (the kernel's in-place compactions of its
+message table, plus one per call), and one ``kernel`` lap per ``run()``
+call on the numpy tier.  The engine only
 touches the profiler when one is attached, so profiling costs nothing
 when off; when on, the overhead is one ``perf_counter()`` call per phase
 boundary.

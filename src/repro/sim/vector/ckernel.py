@@ -19,40 +19,44 @@ semantics the C loop replicates *bit-identically*:
   has already excluded faults, loss and tracing);
 * the ring fits the kernel's 64-bit link masks.
 
-A call runs in windows of at most about :data:`_WINDOW_RELEASES`
-releases each, and one window marshals one workspace: an int64 buffer
-whose header holds the word offset of every field of :data:`WORKSPACE`,
-the table both this module and ``_ckernel.c`` derive their layout from.
-Every window of a call is carved from the same buffer, so a call's
-memory is bounded by the window and the backlog it carries, not by the
-call's length.  Live messages and
-the pending plan cross a window boundary the way they cross two calls:
-the window's fold hands them back to the Python objects and the next
-window ingests them.  The kernel walks the release calendar itself from
-per-connection columns (first release in the window, period, window
-end), filing each connection in a release wheel of bitmasks, so no
-release schedule is materialised.  Bit-identity is
-preserved by construction: wall/slot/gap times advance by the oracle's
-exact double additions in the oracle's order, message ids are reserved
-from the global counter before each window (one per release, counted
-arithmetically) so later windows and Python-side allocations continue
-the same sequence, a head's priority is read off a laxity -> priority
-table the kernel fills at entry from the mapping's level starts
-(``core.mapping.level_starts``, so any laxity mapping runs here, and
-Python does no per-call work for it), and the kernel counts deliveries
-and misses per connection and logs each delivery's latency and dense
-connection id, which the exit fold turns into the latency histograms with one
-``np.unique`` (see "The compiled tier's exit fold" in ``DESIGN.md``).
-The fold's Python loops run over connections, distinct latencies, nodes
-and still-live messages, never over deliveries.
+A call is one marshal, one kernel entry and one fold.  The marshal
+writes one workspace: an int64 buffer whose header holds the word
+offset of every field of :data:`WORKSPACE`, the table both this module
+and ``_ckernel.c`` derive their layout from.  Its message table holds
+the live messages carried in, then one row per release, for at most
+about :data:`_WINDOW_RELEASES` releases: when a slot's releases do not
+fit, the kernel compacts the table in place (the carried rows and the
+live release rows move to the front, the pending plan's rows are
+remapped), so a call's memory is bounded by the table and the backlog it
+carries, not by the call's length.  The kernel returns early only for a
+backlog that outgrows the table (the buffer grows and the kernel is
+entered again) or a full late-delivery log (drained, then entered
+again); neither folds.  The kernel walks the release calendar itself
+from per-connection columns (next release, period, stop), filing each
+connection in a release wheel of bitmasks, so no release schedule is
+materialised.  Bit-identity is preserved by construction: wall/slot/gap
+times advance by the oracle's exact double additions in the oracle's
+order, message ids are reserved from the global counter once per call
+(one per release, counted arithmetically) so Python-side allocations
+continue the same sequence, a head's priority is read off a laxity ->
+priority table the kernel fills at entry from the mapping's level
+starts (``core.mapping.level_starts``, so any laxity mapping runs here),
+and the kernel counts deliveries and misses per connection and
+latencies per (connection, latency) in a narrow table, logging only
+deliveries too late for it (see "The compiled tier's exit fold" in
+``DESIGN.md``).  The fold's Python loops run over connections, the
+table's non-zero cells, the late log's distinct pairs, nodes and
+still-live messages, never over deliveries.
 
-An attached profiler does not change the tier: each window records one
-``ingest``, one ``kernel`` and one ``fold`` lap.
+An attached profiler does not change the tier: each call records one
+``ingest``, one ``kernel`` and one ``fold`` lap, and adds the call's
+compactions plus one to the ``compiled_windows`` counter.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import itertools
 import os
@@ -78,13 +82,26 @@ from repro.traffic.periodic import ConnectionSource
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulation
 
-#: Release budget of one kernel window (about 3.7 MB of message rows):
-#: a call runs in windows of this many releases' worth of slots, so its
-#: workspace stays bounded however long the call.
+#: Releases the message table holds past the carried rows (about 3.1 MB
+#: of rows) and entries of the late-delivery log (0.5 MB): a compaction
+#: window.
+#: A memory bound, not a tuning knob -- the kernel compacts the table in
+#: place when it fills, so a call's workspace stays bounded however long
+#: the call.
 _WINDOW_RELEASES = 2**15
+
+#: Widest latency count table per connection: deliveries with a latency
+#: of at least this many slots (or past the longest relative deadline + 1)
+#: go to the late log instead.
+_LAT_WIDTH = 256
 
 #: Ring width limit: link masks are 64-bit in the C kernel.
 _MAX_NODES = 62
+
+#: The kernel's early returns (``RET_*`` in ``_ckernel.c``): the backlog
+#: outgrew the message table, or the late-delivery log is full.
+_RET_ROWS_FULL = 1
+_RET_LOG_FULL = 2
 
 #: The kernel's workspace, one entry per field: ``(name, dtype, length
 #: rule)``.  Every field is a run of 8-byte words carved from one int64
@@ -94,36 +111,49 @@ _MAX_NODES = 62
 #: ``tests/sim/vector/test_soa.py``).  Length rules: ``"1"`` a scalar,
 #: ``"n"`` one word per node, ``"n*n"`` per ordered node pair,
 #: ``"conns"`` per sourced connection, ``"cids"`` per dense connection
-#: id, ``"rows"`` per message row (live messages carried in, then one
-#: per release), ``"levels"`` per RT-connection priority level below the
-#: most urgent one.  Scalars come first, so scalar ``i`` is word
-#: ``len(WORKSPACE) + i``.
+#: id, ``"levels"`` per RT-connection priority level below the most
+#: urgent one, ``"lat"`` ``lat_width`` words per dense connection id,
+#: ``"rows"`` per message-table row, ``"log"`` per late-log entry.
+#: Scalars come first, so scalar ``i`` is word ``len(WORKSPACE) + i``;
+#: fields of one rule are adjacent, so each group is one 2-D block
+#: (:meth:`_Workspace.block`); the message table and the log come last.
+#: Every field before them starts zeroed, so every output starts at 0.
 WORKSPACE: tuple[tuple[str, str, str], ...] = (
     # int64 scalars in
     ("n", "i8", "1"),
-    ("start_slot", "i8", "1"),
-    ("n_slots", "i8", "1"),
+    ("end_slot", "i8", "1"),
     ("limit", "i8", "1"),
     ("rt_lo", "i8", "1"),
     ("rt_hi", "i8", "1"),
     ("n_pre", "i8", "1"),
     ("n_rel", "i8", "1"),
     ("n_conns", "i8", "1"),
-    ("n_cids", "i8", "1"),
     ("id0", "i8", "1"),
-    # int64 scalars in and out: the pending plan
+    ("lat_width", "i8", "1"),
+    ("row_cap", "i8", "1"),
+    ("log_cap", "i8", "1"),
+    # int64 scalars in and out: the next slot to run, the rows in use,
+    # the releases made, the pending plan
+    ("slot", "i8", "1"),
+    ("n_rows", "i8", "1"),
+    ("n_released", "i8", "1"),
     ("master", "i8", "1"),
     ("prev_master", "i8", "1"),
     ("n_req", "i8", "1"),
     ("n_tx", "i8", "1"),
     ("n_den", "i8", "1"),
-    # int64 scalars out
+    # int64 scalars out, accumulated over the kernel entries of one call;
+    # ``compacted`` ors what the compactions carried (1: a message in
+    # transit, 2: a pending hand-over, 4: a pending break denial)
     ("busy", "i8", "1"),
     ("packets", "i8", "1"),
     ("wasted", "i8", "1"),
     ("denials", "i8", "1"),
     ("n_del", "i8", "1"),
     ("n_missed", "i8", "1"),
+    ("n_log", "i8", "1"),
+    ("n_compactions", "i8", "1"),
+    ("compacted", "i8", "1"),
     ("n_live", "i8", "1"),
     # float64 scalars: the slot length in; the pending gap and the
     # wall / slot / gap time accumulators in and out
@@ -132,29 +162,32 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("wall", "f8", "1"),
     ("slot_time", "f8", "1"),
     ("gap_time", "f8", "1"),
-    # per node
-    ("gap_matrix", "f8", "n*n"),
-    ("heap_cap", "i8", "n"),
+    # per node: the pending plan's rows in and out, counts out
     ("tx_rows", "i8", "n"),
     ("den_rows", "i8", "n"),
     ("master_count", "i8", "n"),
     ("hop_count", "i8", "n"),
-    # per sourced connection: constants and the release calendar
+    ("gap_matrix", "f8", "n*n"),
+    # per sourced connection: constants and the release calendar (the
+    # next release, in and out)
     ("conn_node", "i8", "conns"),
     ("conn_size", "i8", "conns"),
     ("conn_deadline", "i8", "conns"),
     ("conn_cid", "i8", "conns"),
     ("conn_links", "u8", "conns"),
-    ("conn_first", "i8", "conns"),
     ("conn_period", "i8", "conns"),
     ("conn_stop", "i8", "conns"),
+    ("conn_due", "i8", "conns"),
     # per dense connection id
     ("cid_delivered", "i8", "cids"),
     ("cid_missed", "i8", "cids"),
     # per RT level below the most urgent: word ``k`` is the laxity at
     # which level ``rt_hi - 1 - k`` starts (``level_starts`` past entry 0)
     ("rt_level_start", "i8", "levels"),
-    # message table
+    # deliveries per (dense id, latency): word ``di * lat_width + latency``
+    ("lat_counts", "i8", "lat"),
+    # message table; ``live_rows`` lists the release rows live at exit
+    # (and maps old rows to new ones during a compaction)
     ("m_node", "i8", "rows"),
     ("m_size", "i8", "rows"),
     ("m_sent", "i8", "rows"),
@@ -166,14 +199,14 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("m_status", "i8", "rows"),
     ("m_completed", "i8", "rows"),
     ("m_conn", "i8", "rows"),
-    # per delivery, in delivery order: latency and dense connection id
-    ("lat", "i8", "rows"),
-    ("del_cid", "i8", "rows"),
-    # release rows still live at exit
     ("live_rows", "i8", "rows"),
+    # late-delivery log: dense id and latency of each delivery too late
+    # for the count table
+    ("log_cid", "i8", "log"),
+    ("log_lat", "i8", "log"),
 )
 
-_RULES = ("1", "n", "n*n", "conns", "cids", "rows", "levels")
+_RULES = ("1", "n", "n*n", "conns", "cids", "levels", "lat", "rows", "log")
 _HEADER = len(WORKSPACE)
 _FIELD = {name: i for i, (name, _, _) in enumerate(WORKSPACE)}
 _FIELD_RULE = [_RULES.index(rule) for _, _, rule in WORKSPACE]
@@ -183,38 +216,59 @@ _INT_SCALARS = [n for n, dtype, rule in WORKSPACE if (rule, dtype) == ("1", "i8"
 _FLOAT_SCALARS = [n for n, dtype, rule in WORKSPACE if (rule, dtype) == ("1", "f8")]
 _N_SCALARS = len(_INT_SCALARS) + len(_FLOAT_SCALARS)
 assert [n for n, _, _ in WORKSPACE[:_N_SCALARS]] == _INT_SCALARS + _FLOAT_SCALARS
+# The message table and the log close the table, so every offset before
+# them depends on the shape alone.
+_TABLE = _FIELD_RULE.index(_RULES.index("rows"))
+_N_ROW_FIELDS = _FIELD_RULE.count(_RULES.index("rows"))
+_N_LOG_FIELDS = _FIELD_RULE.count(_RULES.index("log"))
+assert _FIELD_RULE[_TABLE:] == [_RULES.index("rows")] * _N_ROW_FIELDS + [
+    _RULES.index("log")
+] * _N_LOG_FIELDS
+
+
+@functools.lru_cache(maxsize=64)
+def _head_offsets(shape: tuple[int, int, int, int, int]) -> tuple[int, ...]:
+    """Word offsets of the fields before the message table, and the
+    table's own, for ``shape = (n, n_conns, n_cids, n_levels,
+    lat_width)``."""
+    n, n_conns, n_cids, n_levels, lat_width = shape
+    sizes = (1, n, n * n, n_conns, n_cids, n_levels, n_cids * lat_width)
+    return tuple(
+        itertools.accumulate(
+            [sizes[r] for r in _FIELD_RULE[:_TABLE]], initial=_HEADER
+        )
+    )
 
 
 class _Workspace:
-    """One call's buffer, carved per :data:`WORKSPACE` for each window.
+    """One call's buffer, laid out per :data:`WORKSPACE`.
 
-    The constructor allocates the buffer for the sizes it is given and
-    carves it; :meth:`carve` lays a window out from the buffer's front.
+    ``shape`` is ``(n, n_conns, n_cids, n_levels, lat_width)``; ``rows``
+    and ``log`` are the message table's and the late log's capacities.
+    Every field before the message table starts zeroed.
     """
 
-    __slots__ = ("buf", "words", "floats", "offsets")
+    __slots__ = ("words", "floats", "offsets", "shape", "log")
 
-    def __init__(
-        self, n: int, n_conns: int, n_cids: int, n_rows: int, n_levels: int
-    ):
-        self.buf = np.empty(0, dtype=np.int64)
-        self.carve(n, n_conns, n_cids, n_rows, n_levels)
-
-    def carve(
-        self, n: int, n_conns: int, n_cids: int, n_rows: int, n_levels: int
-    ) -> None:
-        """Lay out one window, growing the buffer if it needs more words."""
-        sizes = (1, n, n * n, n_conns, n_cids, n_rows, n_levels)
-        offsets = list(
-            itertools.accumulate([sizes[r] for r in _FIELD_RULE], initial=_HEADER)
+    def __init__(self, shape: tuple[int, int, int, int, int], rows: int, log: int):
+        head = _head_offsets(shape)
+        table = head[-1]
+        log_start = table + _N_ROW_FIELDS * rows
+        offsets = (
+            *head,
+            *(table + k * rows for k in range(1, _N_ROW_FIELDS + 1)),
+            *(log_start + k * log for k in range(1, _N_LOG_FIELDS + 1)),
         )
-        if offsets[-1] > len(self.buf):
-            self.buf = np.empty(offsets[-1], dtype=np.int64)
-        words = self.buf[: offsets[-1]]
+        # Zero what the kernel accumulates into; the kernel writes every
+        # message-table and log word before it reads it.
+        words = np.empty(offsets[-1], dtype=np.int64)
         words[:_HEADER] = offsets[:-1]
+        words[_HEADER:table] = 0
         self.words = words
         self.floats = words.view(np.float64)
         self.offsets = offsets
+        self.shape = shape
+        self.log = log
 
     def col(self, name: str) -> np.ndarray:
         """The field ``name`` as an array of its dtype (a view)."""
@@ -223,22 +277,43 @@ class _Workspace:
         dtype = WORKSPACE[f][1]
         return view if dtype == "i8" else view.view(_DTYPE[dtype])
 
-    def put(self, name: str, values: Sequence[int] | Sequence[float]) -> None:
-        """Fill the leading ``len(values)`` words of field ``name``."""
-        if values:
-            self.col(name)[: len(values)] = values
+    def block(self, first: str, last: str) -> np.ndarray:
+        """The adjacent fields ``first`` .. ``last`` of one length rule as
+        the rows of one 2-D int64 view."""
+        f, g = _FIELD[first], _FIELD[last]
+        assert len(set(_FIELD_RULE[f : g + 1])) == 1, (first, last)
+        offsets = self.offsets
+        return self.words[offsets[f] : offsets[g + 1]].reshape(
+            g - f + 1, offsets[f + 1] - offsets[f]
+        )
+
+    def scalar(self, name: str) -> int:
+        """The int64 scalar ``name``."""
+        return int(self.words[_HEADER + _FIELD[name]])
 
     def set_scalars(self, **values: int | float) -> None:
-        """Write the scalar inputs; outputs the kernel sets start at 0."""
-        n_int = len(_INT_SCALARS)
-        self.words[_HEADER : _HEADER + n_int] = [
-            values.pop(name, 0) for name in _INT_SCALARS
-        ]
-        self.floats[_HEADER + n_int : _HEADER + _N_SCALARS] = [
-            values.pop(name, 0.0) for name in _FLOAT_SCALARS
-        ]
-        if values:
-            raise KeyError(f"not workspace scalars: {sorted(values)}")
+        """Write scalars by name; the rest keep their value."""
+        for name, value in values.items():
+            f = _FIELD[name]
+            if WORKSPACE[f][2] != "1":
+                raise KeyError(f"not a workspace scalar: {name}")
+            if WORKSPACE[f][1] == "f8":
+                self.floats[_HEADER + f] = value
+            else:
+                self.words[_HEADER + f] = value
+
+    def grown(self, rows: int) -> _Workspace:
+        """A copy of this workspace with a message table of ``rows`` rows."""
+        new = _Workspace(self.shape, rows, self.log)
+        table = self.offsets[_TABLE]
+        new.words[_HEADER:table] = self.words[_HEADER:table]
+        used = self.scalar("n_rows")
+        new.block("m_node", "live_rows")[:, :used] = self.block(
+            "m_node", "live_rows"
+        )[:, :used]
+        new.block("log_cid", "log_lat")[:] = self.block("log_cid", "log_lat")
+        new.set_scalars(row_cap=rows)
+        return new
 
 
 _UNSET = object()
@@ -304,15 +379,6 @@ def _kernel_fn() -> object | None:
     return _fn  # type: ignore[return-value]
 
 
-def _window_slots(conns: Sequence[LogicalRealTimeConnection], n_slots: int) -> int:
-    """Slots per window: :data:`_WINDOW_RELEASES` over the sources'
-    release rate (sum of 1/period), at least one slot, at most the call."""
-    rate = sum(1 / c.period_slots for c in conns)
-    if rate == 0:
-        return n_slots
-    return max(1, min(n_slots, int(_WINDOW_RELEASES / rate)))
-
-
 def _ingest(sim: Simulation) -> tuple[list[Message], list[int], list[int]] | str:
     """The live queue state as message rows, and the pending plan's
     transmissions and break denials as row indices; or why the compiled
@@ -364,11 +430,8 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     eligibility checks happen *before* any mutation, so a refusal always
     leaves the simulation untouched for the Python kernel.
 
-    The call then runs in windows of :func:`_window_slots` slots, each
-    marshalled, run and folded on its own; live messages and the pending
-    plan cross a window boundary as they cross two calls.  Every window
-    is carved from one buffer, sized by the most releases a window can
-    hold.
+    The call is marshalled once, runs in one kernel entry (plus one per
+    buffer growth or late-log drain) and is folded once.
     """
     fn = _kernel_fn()
     if fn is None:
@@ -384,77 +447,28 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     n = sim.topology.n_nodes
     if n > _MAX_NODES:
         return f"ring wider than {_MAX_NODES} nodes"
-    sources = sim.sources
+    sources = cast("Sequence[ConnectionSource]", sim.sources)
     for src in sources:
         if type(src) is not ConnectionSource:
             return f"source {type(src).__name__} is not a ConnectionSource"
     ingested = _ingest(sim)
     if isinstance(ingested, str):
         return ingested
-
-    conns = [cast("ConnectionSource", src).connection for src in sources]
-    window = _window_slots(conns, n_slots)
-    # A source releases at most ``window // period + 1`` times in any
-    # window, and the dense ids are the connections' plus at most one per
-    # live message; the buffer grows only if a carried backlog outgrows
-    # the one the call starts with.
-    n_pre = len(ingested[0])
-    ws = _Workspace(
-        n,
-        len(conns),
-        len(conns) + n_pre,
-        n_pre + sum(window // c.period_slots + 1 for c in conns),
-        len(level_starts(sim.protocol.mapping, TrafficClass.RT_CONNECTION)) - 1,
-    )
-    end = sim.current_slot + n_slots
-    while True:
-        w_end = min(sim.current_slot + window, end)
-        t_phase = _run_window(fn, sim, ws, ingested, w_end, t_phase)
-        if sim.current_slot == end:
-            return None
-        ingested = _ingest(sim)
-        if isinstance(ingested, str):
-            # The kernel hands back RT-connection rows only.
-            raise RuntimeError(f"compiled window hand-over refused: {ingested}")
-
-
-def _run_window(
-    fn: object,
-    sim: Simulation,
-    ws: _Workspace,
-    ingested: tuple[list[Message], list[int], list[int]],
-    end: int,
-    t_phase: float,
-) -> float:
-    """Advance ``sim`` to slot ``end`` in one kernel call: marshal the
-    window into ``ws``, run it and fold it back.  Returns the profiler
-    clock after the window's ``fold`` lap (``t_phase`` unchanged without
-    a profiler)."""
-    profiler = sim.profiler
-    RT = TrafficClass.RT_CONNECTION
-    PENDING = MessageStatus.PENDING
-    IN_TRANSIT = MessageStatus.IN_TRANSIT
-    DELIVERED = MessageStatus.DELIVERED
-    n = sim.topology.n_nodes
-    queues = sim.queues
+    pre_objs, plan_tx_rows, plan_den_rows = ingested
+    conns = [src.connection for src in sources]
     protocol = sim.protocol
     route_masks = protocol.route_masks
-    sources = cast("Sequence[ConnectionSource]", sim.sources)
-    pre_objs, plan_tx_rows, plan_den_rows = ingested
+    RT = TrafficClass.RT_CONNECTION
 
-    # --- the release calendar over [s, end), counted arithmetically ----
+    # --- the release calendar over the call, counted arithmetically ----
     # Each source's first release is the one the oracle's calendar files
-    # it under (``next_release_slot``); its window ends at active_until
-    # or at the window's end, whichever comes first.
+    # it under (``next_release_slot``); its releases stop at active_until
+    # or at the call's end, whichever comes first.
     s = sim.current_slot
-    n_slots = end - s
-    conns = [src.connection for src in sources]
+    end = s + n_slots
     conn_first: list[int] = []
     conn_stop: list[int] = []
     rel_counts: list[int] = []
-    heap_cap = [0] * n
-    for msg in pre_objs:
-        heap_cap[msg.source] += 1
     for src, conn in zip(sources, conns):
         until = src.active_until
         stop = end if until is None or until > end else until
@@ -463,7 +477,6 @@ def _run_window(
             first, k = stop, 0
         else:
             k = (stop - 1 - first) // conn.period_slots + 1
-            heap_cap[conn.source] += k
         conn_first.append(first)
         conn_stop.append(stop)
         rel_counts.append(k)
@@ -486,12 +499,20 @@ def _run_window(
     n_cids = len(cid_list)
     n_pre = len(pre_objs)
 
-    # --- marshal: carve the window from the call's buffer ---------------
+    # --- marshal: one workspace, one block per column group -------------
     rt_lo, rt_hi = class_priority_range(RT)
     # Entry 0 of the table, the most urgent level, is unbounded below
     # (None); every level under it starts at an int.
     rt_lower = cast("tuple[int, ...]", level_starts(protocol.mapping, RT)[1:])
-    ws.carve(n, len(conns), n_cids, n_pre + n_rel, len(rt_lower))
+    deadlines = [c.relative_deadline_slots for c in conns]
+    # A delivery meets its deadline with a latency of at most D + 1.
+    lat_width = min(_LAT_WIDTH, max(deadlines, default=0) + 2)
+    row_cap = n_pre + min(n_rel, _WINDOW_RELEASES)
+    ws = _Workspace(
+        (n, len(conns), n_cids, len(rt_lower), lat_width),
+        row_cap,
+        max(n, min(n_pre + n_rel, _WINDOW_RELEASES)),
+    )
     arbiter = protocol.arbiter
     report = sim.metrics.report
     # The constructor's default factory resolves the module-level counter
@@ -502,16 +523,19 @@ def _run_window(
     p_master, p_gap, _, _, p_nreq = sim._pending
     ws.set_scalars(
         n=n,
-        start_slot=s,
-        n_slots=n_slots,
+        end_slot=end,
         limit=1 if not arbiter.spatial_reuse else (arbiter.max_grants or 1 << 30),
         rt_lo=rt_lo,
         rt_hi=rt_hi,
         n_pre=n_pre,
         n_rel=n_rel,
         n_conns=len(conns),
-        n_cids=n_cids,
         id0=id0,
+        lat_width=lat_width,
+        row_cap=row_cap,
+        log_cap=ws.log,
+        slot=s,
+        n_rows=n_pre,
         master=p_master,
         prev_master=sim._prev_master,
         n_req=p_nreq,
@@ -523,51 +547,107 @@ def _run_window(
         slot_time=report.slot_time_s,
         gap_time=report.gap_time_s,
     )
+    plan = ws.block("tx_rows", "den_rows")
+    plan[0, : len(plan_tx_rows)] = plan_tx_rows
+    plan[1, : len(plan_den_rows)] = plan_den_rows
     # The engine admits only the plain EdfHandover, whose gap is Eq. 1.
-    ws.put("gap_matrix", sim.topology.handover_gap_table)
-    ws.put("heap_cap", heap_cap)
-    ws.put("rt_level_start", rt_lower)
-    ws.put("tx_rows", plan_tx_rows)
-    ws.put("den_rows", plan_den_rows)
-    ws.put("conn_node", [c.source for c in conns])
-    ws.put("conn_size", [c.size_slots for c in conns])
-    ws.put("conn_deadline", [c.relative_deadline_slots for c in conns])
-    ws.put("conn_cid", conn_cid)
-    ws.put("conn_links", [route_masks(c.source, c.destinations)[0] for c in conns])
-    ws.put("conn_first", conn_first)
-    ws.put("conn_period", [c.period_slots for c in conns])
-    ws.put("conn_stop", conn_stop)
+    ws.col("gap_matrix")[:] = sim.topology.handover_gap_table
+    if conns:
+        ws.block("conn_node", "conn_due")[:] = [
+            [c.source for c in conns],
+            [c.size_slots for c in conns],
+            deadlines,
+            conn_cid,
+            [route_masks(c.source, c.destinations)[0] for c in conns],
+            [c.period_slots for c in conns],
+            conn_stop,
+            conn_first,
+        ]
+    ws.col("rt_level_start")[:] = rt_lower
+    PENDING = MessageStatus.PENDING
     if n_pre:
-        ws.put("m_node", [m.source for m in pre_objs])
-        ws.put("m_size", [m.size_slots for m in pre_objs])
-        ws.put("m_sent", [m.sent_slots for m in pre_objs])
-        ws.put("m_deadline", [m.deadline_slot for m in pre_objs])
-        ws.put("m_created", [m.created_slot for m in pre_objs])
-        ws.put("m_id", [m.msg_id for m in pre_objs])
-        ws.put("m_cid", pre_dense)
-        ws.put(
-            "m_links",
+        ws.block("m_node", "m_status")[:, :n_pre] = [
+            [m.source for m in pre_objs],
+            [m.size_slots for m in pre_objs],
+            [m.sent_slots for m in pre_objs],
+            [m.deadline_slot for m in pre_objs],
+            [m.created_slot for m in pre_objs],
+            [m.msg_id for m in pre_objs],
+            pre_dense,
             [route_masks(m.source, m.destinations)[0] for m in pre_objs],
-        )
-        ws.put("m_status", [0 if m.status is PENDING else 1 for m in pre_objs])
-    words = ws.words
+            [0 if m.status is PENDING else 1 for m in pre_objs],
+        ]
     if profiler is not None:
         t_phase = profiler.lap("ingest", t_phase)
-    ret = fn(words.ctypes.data)
-    if ret != 0:
-        raise RuntimeError(f"compiled slot kernel failed (code {ret})")
+
+    # --- run: re-enter after growing the table or draining the log -----
+    late: dict[tuple[int, int], int] = {}
+    while True:
+        ret = fn(ws.words.ctypes.data)
+        if ret == 0:
+            break
+        if ret == _RET_ROWS_FULL:
+            ws = ws.grown(2 * ws.scalar("row_cap") + len(conns))
+        elif ret == _RET_LOG_FULL:
+            _drain_late_log(ws, late)
+        else:
+            raise RuntimeError(f"compiled slot kernel failed (code {ret})")
+    _drain_late_log(ws, late)
     if profiler is not None:
         t_phase = profiler.lap("kernel", t_phase)
+        profiler.count("compiled_windows", ws.scalar("n_compactions") + 1)
 
-    # --- fold the outputs back into the Python object graph ------------
-    # The kernel counted deliveries and misses per connection and logged
-    # each delivery's (latency, dense id); one ``np.unique`` turns the log
-    # into histogram buckets, so Python loops run over connections,
-    # distinct latencies, nodes and still-live messages only.
-    out = words[_HEADER : _HEADER + _N_SCALARS].tolist()
+    _fold(sim, ws, n_slots, pre_objs, conns, cid_list, conn_cid, rel_counts, late)
+    if profiler is not None:
+        profiler.lap("fold", t_phase)
+    return None
+
+
+def _drain_late_log(ws: _Workspace, late: dict[tuple[int, int], int]) -> None:
+    """Count the late log's ``(dense id, latency)`` pairs into ``late``
+    and empty the log."""
+    n_log = ws.scalar("n_log")
+    if not n_log:
+        return
+    lat = ws.col("log_lat")[:n_log]
+    span = int(lat.max()) + 1
+    keys, counts = np.unique(
+        ws.col("log_cid")[:n_log] * span + lat, return_counts=True
+    )
+    for key, k in zip(keys.tolist(), counts.tolist()):
+        pair = divmod(key, span)
+        late[pair] = late.get(pair, 0) + k
+    ws.set_scalars(n_log=0)
+
+
+def _fold(
+    sim: Simulation,
+    ws: _Workspace,
+    n_slots: int,
+    pre_objs: list[Message],
+    conns: list[LogicalRealTimeConnection],
+    cid_list: list[int],
+    conn_cid: list[int],
+    rel_counts: list[int],
+    late: dict[tuple[int, int], int],
+) -> None:
+    """Fold the kernel's outputs back into the report, the queues and the
+    pending plan.
+
+    Python loops run over connections, the count table's non-zero cells,
+    the late pairs, nodes and still-live messages, never over deliveries.
+    """
+    RT = TrafficClass.RT_CONNECTION
+    PENDING = MessageStatus.PENDING
+    IN_TRANSIT = MessageStatus.IN_TRANSIT
+    DELIVERED = MessageStatus.DELIVERED
+    n = sim.topology.n_nodes
+    report = sim.metrics.report
+    out = ws.words[_HEADER : _HEADER + _N_SCALARS].tolist()
     fout = ws.floats[_HEADER : _HEADER + _N_SCALARS].tolist()
     F = _FIELD
     n_del = out[F["n_del"]]
+    n_rel = out[F["n_released"]]
     per_connection = report.per_connection
 
     def _stats(cid: int) -> ConnectionStats:
@@ -599,14 +679,27 @@ def _run_window(
                 cstat.delivered += k
                 cstat.deadline_missed += k_missed
                 cstat.deadline_met += k - k_missed
-        lat = ws.col("lat")[:n_del]
-        span = int(lat.max()) + 1
-        pairs, counts = np.unique(
-            ws.col("del_cid")[:n_del] * span + lat, return_counts=True
-        )
+        # The count table's non-zero cells: one run of cells per dense
+        # id, then the class's column sums.
+        width = out[F["lat_width"]]
+        flat = ws.col("lat_counts")
+        cells = np.flatnonzero(flat)
+        counts = flat[cells].tolist()
+        dense, cell_lat = np.divmod(cells, width)
+        lats = cell_lat.tolist()
+        bounds = np.searchsorted(dense, range(len(cid_list) + 1)).tolist()
+        for di, cid in enumerate(cid_list):
+            lo, hi = bounds[di], bounds[di + 1]
+            if lo < hi:
+                hist = per_connection[cid].latency_counts
+                for latency, k in zip(lats[lo:hi], counts[lo:hi]):
+                    hist[latency] += k
         rt_counts = rt_stats.latency_counts
-        for pair, k in zip(pairs.tolist(), counts.tolist()):
-            di, latency = divmod(pair, span)
+        totals = flat.reshape(len(cid_list), width).sum(axis=0)
+        class_lat = np.flatnonzero(totals)
+        for latency, k in zip(class_lat.tolist(), totals[class_lat].tolist()):
+            rt_counts[latency] += k
+        for (di, latency), k in late.items():
             rt_counts[latency] += k
             per_connection[cid_list[di]].latency_counts[latency] += k
 
@@ -628,10 +721,12 @@ def _run_window(
             handover_hops[i] += v
 
     # --- write the message/queue state back ----------------------------
-    # Pre-existing objects mutate in place; new messages materialise only
-    # while still live (delivered releases never escaped the kernel and
-    # are unobservable, exactly like the oracle's garbage).
+    # Carried objects mutate in place (their rows stay the table's first
+    # ``n_pre``); new messages materialise only while still live
+    # (delivered releases never escaped the kernel and are unobservable,
+    # exactly like the oracle's garbage).
     _STATUS = (PENDING, IN_TRANSIT, DELIVERED)
+    n_pre = len(pre_objs)
     m_status = ws.col("m_status")
     live_by_node: list[list[tuple[int, int, Message]]] = [[] for _ in range(n)]
     if n_pre:
@@ -676,6 +771,7 @@ def _run_window(
                 period_slots=conn.period_slots,
             )
             live_by_node[conn.source].append((deadline, mid, msg))
+    queues = sim.queues
     for i in range(n):
         q = queues[i]
         entries = live_by_node[i]
@@ -700,7 +796,7 @@ def _run_window(
         return tuple(planned)
 
     sim._resume(
-        end,
+        out[F["slot"]],
         out[F["prev_master"]],
         (
             out[F["master"]],
@@ -710,6 +806,3 @@ def _run_window(
             out[F["n_req"]],
         ),
     )
-    if profiler is not None:
-        t_phase = profiler.lap("fold", t_phase)
-    return t_phase

@@ -29,8 +29,9 @@ ran.  Configurations that force the oracle today:
 Everything else -- any laxity mapping, admission control, drop-late,
 event sinks, profilers, arbitrary traffic sources -- runs in-kernel.
 A profiler does not change the tier: the compiled kernel records one
-``ingest`` / ``kernel`` / ``fold`` lap per release window (a short call
-is one window), the SoA kernel one ``kernel`` lap per call.
+``ingest`` / ``kernel`` / ``fold`` lap per call and counts its windows
+(message-table compactions plus one) in ``compiled_windows``, the SoA
+kernel one ``kernel`` lap per call.
 """
 
 from __future__ import annotations

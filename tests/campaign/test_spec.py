@@ -10,6 +10,7 @@ from repro.campaign import (
     expand_grid,
     expand_runs,
 )
+from repro.core.connection import LogicalRealTimeConnection
 from repro.sim.fault_models import FaultConfig
 from repro.sim.runner import PROTOCOLS, ScenarioConfig
 
@@ -88,6 +89,37 @@ class TestSerialisation:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(c.to_dict()))
         assert Campaign.from_json_file(path) == c
+
+    def test_explicit_connections_round_trip(self, tmp_path):
+        """A base that carries its own connections survives the JSON form
+        (``to_dict`` -> ``from_dict`` / ``from_json_file``) with every
+        run key unchanged."""
+        conns = tuple(
+            LogicalRealTimeConnection(
+                source=i,
+                destinations=frozenset({(i + 2) % 6, (i + 3) % 6}),
+                period_slots=20 + 5 * i,
+                size_slots=1 + i % 2,
+                phase_slots=i,
+                connection_id=900 + i,
+            )
+            for i in range(3)
+        )
+        c = small_campaign(
+            base=ScenarioConfig(n_nodes=6, connections=conns),
+            axes={"protocol": ("ccr-edf", "tdma")},
+            workload=None,
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(c.to_dict()))
+        keys = [spec.key for spec in expand_runs(c)]
+        for loaded in (
+            Campaign.from_dict(json.loads(json.dumps(c.to_dict()))),
+            Campaign.from_json_file(path),
+        ):
+            assert loaded == c
+            assert loaded.base.connections == conns
+            assert [spec.key for spec in expand_runs(loaded)] == keys
 
     def test_mapping_axes_accepted_in_spec_files(self):
         raw = small_campaign().to_dict()

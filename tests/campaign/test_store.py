@@ -284,6 +284,28 @@ class TestIntegrity:
         assert reopened.keys() == ["a", "b"]
         assert reopened.fsck().clean
 
+    def test_fsck_detects_and_repairs_a_damaged_quarantine_record(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        store.save("a", {"row": {"x": 1}})
+        store.save_failure("bad", {"error": "boom", "attempts": 3})
+        store.save_failure("ok", {"error": "boom", "attempts": 1})
+        assert store.fsck().clean
+        damaged = store.failure_path_for("bad")
+        damaged.write_text(damaged.read_text().replace("boom", "bang"))
+
+        report = store.fsck()
+        assert not report.clean
+        ((where, reason),) = report.corrupt
+        assert where == str(damaged) and "checksum mismatch" in reason
+
+        repaired = store.fsck(repair=True)
+        assert repaired.repaired == (str(damaged),)
+        assert not damaged.exists()
+        assert store.failure_keys() == ["ok"]
+        assert store.fsck().clean
+
     def test_fsck_never_evicts_the_spec_snapshot(self, tmp_path):
         store = ResultStore(tmp_path)
         store.save_campaign(_campaign())

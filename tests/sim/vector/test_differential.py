@@ -456,11 +456,133 @@ def test_fold_chunk_edges(backend):
     assert (stats.released, stats.delivered) == (1, 1)
 
 
+# ----------------------------------------------------------------------
+# The compiled tier's message table and latency table.  One kernel entry
+# runs a whole call: the kernel compacts its message table when it
+# fills, returns to grow it only for a backlog that outgrows it, and
+# counts latencies in a table ``lat_width`` wide, logging later ones.
+# ----------------------------------------------------------------------
+
+
+def _compiled_only():
+    if ckernel._kernel_fn() is None:
+        pytest.skip("no C toolchain; compiled tier unavailable")
+
+
+def _spy_folds(monkeypatch):
+    """Record each compiled call's compaction count."""
+    calls = []
+    fold = ckernel._fold
+
+    def spy(sim, ws, *args):
+        calls.append(ws.scalar("n_compactions"))
+        fold(sim, ws, *args)
+
+    monkeypatch.setattr(ckernel, "_fold", spy)
+    return calls
+
+
+def test_latency_table_edges(monkeypatch):
+    """U = 1.05 without spatial reuse over 200 000 slots: deliveries land
+    on the count table's last column (latency ``lat_width - 1``), on the
+    first latency past it (``lat_width``, the late log) and far past it;
+    the late log fills and is drained mid-call more than once."""
+    _compiled_only()
+    drains = []
+    drain = ckernel._drain_late_log
+
+    def spy(ws, late):
+        drains.append(ws.scalar("n_log"))
+        drain(ws, late)
+
+    monkeypatch.setattr(ckernel, "_drain_late_log", spy)
+    config = _loaded_config(8, 1.05, spatial_reuse=False)
+    sim = assert_engines_match(
+        _simple(config), chunks=(200_000,), extra_steps=10
+    )
+    assert sim.vector_backend == "compiled"
+    width = min(
+        ckernel._LAT_WIDTH,
+        max(c.relative_deadline_slots for c in config.connections) + 2,
+    )
+    counts = sim.report.class_stats(RT).latency_counts
+    assert counts[width - 1] and counts[width]
+    assert max(counts) > 10 * width
+    # Mid-call drains find the log within one slot's deliveries (at most
+    # n = 8) of full; the last drain is the fold's own.
+    assert drains[:-1] and all(
+        k > ckernel._WINDOW_RELEASES - 8 for k in drains[:-1]
+    )
+
+
+@pytest.mark.parametrize("detached", [False, True], ids=["sourced", "detached"])
+def test_carried_message_survives_compactions(monkeypatch, detached):
+    """A long message carried into a call stays live across many
+    compactions of a three-release table: it keeps its row and its
+    object, whether or not its connection is still sourced (a detached
+    connection's dense id lies past the sourced ones)."""
+    _compiled_only()
+    monkeypatch.setattr(ckernel, "_WINDOW_RELEASES", 3)
+    compactions = _spy_folds(monkeypatch)
+    config = ScenarioConfig(
+        n_nodes=8,
+        connections=(
+            _conn(600, 0, 4, 1000, 300),
+            _conn(601, 1, 2, 8, 1),
+            _conn(602, 5, 7, 5, 2, phase=1),
+        ),
+    )
+    carried = {}
+
+    def grab(sim):
+        [msg] = sim.queues[0].pending_messages()
+        carried[type(sim).__name__] = (msg, msg.sent_slots)
+        if detached:
+            assert sim.detach_connection_source(600) == 1
+
+    def check(sim):
+        msg, sent = carried[type(sim).__name__]
+        [live] = sim.queues[0].pending_messages()
+        assert live is msg
+        assert sent < msg.sent_slots < msg.size_slots
+
+    sim = assert_engines_match(
+        _simple(config), chunks=(5, grab, 200, check), extra_steps=10
+    )
+    assert sim.vector_backend == "compiled"
+    assert compactions[-1] >= 3
+    stats = sim.report.per_connection[600]
+    assert stats.released == 1 and stats.delivered == 0
+
+
+def test_backlog_grows_the_table(monkeypatch):
+    """A backlog that outgrows the message table (U = 1.05 over a
+    64-release table) is the kernel's reason to return mid-call: the glue
+    grows the buffer and re-enters without a fold."""
+    _compiled_only()
+    monkeypatch.setattr(ckernel, "_WINDOW_RELEASES", 64)
+    compactions = _spy_folds(monkeypatch)
+    grown = []
+    grow = ckernel._Workspace.grown
+
+    def spy(ws, rows):
+        grown.append((ws.scalar("n_rows"), ws.scalar("row_cap")))
+        return grow(ws, rows)
+
+    monkeypatch.setattr(ckernel._Workspace, "grown", spy)
+    config = _loaded_config(8, 1.05, spatial_reuse=False)
+    sim = assert_engines_match(_simple(config), chunks=(3000,))
+    assert sim.vector_backend == "compiled"
+    assert len(compactions) == 1 and compactions[0] > len(grown) >= 2
+    # Each growth found more than half the table live after a compaction.
+    assert all(2 * used > cap for used, cap in grown)
+
+
 def test_profiler_does_not_change_the_tier():
     """A profiled closed-world run stays on the compiled tier, produces
     the unprofiled run's report, and records one ``ingest`` / ``kernel``
-    / ``fold`` lap per ``run()`` call (each is one release window) and
-    nothing else."""
+    / ``fold`` lap per ``run()`` call and one ``compiled_windows`` count
+    per call (none compacts), and nothing else."""
     if ckernel._kernel_fn() is None:
         pytest.skip("no C toolchain; compiled tier unavailable")
     config = _loaded_config(8, 0.75)
@@ -473,7 +595,7 @@ def test_profiler_does_not_change_the_tier():
     assert sim.vector_backend == "compiled"
     assert profiled == plain
     assert profiler.calls == {"ingest": 3, "kernel": 3, "fold": 3}
-    assert not profiler.counters
+    assert profiler.counters == {"compiled_windows": 3}
 
 
 def test_profiled_soa_kernel_records_one_kernel_lap(monkeypatch):

@@ -90,8 +90,8 @@ def test_random_scenarios_match(case):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_random_scenarios_match_in_tiny_windows(case):
-    """The same search with a compiled window budget of two releases, so
-    a call crosses a window boundary every few slots."""
+    """The same search with a compiled message table of two releases,
+    so a call compacts it (and grows it) every few slots."""
     with mock.patch.object(ckernel, "_WINDOW_RELEASES", 2):
         assert_scenario_matches(case)
 

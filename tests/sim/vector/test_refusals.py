@@ -6,7 +6,7 @@ and records the reason in ``vector_numpy_reason``.  One test per
 refusal: the reason is recorded, the numpy tier ran, and the result is
 still the oracle's (the refusal left the simulation untouched).  What is
 no refusal stays compiled: any laxity mapping, and any number of
-releases (a long call runs in release windows).
+releases (the kernel compacts its message table when it fills).
 """
 
 from __future__ import annotations
@@ -189,35 +189,25 @@ def test_any_mapping_runs_compiled(mapping):
 
 
 def test_release_count_is_no_refusal(monkeypatch):
-    """A call longer than one window's release budget stays compiled: it
-    runs in windows, and a budget of three releases (a window of a few
-    slots) still matches the oracle bit for bit.  The windows end
+    """A call with more releases than the message table holds stays
+    compiled: the kernel compacts the table in place, and a table of
+    three releases (a compaction every few slots, grown as the backlog
+    asks) still matches the oracle bit for bit.  The compactions fall
     mid-message, with a hand-over pending and with a break denial
-    pending; each records one profiler lap triple; and the message ids
-    the windows reserve run on without a gap."""
+    pending; the call records one profiler lap triple and its windows on
+    the ``compiled_windows`` counter; and the message ids the call
+    reserves run on without a gap."""
     if ckernel._kernel_fn() is None:
         pytest.skip("no C toolchain; compiled tier unavailable")
     monkeypatch.setattr(ckernel, "_WINDOW_RELEASES", 3)
-    boundaries = []
-    run_window = ckernel._run_window
+    folded = []
+    fold = ckernel._fold
 
-    def spy(fn, sim, *args):
-        t_phase = run_window(fn, sim, *args)
-        master, _, _, denied, _ = sim._pending
-        boundaries.append(
-            (
-                any(
-                    0 < m.sent_slots < m.size_slots
-                    for q in sim.queues.values()
-                    for m in q.pending_messages()
-                ),
-                master != sim._prev_master,
-                bool(denied),
-            )
-        )
-        return t_phase
+    def spy(sim, ws, *args):
+        folded.append((ws.scalar("n_compactions"), ws.scalar("compacted")))
+        fold(sim, ws, *args)
 
-    monkeypatch.setattr(ckernel, "_run_window", spy)
+    monkeypatch.setattr(ckernel, "_fold", spy)
     config = _loaded_config(8, 0.9)
     profilers = {}
     ids = {}
@@ -249,13 +239,15 @@ def test_release_count_is_no_refusal(monkeypatch):
         extra_steps=10,
     )
     assert (sim.vector_backend, sim.vector_numpy_reason) == ("compiled", None)
-    windows = len(boundaries)
-    assert windows > 50
-    assert all(map(any, zip(*boundaries))), "a boundary kind never occurred"
+    [(compactions, compacted)] = folded
+    assert compactions > 5
+    # Bits 1, 2, 4: a message in transit, a hand-over, a break denial.
+    assert compacted == 0b111, "a boundary kind never occurred"
     # (The warm-up and trailing oracle steps record their own phases.)
-    laps = profilers["vector"].calls
-    assert [laps[phase] for phase in ("ingest", "kernel", "fold")] == [windows] * 3
+    profiler = profilers["vector"]
+    assert [profiler.calls[phase] for phase in ("ingest", "kernel", "fold")] == [1] * 3
+    assert profiler.counters["compiled_windows"] == compactions + 1
     id_before, released_before = ids["VectorSimulation", "before"]
     id_after, released_after = ids["VectorSimulation", "after"]
-    # The call's first window reserves ids from ``id_before + 1`` on.
+    # The call reserves ids from ``id_before + 1`` on.
     assert id_after == id_before + 1 + (released_after - released_before)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
+
 from repro.phy.packets import MAX_PRIORITY
 from repro.sim.vector import soa
 from repro.sim.vector.soa import (
@@ -66,11 +68,11 @@ def test_workspace_offsets_follow_the_table():
     buffer in table order, each as long as its length rule says."""
     from repro.sim.vector import ckernel
 
-    n, conns, cids, rows, levels = 5, 3, 4, 7, 6
-    ws = ckernel._Workspace(n, conns, cids, rows, levels)
+    n, conns, cids, levels, width, rows, log = 5, 3, 4, 6, 9, 7, 8
+    ws = ckernel._Workspace((n, conns, cids, levels, width), rows, log)
     lengths = {
-        "1": 1, "n": n, "n*n": n * n, "conns": conns, "cids": cids, "rows": rows,
-        "levels": levels,
+        "1": 1, "n": n, "n*n": n * n, "conns": conns, "cids": cids,
+        "levels": levels, "lat": cids * width, "rows": rows, "log": log,
     }
     assert set(lengths) == set(ckernel._RULES)
     header = ws.words[: len(ckernel.WORKSPACE)].tolist()
@@ -82,3 +84,27 @@ def test_workspace_offsets_follow_the_table():
         assert column.dtype == {"i8": "int64", "u8": "uint64", "f8": "float64"}[dtype]
         position += lengths[rule]
     assert position == len(ws.words)
+
+
+def test_workspace_grows_its_message_table():
+    """A grown workspace keeps every field's words, the message table's
+    rows in use and the log, and reports its new row capacity."""
+    from repro.sim.vector import ckernel
+
+    ws = ckernel._Workspace((3, 2, 2, 4, 5), 6, 4)
+    rng = np.random.default_rng(0)
+    ws.words[len(ckernel.WORKSPACE) :] = rng.integers(
+        0, 1 << 40, len(ws.words) - len(ckernel.WORKSPACE)
+    )
+    ws.set_scalars(n_rows=4, row_cap=6)
+    grown = ws.grown(13)
+    assert grown.scalar("row_cap") == 13
+    for name, _, rule in ckernel.WORKSPACE:
+        if name == "row_cap":
+            continue
+        old, new = ws.col(name), grown.col(name)
+        if rule == "rows":
+            assert len(new) == 13
+            assert (new[:4] == old[:4]).all(), name
+        else:
+            assert (new == old).all(), name
