@@ -5,8 +5,11 @@ per-experiment index (Tables/Figures/claims of the paper plus the
 simulation study its Section 8 promises).  Conventions:
 
 * every benchmark prints the table or series the experiment reports,
-  via :func:`print_table`, so ``pytest benchmarks/ --benchmark-only -s``
-  reproduces the numbers;
+  via :func:`print_table`, and asserts the claim it regenerates; CI runs
+  them all, under the runtime audit ``tests/conftest.py`` installs, with
+  ``PYTHONPATH=src:. python -m pytest -q -p tests.conftest benchmarks/
+  --ignore=benchmarks/e2e --benchmark-disable`` (add ``-s`` to print
+  the tables);
 * headline quantities are attached to ``benchmark.extra_info`` so the
   JSON output of pytest-benchmark carries them;
 * simulations run once per benchmark (``benchmark.pedantic`` with a

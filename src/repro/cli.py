@@ -420,7 +420,7 @@ def _engine_outcome(sim, requested: str | None) -> dict:
     """Which engine tier executed ``sim``'s last run (manifest form).
 
     ``backend`` is ``"compiled"`` (the C micro-kernel), ``"numpy"`` (the
-    SoA kernel, which ran because the compiled tier refused for
+    Python kernel, which ran because the compiled tier refused for
     ``numpy_reason``) or ``"oracle"`` (the pure-Python slot loop --
     requested, or fallen back to for ``fallback_reason``).
     """

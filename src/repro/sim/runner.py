@@ -180,7 +180,7 @@ class RunOptions:
     #: Event dispatcher attached to the whole stack.
     observer: EventDispatcher | None = None
     #: Engine core: ``"python"`` (the reference oracle), ``"vector"``
-    #: (the struct-of-arrays kernel, bit-identical, with automatic
+    #: (the vector kernels, bit-identical, with automatic
     #: oracle fallback), or ``None`` to follow the ``REPRO_ENGINE``
     #: environment variable (default ``"python"``).  Engine choice never
     #: affects results, so it stays out of campaign run keys.

@@ -1,4 +1,4 @@
-"""Vectorized engine core: struct-of-arrays state + batched slot kernel.
+"""Vectorized engine core: a batched slot kernel in two tiers.
 
 An opt-in replacement for the pure-Python slot loop, selected with
 ``RunOptions(engine="vector")``, CLI ``--engine vector``, or the
@@ -9,9 +9,10 @@ registries and event streams, and silently falls back to the oracle for
 configurations it cannot replicate exactly (see
 :class:`~repro.sim.vector.engine.VectorSimulation`).
 
-* :mod:`repro.sim.vector.soa` -- packed priority-field layout and the
-  per-node arrays;
-* :mod:`repro.sim.vector.kernel` -- the event-driven batched kernel;
+* :mod:`repro.sim.vector.soa` -- the packed priority-field layout;
+* :mod:`repro.sim.vector.ckernel` -- the compiled C micro-kernel;
+* :mod:`repro.sim.vector.kernel` -- the event-driven batched Python
+  kernel that runs whatever the compiled tier declines;
 * :mod:`repro.sim.vector.engine` -- engine selection and oracle fallback.
 """
 
@@ -21,14 +22,10 @@ from repro.sim.vector.soa import (
     PACKED_NODE_BITS,
     PACKED_NODE_MASK,
     PACKED_PRIO_SHIFT,
-    SoAState,
-    arbitration_order,
 )
 
 __all__ = [
     "VectorSimulation",
-    "SoAState",
-    "arbitration_order",
     "PACKED_MAX",
     "PACKED_NODE_BITS",
     "PACKED_NODE_MASK",

@@ -1,10 +1,12 @@
 """Opt-in vectorized engine with automatic oracle fallback.
 
 :class:`VectorSimulation` is a drop-in :class:`~repro.sim.engine.Simulation`
-whose :meth:`run` dispatches to the struct-of-arrays kernel
-(:mod:`repro.sim.vector.kernel`) whenever the configuration is one the
-kernel replicates bit-for-bit, and otherwise falls back to the inherited
-pure-Python slot loop -- the reference oracle.  Only :meth:`run` is
+whose :meth:`run` dispatches to a vector kernel whenever the
+configuration is one the kernels replicate bit-for-bit -- the compiled
+micro-kernel (:mod:`repro.sim.vector.ckernel`) where it accepts the
+call, the Python kernel (:mod:`repro.sim.vector.kernel`, the CLI's
+"numpy" tier) where it declines -- and otherwise falls back to the
+inherited pure-Python slot loop, the reference oracle.  Only :meth:`run` is
 overridden: ``step()`` and ``run_until()`` are always the oracle, since
 single-slot stepping has nothing to batch and a signalling wait must stop
 in the slot its message is delivered.
@@ -30,8 +32,8 @@ Everything else -- any laxity mapping, admission control, drop-late,
 event sinks, profilers, arbitrary traffic sources -- runs in-kernel.
 A profiler does not change the tier: the compiled kernel records one
 ``ingest`` / ``kernel`` / ``fold`` lap per call and counts its windows
-(message-table compactions plus one) in ``compiled_windows``, the SoA
-kernel one ``kernel`` lap per call.
+(message-table compactions plus one) in ``compiled_windows``, the
+Python kernel one ``kernel`` lap per call.
 """
 
 from __future__ import annotations
@@ -58,11 +60,11 @@ class VectorSimulation(Simulation):
         #: Total slots executed by the vector kernel (not the oracle).
         self.vector_slots: int = 0
         #: Which vector core executed the last kernel ``run()``:
-        #: ``"compiled"`` (the C micro-kernel), ``"python"`` (the SoA
+        #: ``"compiled"`` (the C micro-kernel), ``"python"`` (the Python
         #: kernel), or ``None`` (oracle fallback / never ran).
         self.vector_backend: str | None = None
         #: Why the compiled tier refused the last kernel ``run()``, which
-        #: then ran on the SoA kernel; ``None`` unless ``vector_backend``
+        #: then ran on the Python kernel; ``None`` unless ``vector_backend``
         #: is ``"python"``.
         self.vector_numpy_reason: str | None = None
 
@@ -105,8 +107,8 @@ class VectorSimulation(Simulation):
             return super().run(n_slots)
         # Closed-world configurations run on the compiled micro-kernel
         # (which times its own ingest / kernel / fold laps); anything it
-        # cannot replicate bit-for-bit lands on the pure-Python SoA
-        # kernel below, with the refusal on record.
+        # cannot replicate bit-for-bit lands on the Python kernel below,
+        # with the refusal on record.
         refusal = _try_compiled(self, n_slots)
         self.vector_numpy_reason = refusal
         if refusal is None:

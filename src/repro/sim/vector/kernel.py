@@ -19,23 +19,22 @@ and event streams by exploiting two protocol facts:
   is an exact repetition, so the kernel advances K slots at a time.
   Idle spans reproduce the oracle's fast-forward (including its
   ``FastForwardSpan`` events and span boundaries); *busy* spans batch
-  the repeated loaded slot as well.  The oracle batches busy spans only
-  for a lone granted master; this kernel also batches several
-  concurrent grants, bounding the span by priority-bucket expiry and
-  drop-late as well.  Float accumulators are advanced by the same
-  repeated additions the oracle performs, never by multiplication, so
-  totals match bit-for-bit.
+  the repeated loaded slot as well, bounded by priority-bucket expiry,
+  the first delivery and drop-late.  Float accumulators are advanced by
+  the same repeated additions the oracle performs, never by
+  multiplication, so totals match bit-for-bit.
 
-Interesting-event bookkeeping is heap-based: a release heap keyed by
-each source's ``next_release_slot`` contract and a conservative
-drop-late heap keyed by the earliest slot a message *could* go late
-(its deadline minus its full remaining service time; re-inserted at the
-recomputed slot when it was granted meanwhile).
+Interesting-event bookkeeping is heap-based: one release heap keyed by
+``(slot, source index)`` -- each source filed under its
+``next_release_slot`` contract, a plain periodic source re-filed one
+period on after each inlined release -- and a conservative drop-late
+heap keyed by the earliest slot a message *could* go late (its deadline
+minus its full remaining service time; re-inserted at the recomputed
+slot when it was granted meanwhile).
 
-Arbitration itself reduces over the packed priority field of
-:mod:`repro.sim.vector.soa`: descending order over ``packed`` equals the
-oracle's ``(-priority, node)`` sort, evaluated with the interpreter
-``sorted`` on small rings and a numpy masked argsort on large ones.
+Arbitration itself sorts the requesting nodes over the packed priority
+field of :mod:`repro.sim.vector.soa`: descending order over ``packed``
+equals the oracle's ``(-priority, node)`` sort.
 
 The kernel only runs for configurations whose semantics it replicates
 exactly; :class:`repro.sim.vector.engine.VectorSimulation` falls back to
@@ -61,15 +60,7 @@ from repro.core.protocol import PlannedTransmission
 from repro.obs.events import ArbitrationDenied, FastForwardSpan, HandoverOccurred
 from repro.sim.metrics import ConnectionStats
 from repro.traffic.periodic import ConnectionSource
-from repro.sim.vector.soa import (
-    PACKED_NODE_MASK,
-    PACKED_PRIO_SHIFT,
-    PRIO_UNTIL_FOREVER,
-    VECTOR_SWEEP_MIN_NODES,
-    SoAState,
-    arbitration_order,
-    release_schedule,
-)
+from repro.sim.vector.soa import PACKED_NODE_MASK, PACKED_PRIO_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulation
@@ -77,10 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Shared read-only empty list for the (common) no-denials plan slots.
 _EMPTY_LIST: list = []
 
-#: Slots covered per precomputed release-schedule chunk.  Bounds the
-#: schedule's memory to the traffic of one window regardless of how many
-#: slots a single ``run()`` spans.
-_SCHED_CHUNK: int = 1 << 15
+#: "Never" for ``prio_until`` entries (NRT requests and already-late
+#: saturated heads) and the other slot bounds.  Far above any reachable
+#: slot index but small enough that ``+ 1`` stays in int64.
+_FOREVER: int = 1 << 62
 
 
 def run_kernel(sim: Simulation, n_slots: int) -> None:
@@ -109,6 +100,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     sources = sim.sources
     route_masks = protocol.route_masks
     on_release = metrics.on_release
+    on_delivery = metrics.on_delivery
     on_drop = metrics.on_drop
     per_class = report.per_class
     per_connection = report.per_connection
@@ -119,7 +111,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     PENDING = MessageStatus.PENDING
     NRT = TrafficClass.NON_REAL_TIME
     RT = TrafficClass.RT_CONNECTION
-    INF = PRIO_UNTIL_FOREVER
+    INF = _FOREVER
     NODE_MASK = PACKED_NODE_MASK
 
     # Per deadline class: its most urgent level ``hi`` and the starts of
@@ -149,49 +141,13 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
     route_by_cid: dict[int, int] = {}
     rt_stats = per_class[RT]
 
-    def _deliver(msg: Message, completed: int) -> bool:
-        """Fold one delivery into the metrics (the oracle's
-        ``on_delivery``, field updates in the same order).  Returns
-        whether the deadline was missed."""
-        tc = msg.traffic_class
-        cls_stats = rt_stats if tc is RT else per_class[tc]
-        cls_stats.delivered += 1
-        latency = completed - msg.created_slot + 1
-        cls_stats.latency_counts[latency] += 1
-        deadline = msg.deadline_slot
-        missed = False
-        if deadline is not None:
-            if completed <= deadline:
-                cls_stats.deadline_met += 1
-            else:
-                missed = True
-                cls_stats.deadline_missed += 1
-                if metrics.fault_window_active:
-                    cls_stats.deadline_missed_in_fault_window += 1
-        cid = msg.connection_id
-        if cid is not None:
-            cstat = per_connection.get(cid)
-            if cstat is None:
-                cstat = per_connection[cid] = ConnectionStats(cid)
-            cstat.delivered += 1
-            cstat.latency_counts[latency] += 1
-            if deadline is not None:
-                if missed:
-                    cstat.deadline_missed += 1
-                else:
-                    cstat.deadline_met += 1
-        return missed
-
     wants_events = observer is not None and observer.wants_slot_events
 
     s = sim.current_slot
     end = s + n_slots
     prev_master = sim._prev_master
 
-    # --- struct-of-arrays node state (scalar mirrors for the hot loop) --
-    soa = SoAState(n)
-    use_np_sweep = n >= VECTOR_SWEEP_MIN_NODES
-    np_packed = soa.packed
+    # --- per-node state, one list per field ----------------------------
     packed: list[int] = [0] * n
     prio_until: list[int] = [0] * n
     heads: list[Message | None] = [None] * n
@@ -224,57 +180,34 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
         return hi - k, now + lax - lower[k - 1]
 
     # --- release bookkeeping -------------------------------------------
-    # Exact periodic sources are fully predictable, so their releases
-    # are precomputed as one merged (slot, source-index) schedule per
-    # ``_SCHED_CHUNK``-slot window -- a numpy ``arange`` per connection
-    # plus one ``lexsort``, replacing all per-slot source polling.  Any
-    # other source kind sends *all* sources to the generic
-    # ``next_release_slot`` heap, because releases at the same slot must
-    # be processed in source-list order across both mechanisms.
-    all_exact = all(type(src) is ConnectionSource for src in sources)
+    # One heap of (slot, source index): pops in the oracle's polling
+    # order, ascending slot and source-list order within a slot.  A plain
+    # periodic source releases inline (``plain[idx]`` holds its
+    # constants) and is re-filed one period on; any other source is
+    # polled and re-filed under its ``next_release_slot`` contract.
     rel_heap: list[tuple[int, int]] = []
-    sched_slots: list[int] = []
-    sched_src: list[int] = []
-    sched_ptr = 0
-    sched_len = 0
-    sched_next = INF
-    if all_exact:
-        sched_lo = s
-        conns = [src.connection for src in sources]
-        cstats: list[ConnectionStats | None] = [None] * len(sources)
-        c_node = [c.source for c in conns]
-        c_dest = [c.destinations for c in conns]
-        c_size = [c.size_slots for c in conns]
-        c_period = [c.period_slots for c in conns]
-        c_reldl = [c.relative_deadline_slots for c in conns]
-        c_cid = [c.connection_id for c in conns]
-        c_queue = [queues[c.source] for c in conns]
-
-        def _refill_sched() -> None:
-            nonlocal sched_slots, sched_src, sched_ptr, sched_next, sched_lo
-            nonlocal sched_len
-            while sched_lo < end:
-                lo = sched_lo
-                hi = min(end, lo + _SCHED_CHUNK)
-                sched_lo = hi
-                slots, index = release_schedule(sources, lo, hi)
-                if not len(slots):
-                    continue
-                sched_slots = slots.tolist()
-                sched_src = index.tolist()
-                sched_ptr = 0
-                sched_len = len(sched_slots)
-                sched_next = sched_slots[0]
-                return
-            sched_next = INF
-
-        _refill_sched()
-    else:
-        # Pops in (slot, index) order == the oracle's source-list order.
-        for idx, src in enumerate(sources):
-            nxt = src.next_release_slot(s)
-            if nxt is not None:
-                heappush(rel_heap, (nxt if nxt > s else s, idx))
+    plain: list[tuple | None] = []
+    cstats: list[ConnectionStats | None] = [None] * len(sources)
+    for idx, src in enumerate(sources):
+        if type(src) is ConnectionSource:
+            c = src.connection
+            plain.append(
+                (
+                    c.source,
+                    c.destinations,
+                    c.size_slots,
+                    c.period_slots,
+                    c.relative_deadline_slots,
+                    c.connection_id,
+                    queues[c.source],
+                    INF if src.active_until is None else src.active_until,
+                )
+            )
+        else:
+            plain.append(None)
+        nxt = src.next_release_slot(s)
+        if nxt is not None:
+            heappush(rel_heap, (nxt if nxt > s else s, idx))
     # Conservative drop-late heap: (earliest slot the message could be
     # late, msg_id, message).  Lazily purged / re-keyed on pop.
     drop_heap: list[tuple[int, int, Message]] = []
@@ -353,10 +286,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
             idle = p_nreq == 0
             if observer is None or (idle and ff_enabled):
                 bound = end
-                if all_exact:
-                    if sched_next < bound:
-                        bound = sched_next
-                elif rel_heap and rel_heap[0][0] < bound:
+                if rel_heap and rel_heap[0][0] < bound:
                     bound = rel_heap[0][0]
                 if not idle:
                     # The oracle's fast-forward never consults queues,
@@ -417,68 +347,68 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
         ev0 = ev1 = ev2 = ev3 = 0
 
         # (a) traffic release
-        while sched_next <= s:
-            # Scheduled exact release: the oracle's poll -> validate ->
-            # enqueue -> account chain, inlined and specialised for a
-            # known-valid periodic RT-connection message.
-            idx = sched_src[sched_ptr]
-            deadline = s + c_reldl[idx]
-            node = c_node[idx]
-            size = c_size[idx]
-            # Construct the message directly (the dataclass constructor
-            # plus its validation, bypassed): every field of a periodic
-            # connection release was validated when the connection was
-            # built, and the id counter is consumed exactly as the
-            # constructor would.
-            msg = msg_new(Message)
-            msg.source = node
-            msg.destinations = c_dest[idx]
-            msg.traffic_class = RT
-            msg.size_slots = size
-            msg.created_slot = s
-            msg.deadline_slot = deadline
-            msg.period_slots = c_period[idx]
-            msg.connection_id = c_cid[idx]
-            msg.msg_id = mid = next_mid()
-            msg.sent_slots = 0
-            msg.status = PENDING
-            msg.completed_slot = None
-            q = c_queue[idx]
-            heappush(q._rt, (deadline, mid, msg))
-            q._head_valid = False
-            rt_stats.released += 1
-            cs = cstats[idx]
-            if cs is None:
-                cid = c_cid[idx]
-                cs = per_connection.get(cid)
-                if cs is None:
-                    cs = per_connection[cid] = ConnectionStats(cid)
-                cstats[idx] = cs
-            cs.released += 1
-            ev0 += 1
-            if drop_late_on:
-                heappush(drop_heap, (deadline - size + 2, mid, msg))
-            if dirty_flags[node]:
-                replan_needed = True
-            else:
-                head = heads[node]
-                # A fresh message has the globally largest msg_id, so it
-                # only beats an RT head on a strictly earlier deadline.
-                if (
-                    head is None
-                    or head.traffic_class is not RT
-                    or deadline < head.deadline_slot
-                ):
-                    dirty_flags[node] = 1
-                    dirty.append(node)
-                    replan_needed = True
-            sched_ptr += 1
-            if sched_ptr < sched_len:
-                sched_next = sched_slots[sched_ptr]
-            else:
-                _refill_sched()
         while rel_heap and rel_heap[0][0] <= s:
-            _, idx = heappop(rel_heap)
+            idx = rel_heap[0][1]
+            spec = plain[idx]
+            if spec is not None:
+                # Plain periodic release: the oracle's poll -> validate ->
+                # enqueue -> account chain, inlined and specialised for a
+                # known-valid periodic RT-connection message.
+                node, dests, size, period, reldl, cid, q, until = spec
+                nxt = s + period
+                if nxt < until:
+                    heapreplace(rel_heap, (nxt, idx))
+                else:
+                    heappop(rel_heap)
+                deadline = s + reldl
+                # Construct the message directly (the dataclass
+                # constructor plus its validation, bypassed): every field
+                # of a periodic connection release was validated when the
+                # connection was built, and the id counter is consumed
+                # exactly as the constructor would.
+                msg = msg_new(Message)
+                msg.source = node
+                msg.destinations = dests
+                msg.traffic_class = RT
+                msg.size_slots = size
+                msg.created_slot = s
+                msg.deadline_slot = deadline
+                msg.period_slots = period
+                msg.connection_id = cid
+                msg.msg_id = mid = next_mid()
+                msg.sent_slots = 0
+                msg.status = PENDING
+                msg.completed_slot = None
+                heappush(q._rt, (deadline, mid, msg))
+                q._head_valid = False
+                rt_stats.released += 1
+                cs = cstats[idx]
+                if cs is None:
+                    cs = per_connection.get(cid)
+                    if cs is None:
+                        cs = per_connection[cid] = ConnectionStats(cid)
+                    cstats[idx] = cs
+                cs.released += 1
+                ev0 += 1
+                if drop_late_on:
+                    heappush(drop_heap, (deadline - size + 2, mid, msg))
+                if dirty_flags[node]:
+                    replan_needed = True
+                else:
+                    head = heads[node]
+                    # A fresh message has the globally largest msg_id, so
+                    # it only beats an RT head on a strictly earlier
+                    # deadline.
+                    if (
+                        head is None
+                        or head.traffic_class is not RT
+                        or deadline < head.deadline_slot
+                    ):
+                        dirty_flags[node] = 1
+                        dirty.append(node)
+                        replan_needed = True
+                continue
+            heappop(rel_heap)
             src = sources[idx]
             for msg in src.messages_for_slot(s):
                 if msg.source != src.node or msg.created_slot != s:
@@ -553,37 +483,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
         # (c) execute the pending plan
         wasted_idx: list[int] | None = None
         n_tx = len(p_tx_msgs)
-        if n_tx == 1:
-            # Single-grant plans dominate loaded rings; skip the loop.
-            msg = p_tx_msgs[0]
-            st = msg.status
-            if st is DROPPED or st is DELIVERED:
-                # Grant went stale (dropped between plan and slot).
-                if observer is not None:
-                    wasted_idx = [0]
-                wasted_acc += 1
-            else:
-                remaining = msg.size_slots - msg.sent_slots
-                msg.sent_slots += 1
-                if remaining == 1:
-                    msg.status = DELIVERED
-                    msg.completed_slot = s
-                    if _deliver(msg, s):
-                        ev2 += 1
-                    ev1 += 1
-                    node = p_tx_nodes[0]
-                    if not dirty_flags[node]:
-                        dirty_flags[node] = 1
-                        dirty.append(node)
-                    replan_needed = True
-                else:
-                    msg.status = IN_TRANSIT
-                    # Granted every slot => constant laxity (Figure 3):
-                    # the cached priority stays exact one slot longer.
-                    prio_until[p_tx_nodes[0]] += 1
-                busy_acc += 1
-                packets_acc += 1
-        elif n_tx:
+        if n_tx:
             eff_tx = n_tx
             for j, msg in enumerate(p_tx_msgs):
                 st = msg.status
@@ -601,9 +501,10 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                 if remaining == 1:
                     msg.status = DELIVERED
                     msg.completed_slot = s
-                    if _deliver(msg, s):
-                        ev2 += 1
+                    on_delivery(msg)
                     ev1 += 1
+                    if msg.met_deadline() is False:
+                        ev2 += 1
                     node = p_tx_nodes[j]
                     if not dirty_flags[node]:
                         dirty_flags[node] = 1
@@ -659,17 +560,12 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                 if msg is None:
                     if packed[i]:
                         packed[i] = 0
-                        if use_np_sweep:
-                            np_packed[i] = 0
                         active.discard(i)
                     continue
                 active.add(i)
                 prio, until = prio_and_until(msg, s)
                 prio_until[i] = until
-                pk = (prio << PACKED_PRIO_SHIFT) | (NODE_MASK - i)
-                packed[i] = pk
-                if use_np_sweep:
-                    np_packed[i] = pk
+                packed[i] = (prio << PACKED_PRIO_SHIFT) | (NODE_MASK - i)
                 cid = msg.connection_id
                 if cid is not None:
                     lk = route_by_cid.get(cid)
@@ -688,10 +584,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
                         msg = heads[i]
                         prio, until = prio_and_until(msg, s)
                         prio_until[i] = until
-                        pk = (prio << PACKED_PRIO_SHIFT) | (NODE_MASK - i)
-                        packed[i] = pk
-                        if use_np_sweep:
-                            np_packed[i] = pk
+                        packed[i] = (prio << PACKED_PRIO_SHIFT) | (NODE_MASK - i)
 
             # Reuse the spare plan buffers (recycled from the plan
             # retired at the last rotation) instead of allocating.
@@ -702,12 +595,7 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
             d_nodes.clear()
             n_active = len(active)
             if n_active:
-                if use_np_sweep:
-                    ordered = arbitration_order(np_packed)
-                else:
-                    ordered = sorted(
-                        active, key=packed.__getitem__, reverse=True
-                    )
+                ordered = sorted(active, key=packed.__getitem__, reverse=True)
                 hp = ordered[0]
                 break_mask = 1 << ((hp - 1) % n)
                 occupied = 0
@@ -900,5 +788,3 @@ def run_kernel(sim: Simulation, n_slots: int) -> None:
             p_nreq,
         ),
     )
-    soa.store(packed, prio_until)
-    sim._soa = soa  # type: ignore[attr-defined]

@@ -335,6 +335,69 @@ def test_soa_kernel_matches_oracle(name, monkeypatch):
     assert vec_sim.vector_backend == "python"
 
 
+@pytest.mark.parametrize("events", [False, True], ids=["plain", "events"])
+def test_soa_kernel_interleaves_inline_and_polled_releases(
+    tmp_path, monkeypatch, events
+):
+    """The SoA kernel files every source on one release heap.  Plain
+    periodic sources -- one switching on late, one switching off
+    mid-run -- release inline, a Poisson source is polled, and in the
+    slots where both release, the messages take their ids in source-list
+    order, as on the oracle.  The calls' edges fall inside both windows."""
+    from repro.obs.events import EventDispatcher, JsonlEventLog
+    from repro.traffic.poisson import PoissonSource
+
+    monkeypatch.setattr(ckernel, "_fn", None)
+    config = _loaded_config(8, 0.5)
+    late_on = ConnectionSource(_conn(800, 1, 5, 7, 1, phase=3), active_from=200)
+    mid_off = ConnectionSource(_conn(801, 6, 2, 5, 2), active_until=900)
+
+    def poisson():
+        return PoissonSource(
+            node=3,
+            n_nodes=8,
+            rate_per_slot=0.3,
+            traffic_class=TrafficClass.BEST_EFFORT,
+            rng=np.random.default_rng(5),
+            relative_deadline_slots=40,
+        )
+
+    n_slots = 1200
+    # The Poisson source draws once per slot, so a twin polled slot by
+    # slot replays its release slots.
+    twin = poisson()
+    polled = {t for t in range(n_slots) if twin.messages_for_slot(t)}
+    for src in (late_on, mid_off):
+        assert any(
+            src.active_from <= t < (src.active_until or n_slots)
+            and src.connection.releases_at(t)
+            for t in polled
+        ), "no slot releases inline and polled at once"
+
+    observers = {}
+
+    def make_sim(engine):
+        if events:
+            observer = observers[engine] = EventDispatcher()
+            observer.add_sink(JsonlEventLog(tmp_path / f"{engine}.jsonl"))
+        return build_simulation(
+            config,
+            RunOptions(
+                engine=engine,
+                observer=observers.get(engine),
+                extra_sources=(late_on, poisson(), mid_off),
+            ),
+        )
+
+    sim = assert_engines_match(make_sim, chunks=(500, 700))
+    assert sim.vector_backend == "python"
+    for observer in observers.values():
+        observer.close()
+    if events:
+        log = {e: (tmp_path / f"{e}.jsonl").read_bytes() for e in observers}
+        assert log["vector"] == log["python"]
+
+
 # ----------------------------------------------------------------------
 # The compiled tier's exit fold.  It replays the kernel's delivery log
 # column by column, so each test below pins one thing a per-message loop

@@ -17,12 +17,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.connection import LogicalRealTimeConnection
 from repro.core.mapping import LinearMapping
 from repro.sim.runner import RunOptions, ScenarioConfig, build_simulation
 from repro.sim.vector import ckernel
-from repro.sim.vector.soa import release_schedule
-from repro.traffic.periodic import ConnectionSource, random_connection_set
+from repro.traffic.periodic import random_connection_set
 from repro.traffic.sweeps import scale_connections_to_utilisation
 
 from tests.core.test_mapping import SQUARE_STEPS
@@ -145,54 +143,3 @@ def test_random_fault_plans_match(seed, n_slots):
     assert vec_sim.vector_fallback_reason == "fault injection active"
     assert vec_snap == py_snap
 
-
-@st.composite
-def periodic_sources(draw):
-    sources = []
-    for _ in range(draw(st.integers(min_value=0, max_value=5))):
-        period = draw(st.integers(min_value=1, max_value=40))
-        active_from = draw(st.integers(min_value=0, max_value=120))
-        span = draw(st.none() | st.integers(min_value=0, max_value=150))
-        sources.append(
-            ConnectionSource(
-                LogicalRealTimeConnection(
-                    source=0,
-                    destinations=frozenset([1]),
-                    period_slots=period,
-                    size_slots=1,
-                    phase_slots=draw(st.integers(min_value=0, max_value=60)),
-                ),
-                active_from=active_from,
-                active_until=None if span is None else active_from + span,
-            )
-        )
-    return sources
-
-
-@given(
-    periodic_sources(),
-    st.integers(min_value=0, max_value=100),
-    st.integers(min_value=0, max_value=200),
-    st.integers(min_value=1, max_value=64),
-)
-@settings(max_examples=60, deadline=None)
-def test_release_schedule_is_the_oracles_polling_order(sources, lo, n, chunk):
-    """The schedule the numpy tier ingests lists exactly the releases
-    the oracle's slot-by-slot polling produces, in its order -- whole
-    window and chunk by chunk alike.  (The compiled tier walks its
-    calendar in C; ``test_entry.py`` holds it to the oracle.)"""
-    hi = lo + n
-    polled = [
-        (slot, idx)
-        for slot in range(lo, hi)
-        for idx, src in enumerate(sources)
-        if src.messages_for_slot(slot)
-    ]
-    slots, index = release_schedule(sources, lo, hi)
-    assert slots.dtype == index.dtype == np.int64
-    assert list(zip(slots.tolist(), index.tolist())) == polled
-    chunked = []
-    for start in range(lo, hi, chunk):
-        s, i = release_schedule(sources, start, min(hi, start + chunk))
-        chunked.extend(zip(s.tolist(), i.tolist()))
-    assert chunked == polled

@@ -251,3 +251,71 @@ def test_release_count_is_no_refusal(monkeypatch):
     id_after, released_after = ids["VectorSimulation", "after"]
     # The call reserves ids from ``id_before + 1`` on.
     assert id_after == id_before + 1 + (released_after - released_before)
+
+
+def test_early_returns_write_back_the_oracles_plan(monkeypatch):
+    """Each mid-call return of the compiled kernel (a grown table, a
+    drained late log) and the call's last drain see the workspace as the
+    kernel wrote it back: its pending plan's transmit and denial rows,
+    remapped through every compaction, name the messages of the
+    oracle's pending plan at that slot, in its order.  The three-release
+    table of the test above, on a ring offered twice what it carries:
+    the backlog grows the table again and again, and a table grows
+    right after a compaction, so the rows it sees were just remapped."""
+    if ckernel._kernel_fn() is None:
+        pytest.skip("no C toolchain; compiled tier unavailable")
+    monkeypatch.setattr(ckernel, "_WINDOW_RELEASES", 3)
+    records = []
+
+    def record(kind, ws):
+        table = [
+            ws.col(name).tolist() for name in ("m_node", "m_created", "m_deadline")
+        ]
+
+        def rows(name, count):
+            return [
+                tuple(column[row] for column in table)
+                for row in ws.col(name)[:count].tolist()
+            ]
+
+        n_tx, n_den = ws.scalar("n_tx"), ws.scalar("n_den")
+        records.append(
+            (kind, ws.scalar("slot"), rows("tx_rows", n_tx), rows("den_rows", n_den))
+        )
+
+    grown = ckernel._Workspace.grown
+    drain = ckernel._drain_late_log
+
+    def grown_spy(ws, rows):
+        record("grown", ws)
+        return grown(ws, rows)
+
+    def drain_spy(ws, late):
+        record("drain", ws)
+        drain(ws, late)
+
+    monkeypatch.setattr(ckernel._Workspace, "grown", grown_spy)
+    monkeypatch.setattr(ckernel, "_drain_late_log", drain_spy)
+    make_sim = _make(_loaded_config(8, 2.0))
+    sim = make_sim("vector")
+    for _ in range(5):
+        sim.step()
+    sim.run(1000)
+    assert sim.vector_backend == "compiled"
+    assert any(
+        kind == "grown" and den for kind, _, _, den in records
+    ), "no table grew with a denial pending"
+
+    def named(plan):
+        return [
+            (p.message.source, p.message.created_slot, p.message.deadline_slot)
+            for p in plan
+        ]
+
+    twin = make_sim("python")
+    for _ in range(5):
+        twin.step()
+    for kind, slot, tx, den in records:
+        twin.run(slot - twin.current_slot)
+        _, _, grants, denied, _ = twin._pending
+        assert (tx, den) == (named(grants), named(denied)), (kind, slot)
