@@ -21,9 +21,10 @@ master/worker split of ARTIQ's scheduler, the sharded path survives:
 
 * **worker death** -- a worker killed by the OOM-killer (or any hard
   crash) breaks a ``ProcessPoolExecutor`` permanently; the supervisor
-  detects ``BrokenProcessPool``, rebuilds the pool, charges each
-  in-flight run one (unattributable) crash attempt, and resubmits the
-  ones still under budget;
+  detects ``BrokenProcessPool`` (on a finished future, or on a submit
+  the broken pool refuses), rebuilds the pool, charges each in-flight
+  run one (unattributable) crash attempt, and resubmits the ones still
+  under budget;
 * **hangs** -- with :attr:`~repro.campaign.spec.RetryPolicy.run_timeout_s`
   set, a run that overruns its wall-clock budget has its worker killed,
   is charged a timeout attempt, and the surviving in-flight runs are
@@ -509,7 +510,21 @@ class _Supervisor:
             if len(self.in_flight) >= self.jobs or task.eligible_at > now:
                 remaining.append(task)
                 continue
-            future = self._pool.submit(self.run_fn, task.spec)
+            try:
+                future = self._pool.submit(self.run_fn, task.spec)
+            except _cf_process.BrokenProcessPool:
+                # A worker died since the last wait(), and the pool now
+                # refuses work.  The task never ran: it goes back in
+                # queue order, uncharged.  The runs in flight are charged
+                # as for a broken future, and the pool is rebuilt.
+                self.queue.appendleft(task)
+                self.queue.extendleft(reversed(remaining))
+                requeued_before = len(self.queue)
+                self._collect(set(), broken=True)
+                self._rebuild_pool(
+                    "broken", resubmitted=len(self.queue) - requeued_before
+                )
+                return
             if self.policy.run_timeout_s is not None:
                 task.deadline = now + self.policy.run_timeout_s
             self.in_flight[future] = task
@@ -527,15 +542,17 @@ class _Supervisor:
             horizon = min(horizon, task.eligible_at - now)
         return max(0.01, horizon)
 
-    def _collect(self, done: set[Future[dict[str, Any]]]) -> bool:
+    def _collect(
+        self, done: set[Future[dict[str, Any]]], broken: bool = False
+    ) -> bool:
         """Harvest finished futures.
 
         Every successful result in the batch is persisted *before* any
         failure is acted on, so one bad run can never discard its
-        batch-mates.  Returns whether the pool broke (a worker died).
+        batch-mates.  Returns whether the pool broke (a worker died);
+        ``broken`` says it already has (a submit was refused).
         """
         failures: list[tuple[_Task, BaseException]] = []
-        broken = False
         for future in done:
             task = self.in_flight.pop(future)
             try:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.baselines.ccfpr import CcFprProtocol
 from repro.baselines.tdma import TdmaProtocol
@@ -91,13 +92,30 @@ class ScenarioConfig:
 
 
 def make_timing(config: ScenarioConfig) -> NetworkTiming:
-    """Build the timing model of a scenario's network."""
-    topology = RingTopology.uniform(config.n_nodes, config.link_length_m)
+    """Build the timing model of a scenario's network.
+
+    Equal network parameters return one shared (immutable) model, so the
+    quantities it derives on first use (the slot length, Eq. 2) are
+    computed once per network, not once per run.
+    """
+    return _timing(
+        config.n_nodes,
+        config.link_length_m,
+        config.slot_payload_bytes,
+        config.node_delay_s,
+    )
+
+
+# typed, like RingTopology.uniform: 10 and 10.0 are different arguments.
+@lru_cache(maxsize=16, typed=True)
+def _timing(
+    n_nodes: int, link_length_m: float, slot_payload_bytes: int, node_delay_s: float
+) -> NetworkTiming:
     return NetworkTiming(
-        topology=topology,
+        topology=RingTopology.uniform(n_nodes, link_length_m),
         link=FibreRibbonLink(),
-        slot_payload_bytes=config.slot_payload_bytes,
-        node_delay_s=config.node_delay_s,
+        slot_payload_bytes=slot_payload_bytes,
+        node_delay_s=node_delay_s,
     )
 
 

@@ -30,9 +30,15 @@
  *   - RET_ROWS_FULL: the live backlog fills more than half of the table
  *     even after a compaction; the glue grows the buffer;
  *   - RET_LOG_FULL: the late-delivery log is full; the glue drains it.
+ * The call's last return compacts the table once more, so it ends with
+ * the carried rows and then the release rows still live.
  * Latencies are counted per (dense connection id, latency) in a table
  * lat_width latencies wide; a delivery whose latency does not fit is
- * logged as a (dense id, latency) pair instead.
+ * logged as a (dense id, latency) pair instead.  The call's last return
+ * lists every histogram the exit fold reads as runs of (key, count)
+ * cells, positive counts in key order: each dense id's latencies, the
+ * class's (the table's column sums), the masters' slots and the
+ * hand-over hops.
  *
  * Kernel scratch, rebuilt at each entry so each slot's work scales
  * with what is queued or due, not with the ring width or the
@@ -80,6 +86,7 @@ enum ws_field {
     W_N_PRE,
     W_N_REL,
     W_N_CONNS,
+    W_N_CIDS,
     W_ID0,
     W_LAT_WIDTH,
     W_ROW_CAP,
@@ -103,7 +110,9 @@ enum ws_field {
     W_N_LOG,
     W_N_COMPACTIONS,
     W_COMPACTED,
-    W_N_LIVE,
+    W_N_CELLS,
+    W_N_CLASS_CELLS,
+    W_N_MASTER_CELLS,
     /* float64 scalars */
     W_SLOT_LENGTH,
     W_GAP,
@@ -126,8 +135,10 @@ enum ws_field {
     W_CONN_STOP,
     W_CONN_DUE,
     /* per dense connection id */
+    W_CID_RELEASED,
     W_CID_DELIVERED,
     W_CID_MISSED,
+    W_CID_CELLS,
     /* per RT priority level below the most urgent */
     W_RT_LEVEL_START,
     /* latency count table: lat_width words per dense connection id */
@@ -144,10 +155,12 @@ enum ws_field {
     W_M_STATUS,
     W_M_COMPLETED,
     W_M_CONN,
-    W_LIVE_ROWS,
+    W_ROW_MAP,
     /* late-delivery log */
     W_LOG_CID,
     W_LOG_LAT,
+    /* the cell list, written at the call's end */
+    W_CELLS,
     W_NFIELDS
 };
 
@@ -261,12 +274,29 @@ static uint64_t fill_heaps(const int64_t *ws, Heap *heaps, int64_t n,
     return occupied;
 }
 
+/* Append the non-zero entries of counts[0..width) to the cell list as
+ * (index, count) pairs, in index order; return the new number of cells. */
+static int64_t put_cells(int64_t *cells, int64_t n_cells,
+                         const int64_t *counts, int64_t width) {
+    for (int64_t key = 0; key < width; key++) {
+        if (counts[key]) {
+            cells[2 * n_cells] = key;
+            cells[2 * n_cells + 1] = counts[key];
+            n_cells++;
+        }
+    }
+    return n_cells;
+}
+
 /* Move the carried rows and the live release rows to the front of the
- * table, in row order, and return how many there are.  live_rows[row]
+ * table, in row order, remap the pending plan's rows (all live) to their
+ * new indices, and return how many rows there are.  row_map[row]
  * receives each old row's new index (-1 for a dropped row). */
-static int64_t compact_rows(int64_t *ws, int64_t n_pre, int64_t n_rows) {
+static int64_t compact_rows(int64_t *ws, int64_t n_pre, int64_t n_rows,
+                            int64_t *tx, int64_t n_tx, int64_t *den,
+                            int64_t n_den) {
     const int64_t *m_status = I64(W_M_STATUS);
-    int64_t *remap = I64(W_LIVE_ROWS);
+    int64_t *remap = I64(W_ROW_MAP);
     int64_t kept = 0;
     for (int64_t row = 0; row < n_rows; row++) {
         if (row >= n_pre && m_status[row] == ST_DELIVERED) {
@@ -280,6 +310,12 @@ static int64_t compact_rows(int64_t *ws, int64_t n_pre, int64_t n_rows) {
             }
         }
         remap[row] = kept++;
+    }
+    for (int64_t j = 0; j < n_tx; j++) {
+        tx[j] = remap[tx[j]];
+    }
+    for (int64_t j = 0; j < n_den; j++) {
+        den[j] = remap[den[j]];
     }
     return kept;
 }
@@ -299,6 +335,7 @@ int64_t repro_run_ckernel(int64_t *ws) {
     const int64_t n_pre = *I64(W_N_PRE);
     const int64_t n_rel = *I64(W_N_REL);
     const int64_t n_conns = *I64(W_N_CONNS);
+    const int64_t n_cids = *I64(W_N_CIDS);
     const int64_t id0 = *I64(W_ID0);
     const int64_t lat_width = *I64(W_LAT_WIDTH);
     const int64_t row_cap = *I64(W_ROW_CAP);
@@ -315,6 +352,7 @@ int64_t repro_run_ckernel(int64_t *ws) {
     const int64_t *conn_period = I64(W_CONN_PERIOD);
     const int64_t *conn_stop = I64(W_CONN_STOP);
     int64_t *conn_due = I64(W_CONN_DUE);
+    int64_t *cid_released = I64(W_CID_RELEASED);
     int64_t *cid_delivered = I64(W_CID_DELIVERED);
     int64_t *cid_missed = I64(W_CID_MISSED);
     int64_t *lat_counts = I64(W_LAT_COUNTS);
@@ -329,7 +367,6 @@ int64_t repro_run_ckernel(int64_t *ws) {
     int64_t *m_status = I64(W_M_STATUS);
     int64_t *m_completed = I64(W_M_COMPLETED);
     int64_t *m_conn = I64(W_M_CONN);
-    int64_t *live_rows = I64(W_LIVE_ROWS);
     int64_t *log_cid = I64(W_LOG_CID);
     int64_t *log_lat = I64(W_LOG_LAT);
     int64_t s = *I64(W_SLOT);
@@ -374,11 +411,12 @@ int64_t repro_run_ckernel(int64_t *ws) {
     const int64_t wheel_mask = wheel_slots - 1;
     const int64_t n_words = (n_conns + 63) / 64;
 
-    /* Scratch: node tables, grant lists, priority table and release
-     * wheel (zeroed: the wheel starts empty); the heaps grow apart. */
+    /* Scratch: node tables, grant lists, priority table, release wheel
+     * and the class's latency row (zeroed: the wheel starts empty, the
+     * row counts from 0); the heaps grow apart. */
     Heap *heaps = (Heap *)calloc((size_t)n, sizeof(Heap));
     int64_t *scratch = (int64_t *)calloc(
-        (size_t)(n * 7 + lax_cap + 1 + wheel_slots * n_words),
+        (size_t)(n * 7 + lax_cap + 1 + wheel_slots * n_words + lat_width),
         sizeof(int64_t));
     if (heaps == NULL || scratch == NULL) {
         free(heaps);
@@ -394,6 +432,7 @@ int64_t repro_run_ckernel(int64_t *ws) {
     int64_t *nxt_den = nxt_tx + n;
     int64_t *prio_of_lax = nxt_den + n;
     uint64_t *wheel = (uint64_t *)(prio_of_lax + lax_cap + 1);
+    int64_t *class_lat = (int64_t *)(wheel + wheel_slots * n_words);
     int64_t ret = 0;
 
     /* prio_of_lax[lax] = rt_hi - (level starts <= lax), one fill per
@@ -476,14 +515,9 @@ int64_t repro_run_ckernel(int64_t *ws) {
                 /* The planned rows are live (delivery happens in (c)),
                  * so each has a new index.  The slot only counts the
                  * denials, but an early return writes them back. */
-                n_rows = compact_rows(ws, n_pre, n_rows);
+                n_rows = compact_rows(ws, n_pre, n_rows, cur_tx, p_ntx,
+                                      cur_den, p_nden);
                 n_compactions++;
-                for (int64_t j = 0; j < p_ntx; j++) {
-                    cur_tx[j] = live_rows[cur_tx[j]];
-                }
-                for (int64_t j = 0; j < p_nden; j++) {
-                    cur_den[j] = live_rows[cur_den[j]];
-                }
                 /* What the compaction carried: bit 0 a message in
                  * transit, bit 1 a pending hand-over, bit 2 a pending
                  * break denial. */
@@ -530,6 +564,7 @@ int64_t repro_run_ckernel(int64_t *ws) {
                     m_links[row] = conn_links[c];
                     m_status[row] = ST_PENDING;
                     m_conn[row] = c;
+                    cid_released[conn_cid[c]]++;
                     Ent e = {deadline, msg_id, row};
                     if (heap_push(&heaps[node], e) != 0) {
                         ret = -3;
@@ -702,14 +737,34 @@ int64_t repro_run_ckernel(int64_t *ws) {
             ret = -5;
             goto done;
         }
-        /* Release rows still live, in row order. */
-        int64_t n_live = 0;
-        for (int64_t row = n_pre; row < n_rows; row++) {
-            if (m_status[row] != ST_DELIVERED) {
-                live_rows[n_live++] = row;
+        /* Compact once more, so the table holds the carried rows and
+         * then the release rows still live, in row order; the pending
+         * plan's rows (all live) follow them. */
+        n_rows =
+            compact_rows(ws, n_pre, n_rows, cur_tx, p_ntx, cur_den, p_nden);
+
+        /* The cell list: each dense id's latency run, the class's (the
+         * table's column sums), the masters' and the hops'. */
+        int64_t *cid_cells = I64(W_CID_CELLS);
+        int64_t *cells = I64(W_CELLS);
+        int64_t n_cells = 0;
+        for (int64_t ci = 0; ci < n_cids; ci++) {
+            const int64_t *row = lat_counts + ci * lat_width;
+            for (int64_t lat = 0; lat < lat_width; lat++) {
+                class_lat[lat] += row[lat];
             }
+            const int64_t first = n_cells;
+            n_cells = put_cells(cells, n_cells, row, lat_width);
+            cid_cells[ci] = n_cells - first;
         }
-        *I64(W_N_LIVE) = n_live;
+        int64_t first = n_cells;
+        n_cells = put_cells(cells, n_cells, class_lat, lat_width);
+        *I64(W_N_CLASS_CELLS) = n_cells - first;
+        first = n_cells;
+        n_cells = put_cells(cells, n_cells, master_count, n);
+        *I64(W_N_MASTER_CELLS) = n_cells - first;
+        n_cells = put_cells(cells, n_cells, hop_count, n);
+        *I64(W_N_CELLS) = n_cells;
     }
 
     /* Write the state of the slot boundary back. */

@@ -41,12 +41,14 @@ order, message ids are reserved from the global counter once per call
 continue the same sequence, a head's priority is read off a laxity ->
 priority table the kernel fills at entry from the mapping's level
 starts (``core.mapping.level_starts``, so any laxity mapping runs here),
-and the kernel counts deliveries and misses per connection and
+and the kernel counts releases, deliveries and misses per connection and
 latencies per (connection, latency) in a narrow table, logging only
 deliveries too late for it (see "The compiled tier's exit fold" in
-``DESIGN.md``).  The fold's Python loops run over connections, the
-table's non-zero cells, the late log's distinct pairs, nodes and
-still-live messages, never over deliveries.
+``DESIGN.md``).  Its last return lists every histogram the fold reads
+as runs of (key, count) cells and compacts the table to the carried and
+still-live rows, so the fold is one pass over the dense connection ids
+plus loops over the late log's distinct pairs, nodes and still-live
+messages, never over deliveries.
 
 An attached profiler does not change the tier: each call records one
 ``ingest``, one ``kernel`` and one ``fold`` lap, and adds the call's
@@ -63,18 +65,18 @@ import os
 import shutil
 import subprocess
 import tempfile
+from collections import Counter
 from collections.abc import Sequence
 from heapq import heapify
 from pathlib import Path
-from typing import TYPE_CHECKING, cast
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
 from repro.core import messages as _messages
-from repro.core.connection import LogicalRealTimeConnection
 from repro.core.mapping import level_starts
 from repro.core.messages import Message, MessageStatus
-from repro.core.priorities import TrafficClass, class_priority_range
+from repro.core.priorities import RT_CONNECTION_RANGE, TrafficClass
 from repro.core.protocol import PlannedTransmission
 from repro.sim.metrics import ConnectionStats
 from repro.traffic.periodic import ConnectionSource
@@ -113,11 +115,14 @@ _RET_LOG_FULL = 2
 #: ``"conns"`` per sourced connection, ``"cids"`` per dense connection
 #: id, ``"levels"`` per RT-connection priority level below the most
 #: urgent one, ``"lat"`` ``lat_width`` words per dense connection id,
-#: ``"rows"`` per message-table row, ``"log"`` per late-log entry.
-#: Scalars come first, so scalar ``i`` is word ``len(WORKSPACE) + i``;
-#: fields of one rule are adjacent, so each group is one 2-D block
-#: (:meth:`_Workspace.block`); the message table and the log come last.
-#: Every field before them starts zeroed, so every output starts at 0.
+#: ``"rows"`` per message-table row, ``"log"`` per late-log entry,
+#: ``"cells"`` a (key, count) pair for each of ``lat_width`` latencies per
+#: dense connection id and for the class, and for two per node.  Scalars
+#: come first, so scalar ``i`` is word ``len(WORKSPACE) + i``; the fields
+#: of one rule are adjacent and the rules follow in ``_RULES`` order, so
+#: each group is one 2-D block (:meth:`_Workspace.block`); the message
+#: table, the log and the cell list come last.  Every field before them
+#: starts zeroed, so every output starts at 0.
 WORKSPACE: tuple[tuple[str, str, str], ...] = (
     # int64 scalars in
     ("n", "i8", "1"),
@@ -128,6 +133,7 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("n_pre", "i8", "1"),
     ("n_rel", "i8", "1"),
     ("n_conns", "i8", "1"),
+    ("n_cids", "i8", "1"),
     ("id0", "i8", "1"),
     ("lat_width", "i8", "1"),
     ("row_cap", "i8", "1"),
@@ -144,7 +150,8 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("n_den", "i8", "1"),
     # int64 scalars out, accumulated over the kernel entries of one call;
     # ``compacted`` ors what the compactions carried (1: a message in
-    # transit, 2: a pending hand-over, 4: a pending break denial)
+    # transit, 2: a pending hand-over, 4: a pending break denial);
+    # the call's last return writes the cell list's counts
     ("busy", "i8", "1"),
     ("packets", "i8", "1"),
     ("wasted", "i8", "1"),
@@ -154,7 +161,9 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("n_log", "i8", "1"),
     ("n_compactions", "i8", "1"),
     ("compacted", "i8", "1"),
-    ("n_live", "i8", "1"),
+    ("n_cells", "i8", "1"),
+    ("n_class_cells", "i8", "1"),
+    ("n_master_cells", "i8", "1"),
     # float64 scalars: the slot length in; the pending gap and the
     # wall / slot / gap time accumulators in and out
     ("slot_length", "f8", "1"),
@@ -178,16 +187,20 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("conn_period", "i8", "conns"),
     ("conn_stop", "i8", "conns"),
     ("conn_due", "i8", "conns"),
-    # per dense connection id
+    # per dense connection id: releases, deliveries and misses, and the
+    # number of the id's cells in the cell list
+    ("cid_released", "i8", "cids"),
     ("cid_delivered", "i8", "cids"),
     ("cid_missed", "i8", "cids"),
+    ("cid_cells", "i8", "cids"),
     # per RT level below the most urgent: word ``k`` is the laxity at
     # which level ``rt_hi - 1 - k`` starts (``level_starts`` past entry 0)
     ("rt_level_start", "i8", "levels"),
     # deliveries per (dense id, latency): word ``di * lat_width + latency``
     ("lat_counts", "i8", "lat"),
-    # message table; ``live_rows`` lists the release rows live at exit
-    # (and maps old rows to new ones during a compaction)
+    # message table, which the call's last return compacts: the carried
+    # rows, then the release rows still live, ``n_rows`` in all;
+    # ``row_map`` maps old rows to new ones during a compaction
     ("m_node", "i8", "rows"),
     ("m_size", "i8", "rows"),
     ("m_sent", "i8", "rows"),
@@ -199,45 +212,62 @@ WORKSPACE: tuple[tuple[str, str, str], ...] = (
     ("m_status", "i8", "rows"),
     ("m_completed", "i8", "rows"),
     ("m_conn", "i8", "rows"),
-    ("live_rows", "i8", "rows"),
+    ("row_map", "i8", "rows"),
     # late-delivery log: dense id and latency of each delivery too late
     # for the count table
     ("log_cid", "i8", "log"),
     ("log_lat", "i8", "log"),
+    # the cell list, written at the call's end: every histogram the fold
+    # reads as runs of (key, count) pairs, positive counts in key order --
+    # each dense id's ``cid_cells`` latencies, the class's
+    # ``n_class_cells`` (the count table's column sums), the masters'
+    # ``n_master_cells`` and the hand-over hops', ``n_cells`` in all
+    ("cells", "i8", "cells"),
 )
 
-_RULES = ("1", "n", "n*n", "conns", "cids", "levels", "lat", "rows", "log")
+_RULES = ("1", "n", "n*n", "conns", "cids", "levels", "lat", "rows", "log", "cells")
 _HEADER = len(WORKSPACE)
 _FIELD = {name: i for i, (name, _, _) in enumerate(WORKSPACE)}
 _FIELD_RULE = [_RULES.index(rule) for _, _, rule in WORKSPACE]
+assert _FIELD_RULE == sorted(_FIELD_RULE), "fields of one rule must be adjacent"
 _DTYPE = {"i8": np.int64, "u8": np.uint64, "f8": np.float64}
 # Scalars lead the table: the int64 ones, then the float64 ones.
 _INT_SCALARS = [n for n, dtype, rule in WORKSPACE if (rule, dtype) == ("1", "i8")]
 _FLOAT_SCALARS = [n for n, dtype, rule in WORKSPACE if (rule, dtype) == ("1", "f8")]
 _N_SCALARS = len(_INT_SCALARS) + len(_FLOAT_SCALARS)
 assert [n for n, _, _ in WORKSPACE[:_N_SCALARS]] == _INT_SCALARS + _FLOAT_SCALARS
-# The message table and the log close the table, so every offset before
-# them depends on the shape alone.
+# The message table, the log and the cell list close the table, so every
+# offset before them depends on the shape alone.
 _TABLE = _FIELD_RULE.index(_RULES.index("rows"))
-_N_ROW_FIELDS = _FIELD_RULE.count(_RULES.index("rows"))
-_N_LOG_FIELDS = _FIELD_RULE.count(_RULES.index("log"))
-assert _FIELD_RULE[_TABLE:] == [_RULES.index("rows")] * _N_ROW_FIELDS + [
-    _RULES.index("log")
-] * _N_LOG_FIELDS
+_N_ROW_FIELDS, _N_LOG_FIELDS = (
+    _FIELD_RULE.count(_RULES.index(rule)) for rule in ("rows", "log")
+)
+assert WORKSPACE[_TABLE + _N_ROW_FIELDS + _N_LOG_FIELDS :] == (
+    ("cells", "i8", "cells"),
+)
+#: The marshal writes the int64 scalars before the outputs (``n`` ..
+#: ``n_den``; the outputs start zeroed) in one store from word
+#: ``_HEADER``, and every float64 scalar in one store from ``_FLOAT_WORD``.
+_ENTRY_INT_END = _HEADER + _FIELD["busy"]
+_FLOAT_WORD = _HEADER + len(_INT_SCALARS)
 
 
 @functools.lru_cache(maxsize=64)
-def _head_offsets(shape: tuple[int, int, int, int, int]) -> tuple[int, ...]:
+def _head_offsets(
+    shape: tuple[int, int, int, int, int],
+) -> tuple[tuple[int, ...], np.ndarray]:
     """Word offsets of the fields before the message table, and the
     table's own, for ``shape = (n, n_conns, n_cids, n_levels,
-    lat_width)``."""
+    lat_width)``; and the header words of the fields before the table,
+    as an array."""
     n, n_conns, n_cids, n_levels, lat_width = shape
     sizes = (1, n, n * n, n_conns, n_cids, n_levels, n_cids * lat_width)
-    return tuple(
+    offsets = tuple(
         itertools.accumulate(
             [sizes[r] for r in _FIELD_RULE[:_TABLE]], initial=_HEADER
         )
     )
+    return offsets, np.array(offsets[:-1], dtype=np.int64)
 
 
 class _Workspace:
@@ -251,18 +281,23 @@ class _Workspace:
     __slots__ = ("words", "floats", "offsets", "shape", "log")
 
     def __init__(self, shape: tuple[int, int, int, int, int], rows: int, log: int):
-        head = _head_offsets(shape)
+        head, head_words = _head_offsets(shape)
         table = head[-1]
-        log_start = table + _N_ROW_FIELDS * rows
-        offsets = (
-            *head,
-            *(table + k * rows for k in range(1, _N_ROW_FIELDS + 1)),
-            *(log_start + k * log for k in range(1, _N_LOG_FIELDS + 1)),
+        n, _, n_cids, _, lat_width = shape
+        # The cell list's runs, two words a cell: a latency run per dense
+        # id and the class's, a master run and a hop run.
+        cells = 2 * ((n_cids + 1) * lat_width + 2 * n)
+        offsets = head[:-1] + tuple(
+            itertools.accumulate(
+                [rows] * _N_ROW_FIELDS + [log] * _N_LOG_FIELDS + [cells],
+                initial=table,
+            )
         )
         # Zero what the kernel accumulates into; the kernel writes every
-        # message-table and log word before it reads it.
+        # message-table, log and cell word before it reads it.
         words = np.empty(offsets[-1], dtype=np.int64)
-        words[:_HEADER] = offsets[:-1]
+        words[:_TABLE] = head_words
+        words[_TABLE:_HEADER] = offsets[_TABLE:-1]
         words[_HEADER:table] = 0
         self.words = words
         self.floats = words.view(np.float64)
@@ -281,11 +316,18 @@ class _Workspace:
         """The adjacent fields ``first`` .. ``last`` of one length rule as
         the rows of one 2-D int64 view."""
         f, g = _FIELD[first], _FIELD[last]
-        assert len(set(_FIELD_RULE[f : g + 1])) == 1, (first, last)
+        assert _FIELD_RULE[f] == _FIELD_RULE[g], (first, last)
         offsets = self.offsets
         return self.words[offsets[f] : offsets[g + 1]].reshape(
             g - f + 1, offsets[f + 1] - offsets[f]
         )
+
+    def fill(self, first: str, last: str, records: list[tuple[int, ...]]) -> None:
+        """Write one tuple per record across the adjacent fields ``first``
+        .. ``last`` of one length rule: record ``i`` fills word ``i`` of
+        each field."""
+        if records:
+            self.block(first, last)[:, : len(records)].T[:] = records
 
     def scalar(self, name: str) -> int:
         """The int64 scalar ``name``."""
@@ -308,10 +350,12 @@ class _Workspace:
         table = self.offsets[_TABLE]
         new.words[_HEADER:table] = self.words[_HEADER:table]
         used = self.scalar("n_rows")
-        new.block("m_node", "live_rows")[:, :used] = self.block(
-            "m_node", "live_rows"
+        new.block("m_node", "row_map")[:, :used] = self.block(
+            "m_node", "row_map"
         )[:, :used]
-        new.block("log_cid", "log_lat")[:] = self.block("log_cid", "log_lat")
+        # The log and the cell list close the buffer, both sized alike.
+        log = self.offsets[_FIELD["log_cid"]]
+        new.words[new.offsets[_FIELD["log_cid"]] :] = self.words[log:]
         new.set_scalars(row_cap=rows)
         return new
 
@@ -393,11 +437,12 @@ def _ingest(sim: Simulation) -> tuple[list[Message], list[int], list[int]] | str
     row_of: dict[int, int] = {}
     for i in range(sim.topology.n_nodes):
         q = queues[i]
-        for heap in (q._be, q._nrt):
-            for entry in heap:
-                st = entry[2].status
-                if st is PENDING or st is IN_TRANSIT:
-                    return "live best-effort or non-real-time backlog"
+        if q._be or q._nrt:
+            for heap in (q._be, q._nrt):
+                for entry in heap:
+                    st = entry[2].status
+                    if st is PENDING or st is IN_TRANSIT:
+                        return "live best-effort or non-real-time backlog"
         for entry in q._rt:
             msg = entry[2]
             st = msg.status
@@ -428,14 +473,13 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     metrics and pending plan identical to the oracle), and
     otherwise the reason the compiled tier refused the call.  All
     eligibility checks happen *before* any mutation, so a refusal always
-    leaves the simulation untouched for the Python kernel.
+    leaves the simulation untouched for the Python kernel.  The
+    configuration's refusals come before the compiler's, so a
+    configuration the tier cannot take is named the same on every host.
 
     The call is marshalled once, runs in one kernel entry (plus one per
     buffer growth or late-log drain) and is folded once.
     """
-    fn = _kernel_fn()
-    if fn is None:
-        return "no compiled kernel"
     if sim.observer is not None:
         return "observer attached"
     if sim.drop_late:
@@ -451,67 +495,101 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     for src in sources:
         if type(src) is not ConnectionSource:
             return f"source {type(src).__name__} is not a ConnectionSource"
+    fn = _kernel_fn()
+    if fn is None:
+        return "no compiled kernel"
     ingested = _ingest(sim)
     if isinstance(ingested, str):
         return ingested
     pre_objs, plan_tx_rows, plan_den_rows = ingested
-    conns = [src.connection for src in sources]
     protocol = sim.protocol
+    # ``protocol.route_masks`` without the call: one dict read per path,
+    # the method only on a miss.
+    route_cache = protocol._route_cache
     route_masks = protocol.route_masks
-    RT = TrafficClass.RT_CONNECTION
 
-    # --- the release calendar over the call, counted arithmetically ----
+    # --- one pass over the sources: calendar, dense ids, constants ------
     # Each source's first release is the one the oracle's calendar files
-    # it under (``next_release_slot``); its releases stop at active_until
-    # or at the call's end, whichever comes first.
+    # it under (``ConnectionSource.next_release_slot``, spelled out: the
+    # first release at or after the later of the slot and active_from);
+    # its releases stop at active_until or at the call's end, whichever
+    # comes first, and are counted arithmetically.  Dense connection ids
+    # number the sourced connections first, then any live message's
+    # connection that is no longer sourced (admission churn).  One tuple
+    # per source holds its ``conn_node`` .. ``conn_due`` columns.
     s = sim.current_slot
     end = s + n_slots
-    conn_first: list[int] = []
-    conn_stop: list[int] = []
-    rel_counts: list[int] = []
-    for src, conn in zip(sources, conns):
+    cid_index: dict[int, int] = {}
+    conn_rows: list[tuple[int, ...]] = []
+    n_rel = 0
+    max_deadline = 0
+    for src in sources:
+        conn = src.connection
+        node = conn.source
+        period = conn.period_slots
+        deadline = conn.relative_deadline_slots
         until = src.active_until
         stop = end if until is None or until > end else until
-        first = src.next_release_slot(s)
-        if first is None or first >= stop:
-            first, k = stop, 0
+        start = src.active_from
+        if start < s:
+            start = s
+        phase = conn.phase_slots
+        first = phase if start <= phase else phase - (phase - start) // period * period
+        if first < stop:
+            n_rel += (stop - 1 - first) // period + 1
         else:
-            k = (stop - 1 - first) // conn.period_slots + 1
-        conn_first.append(first)
-        conn_stop.append(stop)
-        rel_counts.append(k)
-    n_rel = sum(rel_counts)
-
-    # Dense connection-id space: connections first, then any live
-    # message whose connection is no longer sourced (admission churn).
-    cid_index: dict[int, int] = {}
-    cid_list: list[int] = []
-
-    def _dense(cid: int) -> int:
-        di = cid_index.get(cid)
-        if di is None:
-            di = cid_index[cid] = len(cid_list)
-            cid_list.append(cid)
-        return di
-
-    conn_cid = [_dense(c.connection_id) for c in conns]
-    pre_dense = [_dense(cast(int, m.connection_id)) for m in pre_objs]
+            first = stop
+        if deadline > max_deadline:
+            max_deadline = deadline
+        masks = route_cache.get((node, conn.destinations))
+        if masks is None:
+            masks = route_masks(node, conn.destinations)
+        conn_rows.append(
+            (
+                node,
+                conn.size_slots,
+                deadline,
+                cid_index.setdefault(conn.connection_id, len(cid_index)),
+                masks[0],
+                period,
+                stop,
+                first,
+            )
+        )
+    PENDING = MessageStatus.PENDING
+    # The carried messages' ``m_node`` .. ``m_status`` columns.
+    pre_rows = [
+        (
+            m.source,
+            m.size_slots,
+            m.sent_slots,
+            m.deadline_slot,
+            m.created_slot,
+            m.msg_id,
+            cid_index.setdefault(cast(int, m.connection_id), len(cid_index)),
+            route_masks(m.source, m.destinations)[0],
+            0 if m.status is PENDING else 1,
+        )
+        for m in pre_objs
+    ]
+    cid_list = list(cid_index)
     n_cids = len(cid_list)
     n_pre = len(pre_objs)
 
-    # --- marshal: one workspace, one block per column group -------------
-    rt_lo, rt_hi = class_priority_range(RT)
+    # --- marshal: one workspace, one store per dtype or column group -----
+    rt_lo, rt_hi = RT_CONNECTION_RANGE
     # Entry 0 of the table, the most urgent level, is unbounded below
     # (None); every level under it starts at an int.
-    rt_lower = cast("tuple[int, ...]", level_starts(protocol.mapping, RT)[1:])
-    deadlines = [c.relative_deadline_slots for c in conns]
+    rt_lower = cast(
+        "tuple[int, ...]",
+        level_starts(protocol.mapping, TrafficClass.RT_CONNECTION)[1:],
+    )
     # A delivery meets its deadline with a latency of at most D + 1.
-    lat_width = min(_LAT_WIDTH, max(deadlines, default=0) + 2)
+    lat_width = min(_LAT_WIDTH, max_deadline + 2)
     row_cap = n_pre + min(n_rel, _WINDOW_RELEASES)
+    log_cap = max(n, min(n_pre + n_rel, _WINDOW_RELEASES))
     ws = _Workspace(
-        (n, len(conns), n_cids, len(rt_lower), lat_width),
-        row_cap,
-        max(n, min(n_pre + n_rel, _WINDOW_RELEASES)),
+        (n, len(sources), n_cids, len(rt_lower), lat_width), row_cap, log_cap
     )
     arbiter = protocol.arbiter
     report = sim.metrics.report
@@ -521,62 +599,47 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     id0 = next(_messages._message_ids)
     _messages._message_ids = itertools.count(id0 + n_rel)
     p_master, p_gap, _, _, p_nreq = sim._pending
-    ws.set_scalars(
-        n=n,
-        end_slot=end,
-        limit=1 if not arbiter.spatial_reuse else (arbiter.max_grants or 1 << 30),
-        rt_lo=rt_lo,
-        rt_hi=rt_hi,
-        n_pre=n_pre,
-        n_rel=n_rel,
-        n_conns=len(conns),
-        id0=id0,
-        lat_width=lat_width,
-        row_cap=row_cap,
-        log_cap=ws.log,
-        slot=s,
-        n_rows=n_pre,
-        master=p_master,
-        prev_master=sim._prev_master,
-        n_req=p_nreq,
-        n_tx=len(plan_tx_rows),
-        n_den=len(plan_den_rows),
-        slot_length=sim.timing.slot_length_s,
-        gap=p_gap,
-        wall=report.wall_time_s,
-        slot_time=report.slot_time_s,
-        gap_time=report.gap_time_s,
-    )
-    plan = ws.block("tx_rows", "den_rows")
-    plan[0, : len(plan_tx_rows)] = plan_tx_rows
-    plan[1, : len(plan_den_rows)] = plan_den_rows
+    # In WORKSPACE order, ``n`` .. ``n_den``.
+    ws.words[_HEADER:_ENTRY_INT_END] = [
+        n,
+        end,
+        1 if not arbiter.spatial_reuse else (arbiter.max_grants or 1 << 30),
+        rt_lo,
+        rt_hi,
+        n_pre,
+        n_rel,
+        len(sources),
+        n_cids,
+        id0,
+        lat_width,
+        row_cap,
+        log_cap,
+        s,
+        n_pre,
+        0,
+        p_master,
+        sim._prev_master,
+        p_nreq,
+        len(plan_tx_rows),
+        len(plan_den_rows),
+    ]
+    # In WORKSPACE order, ``slot_length`` .. ``gap_time``.
+    ws.floats[_FLOAT_WORD : _HEADER + _N_SCALARS] = [
+        sim.timing.slot_length_s,
+        p_gap,
+        report.wall_time_s,
+        report.slot_time_s,
+        report.gap_time_s,
+    ]
+    if plan_tx_rows:
+        ws.col("tx_rows")[: len(plan_tx_rows)] = plan_tx_rows
+    if plan_den_rows:
+        ws.col("den_rows")[: len(plan_den_rows)] = plan_den_rows
     # The engine admits only the plain EdfHandover, whose gap is Eq. 1.
     ws.col("gap_matrix")[:] = sim.topology.handover_gap_table
-    if conns:
-        ws.block("conn_node", "conn_due")[:] = [
-            [c.source for c in conns],
-            [c.size_slots for c in conns],
-            deadlines,
-            conn_cid,
-            [route_masks(c.source, c.destinations)[0] for c in conns],
-            [c.period_slots for c in conns],
-            conn_stop,
-            conn_first,
-        ]
+    ws.fill("conn_node", "conn_due", conn_rows)
     ws.col("rt_level_start")[:] = rt_lower
-    PENDING = MessageStatus.PENDING
-    if n_pre:
-        ws.block("m_node", "m_status")[:, :n_pre] = [
-            [m.source for m in pre_objs],
-            [m.size_slots for m in pre_objs],
-            [m.sent_slots for m in pre_objs],
-            [m.deadline_slot for m in pre_objs],
-            [m.created_slot for m in pre_objs],
-            [m.msg_id for m in pre_objs],
-            pre_dense,
-            [route_masks(m.source, m.destinations)[0] for m in pre_objs],
-            [0 if m.status is PENDING else 1 for m in pre_objs],
-        ]
+    ws.fill("m_node", "m_status", pre_rows)
     if profiler is not None:
         t_phase = profiler.lap("ingest", t_phase)
 
@@ -587,7 +650,7 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
         if ret == 0:
             break
         if ret == _RET_ROWS_FULL:
-            ws = ws.grown(2 * ws.scalar("row_cap") + len(conns))
+            ws = ws.grown(2 * ws.scalar("row_cap") + len(sources))
         elif ret == _RET_LOG_FULL:
             _drain_late_log(ws, late)
         else:
@@ -597,7 +660,7 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
         t_phase = profiler.lap("kernel", t_phase)
         profiler.count("compiled_windows", ws.scalar("n_compactions") + 1)
 
-    _fold(sim, ws, n_slots, pre_objs, conns, cid_list, conn_cid, rel_counts, late)
+    _fold(sim, ws, n_slots, pre_objs, sources, cid_list, late)
     if profiler is not None:
         profiler.lap("fold", t_phase)
     return None
@@ -620,22 +683,35 @@ def _drain_late_log(ws: _Workspace, late: dict[tuple[int, int], int]) -> None:
     ws.set_scalars(n_log=0)
 
 
+def _add_counts(counts: Counter[int], pairs: list[Any]) -> None:
+    """Add each ``[key, count]`` of ``pairs``, all counts positive, to
+    ``counts``; into an empty histogram with one ``dict.update``."""
+    if counts:
+        get = counts.get
+        for key, k in pairs:
+            counts[key] = get(key, 0) + k
+    else:
+        dict.update(counts, pairs)
+
+
 def _fold(
     sim: Simulation,
     ws: _Workspace,
     n_slots: int,
     pre_objs: list[Message],
-    conns: list[LogicalRealTimeConnection],
+    sources: Sequence[ConnectionSource],
     cid_list: list[int],
-    conn_cid: list[int],
-    rel_counts: list[int],
     late: dict[tuple[int, int], int],
 ) -> None:
     """Fold the kernel's outputs back into the report, the queues and the
     pending plan.
 
-    Python loops run over connections, the count table's non-zero cells,
-    the late pairs, nodes and still-live messages, never over deliveries.
+    One pass over the dense connection ids books each id's releases,
+    deliveries, deadline verdicts and latency cells into its
+    ``ConnectionStats``, made on the id's first release or delivery; the
+    cell list's last three runs are the class's latencies, the masters'
+    slots and the hand-over hops.  The other Python loops run over the
+    late pairs, nodes and still-live messages, never over deliveries.
     """
     RT = TrafficClass.RT_CONNECTION
     PENDING = MessageStatus.PENDING
@@ -646,62 +722,60 @@ def _fold(
     out = ws.words[_HEADER : _HEADER + _N_SCALARS].tolist()
     fout = ws.floats[_HEADER : _HEADER + _N_SCALARS].tolist()
     F = _FIELD
-    n_del = out[F["n_del"]]
-    n_rel = out[F["n_released"]]
     per_connection = report.per_connection
-
-    def _stats(cid: int) -> ConnectionStats:
-        # A connection has an entry once it released or delivered.
-        cstat = per_connection.get(cid)
+    # One [key, count] list per cell.
+    cells = ws.col("cells")[: 2 * out[F["n_cells"]]].reshape(-1, 2).tolist()
+    new_counter = Counter.__new__
+    update = dict.update
+    stats_of = per_connection.get
+    lo = 0
+    for cid, k_rel, k_del, k_missed, k_cells in zip(
+        cid_list, *ws.block("cid_released", "cid_cells").tolist()
+    ):
+        if not (k_rel or k_del):
+            continue
+        hi = lo + k_cells
+        cstat = stats_of(cid)
         if cstat is None:
-            cstat = per_connection[cid] = ConnectionStats(cid)
-        return cstat
-
+            # The id's first release or delivery: one constructor call,
+            # with the histogram filled by one ``dict.update``
+            # (``Counter()`` runs ``Counter.__init__``, Python code, to
+            # make the same empty instance ``Counter.__new__`` does).
+            latency_counts: Counter[int] = new_counter(Counter)
+            update(latency_counts, cells[lo:hi])
+            per_connection[cid] = ConnectionStats(
+                cid,
+                released=k_rel,
+                delivered=k_del,
+                deadline_met=k_del - k_missed,
+                deadline_missed=k_missed,
+                latency_counts=latency_counts,
+            )
+        else:
+            cstat.released += k_rel
+            cstat.delivered += k_del
+            cstat.deadline_missed += k_missed
+            cstat.deadline_met += k_del - k_missed
+            _add_counts(cstat.latency_counts, cells[lo:hi])
+        lo = hi
     rt_stats = report.per_class[RT]
-    if n_rel:
-        rt_stats.released += n_rel
-        for c, k in enumerate(rel_counts):
-            if k:
-                _stats(cid_list[conn_cid[c]]).released += k
-
-    if n_del:
-        missed_total = out[F["n_missed"]]
-        rt_stats.delivered += n_del
-        rt_stats.deadline_missed += missed_total
-        rt_stats.deadline_met += n_del - missed_total
-        for cid, k, k_missed in zip(
-            cid_list,
-            ws.col("cid_delivered").tolist(),
-            ws.col("cid_missed").tolist(),
-        ):
-            if k:
-                cstat = _stats(cid)
-                cstat.delivered += k
-                cstat.deadline_missed += k_missed
-                cstat.deadline_met += k - k_missed
-        # The count table's non-zero cells: one run of cells per dense
-        # id, then the class's column sums.
-        width = out[F["lat_width"]]
-        flat = ws.col("lat_counts")
-        cells = np.flatnonzero(flat)
-        counts = flat[cells].tolist()
-        dense, cell_lat = np.divmod(cells, width)
-        lats = cell_lat.tolist()
-        bounds = np.searchsorted(dense, range(len(cid_list) + 1)).tolist()
-        for di, cid in enumerate(cid_list):
-            lo, hi = bounds[di], bounds[di + 1]
-            if lo < hi:
-                hist = per_connection[cid].latency_counts
-                for latency, k in zip(lats[lo:hi], counts[lo:hi]):
-                    hist[latency] += k
-        rt_counts = rt_stats.latency_counts
-        totals = flat.reshape(len(cid_list), width).sum(axis=0)
-        class_lat = np.flatnonzero(totals)
-        for latency, k in zip(class_lat.tolist(), totals[class_lat].tolist()):
-            rt_counts[latency] += k
-        for (di, latency), k in late.items():
-            rt_counts[latency] += k
-            per_connection[cid_list[di]].latency_counts[latency] += k
+    n_del = out[F["n_del"]]
+    missed_total = out[F["n_missed"]]
+    rt_stats.released += out[F["n_released"]]
+    rt_stats.delivered += n_del
+    rt_stats.deadline_missed += missed_total
+    rt_stats.deadline_met += n_del - missed_total
+    for counts_of, k_cells in (
+        (rt_stats.latency_counts, out[F["n_class_cells"]]),
+        (report.master_slots, out[F["n_master_cells"]]),
+        (report.handover_hops, len(cells) - lo),
+    ):
+        hi = lo + k_cells
+        _add_counts(counts_of, cells[lo:hi])
+        lo = hi
+    for (di, latency), k in late.items():
+        rt_stats.latency_counts[latency] += k
+        per_connection[cid_list[di]].latency_counts[latency] += k
 
     report.wall_time_s = fout[F["wall"]]
     report.slot_time_s = fout[F["slot_time"]]
@@ -711,89 +785,67 @@ def _fold(
     report.packets_sent += out[F["packets"]]
     report.wasted_grants += out[F["wasted"]]
     report.break_denials += out[F["denials"]]
-    master_slots = report.master_slots
-    for i, v in enumerate(ws.col("master_count").tolist()):
-        if v:
-            master_slots[i] += v
-    handover_hops = report.handover_hops
-    for i, v in enumerate(ws.col("hop_count").tolist()):
-        if v:
-            handover_hops[i] += v
 
     # --- write the message/queue state back ----------------------------
-    # Carried objects mutate in place (their rows stay the table's first
-    # ``n_pre``); new messages materialise only while still live
-    # (delivered releases never escaped the kernel and are unobservable,
-    # exactly like the oracle's garbage).
+    # The table holds the carried rows, then the release rows still live.
+    # Carried objects mutate in place; new messages materialise only
+    # while still live (delivered releases never escaped the kernel and
+    # are unobservable, exactly like the oracle's garbage).
     _STATUS = (PENDING, IN_TRANSIT, DELIVERED)
     n_pre = len(pre_objs)
-    m_status = ws.col("m_status")
+    _, _, sent, deadlines, created, ids, _, links, status, completed, conn_of = (
+        ws.block("m_node", "m_conn")[:, : out[F["n_rows"]]].tolist()
+    )
     live_by_node: list[list[tuple[int, int, Message]]] = [[] for _ in range(n)]
-    if n_pre:
-        for msg, sent, st, done in zip(
-            pre_objs,
-            ws.col("m_sent")[:n_pre].tolist(),
-            m_status[:n_pre].tolist(),
-            ws.col("m_completed")[:n_pre].tolist(),
-        ):
-            msg.sent_slots = sent
-            msg.status = _STATUS[st]
-            if st == 2:
-                msg.completed_slot = done
-            else:
-                live_by_node[msg.source].append(
-                    (msg.deadline_slot, msg.msg_id, msg)
-                )
-    live_rows = ws.col("live_rows")[: out[F["n_live"]]]
-    new_objs: dict[int, Message] = {}
-    if len(live_rows):
-        for row, c, created, deadline, mid, sent, st in zip(
-            live_rows.tolist(),
-            ws.col("m_conn")[live_rows].tolist(),
-            ws.col("m_created")[live_rows].tolist(),
-            ws.col("m_deadline")[live_rows].tolist(),
-            ws.col("m_id")[live_rows].tolist(),
-            ws.col("m_sent")[live_rows].tolist(),
-            m_status[live_rows].tolist(),
-        ):
-            conn = conns[c]
-            msg = new_objs[row] = Message(
-                conn.source,
-                conn.destinations,
-                RT,
-                conn.size_slots,
-                created,
-                deadline,
-                conn.connection_id,
-                mid,
-                sent,
-                _STATUS[st],
-                period_slots=conn.period_slots,
-            )
-            live_by_node[conn.source].append((deadline, mid, msg))
+    for msg, k_sent, st, done in zip(pre_objs, sent, status, completed):
+        msg.sent_slots = k_sent
+        msg.status = _STATUS[st]
+        if st == 2:
+            msg.completed_slot = done
+        else:
+            live_by_node[msg.source].append((msg.deadline_slot, msg.msg_id, msg))
+    objs = list(pre_objs)
+    for row in range(n_pre, len(sent)):
+        conn = sources[conn_of[row]].connection
+        deadline = deadlines[row]
+        mid = ids[row]
+        msg = Message(
+            conn.source,
+            conn.destinations,
+            RT,
+            conn.size_slots,
+            created[row],
+            deadline,
+            conn.connection_id,
+            mid,
+            sent[row],
+            _STATUS[status[row]],
+            period_slots=conn.period_slots,
+        )
+        objs.append(msg)
+        live_by_node[conn.source].append((deadline, mid, msg))
     queues = sim.queues
-    for i in range(n):
+    for i, entries in enumerate(live_by_node):
         q = queues[i]
-        entries = live_by_node[i]
-        heapify(entries)
-        q._rt[:] = entries
-        q._head_valid = False
+        if entries or q._rt:
+            heapify(entries)
+            q._rt[:] = entries
+            q._head_valid = False
 
-    m_links = ws.col("m_links")
+    tx_rows, den_rows = ws.block("tx_rows", "den_rows").tolist()
 
-    def _planned(name: str, count: int) -> tuple[PlannedTransmission, ...]:
-        planned = []
-        for row in ws.col(name)[:count].tolist():
-            msg = pre_objs[row] if row < n_pre else new_objs[row]
-            planned.append(
+    def _planned(rows: list[int]) -> tuple[PlannedTransmission, ...]:
+        return tuple(
+            [
                 PlannedTransmission(
-                    node=msg.source,
-                    message=msg,
-                    links=int(m_links[row]),
-                    destinations=msg.destinations,
+                    node=objs[row].source,
+                    message=objs[row],
+                    links=links[row],
+                    destinations=objs[row].destinations,
                 )
-            )
-        return tuple(planned)
+                for row in rows
+            ]
+        )
 
     sim._resume(
         out[F["slot"]],
@@ -801,8 +853,8 @@ def _fold(
         (
             out[F["master"]],
             fout[F["gap"]],
-            _planned("tx_rows", out[F["n_tx"]]),
-            _planned("den_rows", out[F["n_den"]]),
+            _planned(tx_rows[: out[F["n_tx"]]]),
+            _planned(den_rows[: out[F["n_den"]]]),
             out[F["n_req"]],
         ),
     )

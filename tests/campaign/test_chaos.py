@@ -12,6 +12,9 @@ the two supervision guarantees:
   faults at all.
 """
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.campaign import (
@@ -24,6 +27,7 @@ from repro.campaign import (
     run_campaign,
     run_key,
 )
+from repro.campaign import executor
 from repro.obs.events import EventDispatcher, EventSink
 from repro.obs.registry import CAMPAIGN_COUNTERS
 from repro.sim.runner import ScenarioConfig
@@ -225,6 +229,55 @@ class TestWorkerDeath:
         assert summary.pool_rebuilds >= 1
         assert summary.failed_attempts >= 1
         assert store.failure_keys() == []
+
+    def test_pool_broken_on_submit_rebuilds_and_recovers(
+        self, tmp_path, monkeypatch
+    ):
+        """A pool whose worker died between two ``wait()`` calls refuses
+        the next submit with ``BrokenProcessPool``: the refused run goes
+        back uncharged, the run in flight on the dead worker is charged a
+        crash attempt, and a rebuilt pool finishes the campaign."""
+        pools = []
+
+        class SubmitBreaksPool:
+            """Runs each task inline; the first pool leaves its first
+            run in flight forever and refuses its second submit."""
+
+            def __init__(self, max_workers):
+                self.first = not pools
+                self.submits = 0
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.submits += 1
+                future = Future()
+                if self.first:
+                    if self.submits > 1:
+                        raise BrokenProcessPool("a worker died")
+                    return future
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", SubmitBreaksPool)
+        c = _campaign()
+        events = _CollectSink()
+        observer = EventDispatcher()
+        observer.add_sink(events)
+        store = ResultStore(tmp_path / "store")
+        summary = run_campaign(c, store, n_jobs=2, observer=observer)
+        assert summary.complete
+        assert (summary.pool_rebuilds, summary.failed_attempts) == (1, 1)
+        assert len(pools) == 2 and pools[0].submits == 2
+        [rebuilt] = [e for e in events.events if e.kind == "pool_rebuild"]
+        assert (rebuilt.reason, rebuilt.resubmitted) == ("broken", 1)
+        clean = ResultStore(tmp_path / "clean")
+        run_campaign(c, clean)
+        assert _report_bytes(c, store, tmp_path / "a.csv") == _report_bytes(
+            c, clean, tmp_path / "b.csv"
+        )
 
 
 class TestCorruption:

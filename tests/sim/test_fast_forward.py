@@ -345,9 +345,10 @@ class TestBusySpans:
         spanned: list[list[BusySpan]] = []
 
         # 600 examples: about one in ten takes a span with a waiting
-        # requester and one in twenty a span through a break denial, so
-        # the counts below have a wide margin.
-        @settings(max_examples=600, deadline=None)
+        # requester and one in twenty a span through a break denial.  A
+        # random draw once took only 6 break-denial spans, so the draw
+        # is fixed: the counts below are the same on every run.
+        @settings(max_examples=600, deadline=None, derandomize=True)
         @given(busy_workloads())
         def check(workload):
             spanned.append(spans_of(workload))

@@ -108,11 +108,25 @@ def snapshot(sim):
     )
 
 
+def assert_positive_counts(report):
+    """Every histogram of ``report`` holds positive counts only.
+
+    Report equality cannot see a zero cell: ``Counter`` equality reads a
+    missing key as 0, so a fold that books a zero (or a negative count
+    cancelling a positive one) would still compare equal to the oracle.
+    """
+    stats = (*report.per_class.values(), *report.per_connection.values())
+    histograms = [s.latency_counts for s in stats]
+    for hist in (*histograms, report.master_slots, report.handover_hops):
+        assert all(k > 0 for k in hist.values()), hist
+
+
 def run_engine(engine, make_sim, *, warm=0, chunks=(2000,), extra_steps=60):
     """One engine's leg of a comparison; returns (snapshot, sim).
 
     ``chunks`` holds slot counts, each one ``run()`` call, and may
     interleave callables taking the simulation (probes, detaches).
+    Every call's report holds positive histogram counts only.
     """
     with fresh_message_ids():
         sim = make_sim(engine)
@@ -123,6 +137,7 @@ def run_engine(engine, make_sim, *, warm=0, chunks=(2000,), extra_steps=60):
                 chunk(sim)
             else:
                 sim.run(chunk)
+                assert_positive_counts(sim.report)
         for _ in range(extra_steps):
             sim.step()
         return snapshot(sim), sim
@@ -399,13 +414,15 @@ def test_soa_kernel_interleaves_inline_and_polled_releases(
 
 
 # ----------------------------------------------------------------------
-# The compiled tier's exit fold.  It replays the kernel's delivery log
-# column by column, so each test below pins one thing a per-message loop
-# gets right for free: the deadline comparison at its boundary, each
-# connection's latencies in delivery order, log2 buckets in first-
-# occurrence order, and the chunk edges (nothing delivered, a message
-# carried in, a connection no longer sourced).  Each runs on the
-# compiled tier and again with the SoA kernel forced.
+# The compiled tier's exit fold.  It books the kernel's counts and cell
+# list into the report in one pass over the dense connection ids, so
+# each test below pins one thing a per-message loop gets right for free:
+# the deadline comparison at its boundary, histogram keys and counts as
+# plain ints, the chunk edges (nothing delivered, a message carried in,
+# a connection no longer sourced, a release with no delivery) and a
+# second call folding into filled histograms.  Each runs on the compiled
+# tier and again with the SoA kernel forced, unless it spies on the
+# compiled fold itself.
 # ----------------------------------------------------------------------
 
 RT = TrafficClass.RT_CONNECTION
@@ -517,6 +534,62 @@ def test_fold_chunk_edges(backend):
     ]
     stats = sim.report.per_connection[501]
     assert (stats.released, stats.delivered) == (1, 1)
+
+
+def test_fold_release_without_delivery(backend):
+    """A connection that releases in a call but delivers nothing in it
+    gets a ``ConnectionStats`` from the release alone, with an empty
+    histogram; the call that delivers its message folds into it."""
+    config = ScenarioConfig(
+        n_nodes=8,
+        connections=(_conn(700, 0, 4, 1000, 300), _conn(701, 1, 2, 8, 1)),
+    )
+    log = []
+
+    def probe(sim):
+        log.append(copy.deepcopy(sim.report.per_connection[700]))
+
+    sim = assert_engines_match(_simple(config), chunks=(50, probe, 400, probe))
+    assert sim.vector_backend == backend
+    oracle, vector = log[:2], log[2:]
+    assert vector == oracle
+    quiet, delivered = vector
+    assert (quiet.released, quiet.delivered, quiet.latency_counts) == (1, 0, {})
+    assert (delivered.released, delivered.delivered) == (1, 1)
+    assert delivered.latency_counts.total() == 1
+
+
+def test_second_call_folds_into_filled_histograms(monkeypatch):
+    """A second ``run()`` on one simulation folds into the histograms the
+    first one filled: cells at latencies a connection already counted
+    add up, and so does a late-log pair (a latency too long for the
+    count table) at a latency its connection already logged late."""
+    _compiled_only()
+    folds = []
+    fold = ckernel._fold
+
+    def spy(sim, ws, n_slots, pre_objs, sources, cid_list, late):
+        before = {
+            cid: set(stats.latency_counts)
+            for cid, stats in sim.report.per_connection.items()
+        }
+        repeats = [
+            (di, latency)
+            for di, latency in late
+            if latency in before.get(cid_list[di], ())
+        ]
+        folds.append((before, late.copy(), repeats))
+        fold(sim, ws, n_slots, pre_objs, sources, cid_list, late)
+
+    monkeypatch.setattr(ckernel, "_fold", spy)
+    config = _loaded_config(8, 1.3, spatial_reuse=False)
+    sim = assert_engines_match(_simple(config), chunks=(3000, 3000))
+    assert sim.vector_backend == "compiled"
+    (before1, late1, _), (before2, late2, repeats) = folds
+    assert not before1 and late1
+    assert len(before2) == len(config.connections)
+    assert all(before2.values()), "a histogram was empty before the second fold"
+    assert late2 and repeats
 
 
 # ----------------------------------------------------------------------

@@ -73,6 +73,7 @@ def test_workspace_offsets_follow_the_table():
     lengths = {
         "1": 1, "n": n, "n*n": n * n, "conns": conns, "cids": cids,
         "levels": levels, "lat": cids * width, "rows": rows, "log": log,
+        "cells": 2 * ((cids + 1) * width + 2 * n),
     }
     assert set(lengths) == set(ckernel._RULES)
     header = ws.words[: len(ckernel.WORKSPACE)].tolist()
