@@ -160,13 +160,8 @@ def expand_runs(campaign: Campaign) -> Iterator[RunSpec]:
 
     Iteration order is the canonical report order: point-major, then
     replication -- the same order a serial uninterrupted execution would
-    produce results in.
+    produce results in.  Every call on one campaign object walks the
+    same specs (:attr:`Campaign.runs`), so each run key is computed once
+    per process.
     """
-    for point in expand_grid(campaign):
-        for replication in range(campaign.n_replications):
-            yield RunSpec(
-                point=point,
-                replication=replication,
-                master_seed=campaign.master_seed,
-                engine=campaign.engine,
-            )
+    return iter(campaign.runs)

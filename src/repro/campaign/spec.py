@@ -23,14 +23,18 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.connection import LogicalRealTimeConnection
 from repro.core.policy import POLICIES
 from repro.sim.fault_models import FaultConfig
 from repro.sim.runner import ENGINES, PROTOCOLS, ScenarioConfig, make_timing
 from repro.traffic.sweeps import WORKLOAD_PROFILES
+
+if TYPE_CHECKING:  # pragma: no cover - grid imports spec
+    from repro.campaign.grid import RunSpec
 
 
 @dataclass(frozen=True)
@@ -288,6 +292,31 @@ class Campaign:
     def total_runs(self) -> int:
         """Grid points times replications."""
         return self.grid_size * self.n_replications
+
+    @cached_property
+    def runs(self) -> tuple[RunSpec, ...]:
+        """Every run of the campaign in report order, expanded once per
+        campaign object (see :func:`repro.campaign.grid.expand_runs`).
+
+        The campaign is frozen, so its expansion never changes; sharing
+        it shares each spec's cached run key, which the cold run, the
+        report and the resume scan would otherwise each recompute.  The
+        cache lives on this object, not in a table keyed by equality:
+        equal campaigns can still differ in an axis value's type
+        (``1`` and ``1.0``), which their keys do not.
+        """
+        from repro.campaign.grid import RunSpec, expand_grid
+
+        return tuple(
+            RunSpec(
+                point=point,
+                replication=replication,
+                master_seed=self.master_seed,
+                engine=self.engine,
+            )
+            for point in expand_grid(self)
+            for replication in range(self.n_replications)
+        )
 
     # -- serialisation -------------------------------------------------
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import Counter
+from collections import Counter, deque
 
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.connection import LogicalRealTimeConnection
@@ -63,6 +63,11 @@ from repro.sim.runner import (
     build_simulation,
     make_timing,
 )
+
+#: Service latencies :attr:`AdmissionService.latencies_s` keeps: the most
+#: recent ones, so a long-running service holds a fixed window, not one
+#: float per request it ever served.
+LATENCY_WINDOW = 65_536
 
 #: One queued request: (request, reply future, submission timestamp).
 _QueueItem = tuple[ServiceRequest, "asyncio.Future[ServiceReply]", float]
@@ -128,8 +133,9 @@ class AdmissionService:
         self.request_totals: Counter[str] = Counter()
         #: Queue-full refusals issued so far.
         self.backpressure_total = 0
-        #: Host-side per-request service latencies, submit to reply.
-        self.latencies_s: list[float] = []
+        #: Host-side per-request service latencies, submit to reply: the
+        #: most recent :data:`LATENCY_WINDOW` of them, oldest first.
+        self.latencies_s: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._seq = 0
         self._closing = False
         self._queue: "asyncio.Queue[_QueueItem | None] | None" = None
@@ -398,7 +404,8 @@ class AdmissionService:
         )
 
     def latency_percentiles(self) -> dict[str, float]:
-        """Host-side service-latency summary (p50/p99, seconds)."""
+        """Host-side service-latency summary (p50/p99, seconds) over the
+        latency window (``count`` is how many latencies it holds)."""
         ordered = sorted(self.latencies_s)
         return {
             "count": len(ordered),

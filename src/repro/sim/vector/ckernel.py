@@ -63,6 +63,7 @@ import hashlib
 import itertools
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
 from collections import Counter
@@ -245,29 +246,56 @@ _N_ROW_FIELDS, _N_LOG_FIELDS = (
 assert WORKSPACE[_TABLE + _N_ROW_FIELDS + _N_LOG_FIELDS :] == (
     ("cells", "i8", "cells"),
 )
-#: The marshal writes the int64 scalars before the outputs (``n`` ..
-#: ``n_den``; the outputs start zeroed) in one store from word
-#: ``_HEADER``, and every float64 scalar in one store from ``_FLOAT_WORD``.
-_ENTRY_INT_END = _HEADER + _FIELD["busy"]
-_FLOAT_WORD = _HEADER + len(_INT_SCALARS)
+#: The fields the entry marshal writes, in WORKSPACE order: the int64
+#: scalars before the outputs (``n`` .. ``n_den``), the float64 scalars,
+#: the pending plan's rows, the gap table, the connection columns and
+#: the level starts.  Every other field before the message table starts
+#: zeroed.
+_ENTRY_FIELDS = (
+    _INT_SCALARS[: _INT_SCALARS.index("busy")]
+    + _FLOAT_SCALARS
+    + ["tx_rows", "den_rows", "gap_matrix"]
+    + [name for name, _, rule in WORKSPACE if rule == "conns"]
+    + ["rt_level_start"]
+)
+assert _ENTRY_FIELDS == sorted(_ENTRY_FIELDS, key=_FIELD.__getitem__)
+_STRUCT_CODE = {"i8": "q", "u8": "Q", "f8": "d"}
+# The pending plan's rows follow the scalars, so the fold reads them all
+# at once (_exit_read).
+assert (_FIELD["tx_rows"], _FIELD["den_rows"]) == (_N_SCALARS, _N_SCALARS + 1)
 
 
 @functools.lru_cache(maxsize=64)
-def _head_offsets(
+def _exit_read(n: int) -> struct.Struct:
+    """The fold's one read: every scalar, int64 ones then float64 ones,
+    then ``tx_rows`` and ``den_rows`` (``n`` words each)."""
+    return struct.Struct(
+        f"={len(_INT_SCALARS)}q{len(_FLOAT_SCALARS)}d{2 * n}q"
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _head_image(
     shape: tuple[int, int, int, int, int],
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Word offsets of the fields before the message table, and the
-    table's own, for ``shape = (n, n_conns, n_cids, n_levels,
-    lat_width)``; and the header words of the fields before the table,
-    as an array."""
+) -> tuple[tuple[int, ...], struct.Struct, tuple[int | float, ...]]:
+    """The layout of words ``0`` .. the message table for ``shape = (n,
+    n_conns, n_cids, n_levels, lat_width)``: the word offsets of the
+    fields before the table, and the table's own; the packer of those
+    words -- the header's offsets, then each entry field's words, every
+    other field zero -- and a blank entry (every entry field zero)."""
     n, n_conns, n_cids, n_levels, lat_width = shape
     sizes = (1, n, n * n, n_conns, n_cids, n_levels, n_cids * lat_width)
-    offsets = tuple(
-        itertools.accumulate(
-            [sizes[r] for r in _FIELD_RULE[:_TABLE]], initial=_HEADER
-        )
-    )
-    return offsets, np.array(offsets[:-1], dtype=np.int64)
+    lengths = [sizes[r] for r in _FIELD_RULE[:_TABLE]]
+    offsets = tuple(itertools.accumulate(lengths, initial=_HEADER))
+    codes = [f"={_HEADER}q"]
+    blank: list[int | float] = []
+    for (name, dtype, _), length in zip(WORKSPACE, lengths):
+        if name in _ENTRY_FIELDS:
+            codes.append(f"{length}{_STRUCT_CODE[dtype]}")
+            blank += [0.0 if dtype == "f8" else 0] * length
+        else:
+            codes.append(f"{8 * length}x")
+    return offsets, struct.Struct("".join(codes)), tuple(blank)
 
 
 class _Workspace:
@@ -275,13 +303,22 @@ class _Workspace:
 
     ``shape`` is ``(n, n_conns, n_cids, n_levels, lat_width)``; ``rows``
     and ``log`` are the message table's and the late log's capacities.
-    Every field before the message table starts zeroed.
+    ``entry`` holds the words of the :data:`_ENTRY_FIELDS`, in order (all
+    zero when omitted); every other field before the message table
+    starts zeroed.  The header and everything before the table are
+    written by one pack.
     """
 
-    __slots__ = ("words", "floats", "offsets", "shape", "log")
+    __slots__ = ("words", "floats", "offsets", "shape", "log", "address")
 
-    def __init__(self, shape: tuple[int, int, int, int, int], rows: int, log: int):
-        head, head_words = _head_offsets(shape)
+    def __init__(
+        self,
+        shape: tuple[int, int, int, int, int],
+        rows: int,
+        log: int,
+        entry: Sequence[int | float] | None = None,
+    ):
+        head, image, blank = _head_image(shape)
         table = head[-1]
         n, _, n_cids, _, lat_width = shape
         # The cell list's runs, two words a cell: a latency run per dense
@@ -293,17 +330,19 @@ class _Workspace:
                 initial=table,
             )
         )
-        # Zero what the kernel accumulates into; the kernel writes every
-        # message-table, log and cell word before it reads it.
+        # The kernel writes every message-table, log and cell word before
+        # it reads it.
         words = np.empty(offsets[-1], dtype=np.int64)
-        words[:_TABLE] = head_words
-        words[_TABLE:_HEADER] = offsets[_TABLE:-1]
-        words[_HEADER:table] = 0
+        image.pack_into(
+            words, 0, *offsets[:-1], *(blank if entry is None else entry)
+        )
         self.words = words
         self.floats = words.view(np.float64)
         self.offsets = offsets
         self.shape = shape
         self.log = log
+        #: The buffer's base address, the kernel's one argument.
+        self.address = ctypes.addressof(ctypes.c_char.from_buffer(words))
 
     def col(self, name: str) -> np.ndarray:
         """The field ``name`` as an array of its dtype (a view)."""
@@ -576,7 +615,7 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     n_cids = len(cid_list)
     n_pre = len(pre_objs)
 
-    # --- marshal: one workspace, one store per dtype or column group -----
+    # --- marshal: one workspace, its head written by one pack ------------
     rt_lo, rt_hi = RT_CONNECTION_RANGE
     # Entry 0 of the table, the most urgent level, is unbounded below
     # (None); every level under it starts at an int.
@@ -588,9 +627,6 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     lat_width = min(_LAT_WIDTH, max_deadline + 2)
     row_cap = n_pre + min(n_rel, _WINDOW_RELEASES)
     log_cap = max(n, min(n_pre + n_rel, _WINDOW_RELEASES))
-    ws = _Workspace(
-        (n, len(sources), n_cids, len(rt_lower), lat_width), row_cap, log_cap
-    )
     arbiter = protocol.arbiter
     report = sim.metrics.report
     # The constructor's default factory resolves the module-level counter
@@ -599,8 +635,11 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     id0 = next(_messages._message_ids)
     _messages._message_ids = itertools.count(id0 + n_rel)
     p_master, p_gap, _, _, p_nreq = sim._pending
-    # In WORKSPACE order, ``n`` .. ``n_den``.
-    ws.words[_HEADER:_ENTRY_INT_END] = [
+    n_tx = len(plan_tx_rows)
+    n_den = len(plan_den_rows)
+    # The words of the _ENTRY_FIELDS, in order.
+    entry = [
+        # ``n`` .. ``n_den``
         n,
         end,
         1 if not arbiter.spatial_reuse else (arbiter.max_grants or 1 << 30),
@@ -620,25 +659,31 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
         p_master,
         sim._prev_master,
         p_nreq,
-        len(plan_tx_rows),
-        len(plan_den_rows),
-    ]
-    # In WORKSPACE order, ``slot_length`` .. ``gap_time``.
-    ws.floats[_FLOAT_WORD : _HEADER + _N_SCALARS] = [
+        n_tx,
+        n_den,
+        # ``slot_length`` .. ``gap_time``
         sim.timing.slot_length_s,
         p_gap,
         report.wall_time_s,
         report.slot_time_s,
         report.gap_time_s,
+        # ``tx_rows`` and ``den_rows``, n words each
+        *plan_tx_rows,
+        *[0] * (n - n_tx),
+        *plan_den_rows,
+        *[0] * (n - n_den),
+        # The engine admits only the plain EdfHandover, whose gap is Eq. 1.
+        *sim.topology.handover_gap_table,
+        # ``conn_node`` .. ``conn_due``, a column at a time
+        *itertools.chain.from_iterable(zip(*conn_rows)),
+        *rt_lower,
     ]
-    if plan_tx_rows:
-        ws.col("tx_rows")[: len(plan_tx_rows)] = plan_tx_rows
-    if plan_den_rows:
-        ws.col("den_rows")[: len(plan_den_rows)] = plan_den_rows
-    # The engine admits only the plain EdfHandover, whose gap is Eq. 1.
-    ws.col("gap_matrix")[:] = sim.topology.handover_gap_table
-    ws.fill("conn_node", "conn_due", conn_rows)
-    ws.col("rt_level_start")[:] = rt_lower
+    ws = _Workspace(
+        (n, len(sources), n_cids, len(rt_lower), lat_width),
+        row_cap,
+        log_cap,
+        entry,
+    )
     ws.fill("m_node", "m_status", pre_rows)
     if profiler is not None:
         t_phase = profiler.lap("ingest", t_phase)
@@ -646,7 +691,7 @@ def try_run(sim: Simulation, n_slots: int) -> str | None:
     # --- run: re-enter after growing the table or draining the log -----
     late: dict[tuple[int, int], int] = {}
     while True:
-        ret = fn(ws.words.ctypes.data)
+        ret = fn(ws.address)
         if ret == 0:
             break
         if ret == _RET_ROWS_FULL:
@@ -719,8 +764,8 @@ def _fold(
     DELIVERED = MessageStatus.DELIVERED
     n = sim.topology.n_nodes
     report = sim.metrics.report
-    out = ws.words[_HEADER : _HEADER + _N_SCALARS].tolist()
-    fout = ws.floats[_HEADER : _HEADER + _N_SCALARS].tolist()
+    # Every scalar in WORKSPACE order, then the pending plan's rows.
+    out = _exit_read(n).unpack_from(ws.words, 8 * _HEADER)
     F = _FIELD
     per_connection = report.per_connection
     # One [key, count] list per cell.
@@ -777,9 +822,9 @@ def _fold(
         rt_stats.latency_counts[latency] += k
         per_connection[cid_list[di]].latency_counts[latency] += k
 
-    report.wall_time_s = fout[F["wall"]]
-    report.slot_time_s = fout[F["slot_time"]]
-    report.gap_time_s = fout[F["gap_time"]]
+    report.wall_time_s = out[F["wall"]]
+    report.slot_time_s = out[F["slot_time"]]
+    report.gap_time_s = out[F["gap_time"]]
     report.slots_simulated += n_slots
     report.busy_slots += out[F["busy"]]
     report.packets_sent += out[F["packets"]]
@@ -832,29 +877,31 @@ def _fold(
             q._rt[:] = entries
             q._head_valid = False
 
-    tx_rows, den_rows = ws.block("tx_rows", "den_rows").tolist()
-
-    def _planned(rows: list[int]) -> tuple[PlannedTransmission, ...]:
-        return tuple(
-            [
-                PlannedTransmission(
-                    node=objs[row].source,
-                    message=objs[row],
-                    links=links[row],
-                    destinations=objs[row].destinations,
-                )
-                for row in rows
-            ]
-        )
-
+    # ``tx_rows`` and ``den_rows`` follow the scalars in ``out``.
+    tx_at = _N_SCALARS
+    den_at = _N_SCALARS + n
     sim._resume(
         out[F["slot"]],
         out[F["prev_master"]],
         (
             out[F["master"]],
-            fout[F["gap"]],
-            _planned(tx_rows[: out[F["n_tx"]]]),
-            _planned(den_rows[: out[F["n_den"]]]),
+            out[F["gap"]],
+            _planned(objs, links, out[tx_at : tx_at + out[F["n_tx"]]]),
+            _planned(objs, links, out[den_at : den_at + out[F["n_den"]]]),
             out[F["n_req"]],
         ),
+    )
+
+
+def _planned(
+    objs: list[Message], links: list[int], rows: Sequence[int]
+) -> tuple[PlannedTransmission, ...]:
+    """The pending plan's transmissions (or break denials) at ``rows``."""
+    return tuple(
+        [
+            PlannedTransmission(
+                objs[row].source, objs[row], links[row], objs[row].destinations
+            )
+            for row in rows
+        ]
     )

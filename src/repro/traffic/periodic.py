@@ -8,6 +8,7 @@ generate unbiased periodic task sets for schedulability experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -116,10 +117,18 @@ def random_connection_set(
         raise ValueError(f"invalid period range {period_range}")
 
     shares = uunifast(rng, n_connections, total_utilisation)
-    log_lo, log_hi = np.log(lo), np.log(hi)
+    log_lo, log_hi = _log_period_range(lo, hi)
+    # The generator calls below are the stream every run key and digest
+    # rests on (pinned by tests/traffic/test_golden_draws.py): the same
+    # calls in the same order with the same arguments.  Only the work
+    # between them is plain Python: ``round`` of a numpy float runs
+    # numpy's rounding, while the equal Python float rounds in C
+    # (both half-to-even).
+    uniform, integers, random = rng.uniform, rng.integers, rng.random
+    exp = np.exp
     connections = []
     for u in shares:
-        period = int(round(np.exp(rng.uniform(log_lo, log_hi))))
+        period = round(float(exp(uniform(log_lo, log_hi))))
         period = max(lo, min(hi, period))
         size = max(1, round(u * period))
         if size > period:
@@ -127,27 +136,28 @@ def random_connection_set(
         # If rounding a tiny share up to 1 slot overshoots badly, stretch
         # the period to keep the achieved utilisation near the share.
         if u > 0 and size / period > 2 * u and size == 1:
-            period = min(hi, max(lo, int(round(1.0 / u))))
-        source = int(rng.integers(n_nodes))
-        if rng.random() < multicast_probability and n_nodes > 2:
-            k = int(rng.integers(2, n_nodes))
+            period = min(hi, max(lo, round(1.0 / u)))
+        source = int(integers(n_nodes))
+        if random() < multicast_probability and n_nodes > 2:
+            k = int(integers(2, n_nodes))
             others = [n for n in range(n_nodes) if n != source]
             dsts = frozenset(
                 int(x) for x in rng.choice(others, size=min(k, len(others)), replace=False)
             )
         else:
-            dst = int(rng.integers(n_nodes - 1))
+            dst = int(integers(n_nodes - 1))
             if dst >= source:
                 dst += 1
-            dsts = frozenset([dst])
-        phase = int(rng.integers(period)) if random_phases else 0
+            dsts = frozenset((dst,))
+        phase = int(integers(period)) if random_phases else 0
         connections.append(
-            LogicalRealTimeConnection(
-                source=source,
-                destinations=dsts,
-                period_slots=period,
-                size_slots=size,
-                phase_slots=phase,
-            )
+            LogicalRealTimeConnection(source, dsts, period, size, phase)
         )
     return connections
+
+
+@functools.lru_cache(maxsize=16)
+def _log_period_range(lo: int, hi: int) -> tuple[np.float64, np.float64]:
+    """``np.log`` of a period range's bounds, the log-uniform draw's
+    arguments (numpy floats, as they always were)."""
+    return np.log(lo), np.log(hi)

@@ -338,3 +338,50 @@ class TestFifoMemoBound:
 
         sim.run(120_000)
         assert self._sizes(sim) == early
+
+
+class TestEdfSpellings:
+    """``CcrEdfProtocol._compose`` inlines the EDF branch instead of
+    calling ``EdfPolicy.cache_token`` / ``request_priority``; the two
+    spellings must agree, late heads included (the inlined branch keys
+    every laxity < 0 as -1, which is one priority level by the
+    ``priority_for`` contract)."""
+
+    @pytest.mark.parametrize("traffic_class", DEADLINE_CLASSES)
+    def test_inlined_branch_equals_edf_policy(self, traffic_class):
+        from repro.core.protocol import CcrEdfProtocol
+        from repro.core.queues import NodeQueues
+        from repro.ring.topology import RingTopology
+
+        protocol = CcrEdfProtocol(topology=RingTopology.uniform(4, 10.0))
+        policy = EdfPolicy()
+        assert protocol._edf_policy and type(protocol.policy) is EdfPolicy
+        slot = 1_000
+        late_priorities = set()
+        # Laxities from well past the deadline to beyond the widest level.
+        for laxity in [*range(-40, 70), 100, 255, 256, 1_000, 50_000]:
+            msg = Message(
+                source=0,
+                destinations=frozenset([2]),
+                traffic_class=traffic_class,
+                size_slots=3,
+                created_slot=0,
+                deadline_slot=slot + laxity + 3 - 1,
+                connection_id=7 if traffic_class is TrafficClass.RT_CONNECTION else None,
+            )
+            assert msg.laxity(slot) == laxity
+            queues = NodeQueues(0)
+            queues.enqueue(msg)
+            protocol._prio_cache.clear()
+            head, priority, request, _ = protocol._compose(queues, slot)
+            assert head is msg and request.priority == priority
+            assert priority == policy.request_priority(
+                msg, slot, protocol.mapping, traffic_class
+            )
+            token = policy.cache_token(msg, slot)
+            assert token == laxity
+            [key] = protocol._prio_cache
+            assert key == (max(token, -1), traffic_class)
+            if laxity < 0:
+                late_priorities.add(priority)
+        assert len(late_priorities) == 1

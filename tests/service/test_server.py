@@ -18,6 +18,7 @@ from repro.service import (
     ServiceClosed,
     ServiceFailed,
 )
+from repro.service.server import LATENCY_WINDOW, percentile
 from repro.sim.runner import ScenarioConfig
 
 
@@ -339,6 +340,25 @@ class TestCleanShutdown:
                 assert summary["backpressure"] == 0
 
         asyncio.run(scenario())
+
+
+    def test_latency_window_is_bounded(self):
+        """A long-running service keeps a fixed window of its most recent
+        latencies: after 10^5 recorded operations it holds exactly
+        ``LATENCY_WINDOW`` of them (the last ones, oldest first), and the
+        percentiles are the window's."""
+        assert LATENCY_WINDOW >= 65_536
+        service = AdmissionService(config())
+        recorded = [(i * 7919 % 100_003) / 1e6 for i in range(100_000)]
+        for latency in recorded:
+            service.latencies_s.append(latency)
+        window = recorded[-LATENCY_WINDOW:]
+        assert list(service.latencies_s) == window
+        stats = service.latency_percentiles()
+        assert stats["count"] == LATENCY_WINDOW
+        assert stats["p50_s"] == percentile(sorted(window), 0.50)
+        assert stats["p99_s"] == percentile(sorted(window), 0.99)
+        assert stats["p99_s"] != percentile(sorted(recorded), 0.99)
 
 
 class TestCancelledCaller:
